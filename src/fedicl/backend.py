@@ -42,25 +42,20 @@ class LmBackend:
     """Answer a query given in-context examples. Deterministic backends must
     return identical labels for identical inputs."""
 
-    descriptor: str = "abstract"
-
-    def answer(self, context: Sequence[Example], query: Covariate,
-               params: Optional[GenerationParams] = None) -> Label:
+    def answer(self, context: Sequence[Example], query: Covariate) -> Label:
         raise NotImplementedError
 
 
 class LsaBackend(LmBackend):
     """Closed-form LSA predictor at the pretrained global optimum.
 
-    Pure function of (context, query); GenerationParams are ignored.
+    Pure function of (context, query).
     """
 
     def __init__(self, gamma: np.ndarray):
         self.gamma = np.asarray(gamma, dtype=float)
-        self.descriptor = f"lsa(d={self.gamma.shape[0]})"
 
-    def answer(self, context: Sequence[Example], query: Covariate,
-               params: Optional[GenerationParams] = None) -> Label:
+    def answer(self, context: Sequence[Example], query: Covariate) -> Label:
         if isinstance(query, str):
             raise TypeError("LSA backend handles vector covariates only")
         pairs: List[Tuple[Covariate, float]] = []
@@ -80,9 +75,6 @@ _OPEN_QA_HEADER = ("Answer the final question. Use the solved examples "
                    "as guidance.\n")
 _MC_HEADER = ("Answer the final multiple-choice question with the letter of "
               "the correct option. Use the solved examples as guidance.\n")
-
-TEMPLATES = ("open_qa", "multiple_choice")
-
 
 def _exemplar_text(ex: Example) -> str:
     question = ex.covariate if isinstance(ex.covariate, str) else str(list(ex.covariate))
@@ -151,17 +143,15 @@ class RemoteBackend(LmBackend):
 
     def __init__(self, endpoint: str, params: Optional[GenerationParams] = None,
                  ledger: Optional[CommLedger] = None, client_id: int = 0,
-                 template_id: str = "open_qa", backoff_base: float = 0.5,
-                 session: Optional[requests.Session] = None):
+                 template_id: str = "open_qa", backoff_base: float = 0.5):
         self.endpoint = endpoint.rstrip("/")
         self.params = params or GenerationParams()
         self.ledger = ledger
         self.client_id = client_id
         self.template_id = template_id
         self.backoff_base = backoff_base
-        self.session = session or requests.Session()
-        self.round = 0  # protocol engine updates this for ledger attribution
-        self.descriptor = f"remote({self.params.model_name})"
+        self.session = requests.Session()
+        self.round = 0  # ledger attribution; the caller sets it
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -170,9 +160,8 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def answer(self, context: Sequence[Example], query: Covariate,
-               params: Optional[GenerationParams] = None) -> Label:
-        p = params or self.params
+    def answer(self, context: Sequence[Example], query: Covariate) -> Label:
+        p = self.params
         prompt = render_prompt(context[: p.context_count] if p.context_count
                                else context, query, self.template_id)
         body = {

@@ -15,6 +15,7 @@ Exit codes: 0 pass, 1 verification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -25,16 +26,13 @@ import numpy as np
 
 from . import core, data, lsa, protocol, theory
 from .backend import GenerationParams, LsaBackend, RemoteBackend
+from .core import ConfigError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_NONCONTRACTIVE = 4
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def load_config(path: str) -> dict:
@@ -57,6 +55,15 @@ def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing {where}.{key}")
     return cfg[key]
+
+
+@contextlib.contextmanager
+def _parsing(where: str):
+    """Report a value the block rejects as a config error in ``where``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +115,12 @@ def matched_moment_instance(cfg: dict):
 def explicit_instance(tcfg: dict):
     """Clients, queries, and Gamma spelled out verbatim in the config."""
     gamma_mat = np.array(_require(tcfg, "gamma", "theory"))
-    clients = []
-    for cid, rows in enumerate(_require(tcfg, "clients", "theory"), start=1):
-        examples = tuple(core.Example(covariate=tuple(r["x"]),
-                                      label=core.RealLabel(float(r["y"])))
-                         for r in rows)
-        clients.append(core.ClientDataset(client_id=cid, examples=examples))
+    if not _require(tcfg, "clients", "theory"):
+        raise ConfigError("theory.clients lists no clients")
+    with _parsing("theory.clients"):
+        clients = [core.ClientDataset(client_id=cid, examples=tuple(
+            core.example_from_json(r) for r in rows))
+            for cid, rows in enumerate(tcfg["clients"], start=1)]
     queries = tuple(tuple(x) for x in _require(tcfg, "server", "theory"))
     return clients, queries, gamma_mat
 
@@ -144,42 +151,52 @@ def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
 
 def _build_protocol_config(config: dict) -> protocol.ProtocolConfig:
     pcfg = config.get("protocol", {})
-    return protocol.ProtocolConfig(
-        rounds=int(pcfg.get("rounds", 6)),
-        variant=pcfg.get("variant", "fedicl"),
-        aggregation=pcfg.get("aggregation", "average"),
-        context_count=pcfg.get("context_count"),
-        init_mode=pcfg.get("init_mode", "zeros"),
-        seed=int(pcfg.get("seed", config.get("seed", 0))),
-        options=tuple(pcfg.get("options", ())),
-        charge_questions_after_round_one=bool(
-            pcfg.get("charge_questions_after_round_one", False)),
-    )
+    with _parsing("protocol"):
+        return protocol.ProtocolConfig(
+            rounds=int(pcfg.get("rounds", 6)),
+            variant=pcfg.get("variant", "fedicl"),
+            aggregation=pcfg.get("aggregation", "average"),
+            context_count=pcfg.get("context_count"),
+            init_mode=pcfg.get("init_mode", "zeros"),
+            seed=int(pcfg.get("seed", config.get("seed", 0))),
+            options=tuple(pcfg.get("options", ())),
+        )
 
 
-def _build_backend(config: dict, gamma_mat: Optional[np.ndarray]):
+def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
+                    client_ids: Sequence[int]):
+    """One backend per client, plus the generation parameters they share."""
     bcfg = config.get("backend", {})
     kind = bcfg.get("kind", "lsa")
-    params = GenerationParams(
-        temperature=float(bcfg.get("temperature", 0.1)),
-        max_tokens=int(bcfg.get("max_tokens", 256)),
-        context_count=int(bcfg.get("context_count", 5)),
-        model_name=bcfg.get("model_name", "gpt-4o-mini"),
-        timeout_ms=int(bcfg.get("timeout_ms", 30_000)),
-        max_retries=int(bcfg.get("max_retries", 3)),
-    )
+    with _parsing("backend"):
+        params = GenerationParams(
+            temperature=float(bcfg.get("temperature", 0.1)),
+            max_tokens=int(bcfg.get("max_tokens", 256)),
+            context_count=int(bcfg.get("context_count", 5)),
+            model_name=bcfg.get("model_name", "gpt-4o-mini"),
+            timeout_ms=int(bcfg.get("timeout_ms", 30_000)),
+            max_retries=int(bcfg.get("max_retries", 3)),
+        )
     if kind == "lsa":
         if gamma_mat is None:
             raise ConfigError("lsa backend needs lambda/t_prompt to derive gamma")
-        return LsaBackend(gamma_mat), params
+        return [LsaBackend(gamma_mat) for _ in client_ids], params
     if kind == "remote":
         endpoint = bcfg.get("endpoint") or os.environ.get("FEDICL_ENDPOINT")
         if not endpoint:
             raise ConfigError("remote backend needs backend.endpoint or "
                               "FEDICL_ENDPOINT")
-        return RemoteBackend(endpoint, params=params,
-                             template_id=bcfg.get("template", "open_qa")), params
+        return [RemoteBackend(endpoint, params=params, client_id=cid,
+                              template_id=bcfg.get("template", "open_qa"))
+                for cid in client_ids], params
     raise ConfigError(f"unknown backend kind: {kind!r}")
+
+
+def _theory_deviation(trace: core.RoundTrace) -> float:
+    """Largest gap between the round's labels and the recursion's x^T w."""
+    labels = core.real_values(trace.aggregated.labels)
+    xm = core.covariate_matrix(trace.aggregated.covariates)
+    return float(np.max(np.abs(labels - xm @ np.array(trace.theory_w))))
 
 
 def cmd_simulate(config: dict, output_dir: str, seed: int,
@@ -189,27 +206,28 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     gamma_mat = None
     if "client_paths" in scfg:
         # pre-partitioned client files (see partition mode) plus a query file
-        clients_data = []
-        for cid, path in enumerate(scfg["client_paths"], start=1):
-            clients_data.append(core.ClientDataset(
-                client_id=cid, examples=tuple(data.load_dataset(path))))
+        with _parsing("dataset"):
+            clients_data = [core.ClientDataset(client_id=cid, examples=tuple(
+                data.load_dataset(path)))
+                for cid, path in enumerate(scfg["client_paths"], start=1)]
         queries = tuple(ex.covariate
                         for ex in data.load_dataset(_require(scfg, "query_path",
                                                              "dataset")))
     else:
         clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
-    backend, gen_params = _build_backend(config, gamma_mat)
+    backends, gen_params = _build_backends(
+        config, gamma_mat, [ds.client_id for ds in clients_data])
     clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
-                                    backend=backend) for ds in clients_data]
+                                    backend=backend)
+               for ds, backend in zip(clients_data, backends)]
 
     theory_trace = None
-    state = None
     if verify_theory and gamma_mat is None:
         raise ConfigError("--verify-theory needs the synthetic LSA setup")
     if gamma_mat is not None:
         state = theory.TheoryState.initialize(clients_data, queries, gamma_mat)
-        state = theory.iterate_recursion(state, pconf.effective_rounds)
-        theory_trace = state.w_trace
+        theory_trace = theory.iterate_recursion(
+            state, pconf.effective_rounds).w_trace
 
     os.makedirs(output_dir, exist_ok=True)
     trace_path = os.path.join(output_dir, "traces.jsonl")
@@ -223,13 +241,8 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     result.ledger.export_csv(os.path.join(output_dir, "ledger.csv"))
 
     metrics: Dict[str, object] = {"rounds": len(result.traces)}
-    if verify_theory and state is not None:
-        xm = core.covariate_matrix(queries)
-        max_dev = []
-        for trace in result.traces:
-            labels = core.real_values(trace.aggregated.labels)
-            w_k1 = state.w_trace[trace.round]
-            max_dev.append(float(np.max(np.abs(labels - xm @ w_k1))))
+    if verify_theory:
+        max_dev = [_theory_deviation(trace) for trace in result.traces]
         metrics["max_theory_deviation_per_round"] = max_dev
         metrics["theory_ok"] = bool(max(max_dev) <= 1e-9)
     with open(os.path.join(output_dir, "metrics.json"), "w") as fh:
@@ -247,13 +260,15 @@ def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     prior = pcfg.get("prior")
     if prior is None:
         prior = [1.0 / len(categories)] * len(categories)
-    spec = data.PartitionSpec(
-        num_clients=int(_require(pcfg, "num_clients", "partition")),
-        alpha=float(_require(pcfg, "alpha", "partition")),
-        prior=tuple(prior),
-        seed=int(pcfg.get("seed", seed)),
-    )
-    clients, manifest = data.dirichlet_partition(examples, spec, categories)
+    with _parsing("partition"):
+        spec = data.PartitionSpec(
+            num_clients=int(_require(pcfg, "num_clients", "partition")),
+            alpha=float(_require(pcfg, "alpha", "partition")),
+            prior=tuple(prior),
+            seed=int(pcfg.get("seed", seed)),
+        )
+        clients, manifest = data.dirichlet_partition(examples, spec,
+                                                     categories)
     os.makedirs(output_dir, exist_ok=True)
     for ds in clients:
         data.save_dataset(ds.examples,
@@ -269,7 +284,8 @@ def cmd_report(trace_paths: Sequence[str], output_dir: str) -> int:
     os.makedirs(output_dir, exist_ok=True)
     rows: List[dict] = []
     for path in trace_paths:
-        traces = core.load_traces(path)
+        with _parsing(path):
+            traces = core.load_traces(path)
         if not traces:
             raise ConfigError(f"no traces in {path}")
         m = len(traces[0].aggregated)
@@ -279,10 +295,7 @@ def cmd_report(trace_paths: Sequence[str], output_dir: str) -> int:
             row = {"source": os.path.basename(path), "round": trace.round,
                    "num_queries": len(trace.aggregated)}
             if trace.theory_w is not None:
-                labels = core.real_values(trace.aggregated.labels)
-                xm = core.covariate_matrix(trace.aggregated.covariates)
-                row["max_theory_deviation"] = float(
-                    np.max(np.abs(labels - xm @ np.array(trace.theory_w))))
+                row["max_theory_deviation"] = _theory_deviation(trace)
             rows.append(row)
     fields = ["source", "round", "num_queries", "max_theory_deviation"]
     with open(os.path.join(output_dir, "report.csv"), "w", newline="") as fh:
@@ -329,9 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError("report mode needs --traces")
             return cmd_report(args.traces, args.output)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

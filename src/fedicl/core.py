@@ -22,6 +22,10 @@ Covariate = Union[Tuple[float, ...], str]
 BITS_PER_REAL = 64
 
 
+class ConfigError(ValueError):
+    """User input (a config or a data file) that cannot be used."""
+
+
 def as_covariate(values) -> Covariate:
     """Validate and normalize a covariate.
 
@@ -76,24 +80,26 @@ ABSTAIN = ChoiceLabel("")
 
 
 def label_to_json(label: Label) -> dict:
+    """The label's fields in dataset records and traces: ``y`` for a real
+    label, ``answer`` for text and choice labels, ``answer_kind`` marking
+    choices."""
     if isinstance(label, RealLabel):
-        return {"kind": "real", "value": label.value}
-    if isinstance(label, TextLabel):
-        return {"kind": "text", "answer": label.answer}
+        return {"y": label.value}
     if isinstance(label, ChoiceLabel):
-        return {"kind": "choice", "option": label.option}
+        return {"answer": label.option, "answer_kind": "choice"}
+    if isinstance(label, TextLabel):
+        return {"answer": label.answer}
     raise TypeError(f"not a label: {label!r}")
 
 
 def label_from_json(obj: dict) -> Label:
-    kind = obj.get("kind")
-    if kind == "real":
-        return RealLabel(float(obj["value"]))
-    if kind == "text":
+    if "y" in obj:
+        return RealLabel(float(obj["y"]))
+    if obj.get("answer_kind") == "choice":
+        return ChoiceLabel(str(obj["answer"]))
+    if "answer" in obj:
         return TextLabel(str(obj["answer"]))
-    if kind == "choice":
-        return ChoiceLabel(str(obj["option"]))
-    raise ValueError(f"unknown label kind: {kind!r}")
+    raise ValueError(f"record has neither 'y' nor 'answer': {obj}")
 
 
 def real_values(labels: Sequence[Label]) -> np.ndarray:
@@ -321,14 +327,14 @@ class CommLedger:
 
 def charge_protocol_round(ledger: CommLedger, round: int, client_ids: Sequence[int],
                           num_queries: int, question_units: int, answer_units: int,
-                          unit: str, charge_questions_after_round_one: bool = False) -> None:
+                          unit: str) -> None:
     """Charge one protocol round's traffic to the ledger.
 
     Downlink per client: the M query payloads (question + current label);
-    questions are charged only in round 1 unless configured otherwise, since
-    only the labels change in later rounds. Uplink per client: M answers.
+    questions are charged only in round 1, since only the labels change in
+    later rounds. Uplink per client: M answers.
     """
-    per_question = question_units if (round == 1 or charge_questions_after_round_one) else 0
+    per_question = question_units if round == 1 else 0
     for cid in client_ids:
         ledger.record(round, "downlink", cid,
                       num_queries * (per_question + answer_units), unit)
@@ -340,18 +346,11 @@ def charge_protocol_round(ledger: CommLedger, round: int, client_ids: Sequence[i
 # ---------------------------------------------------------------------------
 
 def example_to_json(ex: Example) -> dict:
-    obj: dict = {}
     if isinstance(ex.covariate, str):
-        obj["question"] = ex.covariate
+        obj: dict = {"question": ex.covariate}
     else:
-        obj["x"] = list(ex.covariate)
-    if isinstance(ex.label, RealLabel):
-        obj["y"] = ex.label.value
-    elif isinstance(ex.label, ChoiceLabel):
-        obj["answer"] = ex.label.option
-        obj["answer_kind"] = "choice"
-    else:
-        obj["answer"] = ex.label.answer
+        obj = {"x": list(ex.covariate)}
+    obj.update(label_to_json(ex.label))
     if ex.category is not None:
         obj["category"] = ex.category
     return obj
@@ -362,12 +361,5 @@ def example_from_json(obj: dict) -> Example:
         cov: Covariate = str(obj["question"])
     else:
         cov = as_covariate(obj["x"])
-    if "y" in obj:
-        label: Label = RealLabel(float(obj["y"]))
-    elif obj.get("answer_kind") == "choice":
-        label = ChoiceLabel(str(obj["answer"]))
-    elif "answer" in obj:
-        label = TextLabel(str(obj["answer"]))
-    else:
-        raise ValueError(f"record has neither 'y' nor 'answer': {obj}")
-    return Example(covariate=cov, label=label, category=obj.get("category"))
+    return Example(covariate=cov, label=label_from_json(obj),
+                   category=obj.get("category"))

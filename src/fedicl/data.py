@@ -8,8 +8,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ClientDataset, Covariate, Example, example_from_json,
-                   example_to_json)
+from .core import (ClientDataset, ConfigError, Covariate, Example,
+                   example_from_json, example_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def load_dataset(path) -> List[Example]:
             try:
                 examples.append(example_from_json(json.loads(line)))
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed record: {exc}")
+                raise ConfigError(f"{path}:{lineno}: malformed record: {exc}")
     return examples
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class ProtocolConfig:
     init_mode: str = "zeros"
     seed: int = 0
     options: Tuple[str, ...] = ()        # option set for majority voting
-    charge_questions_after_round_one: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -101,31 +100,38 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     return QuerySet(covariates=covariates, labels=labels, round=1)
 
 
-def _query_examples(c_k: QuerySet) -> Tuple[Example, ...]:
-    return tuple(Example(covariate=x, label=y) for x, y in c_k.pairs())
-
-
 def step1_relabel(client: ClientState, c_k: QuerySet,
                   context_count: Optional[int] = None,
                   embedder: Optional[Embedder] = None) -> ClientDataset:
     """Relabel the client's covariates via ICL on the server's query set."""
     if client.original is None:
         raise ProtocolError("client has no local dataset", client.client_id)
-    context_pool = ClientDataset(client_id=client.client_id,
-                                 examples=_query_examples(c_k))
-    relabeled: List[Example] = []
-    for ex in client.original.examples:
-        context = _select_context(context_pool, ex.covariate, context_count,
-                                  embedder)
+    examples = client.original.examples
+    labels = _answer_in_context(
+        client, tuple(Example(covariate=x, label=y) for x, y in c_k.pairs()),
+        [ex.covariate for ex in examples], context_count, embedder, step=1)
+    return ClientDataset(client_id=client.client_id, examples=tuple(
+        Example(covariate=ex.covariate, label=label, category=ex.category)
+        for ex, label in zip(examples, labels)))
+
+
+def _answer_in_context(client: ClientState, pool_examples: Tuple[Example, ...],
+                       queries: Sequence[Covariate],
+                       context_count: Optional[int],
+                       embedder: Optional[Embedder], step: int
+                       ) -> Tuple[Label, ...]:
+    """Answer each query with the client's backend, in the context of the
+    pool (all of it, or the query's kNN when ``context_count`` is set)."""
+    pool = ClientDataset(client_id=client.client_id, examples=pool_examples)
+    answers: List[Label] = []
+    for q in queries:
+        context = _select_context(pool, q, context_count, embedder)
         try:
-            label = client.backend.answer(context, ex.covariate)
+            answers.append(client.backend.answer(context, q))
         except Exception as exc:
-            raise ProtocolError(f"step 1 backend failure: {exc}",
+            raise ProtocolError(f"step {step} backend failure: {exc}",
                                 client.client_id) from exc
-        relabeled.append(Example(covariate=ex.covariate, label=label,
-                                 category=ex.category))
-    return ClientDataset(client_id=client.client_id,
-                         examples=tuple(relabeled))
+    return tuple(answers)
 
 
 def _select_context(pool: ClientDataset, query: Covariate,
@@ -163,16 +169,8 @@ def step2_answer(client: ClientState, queries: Sequence[Covariate],
         pool_examples = server_reference.examples
     else:
         raise ValueError(f"unknown variant: {variant!r}")
-    pool = ClientDataset(client_id=client.client_id, examples=pool_examples)
-    answers: List[Label] = []
-    for q in queries:
-        context = _select_context(pool, q, context_count, embedder)
-        try:
-            answers.append(client.backend.answer(context, q))
-        except Exception as exc:
-            raise ProtocolError(f"step 2 backend failure: {exc}",
-                                client.client_id) from exc
-    return tuple(answers)
+    return _answer_in_context(client, pool_examples, queries, context_count,
+                              embedder, step=2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,6 @@ class TokenOverlapJudge:
 def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
               previous: QuerySet,
               options: Sequence[str] = (),
-              fusion: Callable[[Sequence[TextLabel]], TextLabel] = default_fusion,
               judge: Optional[TokenOverlapJudge] = None) -> QuerySet:
     """Combine per-client answers into the next query set C_{k+1}.
 
@@ -235,7 +232,7 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
             for a in answers:
                 if not isinstance(a, TextLabel):
                     raise TypeError("fusion aggregation needs text labels")
-            candidate = fusion(answers)
+            candidate = default_fusion(answers)
             prev = previous.labels[qi]
             if judge is not None and judge.better(candidate, prev,
                                                   previous.covariates[qi]):
@@ -277,10 +274,6 @@ class ProtocolResult:
     traces: List[RoundTrace]
     ledger: CommLedger
     final: QuerySet
-    # payloads as actually transmitted, for structural privacy checks:
-    # every record is (round, client_id, ((covariate, label), ...))
-    downlink_payloads: List[Tuple[int, int, Tuple[Tuple[Covariate, Label], ...]]]
-    uplink_payloads: List[Tuple[int, int, Tuple[Tuple[Covariate, Label], ...]]]
 
 
 def _payload_units(queries: Sequence[Covariate],
@@ -309,8 +302,8 @@ def run(config: ProtocolConfig,
     """Execute the full protocol loop and return traces plus the ledger.
 
     ``theory_w_trace``, when given, attaches the matching closed-form weight
-    vector to each round's trace. On a mid-run failure, traces produced so
-    far are flushed to ``trace_path`` (if set) before re-raising.
+    vector to each round's trace. The traces are written to ``trace_path``
+    (if set) also on a mid-run failure, before it is re-raised.
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
@@ -330,16 +323,10 @@ def run(config: ProtocolConfig,
     client_ids = [c.client_id for c in clients]
 
     traces: List[RoundTrace] = []
-    downlink_payloads = []
-    uplink_payloads = []
     try:
         for k in range(1, config.effective_rounds + 1):
-            charge_protocol_round(
-                ledger, k, client_ids, len(queries), question_units,
-                answer_units, unit,
-                config.charge_questions_after_round_one)
-            for cid in client_ids:
-                downlink_payloads.append((k, cid, tuple(c_k.pairs())))
+            charge_protocol_round(ledger, k, client_ids, len(queries),
+                                  question_units, answer_units, unit)
 
             def client_round(client: ClientState) -> Tuple[int, Tuple[Label, ...]]:
                 if config.variant in ("fedicl", "fedicl_free", "fedicl_ub"):
@@ -357,10 +344,6 @@ def run(config: ProtocolConfig,
                                         or len(clients)) as pool:
                     results = list(pool.map(client_round, clients))
             per_client = dict(results)
-            for cid in sorted(per_client):
-                uplink_payloads.append(
-                    (k, cid, tuple(zip(queries, per_client[cid]))))
-
             c_next = aggregate(per_client, config.aggregation, c_k,
                                options=config.options, judge=judge)
             theory_w = None
@@ -369,15 +352,10 @@ def run(config: ProtocolConfig,
             traces.append(RoundTrace(round=k, per_client_answers=per_client,
                                      aggregated=c_next, theory_w=theory_w))
             c_k = c_next
-    except Exception:
+    finally:
         if trace_path is not None:
             save_traces(traces, trace_path)
-        raise
-    if trace_path is not None:
-        save_traces(traces, trace_path)
-    return ProtocolResult(traces=traces, ledger=ledger, final=c_k,
-                          downlink_payloads=downlink_payloads,
-                          uplink_payloads=uplink_payloads)
+    return ProtocolResult(traces=traces, ledger=ledger, final=c_k)
 
 
 def _merge_clients(datasets: Sequence[Optional[ClientDataset]]) -> ClientDataset:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fedicl import cli, core, data
+from fedicl import cli, core, data, protocol
 from fedicl.core import Example, RealLabel
 
 
@@ -173,6 +173,43 @@ def test_simulate_unknown_backend_kind(tmp_path):
     cfg = dict(SIM_CFG, backend={"kind": "quantum"})
     code, _ = run_cli(tmp_path, "simulate", write_config(tmp_path, cfg))
     assert code == cli.EXIT_CONFIG
+
+
+def test_theory_explicit_instance_without_clients(tmp_path):
+    cfg = write_config(tmp_path, {"theory": {"gamma": [[3.0]], "clients": [],
+                                             "server": [[1.0]]}})
+    code, out = run_cli(tmp_path, "theory", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert not (out / "theory_report.json").exists()
+
+
+def test_simulate_engine_value_error_propagates(tmp_path, monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(protocol, "run", broken_run)
+    with pytest.raises(ValueError, match="engine bug"):
+        run_cli(tmp_path, "simulate", write_config(tmp_path, SIM_CFG))
+
+
+@pytest.mark.parametrize("backend", [
+    {"kind": "lsa"}, {"kind": "remote", "endpoint": "http://unused"}])
+def test_simulate_builds_one_backend_per_client(tmp_path, monkeypatch,
+                                                backend):
+    seen = []
+
+    def capture(config, clients, *args, **kwargs):
+        seen.extend(clients)
+        raise protocol.ProtocolError("stop after capture")
+
+    monkeypatch.setattr(protocol, "run", capture)
+    cfg = write_config(tmp_path, dict(SIM_CFG, backend=backend))
+    code, _ = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_BACKEND
+    assert [c.client_id for c in seen] == [1, 2, 3]
+    assert len({id(c.backend) for c in seen}) == 3
+    if backend["kind"] == "remote":
+        assert [c.backend.client_id for c in seen] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

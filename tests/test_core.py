@@ -97,6 +97,9 @@ def test_client_dataset_dimension_check():
                                    ChoiceLabel("B")])
 def test_label_json_round_trip(label):
     assert core.label_from_json(core.label_to_json(label)) == label
+    # traces and dataset records share one label schema
+    record = core.example_to_json(Example("q", label))
+    assert record == {"question": "q", **core.label_to_json(label)}
 
 
 def test_example_json_round_trip():
@@ -114,8 +117,13 @@ def test_round_trace_round_trip(tmp_path):
                                            2: (RealLabel(0.0), RealLabel(0.0))},
                        aggregated=qs, theory_w=(0.125,))
     path = tmp_path / "traces.jsonl"
-    core.save_traces([trace], path)
-    assert core.load_traces(path) == [trace]
+    text = RoundTrace(round=2,
+                      per_client_answers={1: (TextLabel("a"), ChoiceLabel("B"))},
+                      aggregated=QuerySet(covariates=("q1", "q2"),
+                                          labels=(TextLabel("a"), core.ABSTAIN),
+                                          round=3))
+    core.save_traces([trace, text], path)
+    assert core.load_traces(path) == [trace, text]
 
 
 def test_ledger_csv_export(tmp_path):

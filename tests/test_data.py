@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 
-from fedicl.core import ClientDataset, Example, RealLabel, TextLabel
+from fedicl.core import (ChoiceLabel, ClientDataset, ConfigError, Example,
+                         RealLabel, TextLabel)
 from fedicl.data import (IdentityEmbedder, PartitionSpec, TableEmbedder,
                          category_entropy, dirichlet_partition, knn_context,
                          knn_filter, load_dataset, sample_query_set,
@@ -246,7 +247,8 @@ def test_embedders():
 
 def test_dataset_jsonl_round_trip(tmp_path):
     examples = [Example((1.0, 2.0), RealLabel(0.5), category="algebra"),
-                Example("what is 2+2?", TextLabel("4"), category="math")]
+                Example("what is 2+2?", TextLabel("4"), category="math"),
+                Example("2+2? (A) 3 (B) 4", ChoiceLabel("B"))]
     path = tmp_path / "data.jsonl"
     save_dataset(examples, path)
     assert load_dataset(path) == examples
@@ -277,7 +279,7 @@ def test_load_dataset_malformed_line_reports_position(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"x": [1.0], "y": 2.0, "answer_kind": "real"}\n'
                     'not json at all\n')
-    with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
+    with pytest.raises(ConfigError, match=r"bad\.jsonl:2"):
         load_dataset(path)
 
 

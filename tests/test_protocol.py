@@ -273,23 +273,32 @@ def test_deterministic_traces_byte_identical(tmp_path):
     assert go(tmp_path / "a.jsonl") == go(tmp_path / "b.jsonl")
 
 
-def test_uplink_payloads_never_contain_client_data():
+def test_sent_payloads_never_contain_client_data():
     rng = np.random.default_rng(28)
     clients_data, queries, g = random_regression(rng, d=2, l=3, n=4, m=3)
     clients = [ClientState(ds.client_id, ds, LsaBackend(g))
                for ds in clients_data]
-    result = run(ProtocolConfig(rounds=4), clients, queries)
+    config = ProtocolConfig(rounds=4)
+    result = run(config, clients, queries)
     client_covs = {ex.covariate for ds in clients_data for ex in ds.examples}
     client_labels = {ex.label for ds in clients_data for ex in ds.examples}
-    for payloads in (result.uplink_payloads, result.downlink_payloads):
-        for _, _, pairs in payloads:
+    # round k sends C_k down to every client: C_1 is the initial query set,
+    # C_{k+1} the aggregate traced in round k
+    downlink = [init_labels(queries, config.init_mode)]
+    downlink += [trace.aggregated for trace in result.traces[:-1]]
+    assert len(downlink) == len(result.traces) == 4
+    for c_k, trace in zip(downlink, result.traces):
+        assert c_k.covariates == queries
+        # uplink payload is exactly {(x_m, y^i_{k+1,m})}, from every client
+        assert sorted(trace.per_client_answers) == [1, 2, 3]
+        uplink = [tuple(zip(queries, answers))
+                  for answers in trace.per_client_answers.values()]
+        assert all(len(pairs) == len(queries) for pairs in uplink)
+        for pairs in [tuple(c_k.pairs())] + uplink:
             for cov, label in pairs:
                 assert cov in set(queries)
                 assert cov not in client_covs
                 assert label not in client_labels
-    # uplink payload is exactly {(x_m, y^i_{k+1,m})}
-    for k, cid, pairs in result.uplink_payloads:
-        assert tuple(c for c, _ in pairs) == queries
 
 
 def test_constant_per_round_payload_from_round_two():
