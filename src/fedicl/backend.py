@@ -18,8 +18,8 @@ import numpy as np
 import requests
 
 from .core import (ChoiceLabel, CommLedger, Covariate, Example, Label,
-                   RealLabel, TextLabel, ABSTAIN)
-from .lsa import predict_closed_form
+                   RealLabel, TextLabel, ABSTAIN, covariate_matrix)
+from .lsa import _check_spd, predict_closed_form
 
 
 @dataclass(frozen=True)
@@ -39,24 +39,27 @@ class GenerationParams:
 
 
 class LmBackend:
-    """Answer a query given in-context examples. Deterministic backends must
+    """Answer queries given in-context examples: one call answers every
+    query in the shared context, in query order. Deterministic backends must
     return identical labels for identical inputs."""
 
-    def answer(self, context: Sequence[Example], query: Covariate) -> Label:
+    def answer(self, context: Sequence[Example],
+               queries: Sequence[Covariate]) -> Tuple[Label, ...]:
         raise NotImplementedError
 
 
 class LsaBackend(LmBackend):
     """Closed-form LSA predictor at the pretrained global optimum.
 
-    Pure function of (context, query).
+    Pure function of (context, queries); Gamma must be SPD.
     """
 
     def __init__(self, gamma: np.ndarray):
-        self.gamma = np.asarray(gamma, dtype=float)
+        self.gamma = _check_spd(gamma, "gamma")
 
-    def answer(self, context: Sequence[Example], query: Covariate) -> Label:
-        if isinstance(query, str):
+    def answer(self, context: Sequence[Example],
+               queries: Sequence[Covariate]) -> Tuple[Label, ...]:
+        if any(isinstance(q, str) for q in queries):
             raise TypeError("LSA backend handles vector covariates only")
         pairs: List[Tuple[Covariate, float]] = []
         for ex in context:
@@ -64,7 +67,11 @@ class LsaBackend(LmBackend):
                 raise TypeError(f"LSA backend needs real-labeled vector "
                                 f"examples, got {ex!r}")
             pairs.append((ex.covariate, ex.label.value))
-        return RealLabel(predict_closed_form(pairs, query, self.gamma))
+        if len(queries) == 0:
+            return ()
+        values = predict_closed_form(pairs, covariate_matrix(queries),
+                                     self.gamma)
+        return tuple(RealLabel(float(v)) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +167,11 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def answer(self, context: Sequence[Example], query: Covariate) -> Label:
+    def answer(self, context: Sequence[Example],
+               queries: Sequence[Covariate]) -> Tuple[Label, ...]:
+        return tuple(self._answer_one(context, q) for q in queries)
+
+    def _answer_one(self, context: Sequence[Example], query: Covariate) -> Label:
         p = self.params
         prompt = render_prompt(context[: p.context_count] if p.context_count
                                else context, query, self.template_id)

@@ -301,8 +301,7 @@ def cmd_report(trace_paths: Sequence[str], output_dir: str) -> int:
     with open(os.path.join(output_dir, "report.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return EXIT_PASS
 
 

@@ -169,16 +169,18 @@ def category_entropy(dataset: ClientDataset) -> float:
 # kNN filtering (exact search; desk-scale datasets)
 # ---------------------------------------------------------------------------
 
-def _nearest_indices(dataset: ClientDataset, query: Covariate, c: int,
-                     embedder: Embedder,
-                     dataset_emb: Optional[np.ndarray] = None) -> List[int]:
-    if dataset_emb is None:
-        dataset_emb = embedder.embed_many(dataset.covariates())
-    q = embedder.embed(query)
-    dists = np.linalg.norm(dataset_emb - q[None, :], axis=1)
-    # stable sort: distance ties broken by dataset index order
-    order = np.argsort(dists, kind="stable")
-    return [int(i) for i in order[: min(c, len(dataset))]]
+def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
+                c: int, embedder: Embedder) -> np.ndarray:
+    """Indices into ``pool`` of each query's c nearest covariates: a (Q,
+    min(c, len(pool))) integer array, rows nearest-first, distance ties in
+    pool order. The pool is embedded once for all queries."""
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    pool_emb = embedder.embed_many(pool)
+    # one query at a time keeps the distance temporaries at pool size
+    return np.array([np.argsort(np.linalg.norm(pool_emb - q, axis=1),
+                                kind="stable")[:c]
+                     for q in embedder.embed_many(queries)])
 
 
 def knn_filter(dataset: ClientDataset, queries: Sequence[Covariate], c: int,
@@ -188,23 +190,9 @@ def knn_filter(dataset: ClientDataset, queries: Sequence[Covariate], c: int,
     Duplicates are merged; asking for more neighbors than examples returns
     the whole dataset.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    emb = embedder.embed_many(dataset.covariates())
-    keep = set()
-    for q in queries:
-        keep.update(_nearest_indices(dataset, q, c, embedder, emb))
-    examples = tuple(dataset.examples[i] for i in sorted(keep))
+    keep = knn_context(dataset.covariates(), queries, c, embedder)
+    examples = tuple(dataset.examples[i] for i in sorted(set(keep.ravel())))
     return ClientDataset(client_id=dataset.client_id, examples=examples)
-
-
-def knn_context(dataset: ClientDataset, query: Covariate, c: int,
-                embedder: Embedder) -> Tuple[Example, ...]:
-    """The c nearest examples to one query, ordered nearest-first."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    idx = _nearest_indices(dataset, query, c, embedder)
-    return tuple(dataset.examples[i] for i in idx)
 
 
 # ---------------------------------------------------------------------------

@@ -137,19 +137,21 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
 
 
 def predict_closed_form(examples: Sequence[Tuple[Covariate, float]],
-                        x_query: Covariate, gamma_mat: np.ndarray) -> float:
+                        x_query, gamma_mat: np.ndarray) -> float | np.ndarray:
     """Closed-form LSA prediction at the global optimum.
 
     y_hat = x_query^T Gamma^-1 (1/M sum_i y_i x_i); zero examples yield 0.
+    A (Q, d) matrix of queries shares the one solve and yields a (Q,) array.
     """
     gamma_mat = _check_spd(gamma_mat, "gamma")
-    xq = np.asarray(x_query, dtype=float).ravel()
+    xq = np.asarray(x_query, dtype=float)
     if len(examples) == 0:
-        return 0.0
+        return np.zeros(len(xq)) if xq.ndim == 2 else 0.0
     xs = covariate_matrix([x for x, _ in examples])
     ys = np.asarray([y for _, y in examples], dtype=float)
     moment = xs.T @ ys / len(examples)
-    return float(xq @ np.linalg.solve(gamma_mat, moment))
+    pred = xq @ np.linalg.solve(gamma_mat, moment)
+    return pred if xq.ndim == 2 else float(pred)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ into the next query set. Variants differ in which context each step sees:
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
+RELABELING_VARIANTS = ("fedicl", "fedicl_free", "fedicl_ub")
 AGGREGATIONS = ("average", "majority", "fusion")
 INIT_MODES = ("zeros", "random", "backend_generated")
 
@@ -94,83 +96,106 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     elif mode == "backend_generated":
         if backend is None:
             raise ValueError("backend_generated initialization needs a backend")
-        labels = tuple(backend.answer([], q) for q in covariates)
+        labels = tuple(backend.answer([], covariates))
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return QuerySet(covariates=covariates, labels=labels, round=1)
 
 
 def step1_relabel(client: ClientState, c_k: QuerySet,
-                  context_count: Optional[int] = None,
-                  embedder: Optional[Embedder] = None) -> ClientDataset:
-    """Relabel the client's covariates via ICL on the server's query set."""
+                  neighbours: Optional[np.ndarray] = None) -> ClientDataset:
+    """Relabel the client's covariates via ICL on the server's query set
+    (all of it, or each covariate's ``neighbours`` in it)."""
     if client.original is None:
         raise ProtocolError("client has no local dataset", client.client_id)
     examples = client.original.examples
     labels = _answer_in_context(
         client, tuple(Example(covariate=x, label=y) for x, y in c_k.pairs()),
-        [ex.covariate for ex in examples], context_count, embedder, step=1)
+        [ex.covariate for ex in examples], neighbours, step=1)
     return ClientDataset(client_id=client.client_id, examples=tuple(
         Example(covariate=ex.covariate, label=label, category=ex.category)
         for ex, label in zip(examples, labels)))
 
 
-def _answer_in_context(client: ClientState, pool_examples: Tuple[Example, ...],
+def _answer_in_context(client: ClientState, pool: Tuple[Example, ...],
                        queries: Sequence[Covariate],
-                       context_count: Optional[int],
-                       embedder: Optional[Embedder], step: int
+                       neighbours: Optional[np.ndarray], step: int
                        ) -> Tuple[Label, ...]:
-    """Answer each query with the client's backend, in the context of the
-    pool (all of it, or the query's kNN when ``context_count`` is set)."""
-    pool = ClientDataset(client_id=client.client_id, examples=pool_examples)
-    answers: List[Label] = []
-    for q in queries:
-        context = _select_context(pool, q, context_count, embedder)
-        try:
-            answers.append(client.backend.answer(context, q))
-        except Exception as exc:
-            raise ProtocolError(f"step {step} backend failure: {exc}",
-                                client.client_id) from exc
-    return tuple(answers)
+    """Answer the queries with the client's backend: one call with the whole
+    pool as context, or one per query with its ``neighbours`` (indices)."""
+    try:
+        if neighbours is None:
+            answers = tuple(client.backend.answer(pool, queries))
+        else:
+            answers = tuple(label for q, idx in zip(queries, neighbours)
+                            for label in client.backend.answer(
+                                [pool[i] for i in idx], [q]))
+    except Exception as exc:
+        raise ProtocolError(f"step {step} backend failure: {exc}",
+                            client.client_id) from exc
+    if len(answers) != len(queries):
+        raise ProtocolError(f"step {step}: {len(answers)} answers to "
+                            f"{len(queries)} queries", client.client_id)
+    return answers
 
 
-def _select_context(pool: ClientDataset, query: Covariate,
-                    context_count: Optional[int],
-                    embedder: Optional[Embedder]) -> Tuple[Example, ...]:
-    if context_count is None or context_count >= len(pool):
-        return pool.examples
-    emb = embedder if embedder is not None else IdentityEmbedder()
-    return knn_context(pool, query, context_count, emb)
+def _step2_pool(client: ClientState, variant: str,
+                server_reference: Optional[ClientDataset]
+                ) -> Tuple[Example, ...]:
+    if variant in ("fedicl", "fedicl_ub"):
+        if client.original is None or client.relabeled is None:
+            raise ProtocolError("step 2 before step 1", client.client_id)
+        return client.original.examples + client.relabeled.examples
+    if variant == "fedicl_free":
+        if client.relabeled is None:
+            raise ProtocolError("step 2 before step 1", client.client_id)
+        return client.relabeled.examples
+    if variant == "fedicl_gt":
+        if client.original is None:
+            raise ProtocolError("client has no local dataset", client.client_id)
+        return client.original.examples
+    if variant == "fedicl_lb":
+        if server_reference is None:
+            raise ProtocolError("fedicl_lb needs a server reference set",
+                                client.client_id)
+        return server_reference.examples
+    raise ValueError(f"unknown variant: {variant!r}")
 
 
 def step2_answer(client: ClientState, queries: Sequence[Covariate],
                  variant: str = "fedicl",
-                 context_count: Optional[int] = None,
-                 embedder: Optional[Embedder] = None,
+                 neighbours: Optional[np.ndarray] = None,
                  server_reference: Optional[ClientDataset] = None
                  ) -> Tuple[Label, ...]:
-    """Answer the server queries with the variant's in-context dataset."""
-    if variant in ("fedicl", "fedicl_ub"):
-        if client.original is None or client.relabeled is None:
-            raise ProtocolError("step 2 before step 1", client.client_id)
-        pool_examples = client.original.examples + client.relabeled.examples
-    elif variant == "fedicl_free":
-        if client.relabeled is None:
-            raise ProtocolError("step 2 before step 1", client.client_id)
-        pool_examples = client.relabeled.examples
-    elif variant == "fedicl_gt":
-        if client.original is None:
-            raise ProtocolError("client has no local dataset", client.client_id)
-        pool_examples = client.original.examples
-    elif variant == "fedicl_lb":
-        if server_reference is None:
-            raise ProtocolError("fedicl_lb needs a server reference set",
-                                client.client_id)
-        pool_examples = server_reference.examples
-    else:
-        raise ValueError(f"unknown variant: {variant!r}")
-    return _answer_in_context(client, pool_examples, queries, context_count,
-                              embedder, step=2)
+    """Answer the server queries with the variant's in-context dataset
+    (all of it, or each query's ``neighbours`` in it)."""
+    return _answer_in_context(
+        client, _step2_pool(client, variant, server_reference), queries,
+        neighbours, step=2)
+
+
+def _knn_neighbours(client: ClientState, config: ProtocolConfig,
+                    queries: Tuple[Covariate, ...], embedder: Optional[Embedder],
+                    server_reference: Optional[ClientDataset]) -> tuple:
+    """Step 1's and step 2's per-query kNN indices into their pools; None
+    where the whole pool is every query's context."""
+    c = config.context_count
+    if c is None:
+        return None, None
+    emb = embedder if embedder is not None else IdentityEmbedder()
+
+    def search(pool: Sequence[Covariate], qs: Sequence[Covariate]):
+        return None if c >= len(pool) else knn_context(pool, qs, c, emb)
+
+    relabels = config.variant in RELABELING_VARIANTS
+    if relabels and client.original is None:
+        raise ProtocolError("client has no local dataset", client.client_id)
+    # relabeling keeps the local covariates in order, so they stand in for
+    # the relabeled ones in step 2's pool
+    pool2 = _step2_pool(replace(client, relabeled=client.original),
+                        config.variant, server_reference)
+    step1 = search(queries, client.original.covariates()) if relabels else None
+    return step1, search([ex.covariate for ex in pool2], queries)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +204,7 @@ def step2_answer(client: ClientState, queries: Sequence[Covariate],
 
 def default_fusion(answers: Sequence[TextLabel]) -> TextLabel:
     """Trivial fusion: the most frequent answer string, ties by first seen."""
-    counts: Dict[str, int] = {}
-    for lab in answers:
-        counts[lab.answer] = counts.get(lab.answer, 0) + 1
-    best = max(counts.items(), key=lambda kv: (kv[1], -list(counts).index(kv[0])))
-    return TextLabel(best[0])
+    return TextLabel(Counter(lab.answer for lab in answers).most_common(1)[0][0])
 
 
 class TokenOverlapJudge:
@@ -232,15 +253,10 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
             for a in answers:
                 if not isinstance(a, TextLabel):
                     raise TypeError("fusion aggregation needs text labels")
-            candidate = default_fusion(answers)
-            prev = previous.labels[qi]
-            if judge is not None and judge.better(candidate, prev,
-                                                  previous.covariates[qi]):
-                labels.append(candidate)
-            elif judge is not None:
-                labels.append(prev)
-            else:
-                labels.append(candidate)
+            candidate, prev = default_fusion(answers), previous.labels[qi]
+            keep_prev = judge is not None and not judge.better(
+                candidate, prev, previous.covariates[qi])
+            labels.append(prev if keep_prev else candidate)
         else:
             raise ValueError(f"unknown aggregation: {strategy!r}")
     return QuerySet(covariates=previous.covariates, labels=tuple(labels),
@@ -249,13 +265,9 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
 
 def _majority_vote(answers: Sequence[Label], options: Sequence[str],
                    previous: Label) -> Label:
-    counts: Dict[str, int] = {}
-    for a in answers:
-        if not isinstance(a, ChoiceLabel):
-            raise TypeError("majority aggregation needs choice labels")
-        if a == ABSTAIN:
-            continue
-        counts[a.option] = counts.get(a.option, 0) + 1
+    if not all(isinstance(a, ChoiceLabel) for a in answers):
+        raise TypeError("majority aggregation needs choice labels")
+    counts = Counter(a.option for a in answers if a != ABSTAIN)
     if not counts:
         return previous
     option_index = {opt: i for i, opt in enumerate(options)}
@@ -322,28 +334,29 @@ def run(config: ProtocolConfig,
     question_units, answer_units, unit = _payload_units(queries, gen_params)
     client_ids = [c.client_id for c in clients]
 
+    # neighbour choice ignores labels and each step's pool keeps its
+    # covariates, so one kNN search serves every round of this run
+    neighbours = {c.client_id: _knn_neighbours(c, config, queries, embedder,
+                                               server_reference)
+                  for c in clients}
+
+    def client_round(client: ClientState) -> Tuple[int, Tuple[Label, ...]]:
+        step1_nn, step2_nn = neighbours[client.client_id]
+        if config.variant in RELABELING_VARIANTS:
+            client.relabeled = step1_relabel(client, c_k, step1_nn)
+        answers = step2_answer(client, queries, config.variant, step2_nn,
+                               server_reference)
+        return client.client_id, answers
+
+    executor = (None if max_workers == 1 or len(clients) == 1 else
+                ThreadPoolExecutor(max_workers=max_workers or len(clients)))
+    map_clients = executor.map if executor is not None else map
     traces: List[RoundTrace] = []
     try:
         for k in range(1, config.effective_rounds + 1):
             charge_protocol_round(ledger, k, client_ids, len(queries),
                                   question_units, answer_units, unit)
-
-            def client_round(client: ClientState) -> Tuple[int, Tuple[Label, ...]]:
-                if config.variant in ("fedicl", "fedicl_free", "fedicl_ub"):
-                    client.relabeled = step1_relabel(
-                        client, c_k, config.context_count, embedder)
-                answers = step2_answer(
-                    client, queries, config.variant, config.context_count,
-                    embedder, server_reference)
-                return client.client_id, answers
-
-            if max_workers == 1 or len(clients) == 1:
-                results = [client_round(c) for c in clients]
-            else:
-                with ThreadPoolExecutor(max_workers=max_workers
-                                        or len(clients)) as pool:
-                    results = list(pool.map(client_round, clients))
-            per_client = dict(results)
+            per_client = dict(map_clients(client_round, clients))
             c_next = aggregate(per_client, config.aggregation, c_k,
                                options=config.options, judge=judge)
             theory_w = None
@@ -353,6 +366,8 @@ def run(config: ProtocolConfig,
                                      aggregated=c_next, theory_w=theory_w))
             c_k = c_next
     finally:
+        if executor is not None:
+            executor.shutdown()
         if trace_path is not None:
             save_traces(traces, trace_path)
     return ProtocolResult(traces=traces, ledger=ledger, final=c_k)

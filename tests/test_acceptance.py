@@ -342,7 +342,7 @@ def test_criterion_12_remote_wire_contract():
             ledger = CommLedger()
             backend = RemoteBackend(srv.url, ledger=ledger, client_id=1)
             got = backend.answer([Example("ex q", TextLabel("ex a"))],
-                                 "real question?")
+                                 ["real question?"])[0]
             assert got == TextLabel("the final answer")
             body = srv.requests[0]
             assert body["model"] == "gpt-4o-mini"
@@ -356,9 +356,9 @@ def test_criterion_12_remote_wire_contract():
                   (200, None, {})]
         with MockLlmServer(script=script) as srv:
             backend = RemoteBackend(srv.url, backoff_base=0.0)
-            assert backend.answer([], "q") == TextLabel("mock answer")
+            assert backend.answer([], ["q"])[0] == TextLabel("mock answer")
             assert len(srv.requests) == 2
 
         with MockLlmServer(script=[(200, {"bad": "shape"}, {})]) as srv:
             with pytest.raises(RemoteBackendError):
-                RemoteBackend(srv.url).answer([], "q")
+                RemoteBackend(srv.url).answer([], ["q"])[0]

@@ -32,25 +32,54 @@ def test_lsa_backend_delegates_to_closed_form():
         q = tuple(rng.standard_normal(2))
         want = predict_closed_form([(e.covariate, e.label.value) for e in ctx],
                                    q, g)
-        assert backend.answer(ctx, q) == RealLabel(want)
+        assert backend.answer(ctx, [q])[0] == RealLabel(want)
 
 
 def test_lsa_backend_empty_context_answers_zero():
-    assert LsaBackend(np.eye(2)).answer([], (1.0, 2.0)) == RealLabel(0.0)
+    assert LsaBackend(np.eye(2)).answer([], [(1.0, 2.0)])[0] == RealLabel(0.0)
 
 
 def test_lsa_backend_hand_value():
     ctx = [Example((1.0,), RealLabel(1.0))]
-    got = LsaBackend(np.array([[3.0]])).answer(ctx, (1.0,))
+    got = LsaBackend(np.array([[3.0]])).answer(ctx, [(1.0,)])[0]
     assert got.value == pytest.approx(1 / 3)
 
 
 def test_lsa_backend_rejects_text():
     backend = LsaBackend(np.eye(1))
     with pytest.raises(TypeError):
-        backend.answer([], "what is 2+2?")
+        backend.answer([], ["what is 2+2?"])[0]
     with pytest.raises(TypeError):
-        backend.answer([Example("q", TextLabel("a"))], (1.0,))
+        backend.answer([Example("q", TextLabel("a"))], [(1.0,)])[0]
+    with pytest.raises(TypeError):
+        backend.answer([Example((1.0,), RealLabel(1.0))],
+                       [(1.0,), "what is 2+2?"])
+
+
+def test_lsa_backend_rejects_bad_gamma_at_construction():
+    with pytest.raises(ValueError, match="positive definite"):
+        LsaBackend(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        LsaBackend(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        LsaBackend(np.ones((2, 3)))
+
+
+def test_lsa_backend_batch_matches_per_query_closed_form():
+    rng = np.random.default_rng(32)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    backend = LsaBackend(g)
+    for n in (1, 5, 12):
+        ctx = vec_context(rng, 3, n)
+        qs = [tuple(q) for q in rng.standard_normal((7, 3))]
+        got = backend.answer(ctx, qs)
+        assert len(got) == len(qs)
+        pairs = [(e.covariate, e.label.value) for e in ctx]
+        for label, q in zip(got, qs):
+            assert isinstance(label, RealLabel)
+            assert abs(label.value - predict_closed_form(pairs, q, g)) <= 1e-12
+    assert backend.answer([], qs) == (RealLabel(0.0),) * len(qs)
+    assert backend.answer(ctx, []) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +147,26 @@ def test_remote_backend_returns_completion_text():
     with MockLlmServer(reply="Paris is the capital.") as srv:
         backend = RemoteBackend(srv.url)
         got = backend.answer([Example("q1", TextLabel("a1"))],
-                             "Capital of France?")
+                             ["Capital of France?"])[0]
     assert got == TextLabel("Paris is the capital.")
+
+
+def test_remote_backend_batch_posts_once_per_query_in_order():
+    ctx = [Example("ex q", TextLabel("ex a"))]
+    with MockLlmServer(reply="an answer") as srv:
+        got = RemoteBackend(srv.url).answer(ctx, ["q one", "q two", "q three"])
+        prompts = [body["messages"][0]["content"] for body in srv.requests]
+    assert got == (TextLabel("an answer"),) * 3
+    assert len(prompts) == 3
+    for prompt, q in zip(prompts, ["q one", "q two", "q three"]):
+        assert prompt.endswith(f"Question: {q}\nAnswer:")
+        assert "ex q" in prompt
 
 
 def test_remote_backend_request_body_contract():
     with MockLlmServer() as srv:
         backend = RemoteBackend(srv.url)
-        backend.answer([], "some question")
+        backend.answer([], ["some question"])[0]
         body = srv.requests[0]
     assert body["model"] == "gpt-4o-mini"
     assert body["temperature"] == 0.1
@@ -147,7 +188,7 @@ def test_remote_backend_retries_on_rate_limit():
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
-        got = backend.answer([], "q")
+        got = backend.answer([], ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
 
@@ -158,7 +199,7 @@ def test_remote_backend_gives_up_after_max_retries():
         backend = RemoteBackend(srv.url, backoff_base=0.0,
                                 params=GenerationParams(max_retries=2))
         with pytest.raises(RemoteBackendError, match="503"):
-            backend.answer([], "q")
+            backend.answer([], ["q"])[0]
         assert len(srv.requests) == 3
 
 
@@ -167,7 +208,7 @@ def test_remote_backend_non_retryable_fails_fast():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
         with pytest.raises(RemoteBackendError, match="400"):
-            backend.answer([], "q")
+            backend.answer([], ["q"])[0]
         assert len(srv.requests) == 1
 
 
@@ -176,7 +217,7 @@ def test_remote_backend_malformed_body_raises():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url)
         with pytest.raises(RemoteBackendError, match="malformed"):
-            backend.answer([], "q")
+            backend.answer([], ["q"])[0]
 
 
 def test_remote_backend_ledger_matches_server_observed_usage():
@@ -185,7 +226,7 @@ def test_remote_backend_ledger_matches_server_observed_usage():
         backend = RemoteBackend(srv.url, ledger=ledger, client_id=2)
         backend.round = 3
         for q in ("first question", "a second question here"):
-            backend.answer([Example("ex q", TextLabel("ex a"))], q)
+            backend.answer([Example("ex q", TextLabel("ex a"))], [q])[0]
         up = sum(u["prompt_tokens"] for u in srv.usages)
         down = sum(u["completion_tokens"] for u in srv.usages)
     totals = {}
@@ -200,7 +241,7 @@ def test_remote_backend_truncates_long_completions():
     with MockLlmServer(reply=long_reply) as srv:
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_tokens=10))
-        got = backend.answer([], "q")
+        got = backend.answer([], ["q"])[0]
     assert got.answer == " ".join(str(i) for i in range(10))
 
 
@@ -209,6 +250,6 @@ def test_remote_backend_context_count_limits_exemplars():
     with MockLlmServer() as srv:
         backend = RemoteBackend(
             srv.url, params=GenerationParams(context_count=5))
-        backend.answer(ctx, "final")
+        backend.answer(ctx, ["final"])[0]
         prompt = srv.requests[0]["messages"][0]["content"]
     assert "q4" in prompt and "q5" not in prompt

@@ -2,13 +2,65 @@
 an inlining that removes one of them would void every traced run."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from fedicl.backend import LsaBackend
+from fedicl.core import ClientDataset, Example, RealLabel
+from fedicl.lsa import gamma
+from fedicl.protocol import ClientState, ProtocolConfig, run
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+KNN_SPANS = {"data.knn", "data.embed", "data.embed_many"}
 
 
-def test_every_traced_target_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.SpanRecorder().missing == []
+    return tracing
+
+
+def test_every_traced_target_resolves():
+    assert load_tracing().SpanRecorder().missing == []
+
+
+def traced_span_counts(context_count, clients=3, rounds=2):
+    """Span name -> count over one small LSA run under the recorder."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(40)
+    g = gamma(np.eye(2), 5)
+    datasets = [ClientDataset(cid, tuple(
+        Example(tuple(x), RealLabel(float(x.sum())))
+        for x in rng.standard_normal((6, 2)))) for cid in range(1, clients + 1)]
+    queries = tuple(tuple(x) for x in rng.standard_normal((5, 2)))
+    recorder = tracing.SpanRecorder()
+    recorder.install()
+    try:
+        run(ProtocolConfig(rounds=rounds, context_count=context_count),
+            [ClientState(ds.client_id, ds, LsaBackend(g)) for ds in datasets],
+            queries, max_workers=2)
+    finally:
+        recorder.close()
+    names = recorder.table()["name"].astype(int)
+    return Counter(tracing.SPAN_NAMES[i] for i in names)
+
+
+def test_full_context_run_fires_one_backend_call_per_client_step():
+    counts = traced_span_counts(context_count=None)
+    assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2
+    assert counts["protocol.step1"] == counts["protocol.step2"] == 3 * 2
+    assert not KNN_SPANS & set(counts)
+
+
+def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
+    counts = traced_span_counts(context_count=2)
+    # one search per (client, step) for the whole run, not one per round
+    assert counts["data.knn"] == 3 * 2
+    assert counts["data.embed_many"] == 2 * counts["data.knn"]
+    # step 1: 5 queries + 6 covariates; step 2: 12 pool examples + 5 queries
+    assert counts["data.embed"] == 3 * (5 + 6 + 12 + 5)
+    # one backend call per relabeled covariate and per server query
+    assert counts["backend.lsa"] == counts["lsa.predict"] == 2 * 3 * (6 + 5)

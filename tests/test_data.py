@@ -198,7 +198,8 @@ def test_knn_c_saturation_returns_whole_dataset():
 
 def test_knn_context_zero_distance_first():
     ds = vec_dataset([[5.0], [1.0], [3.0]])
-    ctx = knn_context(ds, (3.0,), 2, IdentityEmbedder())
+    ctx = [ds.examples[i] for i in
+           knn_context(ds.covariates(), [(3.0,)], 2, IdentityEmbedder())[0]]
     assert ctx[0].covariate == (3.0,)
 
 
@@ -217,7 +218,8 @@ def test_knn_kept_set_monotone_in_c():
 
 def test_knn_distance_tie_breaks_by_index():
     ds = vec_dataset([[1.0], [-1.0], [2.0]])
-    ctx = knn_context(ds, (0.0,), 1, IdentityEmbedder())
+    ctx = [ds.examples[i] for i in
+           knn_context(ds.covariates(), [(0.0,)], 1, IdentityEmbedder())[0]]
     assert ctx[0].covariate == (1.0,)  # same distance as (-1,), lower index
 
 
@@ -226,7 +228,7 @@ def test_knn_rejects_nonpositive_c():
     with pytest.raises(ValueError):
         knn_filter(ds, [(1.0,)], 0, IdentityEmbedder())
     with pytest.raises(ValueError):
-        knn_context(ds, (1.0,), 0, IdentityEmbedder())
+        knn_context(ds.covariates(), [(1.0,)], 0, IdentityEmbedder())
 
 
 def test_embedders():

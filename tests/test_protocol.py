@@ -6,9 +6,9 @@ from fedicl.backend import LsaBackend
 from fedicl.core import (ChoiceLabel, ClientDataset, Example, QuerySet,
                          RealLabel, TextLabel, ABSTAIN)
 from fedicl.lsa import gamma
-from fedicl.protocol import (ClientState, ProtocolConfig, TokenOverlapJudge,
-                             aggregate, init_labels, run, step1_relabel,
-                             step2_answer)
+from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
+                             TokenOverlapJudge, aggregate, init_labels, run,
+                             step1_relabel, step2_answer)
 
 GAMMA_1D = np.array([[3.0]])
 
@@ -47,7 +47,7 @@ def test_init_backend_generated():
     backend = LsaBackend(GAMMA_1D)
     qs = init_labels([(1.0,), (2.0,)], "backend_generated", backend=backend)
     # empty context: backend answers 0 for every query
-    assert qs.labels == tuple(backend.answer([], q) for q in qs.covariates)
+    assert qs.labels == tuple(backend.answer([], [q])[0] for q in qs.covariates)
 
 
 def test_init_backend_generated_requires_backend():
@@ -238,8 +238,106 @@ def test_lb_variant_uses_server_reference_only():
     clients = [ClientState(1, None, LsaBackend(g))]
     result = run(ProtocolConfig(rounds=2, variant="fedicl_lb"),
                  clients, [(1.0,)], server_reference=reference)
-    expected = LsaBackend(g).answer(reference.examples, (1.0,))
+    expected = LsaBackend(g).answer(reference.examples, [(1.0,)])[0]
     assert result.final.labels == (expected,)
+
+
+def unequal_regression(rng, d, sizes, m, t_prompt=7):
+    g = gamma(np.eye(d), t_prompt)
+    w_true = rng.standard_normal(d)
+    clients = [real_dataset(cid, xs := rng.standard_normal((n, d)),
+                            xs @ w_true) for cid, n in enumerate(sizes, 1)]
+    queries = tuple(tuple(x) for x in rng.standard_normal((m, d)))
+    return clients, queries, g
+
+
+def knn_replay(clients_data, queries, g, k, rounds, variant):
+    """Labels after each round, by exhaustive stable-sort kNN and the
+    closed form x^T Gamma^-1 (1/k sum y_j x_j), in plain numpy."""
+    def predict(pool_x, pool_y, q):
+        nearest = np.argsort(np.linalg.norm(pool_x - q, axis=1),
+                             kind="stable")[:k]
+        moment = pool_x[nearest].T @ pool_y[nearest] / len(nearest)
+        return q @ np.linalg.solve(g, moment)
+
+    xq = np.asarray(queries)
+    labels, out = np.zeros(len(xq)), []
+    for _ in range(rounds):
+        answers = []
+        for ds in clients_data:
+            x, y = np.asarray(ds.covariates()), core.real_values(ds.labels())
+            relabeled = np.array([predict(xq, labels, xn) for xn in x])
+            if variant == "fedicl":
+                pool_x, pool_y = np.vstack([x, x]), np.concatenate([y, relabeled])
+            else:
+                pool_x, pool_y = x, relabeled
+            answers.append([predict(pool_x, pool_y, q) for q in xq])
+        labels = np.mean(answers, axis=0)
+        out.append(labels)
+    return out
+
+
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_free"])
+def test_knn_run_matches_numpy_replay(variant):
+    rng = np.random.default_rng(30)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(4, 6, 9),
+                                                  m=5)
+    clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+               for ds in clients_data]
+    result = run(ProtocolConfig(rounds=4, variant=variant, context_count=3),
+                 clients, queries)
+    want = knn_replay(clients_data, queries, g, 3, 4, variant)
+    assert len(result.traces) == len(want)
+    for trace, labels in zip(result.traces, want):
+        got = core.real_values(trace.aggregated.labels)
+        assert np.max(np.abs(got - labels)) <= 1e-9
+
+
+def test_knn_context_covering_the_pool_equals_full_context():
+    rng = np.random.default_rng(31)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(3, 5),
+                                                  m=4)
+
+    def go(context_count):
+        clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+                   for ds in clients_data]
+        return run(ProtocolConfig(rounds=3, context_count=context_count),
+                   clients, queries).traces
+
+    # the largest pool is step 2's: 2 * 5 local and relabeled examples
+    assert go(10) == go(None)
+    # 4 covers step 1's pool (the queries) but not step 2's
+    want = knn_replay(clients_data, queries, g, 4, 3, "fedicl")
+    for trace, labels in zip(go(4), want):
+        got = core.real_values(trace.aggregated.labels)
+        assert np.max(np.abs(got - labels)) <= 1e-9
+
+
+def test_serial_and_pooled_runs_trace_identically():
+    rng = np.random.default_rng(32)
+    clients_data, queries, g = unequal_regression(rng, d=3, sizes=(4, 5, 6),
+                                                  m=4)
+
+    def go(max_workers, context_count):
+        clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+                   for ds in clients_data]
+        return run(ProtocolConfig(rounds=4, context_count=context_count),
+                   clients, queries, max_workers=max_workers).traces
+
+    for context_count in (None, 2):
+        assert go(1, context_count) == go(None, context_count)
+
+
+def test_backend_answer_count_mismatch_is_a_protocol_error():
+    class ShortBackend(LsaBackend):
+        def answer(self, context, queries):
+            return super().answer(context, queries)[:-1]
+
+    client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [1.0, 2.0]),
+                         ShortBackend(GAMMA_1D))
+    c_k = QuerySet(((1.0,),), (RealLabel(3.0),), round=1)
+    with pytest.raises(ProtocolError, match="step 1: 1 answers to 2"):
+        step1_relabel(client, c_k)
 
 
 def test_client_permutation_leaves_aggregate_unchanged():
