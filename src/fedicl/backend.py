@@ -18,7 +18,8 @@ import numpy as np
 import requests
 
 from .core import (ChoiceLabel, CommLedger, Covariate, Example, Label,
-                   RealLabel, TextLabel, ABSTAIN, covariate_matrix)
+                   RealLabel, TextLabel, ABSTAIN, covariate_matrix,
+                   neighbour_matrix)
 from .lsa import _check_spd, predict_closed_form
 
 
@@ -40,11 +41,12 @@ class GenerationParams:
 
 class LmBackend:
     """Answer queries given in-context examples: one call answers every
-    query in the shared context, in query order. Deterministic backends must
-    return identical labels for identical inputs."""
+    query, in query order, with all of ``context`` or, given a (Q, k) index
+    array ``neighbours`` into it, with row q's examples. Deterministic
+    backends must return identical labels for identical inputs."""
 
-    def answer(self, context: Sequence[Example],
-               queries: Sequence[Covariate]) -> Tuple[Label, ...]:
+    def answer(self, context: Sequence[Example], queries: Sequence[Covariate],
+               neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
         raise NotImplementedError
 
 
@@ -57,9 +59,9 @@ class LsaBackend(LmBackend):
     def __init__(self, gamma: np.ndarray):
         self.gamma = _check_spd(gamma, "gamma")
 
-    def answer(self, context: Sequence[Example],
-               queries: Sequence[Covariate]) -> Tuple[Label, ...]:
-        if any(isinstance(q, str) for q in queries):
+    def answer(self, context: Sequence[Example], queries: Sequence[Covariate],
+               neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
+        if any(isinstance(q, str) for q in queries):  # also a bare str
             raise TypeError("LSA backend handles vector covariates only")
         pairs: List[Tuple[Covariate, float]] = []
         for ex in context:
@@ -70,7 +72,7 @@ class LsaBackend(LmBackend):
         if len(queries) == 0:
             return ()
         values = predict_closed_form(pairs, covariate_matrix(queries),
-                                     self.gamma)
+                                     self.gamma, neighbours)
         return tuple(RealLabel(float(v)) for v in values)
 
 
@@ -167,9 +169,14 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def answer(self, context: Sequence[Example],
-               queries: Sequence[Covariate]) -> Tuple[Label, ...]:
-        return tuple(self._answer_one(context, q) for q in queries)
+    def answer(self, context: Sequence[Example], queries: Sequence[Covariate],
+               neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
+        if isinstance(queries, str):  # would be one POST per character
+            raise TypeError("queries must be a sequence, not a str")
+        contexts = ([context] * len(queries) if neighbours is None else
+                    [[context[i] for i in row] for row in neighbour_matrix(
+                        neighbours, len(context), len(queries))])
+        return tuple(self._answer_one(c, q) for c, q in zip(contexts, queries))
 
     def _answer_one(self, context: Sequence[Example], query: Covariate) -> Label:
         p = self.params

@@ -53,6 +53,18 @@ def covariate_matrix(covariates: Sequence[Covariate]) -> np.ndarray:
     return np.asarray(covariates, dtype=float).reshape(len(covariates), -1)
 
 
+def neighbour_matrix(neighbours, n_context: int, n_queries: int) -> np.ndarray:
+    """Check a (Q, k >= 1) integer array of indices into ``n_context``
+    examples; numpy and Python would silently wrap a negative index."""
+    nb = np.asarray(neighbours)
+    if (nb.ndim != 2 or nb.shape[0] != n_queries or nb.shape[1] == 0
+            or not np.issubdtype(nb.dtype, np.integer)
+            or (nb.size and not 0 <= nb.min() <= nb.max() < n_context)):
+        raise ValueError(f"neighbours must be ({n_queries}, k >= 1) integer "
+                         f"indices < {n_context}, got {nb.dtype} {nb.shape}")
+    return nb
+
+
 # ---------------------------------------------------------------------------
 # Labels: tagged union shared by both predictor backends
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Covariate, covariate_matrix
+from .core import Covariate, covariate_matrix, neighbour_matrix
 
 
 def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -137,20 +137,27 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
 
 
 def predict_closed_form(examples: Sequence[Tuple[Covariate, float]],
-                        x_query, gamma_mat: np.ndarray) -> float | np.ndarray:
+                        x_query, gamma_mat: np.ndarray,
+                        neighbours=None) -> float | np.ndarray:
     """Closed-form LSA prediction at the global optimum.
 
     y_hat = x_query^T Gamma^-1 (1/M sum_i y_i x_i); zero examples yield 0.
-    A (Q, d) matrix of queries shares the one solve and yields a (Q,) array.
+    A (Q, d) matrix of queries shares the one solve and yields a (Q,) array,
+    also when a (Q, k) index array ``neighbours`` picks each one's examples.
     """
     gamma_mat = _check_spd(gamma_mat, "gamma")
     xq = np.asarray(x_query, dtype=float)
+    nb = None if neighbours is None else neighbour_matrix(
+        neighbours, len(examples), len(xq))
     if len(examples) == 0:
         return np.zeros(len(xq)) if xq.ndim == 2 else 0.0
     xs = covariate_matrix([x for x, _ in examples])
     ys = np.asarray([y for _, y in examples], dtype=float)
-    moment = xs.T @ ys / len(examples)
-    pred = xq @ np.linalg.solve(gamma_mat, moment)
+    if nb is None:
+        pred = xq @ np.linalg.solve(gamma_mat, xs.T @ ys / len(examples))
+    else:  # (Q, d) moments, a neighbour rank at a time: no (Q, k, d) array
+        moments = sum(ys[col, None] * xs[col] for col in nb.T) / nb.shape[1]
+        pred = np.sum(xq * np.linalg.solve(gamma_mat, moments.T).T, axis=1)
     return pred if xq.ndim == 2 else float(pred)
 
 

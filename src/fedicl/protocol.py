@@ -121,15 +121,10 @@ def _answer_in_context(client: ClientState, pool: Tuple[Example, ...],
                        queries: Sequence[Covariate],
                        neighbours: Optional[np.ndarray], step: int
                        ) -> Tuple[Label, ...]:
-    """Answer the queries with the client's backend: one call with the whole
-    pool as context, or one per query with its ``neighbours`` (indices)."""
+    """Answer the queries in one call to the client's backend, with the
+    whole pool as every query's context or each query's ``neighbours``."""
     try:
-        if neighbours is None:
-            answers = tuple(client.backend.answer(pool, queries))
-        else:
-            answers = tuple(label for q, idx in zip(queries, neighbours)
-                            for label in client.backend.answer(
-                                [pool[i] for i in idx], [q]))
+        answers = tuple(client.backend.answer(pool, queries, neighbours))
     except Exception as exc:
         raise ProtocolError(f"step {step} backend failure: {exc}",
                             client.client_id) from exc

@@ -2,12 +2,13 @@
 
 Given the client and server covariates, computes the contraction matrix
 
-    H_cont = Gamma^-1 (sum x_n x_n^T) Gamma^-1 (sum x_m x_m^T) / (N M L)
+    H_cont = Gamma^-1 (1/L sum_i X_i^T X_i / N_i) Gamma^-1 (X_m^T X_m / M)
 
-and the pooled-data limit predictor
+and the limit predictor
 
-    w_limit = Gamma^-1 (sum x_n y_n) / (N L),
+    w_limit = Gamma^-1 (1/L) sum_i X_i^T y_i / N_i,
 
+where client i holds N_i examples (X_i, y_i) and the server M queries X_m;
 then iterates the label recursion w_{k+1} = 1/2 H_cont w_k + 1/2 w_limit
 from w_1 = 0 and verifies the geometric contraction bound toward the fixed
 point w* = (2I - H_cont)^-1 w_limit.
@@ -34,30 +35,28 @@ def compute_contraction(client_datasets: Sequence[ClientDataset],
                         gamma_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Contraction matrix and limit predictor from raw covariates.
 
-    All clients must share the same N: the recursion's per-client 1/(2N)
-    weighting only collapses to these pooled sums under uniform N.
+    Each client's moments are weighted by 1/N_i, since its predictions
+    average over its own examples, so client sizes may differ; with equal
+    sizes this is the pooled-data form.
     """
     gamma_mat = _check_spd(gamma_mat, "gamma")
     if len(client_datasets) == 0:
         raise ValueError("need at least one client dataset")
-    sizes = {len(ds) for ds in client_datasets}
-    if len(sizes) != 1:
-        raise ValueError(f"clients must have equal dataset sizes, got {sizes}")
-    n = sizes.pop()
-    l = len(client_datasets)
-    m = len(server_covariates)
-    if m == 0:
+    if len(server_covariates) == 0:
         raise ValueError("need at least one server covariate")
 
-    xs = np.vstack([covariate_matrix(ds.covariates()) for ds in client_datasets])
-    ys = np.concatenate([real_values(ds.labels()) for ds in client_datasets])
     xm = covariate_matrix(server_covariates)
-    if xs.shape[1] != xm.shape[1] or xs.shape[1] != gamma_mat.shape[0]:
+    xs = [covariate_matrix(ds.covariates()) for ds in client_datasets]
+    if any(x.shape[1] != xm.shape[1] or x.shape[1] != gamma_mat.shape[0]
+           for x in xs):
         raise ValueError("client, server, and gamma dimensions disagree")
+    client_cov = np.mean([x.T @ x / len(x) for x in xs], axis=0)
+    client_moment = np.mean([x.T @ real_values(ds.labels()) / len(x)
+                             for x, ds in zip(xs, client_datasets)], axis=0)
 
     g_inv = np.linalg.inv(gamma_mat)
-    h_cont = g_inv @ (xs.T @ xs) @ g_inv @ (xm.T @ xm) / (n * m * l)
-    w_limit = g_inv @ (xs.T @ ys) / (n * l)
+    h_cont = g_inv @ client_cov @ g_inv @ (xm.T @ xm / len(xm))
+    w_limit = g_inv @ client_moment
     return h_cont, w_limit
 
 

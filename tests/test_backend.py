@@ -82,6 +82,58 @@ def test_lsa_backend_batch_matches_per_query_closed_form():
     assert backend.answer(ctx, []) == ()
 
 
+def test_lsa_backend_neighbours_match_per_query_contexts():
+    rng = np.random.default_rng(33)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    backend = LsaBackend(g)
+    for n, k in ((1, 1), (5, 3), (12, 4), (4, 6)):
+        pool = vec_context(rng, 3, n)
+        qs = [tuple(q) for q in rng.standard_normal((7, 3))]
+        nb = rng.integers(0, n, size=(len(qs), k))
+        got = backend.answer(pool, qs, nb)
+        assert len(got) == len(qs)
+        for label, q, row in zip(got, qs, nb):
+            want = backend.answer([pool[i] for i in row], [q])[0]
+            assert abs(label.value - want.value) <= 1e-12
+    assert backend.answer(pool, [], np.zeros((0, 2), dtype=int)) == ()
+
+
+MALFORMED_NEIGHBOURS = {
+    "rank": np.array([0, 1]),
+    "rows": np.array([[0], [1], [2]]),
+    "no columns": np.zeros((2, 0), dtype=int),
+    "out of range": np.array([[0], [3]]),
+    "negative": np.array([[0], [-1]]),
+    "not integers": np.array([[0.0], [1.0]]),
+}
+
+
+@pytest.mark.parametrize("nb", MALFORMED_NEIGHBOURS.values(),
+                         ids=MALFORMED_NEIGHBOURS.keys())
+def test_malformed_neighbours_raise_value_error(nb):
+    rng = np.random.default_rng(34)
+    pool, qs = vec_context(rng, 2, 3), [(1.0, 0.0), (0.0, 1.0)]
+    with pytest.raises(ValueError, match="neighbours"):
+        LsaBackend(np.eye(2)).answer(pool, qs, nb)
+    pairs = [(e.covariate, e.label.value) for e in pool]
+    with pytest.raises(ValueError, match="neighbours"):
+        predict_closed_form(pairs, np.asarray(qs), np.eye(2), nb)
+    text_pool = [Example(f"q{i}", TextLabel(f"a{i}")) for i in range(3)]
+    with MockLlmServer() as srv:
+        with pytest.raises(ValueError, match="neighbours"):
+            RemoteBackend(srv.url).answer(text_pool, ["x", "y"], nb)
+        assert srv.requests == []
+
+
+def test_backends_reject_a_bare_string_as_queries():
+    with pytest.raises(TypeError):
+        LsaBackend(np.eye(1)).answer([], "real question?")
+    with MockLlmServer() as srv:
+        with pytest.raises(TypeError, match="str"):
+            RemoteBackend(srv.url).answer([], "real question?")
+        assert srv.requests == []
+
+
 # ---------------------------------------------------------------------------
 # prompt rendering and answer parsing
 # ---------------------------------------------------------------------------
@@ -161,6 +213,17 @@ def test_remote_backend_batch_posts_once_per_query_in_order():
     for prompt, q in zip(prompts, ["q one", "q two", "q three"]):
         assert prompt.endswith(f"Question: {q}\nAnswer:")
         assert "ex q" in prompt
+
+
+def test_remote_backend_neighbours_post_each_querys_exemplars_in_order():
+    pool = [Example(f"ex q{i}", TextLabel(f"ex a{i}")) for i in range(5)]
+    nb = np.array([[3, 0, 4], [1, 1, 2]])
+    with MockLlmServer(reply="an answer") as srv:
+        got = RemoteBackend(srv.url).answer(pool, ["q one", "q two"], nb)
+        prompts = [body["messages"][0]["content"] for body in srv.requests]
+    assert got == (TextLabel("an answer"),) * 2
+    assert prompts == [render_prompt([pool[i] for i in row], q)
+                       for q, row in zip(["q one", "q two"], nb)]
 
 
 def test_remote_backend_request_body_contract():

@@ -62,5 +62,5 @@ def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
     assert counts["data.embed_many"] == 2 * counts["data.knn"]
     # step 1: 5 queries + 6 covariates; step 2: 12 pool examples + 5 queries
     assert counts["data.embed"] == 3 * (5 + 6 + 12 + 5)
-    # one backend call per relabeled covariate and per server query
-    assert counts["backend.lsa"] == counts["lsa.predict"] == 2 * 3 * (6 + 5)
+    # one backend call per (client, step, round), as with full context
+    assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2

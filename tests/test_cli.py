@@ -49,6 +49,20 @@ def test_theory_explicit_instance_fixed_point(tmp_path):
     assert report["w_limit"] == pytest.approx([1 / 3], abs=1e-12)
 
 
+def test_theory_explicit_instance_with_unequal_client_sizes(tmp_path):
+    cfg = write_config(tmp_path, {"theory": {
+        "gamma": [[3.0]],
+        "clients": [[{"x": [1.0], "y": 1.0}],
+                    [{"x": [1.0], "y": 1.0}, {"x": [2.0], "y": 2.0}]],
+        "server": [[1.0]],
+        "rounds": 10}})
+    code, out = run_cli(tmp_path, "theory", cfg)
+    assert code == cli.EXIT_PASS
+    report = json.loads((out / "theory_report.json").read_text())
+    # each client's moment over its own size: (1/1 + 5/2) / 2 = 1.75
+    assert report["w_limit"] == pytest.approx([1.75 / 3], abs=1e-12)
+
+
 def test_theory_synthetic_default_passes(tmp_path):
     cfg = write_config(tmp_path, {"theory": {"d": 2, "num_clients": 2,
                                              "examples_per_client": 50,

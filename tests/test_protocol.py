@@ -313,6 +313,28 @@ def test_knn_context_covering_the_pool_equals_full_context():
         assert np.max(np.abs(got - labels)) <= 1e-9
 
 
+def test_knn_run_makes_one_backend_call_per_client_step_round():
+    rng = np.random.default_rng(33)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(4, 6, 9),
+                                                  m=5)
+
+    calls = []
+
+    class CountingBackend(LsaBackend):
+        def answer(self, context, queries, neighbours=None):
+            calls.append((len(queries), neighbours is not None))
+            return super().answer(context, queries, neighbours)
+
+    clients = [ClientState(ds.client_id, ds, CountingBackend(g))
+               for ds in clients_data]
+    run(ProtocolConfig(rounds=4, context_count=3), clients, queries,
+        max_workers=1)
+    # per round, each client: step 1 over its covariates, step 2 over the
+    # queries, each with its neighbour indices
+    per_round = [(len(ds), True) for ds in clients_data] + [(5, True)] * 3
+    assert sorted(calls) == sorted(per_round * 4)
+
+
 def test_serial_and_pooled_runs_trace_identically():
     rng = np.random.default_rng(32)
     clients_data, queries, g = unequal_regression(rng, d=3, sizes=(4, 5, 6),
@@ -330,8 +352,8 @@ def test_serial_and_pooled_runs_trace_identically():
 
 def test_backend_answer_count_mismatch_is_a_protocol_error():
     class ShortBackend(LsaBackend):
-        def answer(self, context, queries):
-            return super().answer(context, queries)[:-1]
+        def answer(self, context, queries, neighbours=None):
+            return super().answer(context, queries, neighbours)[:-1]
 
     client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [1.0, 2.0]),
                          ShortBackend(GAMMA_1D))

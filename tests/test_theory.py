@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fedicl import theory
+from fedicl.backend import LsaBackend
 from fedicl.core import ClientDataset, Example, RealLabel
 from fedicl.lsa import gamma
+from fedicl.protocol import ClientState, ProtocolConfig, run
 from fedicl.theory import (TheoryState, compute_contraction, fixed_point,
                            iterate_recursion, verify_contraction)
 
@@ -27,7 +29,8 @@ def random_instance(rng, d, l, n, m):
 
 
 def brute_force_contraction(clients, queries, g):
-    """Term-by-term expansion of the contraction sums."""
+    """Term-by-term expansion of the pooled contraction sums, the form the
+    oracle takes when every client holds the same N examples."""
     d = len(queries[0])
     g_inv = np.linalg.inv(g)
     n = len(clients[0].examples)
@@ -84,10 +87,32 @@ def test_contraction_matches_brute_force():
     assert np.allclose(w, w_bf, atol=1e-12)
 
 
-def test_contraction_rejects_unequal_client_sizes():
-    clients = make_clients([[[1.0]], [[1.0], [2.0]]], [[1.0], [1.0, 2.0]])
-    with pytest.raises(ValueError, match="equal"):
-        compute_contraction(clients, [(1.0,)], np.array([[3.0]]))
+def test_contraction_recursion_matches_run_with_unequal_client_sizes():
+    rng = np.random.default_rng(12)
+    d, m, rounds = 3, 4, 6
+    xs = [rng.standard_normal((n, d)) for n in (3, 7, 12)]
+    ys = [rng.standard_normal(len(x)) for x in xs]
+    clients = make_clients(xs, ys)
+    queries = [tuple(x) for x in rng.standard_normal((m, d))]
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 5)
+    state = iterate_recursion(TheoryState.initialize(clients, queries, g),
+                              rounds)
+    result = run(ProtocolConfig(rounds=rounds),
+                 [ClientState(ds.client_id, ds, LsaBackend(g))
+                  for ds in clients], queries)
+    xm = np.asarray(queries)
+    for trace in result.traces:
+        labels = [lab.value for lab in trace.aggregated.labels]
+        assert np.max(np.abs(labels - xm @ state.w_trace[trace.round])) <= 1e-9
+
+
+def test_contraction_equal_sizes_give_the_pooled_form():
+    rng = np.random.default_rng(13)
+    clients, queries, g = random_instance(rng, d=2, l=4, n=3, m=5)
+    h, w = compute_contraction(clients, queries, g)
+    h_pooled, w_pooled = brute_force_contraction(clients, queries, g)
+    assert np.allclose(h, h_pooled, atol=1e-12)
+    assert np.allclose(w, w_pooled, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
