@@ -47,4 +47,5 @@ e = build_embedding(examples, xq)
 print("\nprediction on a fresh prompt:")
 print(f"  learned attention layer : {lsa_forward(e, result.params.with_rho(5)):+.5f}")
 print(f"  optimal attention layer : {lsa_forward(e, opt.with_rho(5)):+.5f}")
-print(f"  closed-form expression  : {predict_closed_form(examples, xq, g):+.5f}")
+xs, ys = zip(*examples)
+print(f"  closed-form expression  : {predict_closed_form(xs, ys, xq, g):+.5f}")

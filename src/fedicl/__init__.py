@@ -1,8 +1,8 @@
 """Federated in-context learning: round-based answer refinement with an
 exactly-checkable linear self-attention backend."""
 
-from .core import (ABSTAIN, ChoiceLabel, ClientDataset, CommLedger, Example,
-                   Label, QuerySet, RealLabel, RoundTrace, TextLabel)
+from .core import (ABSTAIN, ChoiceLabel, ClientDataset, CommLedger, Dataset,
+                   Example, Label, QuerySet, RealLabel, RoundTrace, TextLabel)
 from .lsa import (LsaParams, PretrainSpec, build_embedding, gamma,
                   limit_params, lsa_forward, predict_closed_form, pretrain_gd)
 from .theory import (TheoryState, compute_contraction, fixed_point,

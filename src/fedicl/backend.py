@@ -17,9 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import requests
 
-from .core import (ChoiceLabel, CommLedger, Covariate, Example, Label,
+from .core import (ChoiceLabel, CommLedger, Covariate, Dataset, Label,
                    RealLabel, TextLabel, ABSTAIN, covariate_matrix,
-                   neighbour_matrix)
+                   covariate_text, neighbour_matrix, real_values)
 from .lsa import _check_spd, predict_closed_form
 
 
@@ -41,11 +41,12 @@ class GenerationParams:
 
 class LmBackend:
     """Answer queries given in-context examples: one call answers every
-    query, in query order, with all of ``context`` or, given a (Q, k) index
-    array ``neighbours`` into it, with row q's examples. Deterministic
-    backends must return identical labels for identical inputs."""
+    query, in query order, with all of the ``context`` dataset or, given a
+    (Q, k) index array ``neighbours`` into it, with row q's examples.
+    Deterministic backends must return identical labels for identical
+    inputs."""
 
-    def answer(self, context: Sequence[Example], queries: Sequence[Covariate],
+    def answer(self, context: Dataset, queries: Sequence[Covariate],
                neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
         raise NotImplementedError
 
@@ -53,27 +54,25 @@ class LmBackend:
 class LsaBackend(LmBackend):
     """Closed-form LSA predictor at the pretrained global optimum.
 
-    Pure function of (context, queries); Gamma must be SPD.
+    Pure function of (context, queries). Gamma must be SPD; the backend
+    keeps a read-only copy of it.
     """
 
     def __init__(self, gamma: np.ndarray):
-        self.gamma = _check_spd(gamma, "gamma")
+        gamma = np.array(gamma, dtype=float)
+        _check_spd(gamma, "gamma")
+        gamma.flags.writeable = False
+        self.gamma = gamma
 
-    def answer(self, context: Sequence[Example], queries: Sequence[Covariate],
+    def answer(self, context: Dataset, queries: Sequence[Covariate],
                neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
-        if any(isinstance(q, str) for q in queries):  # also a bare str
-            raise TypeError("LSA backend handles vector covariates only")
-        pairs: List[Tuple[Covariate, float]] = []
-        for ex in context:
-            if not isinstance(ex.label, RealLabel) or isinstance(ex.covariate, str):
-                raise TypeError(f"LSA backend needs real-labeled vector "
-                                f"examples, got {ex!r}")
-            pairs.append((ex.covariate, ex.label.value))
-        if len(queries) == 0:
-            return ()
-        values = predict_closed_form(pairs, covariate_matrix(queries),
+        xq = covariate_matrix(queries)  # TypeError for text, also a bare str
+        if context.dim is None:
+            raise TypeError("LSA backend needs vector examples, got text")
+        values = predict_closed_form(context.covariates,
+                                     real_values(context.labels), xq,
                                      self.gamma, neighbours)
-        return tuple(RealLabel(float(v)) for v in values)
+        return tuple(RealLabel(v) for v in values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +84,29 @@ _OPEN_QA_HEADER = ("Answer the final question. Use the solved examples "
 _MC_HEADER = ("Answer the final multiple-choice question with the letter of "
               "the correct option. Use the solved examples as guidance.\n")
 
-def _exemplar_text(ex: Example) -> str:
-    question = ex.covariate if isinstance(ex.covariate, str) else str(list(ex.covariate))
-    if isinstance(ex.label, TextLabel):
-        answer = ex.label.answer
-    elif isinstance(ex.label, ChoiceLabel):
-        answer = ex.label.option
+def _exemplar_text(covariate: Covariate, label: Label) -> str:
+    if isinstance(label, TextLabel):
+        answer = label.answer
+    elif isinstance(label, ChoiceLabel):
+        answer = label.option
     else:
-        answer = repr(ex.label.value)
-    return f"Question: {question}\nAnswer: {answer}\n"
+        answer = repr(label.value)
+    return f"Question: {covariate_text(covariate)}\nAnswer: {answer}\n"
 
 
-def render_prompt(context: Sequence[Example], query: Covariate,
-                  template_id: str = "open_qa") -> str:
-    """Deterministic prompt text: header, exemplars in order, query last."""
+def render_prompt(exemplars: Sequence[Tuple[Covariate, Label]],
+                  query: Covariate, template_id: str = "open_qa") -> str:
+    """Deterministic prompt text: header, the (question, answer) exemplars
+    in order, query last."""
     if template_id == "open_qa":
         header = _OPEN_QA_HEADER
     elif template_id == "multiple_choice":
         header = _MC_HEADER
     else:
         raise ValueError(f"unknown template id: {template_id!r}")
-    question = query if isinstance(query, str) else str(list(query))
     parts = [header]
-    parts.extend(_exemplar_text(ex) for ex in context)
-    parts.append(f"Question: {question}\nAnswer:")
+    parts.extend(_exemplar_text(x, y) for x, y in exemplars)
+    parts.append(f"Question: {covariate_text(query)}\nAnswer:")
     return "\n".join(parts)
 
 
@@ -169,19 +167,21 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def answer(self, context: Sequence[Example], queries: Sequence[Covariate],
+    def answer(self, context: Dataset, queries: Sequence[Covariate],
                neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
         if isinstance(queries, str):  # would be one POST per character
             raise TypeError("queries must be a sequence, not a str")
-        contexts = ([context] * len(queries) if neighbours is None else
-                    [[context[i] for i in row] for row in neighbour_matrix(
-                        neighbours, len(context), len(queries))])
+        pairs = context.pairs()
+        contexts = ([pairs] * len(queries) if neighbours is None else
+                    [[pairs[i] for i in row] for row in neighbour_matrix(
+                        neighbours, len(pairs), len(queries))])
         return tuple(self._answer_one(c, q) for c, q in zip(contexts, queries))
 
-    def _answer_one(self, context: Sequence[Example], query: Covariate) -> Label:
+    def _answer_one(self, exemplars: List[Tuple[Covariate, Label]],
+                    query: Covariate) -> Label:
         p = self.params
-        prompt = render_prompt(context[: p.context_count] if p.context_count
-                               else context, query, self.template_id)
+        prompt = render_prompt(exemplars[: p.context_count] if p.context_count
+                               else exemplars, query, self.template_id)
         body = {
             "model": p.model_name,
             "messages": [{"role": "user", "content": prompt}],

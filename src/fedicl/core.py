@@ -1,9 +1,9 @@
 """Shared domain types, round-trace records, and communication-cost accounting.
 
-Vector covariates are stored as tuples of floats so that examples are
-hashable, comparable, and JSON-serializable without custom machinery;
-numerical code converts to numpy arrays at the boundary. In text mode the
-covariate is the question string itself.
+A dataset is stored as columns: vector covariates as one read-only (n, d)
+float array, checked when the dataset is built, or text covariates as a
+tuple of str, with the labels beside them. ``Example`` is the record type
+for JSONL I/O; its vector covariate is a tuple of floats.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,15 +43,48 @@ def as_covariate(values) -> Covariate:
     return cov
 
 
-def covariate_dim(cov: Covariate) -> Optional[int]:
-    return None if isinstance(cov, str) else len(cov)
+def covariate_column(values) -> Union[np.ndarray, Tuple[str, ...]]:
+    """Text covariates as a tuple of str; vector ones as a read-only copy,
+    an (n, d >= 1) float array checked to be finite. No covariates give a
+    (0, 0) array."""
+    if not isinstance(values, np.ndarray):
+        values = tuple(values)
+        texts = sum(isinstance(v, str) for v in values)
+        if texts and texts == len(values):
+            return values
+        if texts:
+            raise ValueError("inconsistent covariate dimensions: text and "
+                             "vector covariates mixed")
+    try:
+        column = np.array(values, dtype=float)
+    except ValueError as exc:   # ragged rows, or not numbers
+        raise ValueError(f"inconsistent covariate dimensions: {exc}") from None
+    if len(column) == 0:
+        column = np.empty((0, 0))
+    elif column.ndim != 2 or column.shape[1] == 0:
+        raise ValueError(f"covariates must form an (n, d >= 1) array, got "
+                         f"shape {column.shape}")
+    elif not np.isfinite(column).all():
+        raise ValueError("covariates have non-finite components")
+    column.flags.writeable = False
+    return column
 
 
-def covariate_matrix(covariates: Sequence[Covariate]) -> np.ndarray:
+def covariate_matrix(covariates) -> np.ndarray:
     """Stack vector covariates into an (n, d) float array."""
-    if any(isinstance(c, str) for c in covariates):
+    if (not isinstance(covariates, np.ndarray)
+            and any(isinstance(c, str) for c in covariates)):
         raise TypeError("text covariates have no matrix representation")
-    return np.asarray(covariates, dtype=float).reshape(len(covariates), -1)
+    mat = np.asarray(covariates, dtype=float)
+    if mat.ndim == 2:
+        return mat
+    return mat.reshape(len(mat), -1) if mat.size else np.empty((len(mat), 0))
+
+
+def covariate_text(cov) -> str:
+    """A covariate as prompt and lookup text: the question itself, or the
+    list of its float components."""
+    return cov if isinstance(cov, str) else str([float(v) for v in cov])
 
 
 def neighbour_matrix(neighbours, n_context: int, n_queries: int) -> np.ndarray:
@@ -116,12 +150,10 @@ def label_from_json(obj: dict) -> Label:
 
 def real_values(labels: Sequence[Label]) -> np.ndarray:
     """Extract values from a sequence of RealLabels, rejecting other kinds."""
-    out = np.empty(len(labels))
-    for i, lab in enumerate(labels):
+    for lab in labels:
         if not isinstance(lab, RealLabel):
             raise TypeError(f"expected RealLabel, got {lab!r}")
-        out[i] = lab.value
-    return out
+    return np.fromiter((lab.value for lab in labels), float, len(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -138,76 +170,168 @@ class Example:
         object.__setattr__(self, "covariate", as_covariate(self.covariate))
 
 
-def _check_dims(covariates: Sequence[Covariate], what: str) -> None:
-    dims = {covariate_dim(c) for c in covariates}
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent covariate dimensions in {what}: {dims}")
+class Dataset:
+    """Examples as columns: ``covariates`` (see ``covariate_column``), and
+    beside them ``labels`` and ``categories`` (an optional str each).
 
+    Built from ``Example`` records or from the columns. Immutable; the
+    derived datasets (``with_labels``, ``take``, ``concat``) share or slice
+    the checked covariates instead of checking them again.
+    """
 
-@dataclass(frozen=True)
-class ClientDataset:
-    client_id: int
-    examples: Tuple[Example, ...]
+    __slots__ = ("covariates", "labels", "categories")
+    _EXTRA: Tuple[str, ...] = ()   # a subclass's own fields
 
-    def __post_init__(self):
-        examples = tuple(self.examples)
-        if len(examples) == 0:
-            raise ValueError("client dataset must contain at least one example")
-        _check_dims([ex.covariate for ex in examples],
-                    f"client {self.client_id} dataset")
-        object.__setattr__(self, "examples", examples)
+    def __init__(self, examples: Sequence[Example] = (), *, covariates=None,
+                 labels: Optional[Sequence[Label]] = None,
+                 categories: Optional[Sequence[Optional[str]]] = None):
+        if covariates is None and labels is None:
+            examples = tuple(examples)
+            covariates = [ex.covariate for ex in examples]
+            labels = [ex.label for ex in examples]
+            categories = [ex.category for ex in examples]
+        elif examples or covariates is None or labels is None:
+            raise TypeError("give examples, or covariates and labels")
+        labels = tuple(labels)
+        object.__setattr__(self, "covariates", covariate_column(covariates))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "categories", (None,) * len(labels)
+                           if categories is None else tuple(categories))
+        self._validate()
+
+    def _validate(self) -> None:
+        n = len(self.covariates)
+        if len(self.labels) != n or len(self.categories) != n:
+            raise ValueError(f"{type(self).__name__} has {n} covariates, "
+                             f"{len(self.labels)} labels and "
+                             f"{len(self.categories)} categories")
+
+    def _derive(self, **columns) -> "Dataset":
+        new = object.__new__(type(self))
+        for name in Dataset.__slots__ + self._EXTRA:
+            value = columns[name] if name in columns else getattr(self, name)
+            object.__setattr__(new, name, value)
+        new._validate()
+        return new
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.covariates, other.covariates
+        same = (a == b if isinstance(a, tuple) and isinstance(b, tuple) else
+                isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and np.array_equal(a, b))
+        return bool(same) and all(
+            getattr(self, f) == getattr(other, f)
+            for f in ("labels", "categories") + self._EXTRA)
+
+    def __repr__(self) -> str:
+        extra = "".join(f"{f}={getattr(self, f)!r}, " for f in self._EXTRA)
+        return (f"{type(self).__name__}({extra}{len(self)} examples, "
+                f"dim={self.dim})")
 
     @property
     def dim(self) -> Optional[int]:
-        return covariate_dim(self.examples[0].covariate)
+        """d for vector covariates, None for text."""
+        covs = self.covariates
+        return None if isinstance(covs, tuple) else covs.shape[1]
 
-    def covariates(self) -> Tuple[Covariate, ...]:
-        return tuple(ex.covariate for ex in self.examples)
-
-    def labels(self) -> Tuple[Label, ...]:
-        return tuple(ex.label for ex in self.examples)
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """The server's query covariates with their current-round predicted labels."""
-
-    covariates: Tuple[Covariate, ...]
-    labels: Tuple[Label, ...]
-    round: int
-
-    def __post_init__(self):
-        covs = tuple(as_covariate(c) for c in self.covariates)
-        labs = tuple(self.labels)
-        if len(covs) == 0:
-            raise ValueError("query set must contain at least one covariate")
-        if len(covs) != len(labs):
-            raise ValueError(
-                f"query set has {len(covs)} covariates but {len(labs)} labels"
-            )
-        if self.round < 1:
-            raise ValueError("round index starts at 1")
-        _check_dims(covs, "query set")
-        object.__setattr__(self, "covariates", covs)
-        object.__setattr__(self, "labels", labs)
-
-    def __len__(self) -> int:
-        return len(self.covariates)
+    @property
+    def examples(self) -> Tuple[Example, ...]:
+        covs = (self.covariates if isinstance(self.covariates, tuple) else
+                [tuple(row) for row in self.covariates.tolist()])
+        return tuple(Example(x, y, c) for x, y, c in
+                     zip(covs, self.labels, self.categories))
 
     def pairs(self) -> List[Tuple[Covariate, Label]]:
         return list(zip(self.covariates, self.labels))
+
+    def with_labels(self, labels: Sequence[Label]) -> "Dataset":
+        """The same covariates (shared, not copied) with new labels."""
+        return self._derive(labels=tuple(labels))
+
+    def take(self, indices: Sequence[int]) -> "Dataset":
+        """The examples at ``indices``, in that order."""
+        idx = [int(i) for i in indices]
+        covs = self.covariates
+        if isinstance(covs, tuple):
+            covs = tuple(covs[i] for i in idx)
+        else:
+            covs = covs[idx]
+            covs.flags.writeable = False
+        return self._derive(covariates=covs,
+                            labels=tuple(self.labels[i] for i in idx),
+                            categories=tuple(self.categories[i] for i in idx))
+
+
+def concat(datasets: Sequence[Dataset]) -> Dataset:
+    """The examples of all ``datasets``, in order, as one ``Dataset``."""
+    parts = [ds for ds in datasets if len(ds)]
+    if not parts:
+        return Dataset()
+    kinds = {isinstance(ds.covariates, tuple) for ds in parts}
+    if len(kinds) > 1 or len({ds.dim for ds in parts}) > 1:
+        raise ValueError(f"inconsistent covariate dimensions: "
+                         f"{sorted({str(ds.dim) for ds in parts})}")
+    if kinds == {True}:
+        covs = tuple(chain.from_iterable(ds.covariates for ds in parts))
+    else:
+        covs = np.vstack([ds.covariates for ds in parts])
+        covs.flags.writeable = False
+    return Dataset()._derive(
+        covariates=covs,
+        labels=tuple(chain.from_iterable(ds.labels for ds in parts)),
+        categories=tuple(chain.from_iterable(ds.categories for ds in parts)))
+
+
+class ClientDataset(Dataset):
+    """One client's examples; there is at least one."""
+
+    _EXTRA = __slots__ = ("client_id",)
+
+    def __init__(self, client_id: int, examples: Sequence[Example] = (),
+                 **columns):
+        object.__setattr__(self, "client_id", client_id)
+        super().__init__(examples, **columns)
+
+    def _validate(self) -> None:
+        super()._validate()
+        if len(self) == 0:
+            raise ValueError("client dataset must contain at least one "
+                             "example")
+
+
+class QuerySet(Dataset):
+    """The server's query covariates with their current-round predicted
+    labels."""
+
+    _EXTRA = __slots__ = ("round",)
+
+    def __init__(self, covariates, labels: Sequence[Label], round: int):
+        object.__setattr__(self, "round", round)
+        super().__init__(covariates=covariates, labels=labels)
+
+    def _validate(self) -> None:
+        super()._validate()
+        if len(self) == 0:
+            raise ValueError("query set must contain at least one covariate")
+        if self.round < 1:
+            raise ValueError("round index starts at 1")
+
+    def advance(self, labels: Sequence[Label]) -> "QuerySet":
+        """C_{k+1}: the same queries with new labels, one round later."""
+        return self._derive(labels=tuple(labels), round=self.round + 1)
 
 
 # ---------------------------------------------------------------------------
 # Round traces
 # ---------------------------------------------------------------------------
-
-def _covariate_to_json(cov: Covariate):
-    return cov if isinstance(cov, str) else list(cov)
-
 
 @dataclass(frozen=True)
 class RoundTrace:
@@ -219,6 +343,7 @@ class RoundTrace:
     theory_w: Optional[Tuple[float, ...]] = None
 
     def to_json(self) -> dict:
+        covs = self.aggregated.covariates
         obj = {
             "round": self.round,
             "per_client_answers": {
@@ -226,8 +351,8 @@ class RoundTrace:
                 for cid, labs in sorted(self.per_client_answers.items())
             },
             "aggregated": {
-                "covariates": [_covariate_to_json(c)
-                               for c in self.aggregated.covariates],
+                "covariates": (list(covs) if isinstance(covs, tuple)
+                               else covs.tolist()),
                 "labels": [label_to_json(lab) for lab in self.aggregated.labels],
                 "round": self.aggregated.round,
             },
@@ -247,7 +372,7 @@ class RoundTrace:
                 for cid, labs in obj["per_client_answers"].items()
             },
             aggregated=QuerySet(
-                covariates=tuple(as_covariate(c) for c in agg["covariates"]),
+                covariates=agg["covariates"],
                 labels=tuple(label_from_json(l) for l in agg["labels"]),
                 round=int(agg["round"]),
             ),

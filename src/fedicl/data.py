@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -157,9 +158,7 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec,
 
 def category_entropy(dataset: ClientDataset) -> float:
     """Shannon entropy (nats) of the client's empirical category mix."""
-    counts: Dict[str, int] = {}
-    for ex in dataset.examples:
-        counts[ex.category or ""] = counts.get(ex.category or "", 0) + 1
+    counts = Counter(cat or "" for cat in dataset.categories)
     p = np.array(list(counts.values()), dtype=float)
     p /= p.sum()
     return float(-(p * np.log(p)).sum())
@@ -190,9 +189,8 @@ def knn_filter(dataset: ClientDataset, queries: Sequence[Covariate], c: int,
     Duplicates are merged; asking for more neighbors than examples returns
     the whole dataset.
     """
-    keep = knn_context(dataset.covariates(), queries, c, embedder)
-    examples = tuple(dataset.examples[i] for i in sorted(set(keep.ravel())))
-    return ClientDataset(client_id=dataset.client_id, examples=examples)
+    keep = knn_context(dataset.covariates, queries, c, embedder)
+    return dataset.take(sorted(set(keep.ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=1e-12):
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
+    # np.allclose(mat, mat.T, atol=1e-12), without its generic overhead
+    if not (np.abs(mat - mat.T) <= 1e-12 + 1e-5 * np.abs(mat.T)).all():
         raise ValueError(f"{name} must be symmetric")
     eigvals = np.linalg.eigvalsh(mat)
     if eigvals.min() <= 0:
@@ -136,25 +139,25 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
     return LsaParams(w_kq=w_kq, w_pv=w_pv, rho=float(t_prompt))
 
 
-def predict_closed_form(examples: Sequence[Tuple[Covariate, float]],
-                        x_query, gamma_mat: np.ndarray,
+def predict_closed_form(xs, ys, x_query, gamma_mat: np.ndarray,
                         neighbours=None) -> float | np.ndarray:
-    """Closed-form LSA prediction at the global optimum.
+    """Closed-form LSA prediction at the global optimum from the context's
+    (n, d) covariates ``xs`` and (n,) labels ``ys``.
 
-    y_hat = x_query^T Gamma^-1 (1/M sum_i y_i x_i); zero examples yield 0.
+    y_hat = x_query^T Gamma^-1 (1/n sum_i y_i x_i); zero examples yield 0.
     A (Q, d) matrix of queries shares the one solve and yields a (Q,) array,
     also when a (Q, k) index array ``neighbours`` picks each one's examples.
     """
     gamma_mat = _check_spd(gamma_mat, "gamma")
     xq = np.asarray(x_query, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     nb = None if neighbours is None else neighbour_matrix(
-        neighbours, len(examples), len(xq))
-    if len(examples) == 0:
+        neighbours, len(ys), len(xq))
+    if len(ys) == 0 or xq.size == 0:
         return np.zeros(len(xq)) if xq.ndim == 2 else 0.0
-    xs = covariate_matrix([x for x, _ in examples])
-    ys = np.asarray([y for _, y in examples], dtype=float)
+    xs = covariate_matrix(xs)
     if nb is None:
-        pred = xq @ np.linalg.solve(gamma_mat, xs.T @ ys / len(examples))
+        pred = xq @ np.linalg.solve(gamma_mat, xs.T @ ys / len(ys))
     else:  # (Q, d) moments, a neighbour rank at a time: no (Q, k, d) array
         moments = sum(ys[col, None] * xs[col] for col in nb.T) / nb.shape[1]
         pred = np.sum(xq * np.linalg.solve(gamma_mat, moments.T).T, axis=1)

@@ -24,9 +24,9 @@ import numpy as np
 
 from .backend import GenerationParams, LmBackend
 from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
-                   Covariate, Example, Label, QuerySet, RealLabel, RoundTrace,
-                   TextLabel, ABSTAIN, charge_protocol_round, covariate_dim,
-                   real_values, save_traces)
+                   Covariate, Dataset, Label, QuerySet, RealLabel, RoundTrace,
+                   TextLabel, ABSTAIN, charge_protocol_round, concat,
+                   covariate_text, real_values, save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -96,7 +96,7 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     elif mode == "backend_generated":
         if backend is None:
             raise ValueError("backend_generated initialization needs a backend")
-        labels = tuple(backend.answer([], covariates))
+        labels = tuple(backend.answer(Dataset(), covariates))
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return QuerySet(covariates=covariates, labels=labels, round=1)
@@ -108,16 +108,11 @@ def step1_relabel(client: ClientState, c_k: QuerySet,
     (all of it, or each covariate's ``neighbours`` in it)."""
     if client.original is None:
         raise ProtocolError("client has no local dataset", client.client_id)
-    examples = client.original.examples
-    labels = _answer_in_context(
-        client, tuple(Example(covariate=x, label=y) for x, y in c_k.pairs()),
-        [ex.covariate for ex in examples], neighbours, step=1)
-    return ClientDataset(client_id=client.client_id, examples=tuple(
-        Example(covariate=ex.covariate, label=label, category=ex.category)
-        for ex, label in zip(examples, labels)))
+    return client.original.with_labels(_answer_in_context(
+        client, c_k, client.original.covariates, neighbours, step=1))
 
 
-def _answer_in_context(client: ClientState, pool: Tuple[Example, ...],
+def _answer_in_context(client: ClientState, pool: Dataset,
                        queries: Sequence[Covariate],
                        neighbours: Optional[np.ndarray], step: int
                        ) -> Tuple[Label, ...]:
@@ -135,25 +130,24 @@ def _answer_in_context(client: ClientState, pool: Tuple[Example, ...],
 
 
 def _step2_pool(client: ClientState, variant: str,
-                server_reference: Optional[ClientDataset]
-                ) -> Tuple[Example, ...]:
+                server_reference: Optional[ClientDataset]) -> Dataset:
     if variant in ("fedicl", "fedicl_ub"):
         if client.original is None or client.relabeled is None:
             raise ProtocolError("step 2 before step 1", client.client_id)
-        return client.original.examples + client.relabeled.examples
+        return concat([client.original, client.relabeled])
     if variant == "fedicl_free":
         if client.relabeled is None:
             raise ProtocolError("step 2 before step 1", client.client_id)
-        return client.relabeled.examples
+        return client.relabeled
     if variant == "fedicl_gt":
         if client.original is None:
             raise ProtocolError("client has no local dataset", client.client_id)
-        return client.original.examples
+        return client.original
     if variant == "fedicl_lb":
         if server_reference is None:
             raise ProtocolError("fedicl_lb needs a server reference set",
                                 client.client_id)
-        return server_reference.examples
+        return server_reference
     raise ValueError(f"unknown variant: {variant!r}")
 
 
@@ -170,7 +164,7 @@ def step2_answer(client: ClientState, queries: Sequence[Covariate],
 
 
 def _knn_neighbours(client: ClientState, config: ProtocolConfig,
-                    queries: Tuple[Covariate, ...], embedder: Optional[Embedder],
+                    queries: Sequence[Covariate], embedder: Optional[Embedder],
                     server_reference: Optional[ClientDataset]) -> tuple:
     """Step 1's and step 2's per-query kNN indices into their pools; None
     where the whole pool is every query's context."""
@@ -189,8 +183,8 @@ def _knn_neighbours(client: ClientState, config: ProtocolConfig,
     # the relabeled ones in step 2's pool
     pool2 = _step2_pool(replace(client, relabeled=client.original),
                         config.variant, server_reference)
-    step1 = search(queries, client.original.covariates()) if relabels else None
-    return step1, search([ex.covariate for ex in pool2], queries)
+    step1 = search(queries, client.original.covariates) if relabels else None
+    return step1, search(pool2.covariates, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +205,7 @@ class TokenOverlapJudge:
 
     def better(self, candidate: TextLabel, previous: Label,
                query: Covariate) -> bool:
-        key = query if isinstance(query, str) else str(list(query))
-        ref = self.references.get(key)
+        ref = self.references.get(covariate_text(query))
         if ref is None:
             return False
         ref_tokens = set(ref.lower().split())
@@ -237,12 +230,17 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
         if len(per_client[cid]) != m:
             raise ValueError(f"client {cid} answered "
                              f"{len(per_client[cid])} of {m} queries")
+    if strategy == "average":
+        # (M, L), so each query's mean runs along a contiguous row, as
+        # np.mean of that query's L answers does
+        answers = real_values([lab for cid in client_ids
+                               for lab in per_client[cid]])
+        means = answers.reshape(len(client_ids), m).T.copy().mean(axis=1)
+        return previous.advance(RealLabel(v) for v in means.tolist())
     labels: List[Label] = []
     for qi in range(m):
         answers = [per_client[cid][qi] for cid in client_ids]
-        if strategy == "average":
-            labels.append(RealLabel(float(np.mean(real_values(answers)))))
-        elif strategy == "majority":
+        if strategy == "majority":
             labels.append(_majority_vote(answers, options, previous.labels[qi]))
         elif strategy == "fusion":
             for a in answers:
@@ -254,8 +252,7 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
             labels.append(prev if keep_prev else candidate)
         else:
             raise ValueError(f"unknown aggregation: {strategy!r}")
-    return QuerySet(covariates=previous.covariates, labels=tuple(labels),
-                    round=previous.round + 1)
+    return previous.advance(labels)
 
 
 def _majority_vote(answers: Sequence[Label], options: Sequence[str],
@@ -283,14 +280,14 @@ class ProtocolResult:
     final: QuerySet
 
 
-def _payload_units(queries: Sequence[Covariate],
+def _payload_units(queries: QuerySet,
                    gen_params: GenerationParams) -> Tuple[int, int, str]:
     """(question_units, answer_units, unit) for ledger accounting.
 
     Vector questions cost 64 bits per component and real answers 64 bits;
     text payloads are charged at the hard per-answer token cap.
     """
-    d = covariate_dim(queries[0])
+    d = queries.dim
     if d is not None:
         return BITS_PER_REAL * d, BITS_PER_REAL, "bits"
     return gen_params.max_tokens, gen_params.max_tokens, "tokens"
@@ -314,7 +311,6 @@ def run(config: ProtocolConfig,
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
-    queries = tuple(queries)
     gen_params = gen_params or GenerationParams()
 
     if config.variant == "fedicl_ub":
@@ -325,8 +321,9 @@ def run(config: ProtocolConfig,
     rng = np.random.default_rng(config.seed)
     c_k = init_labels(queries, config.init_mode,
                       backend=clients[0].backend, rng=rng)
+    queries = c_k.covariates  # checked once; every round shares it
     ledger = CommLedger()
-    question_units, answer_units, unit = _payload_units(queries, gen_params)
+    question_units, answer_units, unit = _payload_units(c_k, gen_params)
     client_ids = [c.client_id for c in clients]
 
     # neighbour choice ignores labels and each step's pool keeps its
@@ -369,9 +366,8 @@ def run(config: ProtocolConfig,
 
 
 def _merge_clients(datasets: Sequence[Optional[ClientDataset]]) -> ClientDataset:
-    examples: List[Example] = []
-    for ds in datasets:
-        if ds is None:
-            raise ValueError("fedicl_ub requires every client to hold data")
-        examples.extend(ds.examples)
-    return ClientDataset(client_id=1, examples=tuple(examples))
+    if any(ds is None for ds in datasets):
+        raise ValueError("fedicl_ub requires every client to hold data")
+    merged = concat(datasets)
+    return ClientDataset(1, covariates=merged.covariates, labels=merged.labels,
+                         categories=merged.categories)

@@ -46,12 +46,12 @@ def compute_contraction(client_datasets: Sequence[ClientDataset],
         raise ValueError("need at least one server covariate")
 
     xm = covariate_matrix(server_covariates)
-    xs = [covariate_matrix(ds.covariates()) for ds in client_datasets]
+    xs = [covariate_matrix(ds.covariates) for ds in client_datasets]
     if any(x.shape[1] != xm.shape[1] or x.shape[1] != gamma_mat.shape[0]
            for x in xs):
         raise ValueError("client, server, and gamma dimensions disagree")
     client_cov = np.mean([x.T @ x / len(x) for x in xs], axis=0)
-    client_moment = np.mean([x.T @ real_values(ds.labels()) / len(x)
+    client_moment = np.mean([x.T @ real_values(ds.labels) / len(x)
                              for x, ds in zip(xs, client_datasets)], axis=0)
 
     g_inv = np.linalg.inv(gamma_mat)

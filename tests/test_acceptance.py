@@ -162,7 +162,8 @@ def test_criterion_06_attention_forward_equals_closed_form():
             xq = tuple(rng.standard_normal(3))
             e = build_embedding(examples, xq)
             got = lsa_forward(e, base.with_rho(n))
-            assert got == pytest.approx(predict_closed_form(examples, xq, g),
+            xs, ys = zip(*examples)
+            assert got == pytest.approx(predict_closed_form(xs, ys, xq, g),
                                         abs=1e-10)
             for c in (0.5, 4.0):
                 scaled = LsaParams(c * base.w_kq, base.w_pv / c, rho=float(n))
@@ -231,7 +232,7 @@ def test_criterion_08_knn_matches_exhaustive_search():
             for q in queries:
                 dists = sorted(
                     (float(np.linalg.norm(np.array(cv) - np.array(q))), i)
-                    for i, cv in enumerate(ds.covariates()))
+                    for i, cv in enumerate(ds.covariates))
                 want.update(i for _, i in dists[:c])
             assert {ds.examples.index(ex) for ex in kept.examples} == want
 
@@ -341,8 +342,8 @@ def test_criterion_12_remote_wire_contract():
         with MockLlmServer(reply="the final answer") as srv:
             ledger = CommLedger()
             backend = RemoteBackend(srv.url, ledger=ledger, client_id=1)
-            got = backend.answer([Example("ex q", TextLabel("ex a"))],
-                                 ["real question?"])[0]
+            context = core.Dataset([Example("ex q", TextLabel("ex a"))])
+            got = backend.answer(context, ["real question?"])[0]
             assert got == TextLabel("the final answer")
             body = srv.requests[0]
             assert body["model"] == "gpt-4o-mini"
@@ -356,9 +357,10 @@ def test_criterion_12_remote_wire_contract():
                   (200, None, {})]
         with MockLlmServer(script=script) as srv:
             backend = RemoteBackend(srv.url, backoff_base=0.0)
-            assert backend.answer([], ["q"])[0] == TextLabel("mock answer")
+            got = backend.answer(core.Dataset(), ["q"])[0]
+            assert got == TextLabel("mock answer")
             assert len(srv.requests) == 2
 
         with MockLlmServer(script=[(200, {"bad": "shape"}, {})]) as srv:
             with pytest.raises(RemoteBackendError):
-                RemoteBackend(srv.url).answer([], ["q"])[0]
+                RemoteBackend(srv.url).answer(core.Dataset(), ["q"])[0]

@@ -5,8 +5,8 @@ import pytest
 
 from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
                             RemoteBackendError, parse_choice, render_prompt)
-from fedicl.core import (ChoiceLabel, CommLedger, Example, RealLabel,
-                         TextLabel, ABSTAIN)
+from fedicl.core import (ChoiceLabel, CommLedger, Dataset, Example,
+                         RealLabel, TextLabel, ABSTAIN, real_values)
 from fedicl.lsa import gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
@@ -15,8 +15,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden_mc_prompt.txt"
 
 
 def vec_context(rng, d, n):
-    return [Example(tuple(x), RealLabel(float(y))) for x, y in
-            zip(rng.standard_normal((n, d)), rng.standard_normal(n))]
+    return Dataset(covariates=rng.standard_normal((n, d)), labels=[
+        RealLabel(float(y)) for y in rng.standard_normal(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -30,17 +30,18 @@ def test_lsa_backend_delegates_to_closed_form():
     for _ in range(100):
         ctx = vec_context(rng, 2, int(rng.integers(0, 7)))
         q = tuple(rng.standard_normal(2))
-        want = predict_closed_form([(e.covariate, e.label.value) for e in ctx],
+        want = predict_closed_form(ctx.covariates, real_values(ctx.labels),
                                    q, g)
         assert backend.answer(ctx, [q])[0] == RealLabel(want)
 
 
 def test_lsa_backend_empty_context_answers_zero():
-    assert LsaBackend(np.eye(2)).answer([], [(1.0, 2.0)])[0] == RealLabel(0.0)
+    got = LsaBackend(np.eye(2)).answer(Dataset(), [(1.0, 2.0)])[0]
+    assert got == RealLabel(0.0)
 
 
 def test_lsa_backend_hand_value():
-    ctx = [Example((1.0,), RealLabel(1.0))]
+    ctx = Dataset([Example((1.0,), RealLabel(1.0))])
     got = LsaBackend(np.array([[3.0]])).answer(ctx, [(1.0,)])[0]
     assert got.value == pytest.approx(1 / 3)
 
@@ -48,11 +49,15 @@ def test_lsa_backend_hand_value():
 def test_lsa_backend_rejects_text():
     backend = LsaBackend(np.eye(1))
     with pytest.raises(TypeError):
-        backend.answer([], ["what is 2+2?"])[0]
+        backend.answer(Dataset(), ["what is 2+2?"])[0]
     with pytest.raises(TypeError):
-        backend.answer([Example("q", TextLabel("a"))], [(1.0,)])[0]
+        backend.answer(Dataset([Example("q", TextLabel("a"))]), [(1.0,)])[0]
     with pytest.raises(TypeError):
-        backend.answer([Example((1.0,), RealLabel(1.0))],
+        backend.answer(Dataset([Example("q", RealLabel(1.0))]), [(1.0,)])
+    with pytest.raises(TypeError):
+        backend.answer(Dataset([Example((1.0,), TextLabel("a"))]), [(1.0,)])
+    with pytest.raises(TypeError):
+        backend.answer(Dataset([Example((1.0,), RealLabel(1.0))]),
                        [(1.0,), "what is 2+2?"])
 
 
@@ -74,11 +79,12 @@ def test_lsa_backend_batch_matches_per_query_closed_form():
         qs = [tuple(q) for q in rng.standard_normal((7, 3))]
         got = backend.answer(ctx, qs)
         assert len(got) == len(qs)
-        pairs = [(e.covariate, e.label.value) for e in ctx]
         for label, q in zip(got, qs):
             assert isinstance(label, RealLabel)
-            assert abs(label.value - predict_closed_form(pairs, q, g)) <= 1e-12
-    assert backend.answer([], qs) == (RealLabel(0.0),) * len(qs)
+            want = predict_closed_form(ctx.covariates,
+                                       real_values(ctx.labels), q, g)
+            assert abs(label.value - want) <= 1e-12
+    assert backend.answer(Dataset(), qs) == (RealLabel(0.0),) * len(qs)
     assert backend.answer(ctx, []) == ()
 
 
@@ -93,7 +99,7 @@ def test_lsa_backend_neighbours_match_per_query_contexts():
         got = backend.answer(pool, qs, nb)
         assert len(got) == len(qs)
         for label, q, row in zip(got, qs, nb):
-            want = backend.answer([pool[i] for i in row], [q])[0]
+            want = backend.answer(pool.take(row), [q])[0]
             assert abs(label.value - want.value) <= 1e-12
     assert backend.answer(pool, [], np.zeros((0, 2), dtype=int)) == ()
 
@@ -115,22 +121,52 @@ def test_malformed_neighbours_raise_value_error(nb):
     pool, qs = vec_context(rng, 2, 3), [(1.0, 0.0), (0.0, 1.0)]
     with pytest.raises(ValueError, match="neighbours"):
         LsaBackend(np.eye(2)).answer(pool, qs, nb)
-    pairs = [(e.covariate, e.label.value) for e in pool]
     with pytest.raises(ValueError, match="neighbours"):
-        predict_closed_form(pairs, np.asarray(qs), np.eye(2), nb)
-    text_pool = [Example(f"q{i}", TextLabel(f"a{i}")) for i in range(3)]
+        predict_closed_form(pool.covariates, real_values(pool.labels),
+                            np.asarray(qs), np.eye(2), nb)
+    text_pool = Dataset([Example(f"q{i}", TextLabel(f"a{i}"))
+                         for i in range(3)])
     with MockLlmServer() as srv:
         with pytest.raises(ValueError, match="neighbours"):
             RemoteBackend(srv.url).answer(text_pool, ["x", "y"], nb)
         assert srv.requests == []
 
 
+def test_neighbours_are_checked_also_with_zero_queries():
+    nb = np.zeros((3, 2), dtype=int)  # three rows for no queries
+    pool = vec_context(np.random.default_rng(35), 2, 3)
+    with pytest.raises(ValueError, match="neighbours"):
+        LsaBackend(np.eye(2)).answer(pool, [], nb)
+    text_pool = Dataset([Example(f"q{i}", TextLabel(f"a{i}"))
+                         for i in range(3)])
+    with MockLlmServer() as srv:
+        with pytest.raises(ValueError, match="neighbours"):
+            RemoteBackend(srv.url).answer(text_pool, [], nb)
+        assert srv.requests == []
+    empty = np.zeros((0, 2), dtype=int)
+    assert LsaBackend(np.eye(2)).answer(pool, [], empty) == ()
+
+
+def test_lsa_backend_keeps_a_read_only_copy_of_gamma():
+    rng = np.random.default_rng(36)
+    g = gamma(np.diag([1.0, 0.5]), 4)
+    backend = LsaBackend(g)
+    ctx, qs = vec_context(rng, 2, 5), [(1.0, 0.0), (0.5, -2.0)]
+    before = backend.answer(ctx, qs)
+    g[0, 0] = 100.0
+    assert backend.answer(ctx, qs) == before
+    with pytest.raises(ValueError):
+        backend.gamma[0, 0] = 1.0
+    with pytest.raises(ValueError, match="finite"):
+        LsaBackend(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_backends_reject_a_bare_string_as_queries():
     with pytest.raises(TypeError):
-        LsaBackend(np.eye(1)).answer([], "real question?")
+        LsaBackend(np.eye(1)).answer(Dataset(), "real question?")
     with MockLlmServer() as srv:
         with pytest.raises(TypeError, match="str"):
-            RemoteBackend(srv.url).answer([], "real question?")
+            RemoteBackend(srv.url).answer(Dataset(), "real question?")
         assert srv.requests == []
 
 
@@ -147,7 +183,7 @@ def test_render_prompt_zero_exemplars():
 def test_render_prompt_preserves_exemplar_order():
     ctx = [Example("first q", TextLabel("first a")),
            Example("second q", TextLabel("second a"))]
-    prompt = render_prompt(ctx, "the last q")
+    prompt = render_prompt(Dataset(ctx).pairs(), "the last q")
     assert prompt.index("first q") < prompt.index("second q") \
         < prompt.index("the last q")
 
@@ -161,7 +197,8 @@ def test_render_mc_prompt_matches_golden_file():
     ctx = [Example("What is 2+2? (A) 3 (B) 4", ChoiceLabel("B"),
                    category="math"),
            Example("Capital of France? (A) Paris (B) Rome", ChoiceLabel("A"))]
-    prompt = render_prompt(ctx, "Largest planet? (A) Mars (B) Jupiter",
+    prompt = render_prompt(Dataset(ctx).pairs(),
+                           "Largest planet? (A) Mars (B) Jupiter",
                            template_id="multiple_choice")
     assert prompt == GOLDEN.read_text()
 
@@ -198,13 +235,13 @@ def test_generation_params_defaults_and_validation():
 def test_remote_backend_returns_completion_text():
     with MockLlmServer(reply="Paris is the capital.") as srv:
         backend = RemoteBackend(srv.url)
-        got = backend.answer([Example("q1", TextLabel("a1"))],
+        got = backend.answer(Dataset([Example("q1", TextLabel("a1"))]),
                              ["Capital of France?"])[0]
     assert got == TextLabel("Paris is the capital.")
 
 
 def test_remote_backend_batch_posts_once_per_query_in_order():
-    ctx = [Example("ex q", TextLabel("ex a"))]
+    ctx = Dataset([Example("ex q", TextLabel("ex a"))])
     with MockLlmServer(reply="an answer") as srv:
         got = RemoteBackend(srv.url).answer(ctx, ["q one", "q two", "q three"])
         prompts = [body["messages"][0]["content"] for body in srv.requests]
@@ -216,20 +253,21 @@ def test_remote_backend_batch_posts_once_per_query_in_order():
 
 
 def test_remote_backend_neighbours_post_each_querys_exemplars_in_order():
-    pool = [Example(f"ex q{i}", TextLabel(f"ex a{i}")) for i in range(5)]
+    pool = Dataset([Example(f"ex q{i}", TextLabel(f"ex a{i}"))
+                    for i in range(5)])
     nb = np.array([[3, 0, 4], [1, 1, 2]])
     with MockLlmServer(reply="an answer") as srv:
         got = RemoteBackend(srv.url).answer(pool, ["q one", "q two"], nb)
         prompts = [body["messages"][0]["content"] for body in srv.requests]
     assert got == (TextLabel("an answer"),) * 2
-    assert prompts == [render_prompt([pool[i] for i in row], q)
+    assert prompts == [render_prompt(pool.take(row).pairs(), q)
                        for q, row in zip(["q one", "q two"], nb)]
 
 
 def test_remote_backend_request_body_contract():
     with MockLlmServer() as srv:
         backend = RemoteBackend(srv.url)
-        backend.answer([], ["some question"])[0]
+        backend.answer(Dataset(), ["some question"])[0]
         body = srv.requests[0]
     assert body["model"] == "gpt-4o-mini"
     assert body["temperature"] == 0.1
@@ -251,7 +289,7 @@ def test_remote_backend_retries_on_rate_limit():
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
-        got = backend.answer([], ["q"])[0]
+        got = backend.answer(Dataset(), ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
 
@@ -262,7 +300,7 @@ def test_remote_backend_gives_up_after_max_retries():
         backend = RemoteBackend(srv.url, backoff_base=0.0,
                                 params=GenerationParams(max_retries=2))
         with pytest.raises(RemoteBackendError, match="503"):
-            backend.answer([], ["q"])[0]
+            backend.answer(Dataset(), ["q"])[0]
         assert len(srv.requests) == 3
 
 
@@ -271,7 +309,7 @@ def test_remote_backend_non_retryable_fails_fast():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
         with pytest.raises(RemoteBackendError, match="400"):
-            backend.answer([], ["q"])[0]
+            backend.answer(Dataset(), ["q"])[0]
         assert len(srv.requests) == 1
 
 
@@ -280,7 +318,7 @@ def test_remote_backend_malformed_body_raises():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url)
         with pytest.raises(RemoteBackendError, match="malformed"):
-            backend.answer([], ["q"])[0]
+            backend.answer(Dataset(), ["q"])[0]
 
 
 def test_remote_backend_ledger_matches_server_observed_usage():
@@ -289,7 +327,8 @@ def test_remote_backend_ledger_matches_server_observed_usage():
         backend = RemoteBackend(srv.url, ledger=ledger, client_id=2)
         backend.round = 3
         for q in ("first question", "a second question here"):
-            backend.answer([Example("ex q", TextLabel("ex a"))], [q])[0]
+            backend.answer(Dataset([Example("ex q", TextLabel("ex a"))]),
+                           [q])[0]
         up = sum(u["prompt_tokens"] for u in srv.usages)
         down = sum(u["completion_tokens"] for u in srv.usages)
     totals = {}
@@ -304,12 +343,12 @@ def test_remote_backend_truncates_long_completions():
     with MockLlmServer(reply=long_reply) as srv:
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_tokens=10))
-        got = backend.answer([], ["q"])[0]
+        got = backend.answer(Dataset(), ["q"])[0]
     assert got.answer == " ".join(str(i) for i in range(10))
 
 
 def test_remote_backend_context_count_limits_exemplars():
-    ctx = [Example(f"q{i}", TextLabel(f"a{i}")) for i in range(8)]
+    ctx = Dataset([Example(f"q{i}", TextLabel(f"a{i}")) for i in range(8)])
     with MockLlmServer() as srv:
         backend = RemoteBackend(
             srv.url, params=GenerationParams(context_count=5))

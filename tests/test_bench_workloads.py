@@ -1,0 +1,44 @@
+"""The benchmark's LSA workload at a tiny size: a change that breaks its
+1e-9 gate, or the program API it uses, fails here and not only in a
+benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fedicl.core import real_values
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # for its stub_llm import
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for @dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("context_count", [None, 2])
+def test_lsa_workload_passes_its_gate(monkeypatch, tmp_path, context_count):
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.LsaWorkload(
+        "tiny", clients=3, examples=6, queries=4, dim=2, rounds=2,
+        context_count=context_count, spans=frozenset())
+    inst = workload.setup(seed=5)
+    workload.reference(inst)
+    try:
+        out = workload.run(inst, tmp_path)
+        assert len(out.value.traces) == 2
+        assert workload.check(inst, out) == []
+        # the gate is not vacuous: a reference off by 1e-6 fails it
+        inst.expected = [labels + 1e-6 for labels in inst.expected]
+        assert len(workload.check(inst, out)) == 2
+    finally:
+        workload.close(inst)
+    assert np.isfinite(real_values(out.value.final.labels)).all()

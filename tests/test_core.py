@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +92,63 @@ def test_client_dataset_dimension_check():
     with pytest.raises(ValueError):
         ClientDataset(1, (Example((1.0,), RealLabel(0.0)),
                           Example((1.0, 2.0), RealLabel(0.0))))
+    with pytest.raises(ValueError):
+        ClientDataset(1, (Example((1.0,), RealLabel(0.0)),
+                          Example("q", RealLabel(0.0))))
+
+
+def test_dataset_columns_are_checked_once_and_read_only():
+    xs = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ds = ClientDataset(1, covariates=xs, labels=(RealLabel(1.0),
+                                                  RealLabel(2.0)))
+    xs[0, 0] = 99.0  # the dataset holds its own copy
+    assert ds.covariates[0, 0] == 1.0 and ds.dim == 2
+    with pytest.raises(ValueError):
+        ds.covariates[0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        ds.labels = ()
+    for bad in ([[1.0, float("nan")]], [[float("inf"), 0.0]], [[]]):
+        with pytest.raises(ValueError):
+            ClientDataset(1, covariates=bad, labels=(RealLabel(0.0),))
+    with pytest.raises(ValueError):
+        ClientDataset(1, covariates=xs, labels=(RealLabel(0.0),))
+    with pytest.raises(TypeError):
+        core.Dataset([Example((1.0,), RealLabel(0.0))], covariates=[[1.0]],
+                     labels=(RealLabel(0.0),))
+    text = ClientDataset(2, covariates=("q1", "q2"),
+                         labels=(TextLabel("a"), TextLabel("b")))
+    assert text.covariates == ("q1", "q2") and text.dim is None
+
+
+def test_derived_datasets_share_the_checked_covariates():
+    ds = ClientDataset(3, (Example((1.0,), RealLabel(1.0), category="a"),
+                           Example((2.0,), RealLabel(2.0), category="b")))
+    relabeled = ds.with_labels([RealLabel(5.0), RealLabel(6.0)])
+    assert relabeled.covariates is ds.covariates
+    assert (relabeled.client_id, relabeled.categories) == (3, ("a", "b"))
+    assert core.real_values(relabeled.labels).tolist() == [5.0, 6.0]
+    with pytest.raises(ValueError):
+        ds.with_labels([RealLabel(5.0)])
+    picked = ds.take([1, 1, 0])
+    assert [ex.covariate for ex in picked.examples] == [(2.0,), (2.0,), (1.0,)]
+    with pytest.raises(ValueError):
+        picked.covariates[0, 0] = 0.0
+    both = core.concat([ds, relabeled])
+    assert type(both) is core.Dataset
+    assert both.covariates.tolist() == [[1.0], [2.0], [1.0], [2.0]]
+    assert both.labels == ds.labels + relabeled.labels
+    assert both.categories == ("a", "b", "a", "b")
+    with pytest.raises(ValueError):
+        core.concat([ds, ClientDataset(4, (Example("q", TextLabel("a")),))])
+
+
+def test_dataset_examples_derive_from_the_columns():
+    records = (Example((1.0, 2.0), RealLabel(0.5), category="algebra"),
+               Example((3.0, 4.0), RealLabel(-1.0)))
+    ds = ClientDataset(1, records)
+    assert ds.examples == records
+    assert ClientDataset(1, ds.examples) == ds
+    assert ds != ClientDataset(2, records)
 
 
 @pytest.mark.parametrize("label", [RealLabel(1.5), TextLabel("paris"),

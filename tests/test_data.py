@@ -32,7 +32,7 @@ def vec_dataset(xs, cid=1):
 
 def brute_force_knn(dataset, queries, c, embedder):
     """Independent oracle: full pairwise distance table, per-query top-c."""
-    emb = np.vstack([embedder.embed(cv) for cv in dataset.covariates()])
+    emb = np.vstack([embedder.embed(cv) for cv in dataset.covariates])
     keep = set()
     for q in queries:
         d = [(float(np.linalg.norm(row - embedder.embed(q))), i)
@@ -199,7 +199,7 @@ def test_knn_c_saturation_returns_whole_dataset():
 def test_knn_context_zero_distance_first():
     ds = vec_dataset([[5.0], [1.0], [3.0]])
     ctx = [ds.examples[i] for i in
-           knn_context(ds.covariates(), [(3.0,)], 2, IdentityEmbedder())[0]]
+           knn_context(ds.covariates, [(3.0,)], 2, IdentityEmbedder())[0]]
     assert ctx[0].covariate == (3.0,)
 
 
@@ -219,7 +219,7 @@ def test_knn_kept_set_monotone_in_c():
 def test_knn_distance_tie_breaks_by_index():
     ds = vec_dataset([[1.0], [-1.0], [2.0]])
     ctx = [ds.examples[i] for i in
-           knn_context(ds.covariates(), [(0.0,)], 1, IdentityEmbedder())[0]]
+           knn_context(ds.covariates, [(0.0,)], 1, IdentityEmbedder())[0]]
     assert ctx[0].covariate == (1.0,)  # same distance as (-1,), lower index
 
 
@@ -228,7 +228,7 @@ def test_knn_rejects_nonpositive_c():
     with pytest.raises(ValueError):
         knn_filter(ds, [(1.0,)], 0, IdentityEmbedder())
     with pytest.raises(ValueError):
-        knn_context(ds.covariates(), [(1.0,)], 0, IdentityEmbedder())
+        knn_context(ds.covariates, [(1.0,)], 0, IdentityEmbedder())
 
 
 def test_embedders():
@@ -254,6 +254,19 @@ def test_dataset_jsonl_round_trip(tmp_path):
     path = tmp_path / "data.jsonl"
     save_dataset(examples, path)
     assert load_dataset(path) == examples
+
+
+def test_client_dataset_examples_round_trip_through_jsonl(tmp_path):
+    vec = ClientDataset(1, covariates=[[1.0, 2.0], [0.25, -3.0]],
+                        labels=(RealLabel(0.5), RealLabel(-1.5)),
+                        categories=("algebra", None))
+    text = ClientDataset(2, (Example("q one", TextLabel("a one")),
+                             Example("q two", ChoiceLabel("B"), category="x")))
+    for ds in (vec, text):
+        path = tmp_path / f"client_{ds.client_id}.jsonl"
+        save_dataset(ds.examples, path)
+        assert load_dataset(path) == list(ds.examples)
+        assert ClientDataset(ds.client_id, load_dataset(path)) == ds
 
 
 def test_load_dataset_empty_file(tmp_path):

@@ -19,6 +19,12 @@ def brute_force_prediction(examples, x_query, gamma_mat):
     return float(np.asarray(x_query) @ gamma_inv @ acc)
 
 
+def closed_form(examples, xq, g):
+    """predict_closed_form on a list of (covariate, label) pairs."""
+    return predict_closed_form([x for x, _ in examples],
+                               [y for _, y in examples], xq, g)
+
+
 def random_prompt(rng, d, n):
     examples = [(tuple(x), float(y)) for x, y in
                 zip(rng.standard_normal((n, d)), rng.standard_normal(n))]
@@ -107,7 +113,7 @@ def test_forward_matches_closed_form_random_prompts():
         examples, xq = random_prompt(rng, 3, n)
         # inference-time rho = number of in-context examples
         got = lsa_forward(build_embedding(examples, xq), base.with_rho(n))
-        want = predict_closed_form(examples, xq, g)
+        want = closed_form(examples, xq, g)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -165,18 +171,48 @@ def test_lsa_params_json_round_trip():
 # closed-form prediction
 # ---------------------------------------------------------------------------
 
+def allclose_spd_check(mat):
+    """The SPD check as it was written with np.allclose."""
+    mat = np.asarray(mat, dtype=float)
+    return (np.allclose(mat, mat.T, atol=1e-12)
+            and not np.linalg.eigvalsh(mat).min() <= 0)  # nan passed
+
+
+SPD_CASES = {  # matrix, accepted
+    "asymmetric by 1e-13": ([[2.0, 0.5 + 1e-13], [0.5, 1.0]], True),
+    "asymmetric by 1e-6": ([[2.0, 0.5 + 1e-6], [0.5, 1.0]], True),
+    "asymmetric by 1e-4": ([[2.0, 0.5 + 1e-4], [0.5, 1.0]], False),
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], False),
+    "inf": ([[np.inf, 0.0], [0.0, 1.0]], False),
+    "not positive definite": ([[1.0, 2.0], [2.0, 1.0]], False),
+}
+
+
+@pytest.mark.parametrize("mat,accepted", SPD_CASES.values(),
+                         ids=SPD_CASES.keys())
+def test_spd_check(mat, accepted):
+    if accepted:
+        lsa._check_spd(mat)
+    else:
+        with pytest.raises(ValueError):
+            lsa._check_spd(mat)
+    # the same verdict as the np.allclose form, which let inf through
+    with np.errstate(invalid="ignore"):
+        assert allclose_spd_check(mat) == (accepted or np.isinf(mat).any())
+
+
 def test_closed_form_hand_value():
-    assert predict_closed_form([((1.0,), 1.0)], (1.0,),
-                               np.array([[3.0]])) == pytest.approx(1 / 3)
+    assert closed_form([((1.0,), 1.0)], (1.0,),
+                       np.array([[3.0]])) == pytest.approx(1 / 3)
 
 
 def test_closed_form_empty_prompt():
-    assert predict_closed_form([], (1.0, 2.0), np.eye(2)) == 0.0
+    assert closed_form([], (1.0, 2.0), np.eye(2)) == 0.0
 
 
 def test_closed_form_d2_brute_force_value():
-    got = predict_closed_form([((1.0, 0.0), 2.0), ((0.0, 1.0), 4.0)],
-                              (1.0, 1.0), 2.5 * np.eye(2))
+    got = closed_form([((1.0, 0.0), 2.0), ((0.0, 1.0), 4.0)],
+                      (1.0, 1.0), 2.5 * np.eye(2))
     assert got == pytest.approx(1.2, abs=1e-12)
 
 
@@ -187,7 +223,7 @@ def test_closed_form_matches_brute_force_random():
         a = rng.standard_normal((d, d))
         g = a @ a.T + 0.2 * np.eye(d)
         examples, xq = random_prompt(rng, d, int(rng.integers(0, 9)))
-        assert predict_closed_form(examples, xq, g) == pytest.approx(
+        assert closed_form(examples, xq, g) == pytest.approx(
             brute_force_prediction(examples, xq, g), abs=1e-10)
 
 
@@ -196,8 +232,8 @@ def test_closed_form_linear_in_labels():
     g = gamma(np.eye(3), 4)
     examples, xq = random_prompt(rng, 3, 6)
     doubled = [(x, 2 * y) for x, y in examples]
-    assert predict_closed_form(doubled, xq, g) == pytest.approx(
-        2 * predict_closed_form(examples, xq, g), rel=1e-12)
+    assert closed_form(doubled, xq, g) == pytest.approx(
+        2 * closed_form(examples, xq, g), rel=1e-12)
 
 
 def test_closed_form_permutation_invariant():
@@ -205,8 +241,8 @@ def test_closed_form_permutation_invariant():
     g = gamma(np.eye(2), 3)
     examples, xq = random_prompt(rng, 2, 7)
     perm = [examples[i] for i in rng.permutation(len(examples))]
-    assert predict_closed_form(perm, xq, g) == pytest.approx(
-        predict_closed_form(examples, xq, g), rel=1e-12)
+    assert closed_form(perm, xq, g) == pytest.approx(
+        closed_form(examples, xq, g), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

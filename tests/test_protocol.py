@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fedicl import core, theory
 from fedicl.backend import LsaBackend
-from fedicl.core import (ChoiceLabel, ClientDataset, Example, QuerySet,
-                         RealLabel, TextLabel, ABSTAIN)
+from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
+                         QuerySet, RealLabel, TextLabel, ABSTAIN)
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
                              TokenOverlapJudge, aggregate, init_labels, run,
@@ -47,7 +49,8 @@ def test_init_backend_generated():
     backend = LsaBackend(GAMMA_1D)
     qs = init_labels([(1.0,), (2.0,)], "backend_generated", backend=backend)
     # empty context: backend answers 0 for every query
-    assert qs.labels == tuple(backend.answer([], [q])[0] for q in qs.covariates)
+    assert qs.labels == tuple(backend.answer(Dataset(), [q])[0]
+                              for q in qs.covariates)
 
 
 def test_init_backend_generated_requires_backend():
@@ -65,8 +68,9 @@ def test_step1_hand_value():
                          LsaBackend(GAMMA_1D))
     c_k = QuerySet(((1.0,),), (RealLabel(3.0),), round=1)
     relabeled = step1_relabel(client, c_k)
-    assert relabeled.labels() == (RealLabel(1.0),)
-    assert relabeled.covariates() == client.original.covariates()
+    assert relabeled.labels == (RealLabel(1.0),)
+    # the relabeled dataset shares the client's checked covariate array
+    assert relabeled.covariates is client.original.covariates
 
 
 def test_step1_zero_labels_propagate():
@@ -74,7 +78,7 @@ def test_step1_zero_labels_propagate():
                          LsaBackend(GAMMA_1D))
     c_k = QuerySet(((1.0,), (4.0,)), (RealLabel(0.0), RealLabel(0.0)), round=1)
     relabeled = step1_relabel(client, c_k)
-    assert all(lab.value == 0.0 for lab in relabeled.labels())
+    assert all(lab.value == 0.0 for lab in relabeled.labels)
 
 
 def test_step2_hand_value():
@@ -238,7 +242,7 @@ def test_lb_variant_uses_server_reference_only():
     clients = [ClientState(1, None, LsaBackend(g))]
     result = run(ProtocolConfig(rounds=2, variant="fedicl_lb"),
                  clients, [(1.0,)], server_reference=reference)
-    expected = LsaBackend(g).answer(reference.examples, [(1.0,)])[0]
+    expected = LsaBackend(g).answer(reference, [(1.0,)])[0]
     assert result.final.labels == (expected,)
 
 
@@ -265,7 +269,7 @@ def knn_replay(clients_data, queries, g, k, rounds, variant):
     for _ in range(rounds):
         answers = []
         for ds in clients_data:
-            x, y = np.asarray(ds.covariates()), core.real_values(ds.labels())
+            x, y = np.asarray(ds.covariates), core.real_values(ds.labels)
             relabeled = np.array([predict(xq, labels, xn) for xn in x])
             if variant == "fedicl":
                 pool_x, pool_y = np.vstack([x, x]), np.concatenate([y, relabeled])
@@ -408,7 +412,7 @@ def test_sent_payloads_never_contain_client_data():
     downlink += [trace.aggregated for trace in result.traces[:-1]]
     assert len(downlink) == len(result.traces) == 4
     for c_k, trace in zip(downlink, result.traces):
-        assert c_k.covariates == queries
+        assert np.array_equal(c_k.covariates, queries)
         # uplink payload is exactly {(x_m, y^i_{k+1,m})}, from every client
         assert sorted(trace.per_client_answers) == [1, 2, 3]
         uplink = [tuple(zip(queries, answers))
@@ -416,6 +420,7 @@ def test_sent_payloads_never_contain_client_data():
         assert all(len(pairs) == len(queries) for pairs in uplink)
         for pairs in [tuple(c_k.pairs())] + uplink:
             for cov, label in pairs:
+                cov = tuple(cov)
                 assert cov in set(queries)
                 assert cov not in client_covs
                 assert label not in client_labels
@@ -446,3 +451,59 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(rounds=1, context_count=0)
     assert ProtocolConfig(rounds=9, variant="fedicl_gt").effective_rounds == 1
+
+
+@pytest.mark.parametrize("n_clients", [1, 3, 20])
+def test_average_aggregation_is_bitwise_the_per_query_mean(n_clients):
+    rng = np.random.default_rng(50 + n_clients)
+    m = 9
+    # answers spread over six orders of magnitude, so summation order shows
+    vals = rng.standard_normal((n_clients, m)) * 10.0 ** rng.integers(
+        -3, 4, size=(n_clients, m))
+    # inserted in descending id order: aggregation sorts the clients
+    per_client = {cid: tuple(RealLabel(v) for v in vals[cid - 1].tolist())
+                  for cid in range(n_clients, 0, -1)}
+    previous = QuerySet([(float(q),) for q in range(m)],
+                        (RealLabel(0.0),) * m, round=2)
+    got = aggregate(per_client, "average", previous)
+    want = [float(np.mean([per_client[cid][q].value
+                           for cid in sorted(per_client)])) for q in range(m)]
+    assert [lab.value for lab in got.labels] == want
+    if n_clients >= 8:  # a mean down the client axis rounds differently
+        assert vals.mean(axis=0).tolist() != want
+    assert got.round == 3 and got.covariates is previous.covariates
+
+
+def test_average_aggregation_rejects_a_non_real_answer():
+    previous = QuerySet([(1.0,), (2.0,)], (RealLabel(0.0),) * 2, round=1)
+    with pytest.raises(TypeError):
+        aggregate({1: (RealLabel(1.0), RealLabel(2.0)),
+                   2: (RealLabel(1.0), TextLabel("2"))}, "average", previous)
+
+
+@pytest.mark.parametrize("context_count", [None, 2])
+def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
+                                                  context_count):
+    rng = np.random.default_rng(34)
+    clients_data, queries, g = random_regression(rng, d=2, l=3, n=6, m=4)
+    clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+               for ds in clients_data]
+    built = Counter()
+    post_init, as_covariate = Example.__post_init__, core.as_covariate
+
+    def counting_post_init(self):
+        built["Example"] += 1
+        post_init(self)
+
+    def counting_as_covariate(values):
+        built["as_covariate"] += 1
+        return as_covariate(values)
+
+    monkeypatch.setattr(Example, "__post_init__", counting_post_init)
+    monkeypatch.setattr(core, "as_covariate", counting_as_covariate)
+    result = run(ProtocolConfig(rounds=3, context_count=context_count),
+                 clients, queries, trace_path=tmp_path / "traces.jsonl")
+    assert len(result.traces) == 3
+    assert built == Counter()
+    Example((1.0,), RealLabel(0.0))  # the counters do count
+    assert built == Counter({"Example": 1, "as_covariate": 1})
