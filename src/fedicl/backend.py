@@ -18,9 +18,9 @@ import numpy as np
 import requests
 
 from .core import (ChoiceLabel, CommLedger, Covariate, Dataset, Label,
-                   RealLabel, TextLabel, ABSTAIN, covariate_matrix,
+                   Labels, RealColumn, TextLabel, ABSTAIN, covariate_matrix,
                    covariate_text, neighbour_matrix, real_values)
-from .lsa import _check_spd, predict_closed_form
+from .lsa import SpdMatrix, predict_closed_form
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,12 @@ class LmBackend:
     """Answer queries given in-context examples: one call answers every
     query, in query order, with all of the ``context`` dataset or, given a
     (Q, k) index array ``neighbours`` into it, with row q's examples.
+    The labels come as a label column (see ``core.label_column``).
     Deterministic backends must return identical labels for identical
     inputs."""
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
+               neighbours: Optional[np.ndarray] = None) -> Labels:
         raise NotImplementedError
 
 
@@ -55,24 +56,24 @@ class LsaBackend(LmBackend):
     """Closed-form LSA predictor at the pretrained global optimum.
 
     Pure function of (context, queries). Gamma must be SPD; the backend
-    keeps a read-only copy of it.
+    keeps a read-only copy of it, checked once when the backend is built.
     """
 
     def __init__(self, gamma: np.ndarray):
-        gamma = np.array(gamma, dtype=float)
-        _check_spd(gamma, "gamma")
-        gamma.flags.writeable = False
-        self.gamma = gamma
+        self._gamma = SpdMatrix(gamma, "gamma")
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self._gamma.matrix
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
+               neighbours: Optional[np.ndarray] = None) -> RealColumn:
         xq = covariate_matrix(queries)  # TypeError for text, also a bare str
         if context.dim is None:
             raise TypeError("LSA backend needs vector examples, got text")
-        values = predict_closed_form(context.covariates,
-                                     real_values(context.labels), xq,
-                                     self.gamma, neighbours)
-        return tuple(RealLabel(v) for v in values.tolist())
+        return RealColumn(predict_closed_form(
+            context.covariates, real_values(context.labels), xq, self._gamma,
+            neighbours))
 
 
 # ---------------------------------------------------------------------------

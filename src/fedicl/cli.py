@@ -84,8 +84,8 @@ def synthesize_instance(cfg: dict, seed: int):
     clients = []
     for cid in range(1, num_clients + 1):
         xs = rng.standard_normal((n, d))
-        clients.append(core.ClientDataset(cid, covariates=xs, labels=tuple(
-            core.RealLabel(float(x @ w_true)) for x in xs)))
+        clients.append(core.ClientDataset(cid, covariates=xs, labels=(
+            core.RealColumn([float(x @ w_true) for x in xs]))))
     queries = tuple(tuple(x) for x in rng.standard_normal((m, d)))
     return clients, queries, gamma_mat
 

@@ -2,8 +2,10 @@
 
 A dataset is stored as columns: vector covariates as one read-only (n, d)
 float array, checked when the dataset is built, or text covariates as a
-tuple of str, with the labels beside them. ``Example`` is the record type
-for JSONL I/O; its vector covariate is a tuple of floats.
+tuple of str, with the labels beside them: real labels as one read-only
+float vector (``RealColumn``), text and choice labels as a tuple.
+``Example`` is the record type for JSONL I/O; its vector covariate is a
+tuple of floats.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -148,12 +151,79 @@ def label_from_json(obj: dict) -> Label:
     raise ValueError(f"record has neither 'y' nor 'answer': {obj}")
 
 
+class RealColumn(SequenceABC):
+    """Real labels as one read-only float vector, ``values``.
+
+    It iterates and indexes as ``RealLabel``s, and compares equal to a
+    column or a tuple of ``RealLabel``s with the same values.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        values = np.array(values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"a label column is one vector, got shape "
+                             f"{values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RealColumn is immutable")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RealColumn(self.values[index])
+        return RealLabel(self.values[index].item())
+
+    def __iter__(self):
+        return map(RealLabel, self.values.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, RealColumn):
+            return bool(np.array_equal(self.values, other.values))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RealColumn({self.values.tolist()!r})"
+
+
+#: Labels as a dataset stores them: see ``label_column``.
+Labels = Union[RealColumn, Tuple[Label, ...]]
+
+
+def label_column(labels: Sequence[Label]) -> Labels:
+    """Labels as stored: real ones as a ``RealColumn``, any others (or
+    none) as a tuple."""
+    if isinstance(labels, RealColumn):
+        return labels
+    labels = tuple(labels)
+    if labels and all(isinstance(lab, RealLabel) for lab in labels):
+        return RealColumn([lab.value for lab in labels])
+    return labels
+
+
+def labels_to_json(labels: Sequence[Label]) -> List[dict]:
+    if isinstance(labels, RealColumn):
+        return [{"y": v} for v in labels.values.tolist()]
+    return [label_to_json(lab) for lab in labels]
+
+
 def real_values(labels: Sequence[Label]) -> np.ndarray:
-    """Extract values from a sequence of RealLabels, rejecting other kinds."""
-    for lab in labels:
-        if not isinstance(lab, RealLabel):
-            raise TypeError(f"expected RealLabel, got {lab!r}")
-    return np.fromiter((lab.value for lab in labels), float, len(labels))
+    """The values of real labels as a read-only float vector (a column's
+    own); other label kinds raise ``TypeError``."""
+    labels = label_column(labels)
+    if isinstance(labels, RealColumn):
+        return labels.values
+    if labels:
+        kinds = sorted({type(lab).__name__ for lab in labels})
+        raise TypeError(f"expected RealLabels, got {', '.join(kinds)}")
+    return np.empty(0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +242,8 @@ class Example:
 
 class Dataset:
     """Examples as columns: ``covariates`` (see ``covariate_column``), and
-    beside them ``labels`` and ``categories`` (an optional str each).
+    beside them ``labels`` (see ``label_column``) and ``categories`` (an
+    optional str each).
 
     Built from ``Example`` records or from the columns. Immutable; the
     derived datasets (``with_labels``, ``take``, ``concat``) share or slice
@@ -192,7 +263,7 @@ class Dataset:
             categories = [ex.category for ex in examples]
         elif examples or covariates is None or labels is None:
             raise TypeError("give examples, or covariates and labels")
-        labels = tuple(labels)
+        labels = label_column(labels)
         object.__setattr__(self, "covariates", covariate_column(covariates))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "categories", (None,) * len(labels)
@@ -254,19 +325,21 @@ class Dataset:
 
     def with_labels(self, labels: Sequence[Label]) -> "Dataset":
         """The same covariates (shared, not copied) with new labels."""
-        return self._derive(labels=tuple(labels))
+        return self._derive(labels=label_column(labels))
 
     def take(self, indices: Sequence[int]) -> "Dataset":
         """The examples at ``indices``, in that order."""
         idx = [int(i) for i in indices]
-        covs = self.covariates
+        covs, labels = self.covariates, self.labels
         if isinstance(covs, tuple):
             covs = tuple(covs[i] for i in idx)
         else:
             covs = covs[idx]
             covs.flags.writeable = False
-        return self._derive(covariates=covs,
-                            labels=tuple(self.labels[i] for i in idx),
+        labels = (RealColumn(labels.values[idx])
+                  if isinstance(labels, RealColumn) else
+                  tuple(labels[i] for i in idx))
+        return self._derive(covariates=covs, labels=labels,
                             categories=tuple(self.categories[i] for i in idx))
 
 
@@ -284,9 +357,12 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     else:
         covs = np.vstack([ds.covariates for ds in parts])
         covs.flags.writeable = False
+    labels = [ds.labels for ds in parts]
+    labels = (RealColumn(np.concatenate([lab.values for lab in labels]))
+              if all(isinstance(lab, RealColumn) for lab in labels) else
+              tuple(chain.from_iterable(labels)))
     return Dataset()._derive(
-        covariates=covs,
-        labels=tuple(chain.from_iterable(ds.labels for ds in parts)),
+        covariates=covs, labels=labels,
         categories=tuple(chain.from_iterable(ds.categories for ds in parts)))
 
 
@@ -326,7 +402,7 @@ class QuerySet(Dataset):
 
     def advance(self, labels: Sequence[Label]) -> "QuerySet":
         """C_{k+1}: the same queries with new labels, one round later."""
-        return self._derive(labels=tuple(labels), round=self.round + 1)
+        return self._derive(labels=label_column(labels), round=self.round + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +414,7 @@ class RoundTrace:
     """Record of one protocol round: per-client answers and the aggregate."""
 
     round: int
-    per_client_answers: Dict[int, Tuple[Label, ...]]
+    per_client_answers: Dict[int, Labels]
     aggregated: QuerySet
     theory_w: Optional[Tuple[float, ...]] = None
 
@@ -347,13 +423,13 @@ class RoundTrace:
         obj = {
             "round": self.round,
             "per_client_answers": {
-                str(cid): [label_to_json(lab) for lab in labs]
+                str(cid): labels_to_json(labs)
                 for cid, labs in sorted(self.per_client_answers.items())
             },
             "aggregated": {
                 "covariates": (list(covs) if isinstance(covs, tuple)
                                else covs.tolist()),
-                "labels": [label_to_json(lab) for lab in self.aggregated.labels],
+                "labels": labels_to_json(self.aggregated.labels),
                 "round": self.aggregated.round,
             },
         }
@@ -368,12 +444,12 @@ class RoundTrace:
         return RoundTrace(
             round=int(obj["round"]),
             per_client_answers={
-                int(cid): tuple(label_from_json(l) for l in labs)
+                int(cid): label_column(label_from_json(l) for l in labs)
                 for cid, labs in obj["per_client_answers"].items()
             },
             aggregated=QuerySet(
                 covariates=agg["covariates"],
-                labels=tuple(label_from_json(l) for l in agg["labels"]),
+                labels=[label_from_json(l) for l in agg["labels"]],
                 round=int(agg["round"]),
             ),
             theory_w=tuple(theory_w) if theory_w is not None else None,

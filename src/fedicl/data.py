@@ -21,15 +21,23 @@ class Embedder:
     """Deterministic map from a covariate (vector or text) to a fixed-length
     vector used for nearest-neighbor search."""
 
+    #: ``embed`` maps an (n, d) array of covariates to their n embeddings
+    embeds_rows = False
+
     def embed(self, covariate: Covariate) -> np.ndarray:
         raise NotImplementedError
 
     def embed_many(self, covariates: Sequence[Covariate]) -> np.ndarray:
+        if (self.embeds_rows and isinstance(covariates, np.ndarray)
+                and covariates.ndim == 2):
+            return self.embed(covariates)
         return np.vstack([self.embed(c) for c in covariates])
 
 
 class IdentityEmbedder(Embedder):
     """Vector covariates embed as themselves; exact for regression mode."""
+
+    embeds_rows = True
 
     def embed(self, covariate: Covariate) -> np.ndarray:
         if isinstance(covariate, str):
@@ -168,18 +176,48 @@ def category_entropy(dataset: ClientDataset) -> float:
 # kNN filtering (exact search; desk-scale datasets)
 # ---------------------------------------------------------------------------
 
+#: Most elements in one block's (queries, pool, dim) difference array
+KNN_BLOCK_ELEMENTS = 16_384
+
+
 def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
                 c: int, embedder: Embedder) -> np.ndarray:
     """Indices into ``pool`` of each query's c nearest covariates: a (Q,
     min(c, len(pool))) integer array, rows nearest-first, distance ties in
-    pool order. The pool is embedded once for all queries."""
+    pool order. The pool and the queries are embedded once each; distances
+    are computed for a block of queries at a time, so that a block's
+    difference array has at most ``KNN_BLOCK_ELEMENTS`` elements (or one
+    query's, if that is more)."""
     if c < 1:
         raise ValueError("c must be >= 1")
     pool_emb = embedder.embed_many(pool)
-    # one query at a time keeps the distance temporaries at pool size
-    return np.array([np.argsort(np.linalg.norm(pool_emb - q, axis=1),
-                                kind="stable")[:c]
-                     for q in embedder.embed_many(queries)])
+    query_emb = embedder.embed_many(queries)
+    k = min(c, len(pool_emb))
+    rows = max(1, KNN_BLOCK_ELEMENTS // max(pool_emb.size, 1))
+    nearest = np.empty((len(query_emb), k), dtype=np.intp)
+    for lo in range(0, len(query_emb), rows):
+        block = query_emb[lo:lo + rows]
+        # each row is bitwise the norm(pool_emb - q, axis=1) of its query
+        dist = np.linalg.norm(pool_emb[None] - block[:, None], axis=2)
+        nearest[lo:lo + rows] = _smallest_first(dist, k)
+    return nearest
+
+
+def _smallest_first(dist: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the first k of the stable argsort: the columns of the k
+    smallest entries, ordered by (entry, column)."""
+    if k == dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")
+    picks = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    picked = np.take_along_axis(dist, picks, axis=1)
+    order = np.lexsort((picks, picked), axis=1)
+    nearest = np.take_along_axis(picks, order, axis=1)
+    # the picks are the k smallest only if no other entry ties the k-th
+    # (a NaN among them also counts as a tie)
+    tied = (dist <= picked.max(axis=1, keepdims=True)).sum(axis=1) != k
+    for row in np.flatnonzero(tied):
+        nearest[row] = np.argsort(dist[row], kind="stable")[:k]
+    return nearest
 
 
 def knn_filter(dataset: ClientDataset, queries: Sequence[Covariate], c: int,

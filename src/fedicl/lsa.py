@@ -35,6 +35,23 @@ def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return mat
 
 
+class SpdMatrix:
+    """A read-only copy of a matrix, checked finite, square, symmetric and
+    positive definite once, when it is made: ``predict_closed_form`` takes
+    it without checking it again."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, mat, name: str = "matrix"):
+        mat = np.array(mat, dtype=float)
+        _check_spd(mat, name)
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpdMatrix is immutable")
+
+
 def gamma(lam: np.ndarray, t_prompt: int) -> np.ndarray:
     """Effective covariance of the pretrained predictor.
 
@@ -139,7 +156,7 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
     return LsaParams(w_kq=w_kq, w_pv=w_pv, rho=float(t_prompt))
 
 
-def predict_closed_form(xs, ys, x_query, gamma_mat: np.ndarray,
+def predict_closed_form(xs, ys, x_query, gamma_mat: np.ndarray | SpdMatrix,
                         neighbours=None) -> float | np.ndarray:
     """Closed-form LSA prediction at the global optimum from the context's
     (n, d) covariates ``xs`` and (n,) labels ``ys``.
@@ -147,8 +164,10 @@ def predict_closed_form(xs, ys, x_query, gamma_mat: np.ndarray,
     y_hat = x_query^T Gamma^-1 (1/n sum_i y_i x_i); zero examples yield 0.
     A (Q, d) matrix of queries shares the one solve and yields a (Q,) array,
     also when a (Q, k) index array ``neighbours`` picks each one's examples.
+    Gamma is checked to be SPD unless it is an ``SpdMatrix``.
     """
-    gamma_mat = _check_spd(gamma_mat, "gamma")
+    gamma_mat = (gamma_mat.matrix if isinstance(gamma_mat, SpdMatrix) else
+                 _check_spd(gamma_mat, "gamma"))
     xq = np.asarray(x_query, dtype=float)
     ys = np.asarray(ys, dtype=float)
     nb = None if neighbours is None else neighbour_matrix(

@@ -24,9 +24,10 @@ import numpy as np
 
 from .backend import GenerationParams, LmBackend
 from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
-                   Covariate, Dataset, Label, QuerySet, RealLabel, RoundTrace,
-                   TextLabel, ABSTAIN, charge_protocol_round, concat,
-                   covariate_text, real_values, save_traces)
+                   Covariate, Dataset, Label, Labels, QuerySet, RealColumn,
+                   RoundTrace, TextLabel, ABSTAIN, charge_protocol_round,
+                   concat, covariate_text, label_column, real_values,
+                   save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -88,15 +89,14 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     """Build the round-1 query set C_1."""
     covariates = tuple(covariates)
     if mode == "zeros":
-        labels: Tuple[Label, ...] = tuple(RealLabel(0.0) for _ in covariates)
+        labels: Labels = RealColumn(np.zeros(len(covariates)))
     elif mode == "random":
         rng = rng if rng is not None else np.random.default_rng(0)
-        labels = tuple(RealLabel(float(v))
-                       for v in rng.standard_normal(len(covariates)))
+        labels = RealColumn(rng.standard_normal(len(covariates)))
     elif mode == "backend_generated":
         if backend is None:
             raise ValueError("backend_generated initialization needs a backend")
-        labels = tuple(backend.answer(Dataset(), covariates))
+        labels = backend.answer(Dataset(), covariates)
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return QuerySet(covariates=covariates, labels=labels, round=1)
@@ -115,11 +115,12 @@ def step1_relabel(client: ClientState, c_k: QuerySet,
 def _answer_in_context(client: ClientState, pool: Dataset,
                        queries: Sequence[Covariate],
                        neighbours: Optional[np.ndarray], step: int
-                       ) -> Tuple[Label, ...]:
+                       ) -> Labels:
     """Answer the queries in one call to the client's backend, with the
     whole pool as every query's context or each query's ``neighbours``."""
     try:
-        answers = tuple(client.backend.answer(pool, queries, neighbours))
+        answers = label_column(client.backend.answer(pool, queries,
+                                                     neighbours))
     except Exception as exc:
         raise ProtocolError(f"step {step} backend failure: {exc}",
                             client.client_id) from exc
@@ -155,7 +156,7 @@ def step2_answer(client: ClientState, queries: Sequence[Covariate],
                  variant: str = "fedicl",
                  neighbours: Optional[np.ndarray] = None,
                  server_reference: Optional[ClientDataset] = None
-                 ) -> Tuple[Label, ...]:
+                 ) -> Labels:
     """Answer the server queries with the variant's in-context dataset
     (all of it, or each query's ``neighbours`` in it)."""
     return _answer_in_context(
@@ -233,10 +234,9 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
     if strategy == "average":
         # (M, L), so each query's mean runs along a contiguous row, as
         # np.mean of that query's L answers does
-        answers = real_values([lab for cid in client_ids
-                               for lab in per_client[cid]])
-        means = answers.reshape(len(client_ids), m).T.copy().mean(axis=1)
-        return previous.advance(RealLabel(v) for v in means.tolist())
+        answers = np.stack([real_values(per_client[cid])
+                            for cid in client_ids], axis=1)
+        return previous.advance(RealColumn(answers.mean(axis=1)))
     labels: List[Label] = []
     for qi in range(m):
         answers = [per_client[cid][qi] for cid in client_ids]
@@ -332,7 +332,7 @@ def run(config: ProtocolConfig,
                                                server_reference)
                   for c in clients}
 
-    def client_round(client: ClientState) -> Tuple[int, Tuple[Label, ...]]:
+    def client_round(client: ClientState) -> Tuple[int, Labels]:
         step1_nn, step2_nn = neighbours[client.client_id]
         if config.variant in RELABELING_VARIANTS:
             client.relabeled = step1_relabel(client, c_k, step1_nn)

@@ -308,21 +308,32 @@ def test_criterion_11_variant_contracts():
                  queries)
         assert len(gt.traces) == 1
 
-        def tracked(ds):
+        def tracked(ds, scale=1.0):
             return ClientDataset(ds.client_id, tuple(
-                Example(ex.covariate, _ReadTrackedLabel(ex.label.value))
+                Example(ex.covariate,
+                        _ReadTrackedLabel(scale * ex.label.value))
                 for ex in ds.examples))
 
+        def traces(variant, datasets):  # random C_1: nonzero answers
+            return run(ProtocolConfig(rounds=3, variant=variant,
+                                      init_mode="random"),
+                       [ClientState(ds.client_id, ds, backend)
+                        for ds in datasets], queries).traces
+
+        # the datasets read their labels once, when they are built
         _ReadTrackedLabel.reads = 0
-        run(ProtocolConfig(rounds=3, variant="fedicl_free"),
-            [ClientState(c.client_id, tracked(c), backend)
-             for c in clients_data], queries)
-        assert _ReadTrackedLabel.reads == 0
-        _ReadTrackedLabel.reads = 0
-        run(ProtocolConfig(rounds=3, variant="fedicl"),
-            [ClientState(c.client_id, tracked(c), backend)
-             for c in clients_data], queries)
+        tracked_data = [tracked(c) for c in clients_data]
         assert _ReadTrackedLabel.reads > 0
+        _ReadTrackedLabel.reads = 0
+        free = traces("fedicl_free", tracked_data)
+        assert _ReadTrackedLabel.reads == 0
+        assert np.abs(core.real_values(free[-1].aggregated.labels)).min() > 0
+        # clients that differ only in their labels give fedicl_free the
+        # same run, and fedicl a different one
+        other_data = [tracked(c, scale=-3.0) for c in clients_data]
+        assert free == traces("fedicl_free", other_data)
+        assert traces("fedicl", tracked_data) != traces("fedicl",
+                                                         other_data)
 
         ub = run(ProtocolConfig(rounds=4, variant="fedicl_ub"),
                  [ClientState(c.client_id, c, backend) for c in clients_data],

@@ -60,7 +60,7 @@ def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
     # one search per (client, step) for the whole run, not one per round
     assert counts["data.knn"] == 3 * 2
     assert counts["data.embed_many"] == 2 * counts["data.knn"]
-    # step 1: 5 queries + 6 covariates; step 2: 12 pool examples + 5 queries
-    assert counts["data.embed"] == 3 * (5 + 6 + 12 + 5)
+    # the identity embedder embeds each array of covariates in one call
+    assert counts["data.embed"] == counts["data.embed_many"]
     # one backend call per (client, step, round), as with full context
     assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2

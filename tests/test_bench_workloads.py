@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedicl.core import real_values
+from fedicl.data import KNN_BLOCK_ELEMENTS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -24,12 +25,17 @@ def load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("context_count", [None, 2])
-def test_lsa_workload_passes_its_gate(monkeypatch, tmp_path, context_count):
+@pytest.mark.parametrize("context_count,examples,queries",
+                         [(None, 6, 4), (2, 6, 4), (3, 64, 70)],
+                         ids=["None", "2", "3-in-blocks"])
+def test_lsa_workload_passes_its_gate(monkeypatch, tmp_path, context_count,
+                                      examples, queries):
+    if examples > 6:   # step 2's pool: 2 * examples rows of d = 2
+        assert queries > KNN_BLOCK_ELEMENTS // (2 * examples * 2)  # 2 blocks
     workloads = load_workloads(monkeypatch)
     workload = workloads.LsaWorkload(
-        "tiny", clients=3, examples=6, queries=4, dim=2, rounds=2,
-        context_count=context_count, spans=frozenset())
+        "tiny", clients=3, examples=examples, queries=queries, dim=2,
+        rounds=2, context_count=context_count, spans=frozenset())
     inst = workload.setup(seed=5)
     workload.reference(inst)
     try:

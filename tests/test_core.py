@@ -7,6 +7,7 @@ from fedicl import core
 from fedicl.core import (ChoiceLabel, ClientDataset, CommLedger, Example,
                          QuerySet, RealLabel, RoundTrace, TextLabel,
                          charge_protocol_round)
+from fedicl.data import load_dataset, save_dataset
 
 
 def test_ledger_single_append():
@@ -136,7 +137,7 @@ def test_derived_datasets_share_the_checked_covariates():
     both = core.concat([ds, relabeled])
     assert type(both) is core.Dataset
     assert both.covariates.tolist() == [[1.0], [2.0], [1.0], [2.0]]
-    assert both.labels == ds.labels + relabeled.labels
+    assert both.labels == tuple(ds.labels) + tuple(relabeled.labels)
     assert both.categories == ("a", "b", "a", "b")
     with pytest.raises(ValueError):
         core.concat([ds, ClientDataset(4, (Example("q", TextLabel("a")),))])
@@ -149,6 +150,37 @@ def test_dataset_examples_derive_from_the_columns():
     assert ds.examples == records
     assert ClientDataset(1, ds.examples) == ds
     assert ds != ClientDataset(2, records)
+
+
+def test_real_labels_are_one_read_only_column(tmp_path):
+    labels = (RealLabel(1.5), RealLabel(-2.0), RealLabel(0.1))
+    ds = ClientDataset(1, covariates=[[1.0], [2.0], [3.0]], labels=labels)
+    column = ds.labels
+    assert isinstance(column, core.RealColumn)
+    assert column.values.tolist() == [1.5, -2.0, 0.1]
+    assert column == labels and labels == column and list(column) == [*labels]
+    assert column != labels[:2] and column != labels[:2] + (TextLabel("a"),)
+    assert column != list(labels)  # as a tuple is not equal to a list
+    assert column[-1] == RealLabel(0.1) and type(column[-1].value) is float
+    assert column[1:] == labels[1:]
+    assert core.real_values(column) is column.values
+    with pytest.raises(ValueError):
+        column.values[0] = 9.0
+    with pytest.raises(AttributeError):
+        column.values = np.zeros(3)
+    text = ClientDataset(2, (Example("q", TextLabel("a")),))
+    assert type(text.labels) is tuple
+    # a JSONL round trip, of dataset records and of traces, keeps it equal
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds.examples, path)
+    loaded = ClientDataset(1, load_dataset(path))
+    assert loaded == ds and isinstance(loaded.labels, core.RealColumn)
+    trace = RoundTrace(round=1, per_client_answers={1: column},
+                       aggregated=QuerySet(ds.covariates, column, round=2))
+    core.save_traces([trace], tmp_path / "traces.jsonl")
+    (back,) = core.load_traces(tmp_path / "traces.jsonl")
+    assert back == trace
+    assert isinstance(back.per_client_answers[1], core.RealColumn)
 
 
 @pytest.mark.parametrize("label", [RealLabel(1.5), TextLabel("paris"),

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedicl.core import (ChoiceLabel, ClientDataset, ConfigError, Example,
                          RealLabel, TextLabel)
+from fedicl import data
 from fedicl.data import (IdentityEmbedder, PartitionSpec, TableEmbedder,
                          category_entropy, dirichlet_partition, knn_context,
                          knn_filter, load_dataset, sample_query_set,
@@ -223,6 +224,47 @@ def test_knn_distance_tie_breaks_by_index():
     assert ctx[0].covariate == (1.0,)  # same distance as (-1,), lower index
 
 
+def per_query_knn(pool, queries, c):
+    """Reference: one stable argsort of each query's distances."""
+    return np.array([np.argsort(np.linalg.norm(pool - q, axis=1),
+                                kind="stable")[:c] for q in queries])
+
+
+def knn_cases():
+    rng = np.random.default_rng(12)
+    several_blocks = rng.standard_normal((300, 8))
+    rows = rng.standard_normal((40, 3))
+    duplicated = rows[rng.permutation(np.repeat(np.arange(40), 3))]
+    rounded = rng.integers(-2, 3, size=(200, 2)).astype(float)
+    wide = rng.standard_normal((2100, 8))   # one query per block
+    yield "several blocks", several_blocks, rng.standard_normal((40, 8)), 10
+    for c in (3, 4, 7):  # every distance occurs 3 times
+        yield f"duplicates, c={c}", duplicated, rng.standard_normal((30, 3)), c
+    rounded_queries = rng.integers(-2, 3, size=(90, 2)).astype(float)
+    yield "rounded", rounded, rounded_queries, 5
+    yield "rounded, c=n", rounded, rounded[:60], 200
+    yield "c > n", rows, rng.standard_normal((9, 3)), 45
+    yield "c = 1 at a tie", rounded, rounded[:90], 1
+    yield "wide pool", wide, rng.standard_normal((3, 8)), 6
+
+
+@pytest.mark.parametrize("name,pool,queries,c", list(knn_cases()),
+                         ids=[case[0] for case in knn_cases()])
+def test_knn_context_matches_a_per_query_stable_argsort(name, pool, queries,
+                                                        c):
+    got = knn_context(pool, queries, c, IdentityEmbedder())
+    assert got.shape == (len(queries), min(c, len(pool)))
+    assert np.array_equal(got, per_query_knn(pool, queries, c))
+
+
+def test_knn_context_blocks_cover_every_query():
+    pool = np.random.default_rng(13).standard_normal((300, 8))
+    queries = pool[::2] + 0.01
+    assert len(queries) * pool.size > 2 * data.KNN_BLOCK_ELEMENTS
+    got = knn_context(pool, queries, 1, IdentityEmbedder())
+    assert got[:, 0].tolist() == list(range(0, 300, 2))
+
+
 def test_knn_rejects_nonpositive_c():
     ds = vec_dataset([[1.0]])
     with pytest.raises(ValueError):
@@ -237,6 +279,12 @@ def test_embedders():
     assert np.array_equal(ident.embed((1.0, 2.0)), ident.embed((1.0, 2.0)))
     with pytest.raises(TypeError):
         ident.embed("text question")
+    # an array of covariates is embedded in one call, as row by row
+    rows = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(ident.embed_many(rows),
+                          np.vstack([ident.embed(r) for r in rows]))
+    assert np.array_equal(ident.embed_many([(0.0, 1.0), (2.0, 3.0)]),
+                          rows[:2])
     table = TableEmbedder({"q1": [0.0, 1.0]})
     assert np.array_equal(table.embed("q1"), [0.0, 1.0])
     with pytest.raises(KeyError):

@@ -201,6 +201,21 @@ def test_spd_check(mat, accepted):
         assert allclose_spd_check(mat) == (accepted or np.isinf(mat).any())
 
 
+def test_closed_form_checks_a_callers_gamma():
+    xs, ys, xq = np.eye(2), np.ones(2), np.eye(2)
+    for name in ("asymmetric by 1e-4", "inf", "not positive definite"):
+        with pytest.raises(ValueError):
+            predict_closed_form(xs, ys, xq, np.array(SPD_CASES[name][0]))
+    g = np.array([[2.0, 0.5], [0.5, 1.0]])
+    checked = lsa.SpdMatrix(g, "gamma")
+    assert np.array_equal(predict_closed_form(xs, ys, xq, checked),
+                          predict_closed_form(xs, ys, xq, g))
+    with pytest.raises(ValueError):
+        checked.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        lsa.SpdMatrix(SPD_CASES["not positive definite"][0])
+
+
 def test_closed_form_hand_value():
     assert closed_form([((1.0,), 1.0)], (1.0,),
                        np.array([[3.0]])) == pytest.approx(1 / 3)

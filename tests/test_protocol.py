@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fedicl import core, theory
+from fedicl import core, lsa, theory
 from fedicl.backend import LsaBackend
 from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
                          QuerySet, RealLabel, TextLabel, ABSTAIN)
@@ -490,6 +490,7 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
                for ds in clients_data]
     built = Counter()
     post_init, as_covariate = Example.__post_init__, core.as_covariate
+    label_init, check_spd = RealLabel.__init__, lsa._check_spd
 
     def counting_post_init(self):
         built["Example"] += 1
@@ -499,11 +500,23 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
         built["as_covariate"] += 1
         return as_covariate(values)
 
+    def counting_label_init(self, value):
+        built["RealLabel"] += 1
+        label_init(self, value)
+
+    def counting_check_spd(mat, name="matrix"):
+        built["_check_spd"] += 1
+        return check_spd(mat, name)
+
     monkeypatch.setattr(Example, "__post_init__", counting_post_init)
     monkeypatch.setattr(core, "as_covariate", counting_as_covariate)
+    monkeypatch.setattr(RealLabel, "__init__", counting_label_init)
+    monkeypatch.setattr(lsa, "_check_spd", counting_check_spd)
     result = run(ProtocolConfig(rounds=3, context_count=context_count),
                  clients, queries, trace_path=tmp_path / "traces.jsonl")
     assert len(result.traces) == 3
     assert built == Counter()
     Example((1.0,), RealLabel(0.0))  # the counters do count
-    assert built == Counter({"Example": 1, "as_covariate": 1})
+    lsa.predict_closed_form(np.eye(2), np.ones(2), np.eye(2), g)
+    assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
+                             "_check_spd": 1})
