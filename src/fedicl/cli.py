@@ -161,11 +161,20 @@ def _build_protocol_config(config: dict) -> protocol.ProtocolConfig:
         )
 
 
+#: the aggregation each backend kind's answers feed: LSA answers are real
+#: and remote ones text; no backend answers with the choices of "majority"
+_AGGREGATION_OF_BACKEND = {"lsa": "average", "remote": "fusion"}
+
+
 def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
-                    client_ids: Sequence[int]):
+                    client_ids: Sequence[int], aggregation: str):
     """One backend per client, plus the generation parameters they share."""
     bcfg = config.get("backend", {})
     kind = bcfg.get("kind", "lsa")
+    feeds = _AGGREGATION_OF_BACKEND.get(kind)  # None: rejected further down
+    if feeds not in (None, aggregation):
+        raise ConfigError(f"protocol.aggregation {aggregation!r} cannot "
+                          f"combine {kind} answers; use {feeds!r}")
     with _parsing("backend"):
         params = GenerationParams(
             temperature=float(bcfg.get("temperature", 0.1)),
@@ -204,17 +213,20 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     gamma_mat = None
     if "client_paths" in scfg:
         # pre-partitioned client files (see partition mode) plus a query file
+        query_path = _require(scfg, "query_path", "dataset")
         with _parsing("dataset"):
             clients_data = [core.ClientDataset(client_id=cid, examples=tuple(
                 data.load_dataset(path)))
                 for cid, path in enumerate(scfg["client_paths"], start=1)]
-        queries = tuple(ex.covariate
-                        for ex in data.load_dataset(_require(scfg, "query_path",
-                                                             "dataset")))
+            queries = tuple(ex.covariate
+                            for ex in data.load_dataset(query_path))
+        if not queries:
+            raise ConfigError(f"dataset: {query_path} holds no queries")
     else:
         clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
     backends, gen_params = _build_backends(
-        config, gamma_mat, [ds.client_id for ds in clients_data])
+        config, gamma_mat, [ds.client_id for ds in clients_data],
+        pconf.aggregation)
     clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
                                     backend=backend)
                for ds, backend in zip(clients_data, backends)]

@@ -208,6 +208,15 @@ def label_column(labels: Sequence[Label]) -> Labels:
     return labels
 
 
+def join_labels(columns: Sequence[Labels]) -> Labels:
+    """Label columns end to end: a ``RealColumn`` when every non-empty one
+    is real, else a tuple."""
+    parts = [col for col in columns if len(col)]
+    if parts and all(isinstance(col, RealColumn) for col in parts):
+        return RealColumn(np.concatenate([col.values for col in parts]))
+    return tuple(chain.from_iterable(parts))
+
+
 def labels_to_json(labels: Sequence[Label]) -> List[dict]:
     if isinstance(labels, RealColumn):
         return [{"y": v} for v in labels.values.tolist()]
@@ -357,12 +366,9 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     else:
         covs = np.vstack([ds.covariates for ds in parts])
         covs.flags.writeable = False
-    labels = [ds.labels for ds in parts]
-    labels = (RealColumn(np.concatenate([lab.values for lab in labels]))
-              if all(isinstance(lab, RealColumn) for lab in labels) else
-              tuple(chain.from_iterable(labels)))
-    return Dataset()._derive(
-        covariates=covs, labels=labels,
+    # every column is given, so ``_derive`` reads nothing of the bare object
+    return object.__new__(Dataset)._derive(
+        covariates=covs, labels=join_labels([ds.labels for ds in parts]),
         categories=tuple(chain.from_iterable(ds.categories for ds in parts)))
 
 

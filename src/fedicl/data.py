@@ -184,10 +184,10 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
                 c: int, embedder: Embedder) -> np.ndarray:
     """Indices into ``pool`` of each query's c nearest covariates: a (Q,
     min(c, len(pool))) integer array, rows nearest-first, distance ties in
-    pool order. The pool and the queries are embedded once each; distances
-    are computed for a block of queries at a time, so that a block's
-    difference array has at most ``KNN_BLOCK_ELEMENTS`` elements (or one
-    query's, if that is more)."""
+    pool order (the first c of each query's stable argsort). The pool and
+    the queries are embedded once each; distances are computed for a block
+    of queries at a time, so that a block's difference array has at most
+    ``KNN_BLOCK_ELEMENTS`` elements (or one query's, if that is more)."""
     if c < 1:
         raise ValueError("c must be >= 1")
     pool_emb = embedder.embed_many(pool)
@@ -199,24 +199,7 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
         block = query_emb[lo:lo + rows]
         # each row is bitwise the norm(pool_emb - q, axis=1) of its query
         dist = np.linalg.norm(pool_emb[None] - block[:, None], axis=2)
-        nearest[lo:lo + rows] = _smallest_first(dist, k)
-    return nearest
-
-
-def _smallest_first(dist: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the first k of the stable argsort: the columns of the k
-    smallest entries, ordered by (entry, column)."""
-    if k == dist.shape[1]:
-        return np.argsort(dist, axis=1, kind="stable")
-    picks = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    picked = np.take_along_axis(dist, picks, axis=1)
-    order = np.lexsort((picks, picked), axis=1)
-    nearest = np.take_along_axis(picks, order, axis=1)
-    # the picks are the k smallest only if no other entry ties the k-th
-    # (a NaN among them also counts as a tie)
-    tied = (dist <= picked.max(axis=1, keepdims=True)).sum(axis=1) != k
-    for row in np.flatnonzero(tied):
-        nearest[row] = np.argsort(dist[row], kind="stable")[:k]
+        nearest[lo:lo + rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return nearest
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,12 +26,11 @@ from .backend import GenerationParams, LmBackend
 from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
                    Covariate, Dataset, Label, Labels, QuerySet, RealColumn,
                    RoundTrace, TextLabel, ABSTAIN, charge_protocol_round,
-                   concat, covariate_text, label_column, real_values,
-                   save_traces)
+                   concat, covariate_text, join_labels, label_column,
+                   real_values, save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
-RELABELING_VARIANTS = ("fedicl", "fedicl_free", "fedicl_ub")
 AGGREGATIONS = ("average", "majority", "fusion")
 INIT_MODES = ("zeros", "random", "backend_generated")
 
@@ -65,12 +64,11 @@ class ProtocolConfig:
         return 1 if self.variant == "fedicl_gt" else self.rounds
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
     client_id: int
     original: Optional[ClientDataset]
     backend: LmBackend
-    relabeled: Optional[ClientDataset] = None
 
 
 class ProtocolError(RuntimeError):
@@ -131,44 +129,41 @@ def _answer_in_context(client: ClientState, pool: Dataset,
 
 
 def _step2_pool(client: ClientState, variant: str,
-                server_reference: Optional[ClientDataset]) -> Dataset:
-    if variant in ("fedicl", "fedicl_ub"):
-        if client.original is None or client.relabeled is None:
-            raise ProtocolError("step 2 before step 1", client.client_id)
-        return concat([client.original, client.relabeled])
-    if variant == "fedicl_free":
-        if client.relabeled is None:
-            raise ProtocolError("step 2 before step 1", client.client_id)
-        return client.relabeled
-    if variant == "fedicl_gt":
-        if client.original is None:
-            raise ProtocolError("client has no local dataset", client.client_id)
-        return client.original
+                server_reference: Optional[ClientDataset]
+                ) -> Tuple[Dataset, Optional[Labels]]:
+    """Step 2's pool for a whole run, its covariates stacked once, and the
+    labels that precede step 1's answers in it; None for those labels when
+    the variant does not relabel and the pool is every round's context."""
     if variant == "fedicl_lb":
         if server_reference is None:
             raise ProtocolError("fedicl_lb needs a server reference set",
                                 client.client_id)
-        return server_reference
-    raise ValueError(f"unknown variant: {variant!r}")
+        return server_reference, None
+    local = client.original
+    if local is None:
+        raise ProtocolError("client has no local dataset", client.client_id)
+    if variant == "fedicl_gt":
+        return local, None
+    if variant == "fedicl_free":
+        return local, ()
+    # relabeling keeps the local covariates in order: D^i ++ D_k^i
+    return concat([local, local]), local.labels
 
 
-def step2_answer(client: ClientState, queries: Sequence[Covariate],
-                 variant: str = "fedicl",
-                 neighbours: Optional[np.ndarray] = None,
-                 server_reference: Optional[ClientDataset] = None
-                 ) -> Labels:
-    """Answer the server queries with the variant's in-context dataset
-    (all of it, or each query's ``neighbours`` in it)."""
-    return _answer_in_context(
-        client, _step2_pool(client, variant, server_reference), queries,
-        neighbours, step=2)
+def step2_answer(client: ClientState, context: Dataset,
+                 queries: Sequence[Covariate],
+                 neighbours: Optional[np.ndarray] = None) -> Labels:
+    """Answer the server queries in context (all of it, or each query's
+    ``neighbours`` in it)."""
+    return _answer_in_context(client, context, queries, neighbours, step=2)
 
 
 def _knn_neighbours(client: ClientState, config: ProtocolConfig,
                     queries: Sequence[Covariate], embedder: Optional[Embedder],
-                    server_reference: Optional[ClientDataset]) -> tuple:
-    """Step 1's and step 2's per-query kNN indices into their pools; None
-    where the whole pool is every query's context."""
+                    step2_pool: Dataset, relabels: bool) -> tuple:
+    """Step 1's and step 2's per-query kNN indices into their pools (the
+    queries, and ``step2_pool``); None where the whole pool is every
+    query's context."""
     c = config.context_count
     if c is None:
         return None, None
@@ -177,15 +172,8 @@ def _knn_neighbours(client: ClientState, config: ProtocolConfig,
     def search(pool: Sequence[Covariate], qs: Sequence[Covariate]):
         return None if c >= len(pool) else knn_context(pool, qs, c, emb)
 
-    relabels = config.variant in RELABELING_VARIANTS
-    if relabels and client.original is None:
-        raise ProtocolError("client has no local dataset", client.client_id)
-    # relabeling keeps the local covariates in order, so they stand in for
-    # the relabeled ones in step 2's pool
-    pool2 = _step2_pool(replace(client, relabeled=client.original),
-                        config.variant, server_reference)
     step1 = search(queries, client.original.covariates) if relabels else None
-    return step1, search(pool2.covariates, queries)
+    return step1, search(step2_pool.covariates, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +314,23 @@ def run(config: ProtocolConfig,
     question_units, answer_units, unit = _payload_units(c_k, gen_params)
     client_ids = [c.client_id for c in clients]
 
-    # neighbour choice ignores labels and each step's pool keeps its
-    # covariates, so one kNN search serves every round of this run
-    neighbours = {c.client_id: _knn_neighbours(c, config, queries, embedder,
-                                               server_reference)
-                  for c in clients}
+    # a round changes only labels: each step's pool keeps its covariates
+    # and neighbour choice ignores labels, so one step-2 pool and one kNN
+    # search per client serve every round of this run
+    contexts = {}
+    for c in clients:
+        pool, kept = _step2_pool(c, config.variant, server_reference)
+        contexts[c.client_id] = (pool, kept) + _knn_neighbours(
+            c, config, queries, embedder, pool, kept is not None)
 
     def client_round(client: ClientState) -> Tuple[int, Labels]:
-        step1_nn, step2_nn = neighbours[client.client_id]
-        if config.variant in RELABELING_VARIANTS:
-            client.relabeled = step1_relabel(client, c_k, step1_nn)
-        answers = step2_answer(client, queries, config.variant, step2_nn,
-                               server_reference)
-        return client.client_id, answers
+        context, kept, step1_nn, step2_nn = contexts[client.client_id]
+        if kept is not None:
+            relabeled = step1_relabel(client, c_k, step1_nn)
+            context = context.with_labels(join_labels([kept,
+                                                       relabeled.labels]))
+        return client.client_id, step2_answer(client, context, queries,
+                                              step2_nn)
 
     executor = (None if max_workers == 1 or len(clients) == 1 else
                 ThreadPoolExecutor(max_workers=max_workers or len(clients)))

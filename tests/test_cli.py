@@ -178,9 +178,40 @@ def test_simulate_verify_theory_needs_synthetic_setup(tmp_path):
     data.save_dataset([Example((1.0,), RealLabel(0.0))], q)
     cfg = write_config(tmp_path, {
         "dataset": {"client_paths": [str(p)], "query_path": str(q)},
+        "protocol": {"aggregation": "fusion"},
         "backend": {"kind": "remote", "endpoint": "http://unused"}})
     code, _ = run_cli(tmp_path, "simulate", cfg, extra=["--verify-theory"])
     assert code == cli.EXIT_CONFIG
+
+
+def test_simulate_rejects_an_empty_query_file(tmp_path, capsys):
+    p = tmp_path / "c.jsonl"
+    data.save_dataset([Example((1.0,), RealLabel(1.0))], p)
+    q = tmp_path / "q.jsonl"
+    q.write_text("\n")
+    # a config valid but for the query file; the endpoint is never contacted
+    cfg = write_config(tmp_path, {
+        "dataset": {"client_paths": [str(p)], "query_path": str(q)},
+        "protocol": {"aggregation": "fusion"},
+        "backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9"}})
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert "holds no queries" in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+
+
+@pytest.mark.parametrize("kind,aggregation", [
+    ("remote", "average"), ("remote", "majority"), ("lsa", "majority"),
+    ("lsa", "fusion")])
+def test_simulate_rejects_an_aggregation_the_backend_cannot_feed(
+        tmp_path, capsys, kind, aggregation):
+    cfg = write_config(tmp_path, dict(
+        SIM_CFG, protocol={"rounds": 2, "aggregation": aggregation},
+        backend={"kind": kind, "endpoint": "http://127.0.0.1:9"}))
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert "cannot combine" in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
 
 
 def test_simulate_unknown_backend_kind(tmp_path):
@@ -217,7 +248,11 @@ def test_simulate_builds_one_backend_per_client(tmp_path, monkeypatch,
         raise protocol.ProtocolError("stop after capture")
 
     monkeypatch.setattr(protocol, "run", capture)
-    cfg = write_config(tmp_path, dict(SIM_CFG, backend=backend))
+    # remote answers are text, so only fusion can combine them
+    aggregation = "fusion" if backend["kind"] == "remote" else "average"
+    cfg = write_config(tmp_path, dict(
+        SIM_CFG, backend=backend,
+        protocol=dict(SIM_CFG["protocol"], aggregation=aggregation)))
     code, _ = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_BACKEND
     assert [c.client_id for c in seen] == [1, 2, 3]

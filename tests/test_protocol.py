@@ -3,14 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fedicl import core, lsa, theory
+from fedicl import core, lsa, protocol, theory
 from fedicl.backend import LsaBackend
 from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
                          QuerySet, RealLabel, TextLabel, ABSTAIN)
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
-                             TokenOverlapJudge, aggregate, init_labels, run,
-                             step1_relabel, step2_answer)
+                             TokenOverlapJudge, _step2_pool, aggregate,
+                             init_labels, run, step1_relabel, step2_answer)
 
 GAMMA_1D = np.array([[3.0]])
 
@@ -81,34 +81,59 @@ def test_step1_zero_labels_propagate():
     assert all(lab.value == 0.0 for lab in relabeled.labels)
 
 
+def step2_context(client, variant, relabeled):
+    """The variant's step-2 context as ``run`` builds it, given step 1's
+    relabeled labels."""
+    pool, kept = _step2_pool(client, variant, None)
+    return pool.with_labels(core.join_labels([kept, relabeled]))
+
+
 def test_step2_hand_value():
     # D = {(1,1)}, D_k = {(1,1)}, query 1: (1/3) * (1/2) * (1 * (1+1)) = 1/3
     client = ClientState(1, real_dataset(1, [[1.0]], [1.0]),
                          LsaBackend(GAMMA_1D))
-    client.relabeled = real_dataset(1, [[1.0]], [1.0])
-    answers = step2_answer(client, [(1.0,)], "fedicl")
+    context = step2_context(client, "fedicl", [RealLabel(1.0)])
+    assert len(context) == 2
+    answers = step2_answer(client, context, [(1.0,)])
     assert answers[0].value == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_step2_free_uses_only_relabeled():
     client = ClientState(1, real_dataset(1, [[1.0]], [7.0]),
                          LsaBackend(GAMMA_1D))
-    client.relabeled = real_dataset(1, [[1.0]], [0.0])
-    answers = step2_answer(client, [(1.0,)], "fedicl_free")
+    context = step2_context(client, "fedicl_free", [RealLabel(0.0)])
+    answers = step2_answer(client, context, [(1.0,)])
     assert answers == (RealLabel(0.0),)
 
 
 def test_fedicl_and_free_differ_when_labels_differ():
     client = ClientState(1, real_dataset(1, [[1.0]], [7.0]),
                          LsaBackend(GAMMA_1D))
-    client.relabeled = real_dataset(1, [[1.0]], [1.0])
-    full = step2_answer(client, [(1.0,)], "fedicl")
-    free = step2_answer(client, [(1.0,)], "fedicl_free")
-    assert full != free
+
+    def answer(variant, relabeled):
+        return step2_answer(client, step2_context(client, variant, relabeled),
+                            [(1.0,)])
+
+    assert answer("fedicl", [RealLabel(1.0)]) != answer(
+        "fedicl_free", [RealLabel(1.0)])
     # and they agree exactly when relabeled labels equal the originals
-    client.relabeled = client.original
-    assert step2_answer(client, [(1.0,)], "fedicl") == step2_answer(
-        client, [(1.0,)], "fedicl_free")
+    assert answer("fedicl", client.original.labels) == answer(
+        "fedicl_free", client.original.labels)
+
+
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_free", "fedicl_ub"])
+def test_run_leaves_the_callers_client_states_unchanged(variant):
+    rng = np.random.default_rng(35)
+    clients_data, queries, g = random_regression(rng, d=2, l=3, n=4, m=3)
+    clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+               for ds in clients_data]
+    before = [dict(vars(c)) for c in clients]
+    for context_count in (None, 2):
+        run(ProtocolConfig(rounds=3, variant=variant,
+                           context_count=context_count), clients, queries)
+    after = [vars(c) for c in clients]
+    assert after == before
+    assert all(a[f] is b[f] for a, b in zip(after, before) for f in b)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +537,22 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
     monkeypatch.setattr(core, "as_covariate", counting_as_covariate)
     monkeypatch.setattr(RealLabel, "__init__", counting_label_init)
     monkeypatch.setattr(lsa, "_check_spd", counting_check_spd)
-    result = run(ProtocolConfig(rounds=3, context_count=context_count),
-                 clients, queries, trace_path=tmp_path / "traces.jsonl")
-    assert len(result.traces) == 3
+    concats = []
+
+    def counting_concat(datasets):
+        concats[-1] += 1
+        return core.concat(datasets)
+
+    monkeypatch.setattr(protocol, "concat", counting_concat)
+    for rounds in (1, 3):
+        concats.append(0)
+        result = run(ProtocolConfig(rounds=rounds,
+                                    context_count=context_count),
+                     clients, queries, trace_path=tmp_path / "traces.jsonl")
+        assert len(result.traces) == rounds
     assert built == Counter()
+    # step 2's pool is stacked once per client and run, in no round
+    assert concats == [len(clients)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
     lsa.predict_closed_form(np.eye(2), np.ones(2), np.eye(2), g)
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
