@@ -2,7 +2,7 @@
 exactly-checkable linear self-attention backend."""
 
 from .core import (ABSTAIN, ChoiceLabel, ClientDataset, CommLedger, Dataset,
-                   Example, Label, QuerySet, RealColumn, RealLabel, RoundTrace,
+                   Example, Label, RealColumn, RealLabel, RoundTrace,
                    TextLabel)
 from .lsa import (LsaParams, PretrainSpec, build_embedding, gamma,
                   limit_params, lsa_forward, predict_closed_form, pretrain_gd)

@@ -186,7 +186,8 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
         )
     if kind == "lsa":
         if gamma_mat is None:
-            raise ConfigError("lsa backend needs lambda/t_prompt to derive gamma")
+            raise ConfigError("lsa backend needs gamma, and client files give "
+                              "none: use the synthetic dataset setup")
         return [LsaBackend(gamma_mat) for _ in client_ids], params
     if kind == "remote":
         endpoint = bcfg.get("endpoint") or os.environ.get("FEDICL_ENDPOINT")
@@ -199,6 +200,15 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
+def _modeled_by_recursion(pconf: protocol.ProtocolConfig, backend) -> bool:
+    """Whether the recursion, from w_1 = 0, models the run: ``fedicl`` or
+    ``fedicl_ub`` with full context on the LSA backend, from C_1 = 0 (zeros,
+    or LSA answers with no context)."""
+    return (isinstance(backend, LsaBackend) and pconf.context_count is None
+            and pconf.variant in ("fedicl", "fedicl_ub")
+            and pconf.init_mode in ("zeros", "backend_generated"))
+
+
 def _theory_deviation(trace: core.RoundTrace) -> float:
     """Largest gap between the round's labels and the recursion's x^T w."""
     labels = core.real_values(trace.aggregated.labels)
@@ -209,6 +219,9 @@ def _theory_deviation(trace: core.RoundTrace) -> float:
 def cmd_simulate(config: dict, output_dir: str, seed: int,
                  verify_theory: bool = False) -> int:
     pconf = _build_protocol_config(config)
+    if pconf.variant == "fedicl_lb":
+        raise ConfigError("protocol.variant fedicl_lb needs a server "
+                          "reference set, which the fedicl command cannot load")
     scfg = config.get("dataset", {})
     gamma_mat = None
     if "client_paths" in scfg:
@@ -218,12 +231,20 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
             clients_data = [core.ClientDataset(client_id=cid, examples=tuple(
                 data.load_dataset(path)))
                 for cid, path in enumerate(scfg["client_paths"], start=1)]
-            queries = tuple(ex.covariate
-                            for ex in data.load_dataset(query_path))
-        if not queries:
-            raise ConfigError(f"dataset: {query_path} holds no queries")
+            queries = core.covariate_column(
+                [ex.covariate for ex in data.load_dataset(query_path)])
+        text = isinstance(queries, tuple)
+        if pconf.context_count is not None and (
+                text or any(ds.dim is None for ds in clients_data)):
+            raise ConfigError("protocol.context_count needs vector data: the "
+                              "fedicl command has no text embedder")
+        if text and pconf.init_mode == "random":
+            raise ConfigError("protocol.init_mode 'random' needs vector "
+                              "queries")
     else:
         clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
+    if not clients_data or len(queries) == 0:
+        raise ConfigError("dataset holds no queries or no clients")
     backends, gen_params = _build_backends(
         config, gamma_mat, [ds.client_id for ds in clients_data],
         pconf.aggregation)
@@ -232,9 +253,12 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
                for ds, backend in zip(clients_data, backends)]
 
     theory_trace = None
-    if verify_theory and gamma_mat is None:
-        raise ConfigError("--verify-theory needs the synthetic LSA setup")
-    if gamma_mat is not None:
+    modeled = _modeled_by_recursion(pconf, backends[0])
+    if verify_theory and not modeled:
+        raise ConfigError("--verify-theory does not cover this run yet: it "
+                          "checks fedicl and fedicl_ub with the lsa backend, "
+                          "full context and zero initial labels")
+    if modeled:
         state = theory.TheoryState.initialize(clients_data, queries, gamma_mat)
         theory_trace = theory.iterate_recursion(
             state, pconf.effective_rounds).w_trace

@@ -389,28 +389,6 @@ class ClientDataset(Dataset):
                              "example")
 
 
-class QuerySet(Dataset):
-    """The server's query covariates with their current-round predicted
-    labels."""
-
-    _EXTRA = __slots__ = ("round",)
-
-    def __init__(self, covariates, labels: Sequence[Label], round: int):
-        object.__setattr__(self, "round", round)
-        super().__init__(covariates=covariates, labels=labels)
-
-    def _validate(self) -> None:
-        super()._validate()
-        if len(self) == 0:
-            raise ValueError("query set must contain at least one covariate")
-        if self.round < 1:
-            raise ValueError("round index starts at 1")
-
-    def advance(self, labels: Sequence[Label]) -> "QuerySet":
-        """C_{k+1}: the same queries with new labels, one round later."""
-        return self._derive(labels=label_column(labels), round=self.round + 1)
-
-
 # ---------------------------------------------------------------------------
 # Round traces
 # ---------------------------------------------------------------------------
@@ -421,7 +399,7 @@ class RoundTrace:
 
     round: int
     per_client_answers: Dict[int, Labels]
-    aggregated: QuerySet
+    aggregated: Dataset
     theory_w: Optional[Tuple[float, ...]] = None
 
     def to_json(self) -> dict:
@@ -436,7 +414,6 @@ class RoundTrace:
                 "covariates": (list(covs) if isinstance(covs, tuple)
                                else covs.tolist()),
                 "labels": labels_to_json(self.aggregated.labels),
-                "round": self.aggregated.round,
             },
         }
         if self.theory_w is not None:
@@ -445,7 +422,10 @@ class RoundTrace:
 
     @staticmethod
     def from_json(obj: dict) -> "RoundTrace":
+        """One trace line; older files' ``aggregated.round`` is ignored."""
         agg = obj["aggregated"]
+        if not agg["labels"]:
+            raise ValueError("query set must contain at least one covariate")
         theory_w = obj.get("theory_w")
         return RoundTrace(
             round=int(obj["round"]),
@@ -453,11 +433,9 @@ class RoundTrace:
                 int(cid): label_column(label_from_json(l) for l in labs)
                 for cid, labs in obj["per_client_answers"].items()
             },
-            aggregated=QuerySet(
+            aggregated=Dataset(
                 covariates=agg["covariates"],
-                labels=[label_from_json(l) for l in agg["labels"]],
-                round=int(agg["round"]),
-            ),
+                labels=[label_from_json(l) for l in agg["labels"]]),
             theory_w=tuple(theory_w) if theory_w is not None else None,
         )
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from .backend import GenerationParams, LmBackend
 from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
-                   Covariate, Dataset, Label, Labels, QuerySet, RealColumn,
-                   RoundTrace, TextLabel, ABSTAIN, charge_protocol_round,
-                   concat, covariate_text, join_labels, label_column,
-                   real_values, save_traces)
+                   Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
+                   TextLabel, ABSTAIN, charge_protocol_round, concat,
+                   covariate_column, covariate_text, join_labels,
+                   label_column, real_values, save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -60,8 +60,8 @@ class ProtocolConfig:
 
     @property
     def effective_rounds(self) -> int:
-        # ground-truth contexts never change, so extra rounds are no-ops
-        return 1 if self.variant == "fedicl_gt" else self.rounds
+        # these variants never relabel, so later rounds would repeat round 1
+        return 1 if self.variant in ("fedicl_gt", "fedicl_lb") else self.rounds
 
 
 @dataclass(frozen=True)
@@ -83,24 +83,30 @@ class ProtocolError(RuntimeError):
 
 def init_labels(covariates: Sequence[Covariate], mode: str,
                 backend: Optional[LmBackend] = None,
-                rng: Optional[np.random.Generator] = None) -> QuerySet:
-    """Build the round-1 query set C_1."""
-    covariates = tuple(covariates)
+                rng: Optional[np.random.Generator] = None) -> Dataset:
+    """Build the round-1 query set C_1; ``zeros`` gives text queries empty
+    answers, and ``random`` needs vector queries."""
+    covariates = covariate_column(covariates)
+    m, text = len(covariates), isinstance(covariates, tuple)
+    if m == 0:
+        raise ValueError("query set must contain at least one covariate")
     if mode == "zeros":
-        labels: Labels = RealColumn(np.zeros(len(covariates)))
+        labels = (TextLabel(""),) * m if text else RealColumn(np.zeros(m))
     elif mode == "random":
+        if text:
+            raise ValueError("random initialization needs vector queries")
         rng = rng if rng is not None else np.random.default_rng(0)
-        labels = RealColumn(rng.standard_normal(len(covariates)))
+        labels = RealColumn(rng.standard_normal(m))
     elif mode == "backend_generated":
         if backend is None:
             raise ValueError("backend_generated initialization needs a backend")
         labels = backend.answer(Dataset(), covariates)
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
-    return QuerySet(covariates=covariates, labels=labels, round=1)
+    return Dataset(covariates=covariates, labels=labels)
 
 
-def step1_relabel(client: ClientState, c_k: QuerySet,
+def step1_relabel(client: ClientState, c_k: Dataset,
                   neighbours: Optional[np.ndarray] = None) -> ClientDataset:
     """Relabel the client's covariates via ICL on the server's query set
     (all of it, or each covariate's ``neighbours`` in it)."""
@@ -205,9 +211,9 @@ class TokenOverlapJudge:
 
 
 def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
-              previous: QuerySet,
+              previous: Dataset,
               options: Sequence[str] = (),
-              judge: Optional[TokenOverlapJudge] = None) -> QuerySet:
+              judge: Optional[TokenOverlapJudge] = None) -> Dataset:
     """Combine per-client answers into the next query set C_{k+1}.
 
     Clients are consumed in ascending id order regardless of completion
@@ -224,7 +230,7 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
         # np.mean of that query's L answers does
         answers = np.stack([real_values(per_client[cid])
                             for cid in client_ids], axis=1)
-        return previous.advance(RealColumn(answers.mean(axis=1)))
+        return previous.with_labels(RealColumn(answers.mean(axis=1)))
     labels: List[Label] = []
     for qi in range(m):
         answers = [per_client[cid][qi] for cid in client_ids]
@@ -240,7 +246,7 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
             labels.append(prev if keep_prev else candidate)
         else:
             raise ValueError(f"unknown aggregation: {strategy!r}")
-    return previous.advance(labels)
+    return previous.with_labels(labels)
 
 
 def _majority_vote(answers: Sequence[Label], options: Sequence[str],
@@ -265,10 +271,10 @@ def _majority_vote(answers: Sequence[Label], options: Sequence[str],
 class ProtocolResult:
     traces: List[RoundTrace]
     ledger: CommLedger
-    final: QuerySet
+    final: Dataset
 
 
-def _payload_units(queries: QuerySet,
+def _payload_units(queries: Dataset,
                    gen_params: GenerationParams) -> Tuple[int, int, str]:
     """(question_units, answer_units, unit) for ledger accounting.
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fedicl import cli, core, data, protocol
-from fedicl.core import Example, RealLabel
+from fedicl.core import Example, RealLabel, TextLabel
+
+from mock_llm import MockLlmServer
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -122,6 +124,40 @@ def test_simulate_verify_theory(tmp_path):
     assert (out / "ledger.csv").exists()
 
 
+@pytest.mark.parametrize("protocol_cfg", [
+    {"variant": "fedicl"}, {"variant": "fedicl_ub"},
+    {"init_mode": "backend_generated"}], ids=["fedicl", "ub", "lsa-init"])
+def test_simulate_verify_theory_passes_on_the_runs_it_models(tmp_path,
+                                                            protocol_cfg):
+    cfg = dict(SIM_CFG, protocol=dict(SIM_CFG["protocol"], **protocol_cfg))
+    code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, cfg),
+                        extra=["--verify-theory"])
+    assert code == cli.EXIT_PASS
+    assert json.loads((out / "metrics.json").read_text())["theory_ok"] is True
+    assert all(t.theory_w is not None
+               for t in core.load_traces(out / "traces.jsonl"))
+
+
+@pytest.mark.parametrize("protocol_cfg", [
+    {"variant": "fedicl_free"}, {"variant": "fedicl_gt"},
+    {"context_count": 3}, {"variant": "fedicl_ub", "context_count": 3},
+    {"init_mode": "random"}],
+    ids=["free", "gt", "knn", "ub-knn", "random-init"])
+def test_simulate_verify_theory_rejects_runs_the_recursion_does_not_model(
+        tmp_path, capsys, protocol_cfg):
+    cfg = write_config(tmp_path, dict(
+        SIM_CFG, protocol=dict(SIM_CFG["protocol"], **protocol_cfg)))
+    code, out = run_cli(tmp_path, "simulate", cfg, extra=["--verify-theory"])
+    assert code == cli.EXIT_CONFIG
+    assert "does not cover this run yet" in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+    # without the flag the run goes ahead, and its traces carry no theory_w
+    code, out = run_cli(tmp_path, "simulate", cfg, out="plain")
+    assert code == cli.EXIT_PASS
+    traces = core.load_traces(out / "traces.jsonl")
+    assert traces and all(t.theory_w is None for t in traces)
+
+
 def test_simulate_gt_variant_single_round(tmp_path):
     cfg = dict(SIM_CFG)
     cfg["protocol"] = {"rounds": 6, "variant": "fedicl_gt"}
@@ -198,6 +234,93 @@ def test_simulate_rejects_an_empty_query_file(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "holds no queries" in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
+
+
+def write_files(tmp_path, client_records, query_records):
+    """Client files and a query file of JSONL records, as a dataset
+    section."""
+    paths = []
+    for cid, records in enumerate(client_records, 1):
+        path = tmp_path / f"client_{cid}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        paths.append(str(path))
+    qpath = tmp_path / "queries.jsonl"
+    qpath.write_text("".join(json.dumps(r) + "\n" for r in query_records))
+    return {"client_paths": paths, "query_path": str(qpath)}
+
+
+TEXT_CLIENTS = [[{"question": "What orbits the Earth?", "answer": "the Moon"},
+                 {"question": "What is H2O?", "answer": "water"}]]
+TEXT_QUERIES = [{"question": "What causes tides?", "answer": ""}]
+VECTOR_CLIENTS = [[{"x": [1.0, 0.0], "y": 1.0}, {"x": [0.0, 1.0], "y": 2.0}]]
+VECTOR_QUERIES = [{"x": [0.5, 0.5], "y": 0.0}]
+
+
+@pytest.mark.parametrize("clients,queries,protocol_cfg,kind,message", [
+    (VECTOR_CLIENTS, VECTOR_QUERIES, {"variant": "fedicl_lb"}, "remote",
+     "server reference set"),
+    (TEXT_CLIENTS, TEXT_QUERIES, {"context_count": 1}, "remote",
+     "no text embedder"),
+    (TEXT_CLIENTS, VECTOR_QUERIES, {"context_count": 1}, "remote",
+     "no text embedder"),
+    (TEXT_CLIENTS, TEXT_QUERIES + VECTOR_QUERIES, {}, "remote",
+     "text and vector covariates mixed"),
+    (VECTOR_CLIENTS, VECTOR_QUERIES, {"aggregation": "average"}, "lsa",
+     "client files give none"),
+    (TEXT_CLIENTS, TEXT_QUERIES, {"init_mode": "random"}, "remote",
+     "needs vector queries"),
+    ([], TEXT_QUERIES, {}, "remote", "no clients"),
+], ids=["lb", "text-knn", "text-clients-knn", "mixed-queries", "lsa-files",
+        "text-random", "no-clients"])
+def test_simulate_rejects_a_run_it_cannot_make(tmp_path, capsys, clients,
+                                               queries, protocol_cfg, kind,
+                                               message):
+    with MockLlmServer() as srv:
+        cfg = write_config(tmp_path, {
+            "dataset": write_files(tmp_path, clients, queries),
+            "protocol": dict({"rounds": 2, "aggregation": "fusion"},
+                             **protocol_cfg),
+            "backend": {"kind": kind, "endpoint": srv.url}})
+        code, out = run_cli(tmp_path, "simulate", cfg)
+        assert srv.requests == []
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+
+
+@pytest.mark.parametrize("size", [{"num_clients": 0}, {"num_queries": 0}])
+def test_simulate_rejects_a_synthetic_dataset_with_nothing_to_run(
+        tmp_path, capsys, size):
+    cfg = dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"], **size))
+    code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, cfg))
+    assert code == cli.EXIT_CONFIG
+    assert "holds no queries or no clients" in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+
+
+def test_simulate_text_files_end_to_end(tmp_path):
+    with MockLlmServer(reply="the Moon's pull") as srv:
+        cfg = write_config(tmp_path, {
+            "dataset": write_files(tmp_path, TEXT_CLIENTS * 2, TEXT_QUERIES),
+            "protocol": {"rounds": 2, "aggregation": "fusion"},
+            "backend": {"kind": "remote", "endpoint": srv.url}})
+        code, out = run_cli(tmp_path, "simulate", cfg)
+        # 2 rounds x 2 clients x (2 examples + 1 query)
+        assert len(srv.requests) == 12
+    assert code == cli.EXIT_PASS
+    (_, last) = core.load_traces(out / "traces.jsonl")
+    assert last.aggregated.labels == (TextLabel("the Moon's pull"),)
+
+
+def test_simulate_backend_failure_exits_3(tmp_path):
+    with MockLlmServer(script=[(400, {"error": "bad request"}, {})]) as srv:
+        cfg = write_config(tmp_path, {
+            "dataset": write_files(tmp_path, TEXT_CLIENTS, TEXT_QUERIES),
+            "protocol": {"rounds": 2, "aggregation": "fusion"},
+            "backend": {"kind": "remote", "endpoint": srv.url}})
+        code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_BACKEND
+    assert (out / "traces.jsonl").read_text() == ""
 
 
 @pytest.mark.parametrize("kind,aggregation", [
@@ -323,4 +446,22 @@ def test_report_rows_and_deviation_column(tmp_path):
 
 def test_report_requires_traces(tmp_path):
     code, _ = run_cli(tmp_path, "report")
+    assert code == cli.EXIT_CONFIG
+
+
+def test_report_reads_older_trace_lines_and_rejects_an_empty_query_set(
+        tmp_path):
+    line = {"round": 1, "per_client_answers": {"1": [{"y": 0.5}]},
+            "aggregated": {"covariates": [[1.0]], "labels": [{"y": 0.5}],
+                           "round": 2}}
+    older = tmp_path / "older.jsonl"
+    older.write_text(json.dumps(line) + "\n")
+    code, _ = run_cli(tmp_path, "report", out="rep",
+                      extra=["--traces", str(older)])
+    assert code == cli.EXIT_PASS
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(json.dumps(dict(line, aggregated={
+        "covariates": [], "labels": []})) + "\n")
+    code, _ = run_cli(tmp_path, "report", out="rep2",
+                      extra=["--traces", str(empty)])
     assert code == cli.EXIT_CONFIG

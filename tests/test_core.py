@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedicl import core
-from fedicl.core import (ChoiceLabel, ClientDataset, CommLedger, Example,
-                         QuerySet, RealLabel, RoundTrace, TextLabel,
+from fedicl.core import (ChoiceLabel, ClientDataset, CommLedger, Dataset,
+                         Example, RealLabel, RoundTrace, TextLabel,
                          charge_protocol_round)
 from fedicl.data import load_dataset, save_dataset
 
@@ -75,9 +75,9 @@ def test_multi_client_token_budget_hand_total():
 
 def test_query_set_shape_invariant():
     with pytest.raises(ValueError):
-        QuerySet(covariates=((1.0,), (2.0,)), labels=(RealLabel(0.0),), round=1)
-    qs = QuerySet(covariates=((1.0,), (2.0,)),
-                  labels=(RealLabel(0.0), RealLabel(1.0)), round=1)
+        Dataset(covariates=((1.0,), (2.0,)), labels=(RealLabel(0.0),))
+    qs = Dataset(covariates=((1.0,), (2.0,)),
+                 labels=(RealLabel(0.0), RealLabel(1.0)))
     assert len(qs) == 2
 
 
@@ -176,7 +176,8 @@ def test_real_labels_are_one_read_only_column(tmp_path):
     loaded = ClientDataset(1, load_dataset(path))
     assert loaded == ds and isinstance(loaded.labels, core.RealColumn)
     trace = RoundTrace(round=1, per_client_answers={1: column},
-                       aggregated=QuerySet(ds.covariates, column, round=2))
+                       aggregated=Dataset(covariates=ds.covariates,
+                                          labels=column))
     core.save_traces([trace], tmp_path / "traces.jsonl")
     (back,) = core.load_traces(tmp_path / "traces.jsonl")
     assert back == trace
@@ -200,8 +201,8 @@ def test_example_json_round_trip():
 
 
 def test_round_trace_round_trip(tmp_path):
-    qs = QuerySet(covariates=((1.0,), (2.0,)),
-                  labels=(RealLabel(0.25), RealLabel(-1.0)), round=2)
+    qs = Dataset(covariates=((1.0,), (2.0,)),
+                 labels=(RealLabel(0.25), RealLabel(-1.0)))
     trace = RoundTrace(round=1,
                        per_client_answers={1: (RealLabel(0.5), RealLabel(-2.0)),
                                            2: (RealLabel(0.0), RealLabel(0.0))},
@@ -209,11 +210,22 @@ def test_round_trace_round_trip(tmp_path):
     path = tmp_path / "traces.jsonl"
     text = RoundTrace(round=2,
                       per_client_answers={1: (TextLabel("a"), ChoiceLabel("B"))},
-                      aggregated=QuerySet(covariates=("q1", "q2"),
-                                          labels=(TextLabel("a"), core.ABSTAIN),
-                                          round=3))
+                      aggregated=Dataset(covariates=("q1", "q2"),
+                                         labels=(TextLabel("a"), core.ABSTAIN)))
     core.save_traces([trace, text], path)
     assert core.load_traces(path) == [trace, text]
+
+
+def test_round_trace_reads_the_older_aggregated_round_key():
+    line = {"round": 1, "per_client_answers": {"1": [{"y": 0.5}]},
+            "aggregated": {"covariates": [[1.0]], "labels": [{"y": 0.5}],
+                           "round": 2}}
+    trace = RoundTrace.from_json(line)
+    assert trace.aggregated == Dataset(covariates=[[1.0]],
+                                       labels=[RealLabel(0.5)])
+    # the round lives in the trace alone; it is written once
+    assert "round" not in trace.to_json()["aggregated"]
+    assert trace.to_json()["round"] == 1
 
 
 def test_ledger_csv_export(tmp_path):

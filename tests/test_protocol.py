@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fedicl import core, lsa, protocol, theory
-from fedicl.backend import LsaBackend
+from fedicl.backend import GenerationParams, LsaBackend, RemoteBackend
 from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
-                         QuerySet, RealLabel, TextLabel, ABSTAIN)
+                         RealLabel, TextLabel, ABSTAIN)
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
                              TokenOverlapJudge, _step2_pool, aggregate,
                              init_labels, run, step1_relabel, step2_answer)
+
+from mock_llm import MockLlmServer
 
 GAMMA_1D = np.array([[3.0]])
 
@@ -35,7 +37,6 @@ def random_regression(rng, d, l, n, m, t_prompt=7):
 
 def test_init_zeros():
     qs = init_labels([(1.0,), (2.0,), (3.0,)], "zeros")
-    assert qs.round == 1
     assert qs.labels == (RealLabel(0.0),) * 3
 
 
@@ -58,6 +59,20 @@ def test_init_backend_generated_requires_backend():
         init_labels([(1.0,)], "backend_generated")
 
 
+def test_init_gives_text_queries_empty_answers():
+    qs = init_labels(("q1", "q2"), "zeros")
+    assert qs.covariates == ("q1", "q2")
+    assert qs.labels == (TextLabel(""),) * 2
+    with pytest.raises(ValueError, match="needs vector queries"):
+        init_labels(("q1",), "random")
+
+
+def test_init_rejects_an_empty_query_list():
+    for mode in ("zeros", "random"):
+        with pytest.raises(ValueError, match="at least one covariate"):
+            init_labels([], mode)
+
+
 # ---------------------------------------------------------------------------
 # step 1 / step 2 (closed-form oracle values)
 # ---------------------------------------------------------------------------
@@ -66,7 +81,7 @@ def test_step1_hand_value():
     # C_k = {(1, 3)}, client covariate 1: y = 1 * (1/3) * (1*3) = 1
     client = ClientState(1, real_dataset(1, [[1.0]], [99.0]),
                          LsaBackend(GAMMA_1D))
-    c_k = QuerySet(((1.0,),), (RealLabel(3.0),), round=1)
+    c_k = Dataset(covariates=((1.0,),), labels=(RealLabel(3.0),))
     relabeled = step1_relabel(client, c_k)
     assert relabeled.labels == (RealLabel(1.0),)
     # the relabeled dataset shares the client's checked covariate array
@@ -76,7 +91,8 @@ def test_step1_hand_value():
 def test_step1_zero_labels_propagate():
     client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [5.0, 6.0]),
                          LsaBackend(GAMMA_1D))
-    c_k = QuerySet(((1.0,), (4.0,)), (RealLabel(0.0), RealLabel(0.0)), round=1)
+    c_k = Dataset(covariates=((1.0,), (4.0,)),
+                  labels=(RealLabel(0.0), RealLabel(0.0)))
     relabeled = step1_relabel(client, c_k)
     assert all(lab.value == 0.0 for lab in relabeled.labels)
 
@@ -140,9 +156,9 @@ def test_run_leaves_the_callers_client_states_unchanged(variant):
 # aggregation
 # ---------------------------------------------------------------------------
 
-def qset(labels, covs=None, round=1):
+def qset(labels, covs=None):
     covs = covs or tuple((float(i + 1),) for i in range(len(labels)))
-    return QuerySet(covs, tuple(labels), round=round)
+    return Dataset(covariates=covs, labels=tuple(labels))
 
 
 def test_average_aggregation():
@@ -150,7 +166,6 @@ def test_average_aggregation():
     out = aggregate({1: [RealLabel(1.0)], 2: [RealLabel(2.0)],
                      3: [RealLabel(3.0)]}, "average", prev)
     assert out.labels == (RealLabel(2.0),)
-    assert out.round == 2
 
 
 def test_majority_aggregation():
@@ -179,7 +194,7 @@ def test_majority_ignores_abstain():
 
 
 def test_fusion_with_judge_keeps_better():
-    prev = QuerySet(("q1",), (TextLabel("old answer"),), round=1)
+    prev = qset([TextLabel("old answer")], covs=("q1",))
     judge = TokenOverlapJudge({"q1": "the correct reference answer"})
     better = aggregate({1: [TextLabel("the correct reference answer")],
                         2: [TextLabel("the correct reference answer")]},
@@ -386,7 +401,7 @@ def test_backend_answer_count_mismatch_is_a_protocol_error():
 
     client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [1.0, 2.0]),
                          ShortBackend(GAMMA_1D))
-    c_k = QuerySet(((1.0,),), (RealLabel(3.0),), round=1)
+    c_k = qset([RealLabel(3.0)])
     with pytest.raises(ProtocolError, match="step 1: 1 answers to 2"):
         step1_relabel(client, c_k)
 
@@ -476,6 +491,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(rounds=1, context_count=0)
     assert ProtocolConfig(rounds=9, variant="fedicl_gt").effective_rounds == 1
+    assert ProtocolConfig(rounds=9, variant="fedicl_lb").effective_rounds == 1
+    assert ProtocolConfig(rounds=9, variant="fedicl").effective_rounds == 9
 
 
 @pytest.mark.parametrize("n_clients", [1, 3, 20])
@@ -488,19 +505,18 @@ def test_average_aggregation_is_bitwise_the_per_query_mean(n_clients):
     # inserted in descending id order: aggregation sorts the clients
     per_client = {cid: tuple(RealLabel(v) for v in vals[cid - 1].tolist())
                   for cid in range(n_clients, 0, -1)}
-    previous = QuerySet([(float(q),) for q in range(m)],
-                        (RealLabel(0.0),) * m, round=2)
+    previous = qset([RealLabel(0.0)] * m, [(float(q),) for q in range(m)])
     got = aggregate(per_client, "average", previous)
     want = [float(np.mean([per_client[cid][q].value
                            for cid in sorted(per_client)])) for q in range(m)]
     assert [lab.value for lab in got.labels] == want
     if n_clients >= 8:  # a mean down the client axis rounds differently
         assert vals.mean(axis=0).tolist() != want
-    assert got.round == 3 and got.covariates is previous.covariates
+    assert got.covariates is previous.covariates
 
 
 def test_average_aggregation_rejects_a_non_real_answer():
-    previous = QuerySet([(1.0,), (2.0,)], (RealLabel(0.0),) * 2, round=1)
+    previous = qset([RealLabel(0.0)] * 2)
     with pytest.raises(TypeError):
         aggregate({1: (RealLabel(1.0), RealLabel(2.0)),
                    2: (RealLabel(1.0), TextLabel("2"))}, "average", previous)
@@ -557,3 +573,67 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
     lsa.predict_closed_form(np.eye(2), np.ones(2), np.eye(2), g)
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
                              "_check_spd": 1})
+
+
+# ---------------------------------------------------------------------------
+# text mode, one RemoteBackend per client against the in-process stub
+# ---------------------------------------------------------------------------
+
+def text_clients(url, sizes, params=None):
+    return [ClientState(cid, ClientDataset(cid, tuple(
+        Example(f"local question {cid}.{i}?", TextLabel(f"local answer {i}"))
+        for i in range(n))), RemoteBackend(url, params=params, client_id=cid))
+        for cid, n in enumerate(sizes, 1)]
+
+
+TEXT_QUERIES = ("What causes tides?", "Why is the sky blue?",
+                "What is a prime?")
+
+
+def prompts_of(srv):
+    return [body["messages"][0]["content"] for body in srv.requests]
+
+
+def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
+    rounds, sizes, m = 3, (2, 4), len(TEXT_QUERIES)
+    params = GenerationParams()
+    with MockLlmServer(reply="a reply") as srv:
+        result = run(ProtocolConfig(rounds=rounds, aggregation="fusion"),
+                     text_clients(srv.url, sizes, params), TEXT_QUERIES,
+                     gen_params=params)
+        prompts = prompts_of(srv)
+    # every client answers its N examples (step 1) and the M queries (step 2)
+    assert len(prompts) == rounds * sum(n + m for n in sizes)
+    assert result.final.labels == (TextLabel("a reply"),) * m
+    assert result.final.covariates == TEXT_QUERIES
+    # nominal accounting: every payload at the token cap; questions go down
+    # once, labels down and answers up every round
+    cap = params.max_tokens
+    assert result.ledger.total() == {
+        "tokens": len(sizes) * m * cap * (2 * rounds + 1)}
+    # round 1's step-1 prompts cite C_1: the queries with empty answers
+    first = [p for p in prompts if "Question: What causes tides?\nAnswer: \n"
+             in p]
+    assert len(first) == sum(sizes)
+    assert not any("Answer: 0.0" in p for p in prompts)
+
+
+def test_text_run_reports_a_backend_failure_as_a_protocol_error():
+    script = [(400, {"error": "bad request"}, {})]
+    with MockLlmServer(script=script) as srv:
+        with pytest.raises(ProtocolError, match="step 1 backend failure"):
+            run(ProtocolConfig(rounds=2, aggregation="fusion"),
+                text_clients(srv.url, (2, 3)), TEXT_QUERIES)
+
+
+@pytest.mark.xfail(strict=True, reason="GenerationParams.context_count (5) "
+                   "keeps only the first local examples of step 2's pool")
+def test_text_step2_prompt_cites_a_relabeled_example():
+    with MockLlmServer(reply="relabeled answer") as srv:
+        run(ProtocolConfig(rounds=1, aggregation="fusion"),
+            text_clients(srv.url, (6,)), TEXT_QUERIES)
+        prompts = prompts_of(srv)
+    step2 = [p for p in prompts
+             if any(p.endswith(f"Question: {q}\nAnswer:") for q in TEXT_QUERIES)]
+    assert len(step2) == len(TEXT_QUERIES)
+    assert any("Answer: relabeled answer" in p for p in step2)
