@@ -28,10 +28,10 @@ local = {
 
 with MockLlmServer(reply="gravitational pull of the Moon") as srv:
     endpoint = os.environ.get("FEDICL_ENDPOINT", srv.url)
-    params = GenerationParams()  # temperature 0.1, 256-token cap, 5 exemplars
+    params = GenerationParams()  # temperature 0.1, 256-token cap
     clients = []
     for cid, pairs in local.items():
-        backend = RemoteBackend(endpoint, params=params, client_id=cid)
+        backend = RemoteBackend(endpoint, params=params)
         ds = ClientDataset(cid, tuple(Example(q, TextLabel(a))
                                       for q, a in pairs))
         clients.append(ClientState(cid, ds, backend))
@@ -45,6 +45,8 @@ with MockLlmServer(reply="gravitational pull of the Moon") as srv:
         print(f"after round {trace.round}:")
         for q, a in trace.aggregated.pairs():
             print(f"  Q: {q}\n  A: {a.answer}")
-    print("\ntoken ledger (text mode charges the 256-token per-answer cap):")
+    print("\ntoken ledger (nominal: the 256-token per-answer cap; observed: "
+          "what the endpoint reported):")
     for k in (1, 2):
-        print(f"  round {k}: {result.ledger.round_total(k, 'tokens')} tokens")
+        print(f"  round {k}: {result.ledger.round_total(k, 'tokens')} nominal, "
+              f"{result.ledger.round_total(k, 'observed_tokens')} observed")

@@ -3,21 +3,23 @@
 Two implementations of the client-side model: a deterministic closed-form
 linear self-attention predictor for regression mode, and a remote
 chat-completion client speaking the OpenAI-compatible JSON/HTTP protocol
-for text QA, with retry/backoff and token accounting.
+for text QA, with retry/backoff, that reports the token usage its endpoint
+observes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import requests
 
-from .core import (ChoiceLabel, CommLedger, Covariate, Dataset, Label,
+from .core import (ChoiceLabel, Covariate, Dataset, Label,
                    Labels, RealColumn, TextLabel, ABSTAIN, covariate_matrix,
                    covariate_text, neighbour_matrix, real_values)
 from .lsa import SpdMatrix, predict_closed_form
@@ -27,7 +29,6 @@ from .lsa import SpdMatrix, predict_closed_form
 class GenerationParams:
     temperature: float = 0.1
     max_tokens: int = 256
-    context_count: int = 5
     model_name: str = "gpt-4o-mini"
     timeout_ms: int = 30_000
     max_retries: int = 3
@@ -35,8 +36,12 @@ class GenerationParams:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1 or self.context_count < 0:
-            raise ValueError("max_tokens >= 1 and context_count >= 0 required")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
 
 
 class LmBackend:
@@ -44,11 +49,14 @@ class LmBackend:
     query, in query order, with all of the ``context`` dataset or, given a
     (Q, k) index array ``neighbours`` into it, with row q's examples.
     The labels come as a label column (see ``core.label_column``).
+    A backend that observes token usage adds its ``prompt_tokens`` and
+    ``completion_tokens`` into the ``usage`` dict, when one is given.
     Deterministic backends must return identical labels for identical
     inputs."""
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None) -> Labels:
+               neighbours: Optional[np.ndarray] = None,
+               usage: Optional[Dict[str, int]] = None) -> Labels:
         raise NotImplementedError
 
 
@@ -67,7 +75,8 @@ class LsaBackend(LmBackend):
         return self._gamma.matrix
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None) -> RealColumn:
+               neighbours: Optional[np.ndarray] = None,
+               usage: Optional[Dict[str, int]] = None) -> RealColumn:
         xq = covariate_matrix(queries)  # TypeError for text, also a bare str
         if context.dim is None:
             raise TypeError("LSA backend needs vector examples, got text")
@@ -143,23 +152,19 @@ class RemoteBackend(LmBackend):
 
     POSTs {model, messages, temperature, max_tokens} to
     ``{endpoint}/v1/chat/completions``; the answer is the first completion's
-    content. Transient failures retry with exponential backoff, honoring
-    Retry-After on rate limits. Token usage is recorded to the supplied
-    ledger: prompt tokens as uplink (sent to the model), completion tokens
-    as downlink.
+    content. A prompt holds every exemplar of the context it is given, in
+    order. Transient failures retry with exponential backoff, honoring a
+    valid Retry-After. Each response's reported token usage is added into
+    the caller's ``usage`` dict.
     """
 
     def __init__(self, endpoint: str, params: Optional[GenerationParams] = None,
-                 ledger: Optional[CommLedger] = None, client_id: int = 0,
                  template_id: str = "open_qa", backoff_base: float = 0.5):
         self.endpoint = endpoint.rstrip("/")
         self.params = params or GenerationParams()
-        self.ledger = ledger
-        self.client_id = client_id
         self.template_id = template_id
         self.backoff_base = backoff_base
         self.session = requests.Session()
-        self.round = 0  # ledger attribution; the caller sets it
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -169,20 +174,22 @@ class RemoteBackend(LmBackend):
         return headers
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None) -> Tuple[Label, ...]:
+               neighbours: Optional[np.ndarray] = None,
+               usage: Optional[Dict[str, int]] = None) -> Tuple[Label, ...]:
         if isinstance(queries, str):  # would be one POST per character
             raise TypeError("queries must be a sequence, not a str")
         pairs = context.pairs()
         contexts = ([pairs] * len(queries) if neighbours is None else
                     [[pairs[i] for i in row] for row in neighbour_matrix(
                         neighbours, len(pairs), len(queries))])
-        return tuple(self._answer_one(c, q) for c, q in zip(contexts, queries))
+        return tuple(self._answer_one(c, q, usage)
+                     for c, q in zip(contexts, queries))
 
     def _answer_one(self, exemplars: List[Tuple[Covariate, Label]],
-                    query: Covariate) -> Label:
+                    query: Covariate, usage: Optional[Dict[str, int]]
+                    ) -> Label:
         p = self.params
-        prompt = render_prompt(exemplars[: p.context_count] if p.context_count
-                               else exemplars, query, self.template_id)
+        prompt = render_prompt(exemplars, query, self.template_id)
         body = {
             "model": p.model_name,
             "messages": [{"role": "user", "content": prompt}],
@@ -196,12 +203,10 @@ class RemoteBackend(LmBackend):
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RemoteBackendError(
                 f"malformed response body: {exc}: {resp.text[:200]!r}")
-        usage = payload.get("usage", {})
-        if self.ledger is not None:
-            self.ledger.record(max(self.round, 1), "uplink", self.client_id,
-                               int(usage.get("prompt_tokens", 0)), "tokens")
-            self.ledger.record(max(self.round, 1), "downlink", self.client_id,
-                               int(usage.get("completion_tokens", 0)), "tokens")
+        if usage is not None:
+            reported = payload.get("usage") or {}
+            for key in ("prompt_tokens", "completion_tokens"):
+                usage[key] = usage.get(key, 0) + int(reported.get(key, 0))
         # hard cap per answer, matching the accounting scheme
         tokens = str(content).split(" ")
         if len(tokens) > p.max_tokens:
@@ -226,10 +231,17 @@ class RemoteBackend(LmBackend):
                     break  # non-retryable
             if attempt < p.max_retries:
                 delay = self.backoff_base * (2 ** attempt)
-                if resp is not None and resp.headers.get("Retry-After"):
-                    try:
-                        delay = float(resp.headers["Retry-After"])
-                    except ValueError:
-                        pass
+                if resp is not None:
+                    delay = _retry_after(resp.headers.get("Retry-After"), delay)
                 time.sleep(delay)
         raise RemoteBackendError(f"request failed after retries: {last_error}")
+
+
+def _retry_after(header: Optional[str], default: float) -> float:
+    """The Retry-After seconds if they are a finite number >= 0, else
+    ``default``."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return default
+    return seconds if 0 <= seconds < math.inf else default

@@ -38,9 +38,12 @@ EXIT_NONCONTRACTIVE = 4
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return config
 
 
 def _substream(seed: int, name: str) -> np.random.Generator:
@@ -125,14 +128,17 @@ def explicit_instance(tcfg: dict):
 
 def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
     tcfg = config.get("theory", {})
-    rounds = int(tcfg.get("rounds", 20))
-    if tcfg.get("construction") == "matched_moments":
-        clients, queries, gamma_mat = matched_moment_instance(tcfg)
-    elif "clients" in tcfg:
-        clients, queries, gamma_mat = explicit_instance(tcfg)
-    else:
-        clients, queries, gamma_mat = synthesize_instance(tcfg, seed)
-    state = theory.TheoryState.initialize(clients, queries, gamma_mat)
+    with _parsing("theory"):
+        rounds = int(tcfg.get("rounds", 20))
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if tcfg.get("construction") == "matched_moments":
+            clients, queries, gamma_mat = matched_moment_instance(tcfg)
+        elif "clients" in tcfg:
+            clients, queries, gamma_mat = explicit_instance(tcfg)
+        else:
+            clients, queries, gamma_mat = synthesize_instance(tcfg, seed)
+        state = theory.TheoryState.initialize(clients, queries, gamma_mat)
     state = theory.iterate_recursion(state, rounds)
     report = theory.verify_contraction(state)
     os.makedirs(output_dir, exist_ok=True)
@@ -151,7 +157,7 @@ def _build_protocol_config(config: dict) -> protocol.ProtocolConfig:
     pcfg = config.get("protocol", {})
     with _parsing("protocol"):
         return protocol.ProtocolConfig(
-            rounds=int(pcfg.get("rounds", 6)),
+            rounds=pcfg.get("rounds", 6),
             variant=pcfg.get("variant", "fedicl"),
             aggregation=pcfg.get("aggregation", "average"),
             context_count=pcfg.get("context_count"),
@@ -175,11 +181,13 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     if feeds not in (None, aggregation):
         raise ConfigError(f"protocol.aggregation {aggregation!r} cannot "
                           f"combine {kind} answers; use {feeds!r}")
+    if "context_count" in bcfg:
+        raise ConfigError("backend.context_count is gone: a prompt holds the "
+                          "context protocol.context_count chooses")
     with _parsing("backend"):
         params = GenerationParams(
             temperature=float(bcfg.get("temperature", 0.1)),
             max_tokens=int(bcfg.get("max_tokens", 256)),
-            context_count=int(bcfg.get("context_count", 5)),
             model_name=bcfg.get("model_name", "gpt-4o-mini"),
             timeout_ms=int(bcfg.get("timeout_ms", 30_000)),
             max_retries=int(bcfg.get("max_retries", 3)),
@@ -194,9 +202,9 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
         if not endpoint:
             raise ConfigError("remote backend needs backend.endpoint or "
                               "FEDICL_ENDPOINT")
-        return [RemoteBackend(endpoint, params=params, client_id=cid,
+        return [RemoteBackend(endpoint, params=params,
                               template_id=bcfg.get("template", "open_qa"))
-                for cid in client_ids], params
+                for _ in client_ids], params
     raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
@@ -242,7 +250,8 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
             raise ConfigError("protocol.init_mode 'random' needs vector "
                               "queries")
     else:
-        clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
+        with _parsing("dataset"):
+            clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
     if not clients_data or len(queries) == 0:
         raise ConfigError("dataset holds no queries or no clients")
     backends, gen_params = _build_backends(

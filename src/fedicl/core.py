@@ -461,7 +461,7 @@ def load_traces(path) -> List[RoundTrace]:
 # ---------------------------------------------------------------------------
 
 DIRECTIONS = ("downlink", "uplink")
-UNITS = ("bits", "tokens")
+UNITS = ("bits", "tokens", "observed_tokens")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from .core import Covariate, covariate_matrix, neighbour_matrix
 
 def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    if mat.ndim != 2 or not 0 < mat.shape[0] == mat.shape[1]:
+        raise ValueError(f"{name} must be square and non-empty, got shape "
+                         f"{mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} must be finite")
     # np.allclose(mat, mat.T, atol=1e-12), without its generic overhead

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .data import Embedder, IdentityEmbedder, knn_context
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
 AGGREGATIONS = ("average", "majority", "fusion")
 INIT_MODES = ("zeros", "random", "backend_generated")
+OBSERVED = (("uplink", "prompt_tokens"), ("downlink", "completion_tokens"))
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,11 @@ class ProtocolConfig:
             raise ValueError(f"unknown aggregation: {self.aggregation!r}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"unknown init mode: {self.init_mode!r}")
+        for name in ("rounds", "context_count"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or
+                                      not isinstance(value, Integral)):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.context_count is not None and self.context_count < 1:
@@ -107,24 +114,25 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
 
 
 def step1_relabel(client: ClientState, c_k: Dataset,
-                  neighbours: Optional[np.ndarray] = None) -> ClientDataset:
+                  neighbours: Optional[np.ndarray] = None,
+                  usage: Optional[Dict[str, int]] = None) -> ClientDataset:
     """Relabel the client's covariates via ICL on the server's query set
     (all of it, or each covariate's ``neighbours`` in it)."""
     if client.original is None:
         raise ProtocolError("client has no local dataset", client.client_id)
     return client.original.with_labels(_answer_in_context(
-        client, c_k, client.original.covariates, neighbours, step=1))
+        client, c_k, client.original.covariates, neighbours, 1, usage))
 
 
 def _answer_in_context(client: ClientState, pool: Dataset,
                        queries: Sequence[Covariate],
-                       neighbours: Optional[np.ndarray], step: int
-                       ) -> Labels:
+                       neighbours: Optional[np.ndarray], step: int,
+                       usage: Optional[Dict[str, int]]) -> Labels:
     """Answer the queries in one call to the client's backend, with the
     whole pool as every query's context or each query's ``neighbours``."""
     try:
         answers = label_column(client.backend.answer(pool, queries,
-                                                     neighbours))
+                                                     neighbours, usage))
     except Exception as exc:
         raise ProtocolError(f"step {step} backend failure: {exc}",
                             client.client_id) from exc
@@ -158,10 +166,11 @@ def _step2_pool(client: ClientState, variant: str,
 
 def step2_answer(client: ClientState, context: Dataset,
                  queries: Sequence[Covariate],
-                 neighbours: Optional[np.ndarray] = None) -> Labels:
+                 neighbours: Optional[np.ndarray] = None,
+                 usage: Optional[Dict[str, int]] = None) -> Labels:
     """Answer the server queries in context (all of it, or each query's
     ``neighbours`` in it)."""
-    return _answer_in_context(client, context, queries, neighbours, step=2)
+    return _answer_in_context(client, context, queries, neighbours, 2, usage)
 
 
 def _knn_neighbours(client: ClientState, config: ProtocolConfig,
@@ -299,6 +308,8 @@ def run(config: ProtocolConfig,
         max_workers: Optional[int] = None) -> ProtocolResult:
     """Execute the full protocol loop and return traces plus the ledger.
 
+    The ledger holds the nominal charges and, as unit ``observed_tokens``,
+    the tokens each client's backend reported in each round.
     ``theory_w_trace``, when given, attaches the matching closed-form weight
     vector to each round's trace. The traces are written to ``trace_path``
     (if set) also on a mid-run failure, before it is re-raised.
@@ -329,14 +340,15 @@ def run(config: ProtocolConfig,
         contexts[c.client_id] = (pool, kept) + _knn_neighbours(
             c, config, queries, embedder, pool, kept is not None)
 
-    def client_round(client: ClientState) -> Tuple[int, Labels]:
+    def client_round(client: ClientState) -> Tuple[int, Labels, dict]:
         context, kept, step1_nn, step2_nn = contexts[client.client_id]
+        usage: Dict[str, int] = {}
         if kept is not None:
-            relabeled = step1_relabel(client, c_k, step1_nn)
+            relabeled = step1_relabel(client, c_k, step1_nn, usage)
             context = context.with_labels(join_labels([kept,
                                                        relabeled.labels]))
         return client.client_id, step2_answer(client, context, queries,
-                                              step2_nn)
+                                              step2_nn, usage), usage
 
     executor = (None if max_workers == 1 or len(clients) == 1 else
                 ThreadPoolExecutor(max_workers=max_workers or len(clients)))
@@ -346,7 +358,13 @@ def run(config: ProtocolConfig,
         for k in range(1, config.effective_rounds + 1):
             charge_protocol_round(ledger, k, client_ids, len(queries),
                                   question_units, answer_units, unit)
-            per_client = dict(map_clients(client_round, clients))
+            per_client = {}
+            for cid, answers, usage in map_clients(client_round, clients):
+                per_client[cid] = answers
+                for direction, key in OBSERVED:  # LSA reports no usage
+                    if key in usage:
+                        ledger.record(k, direction, cid, usage[key],
+                                      "observed_tokens")
             c_next = aggregate(per_client, config.aggregation, c_k,
                                options=config.options, judge=judge)
             theory_w = None

@@ -351,8 +351,7 @@ def test_criterion_12_remote_wire_contract():
             "retries and faithful token accounting")
     with criterion(12, desc):
         with MockLlmServer(reply="the final answer") as srv:
-            ledger = CommLedger()
-            backend = RemoteBackend(srv.url, ledger=ledger, client_id=1)
+            backend = RemoteBackend(srv.url)
             context = core.Dataset([Example("ex q", TextLabel("ex a"))])
             got = backend.answer(context, ["real question?"])[0]
             assert got == TextLabel("the final answer")
@@ -360,9 +359,25 @@ def test_criterion_12_remote_wire_contract():
             assert body["model"] == "gpt-4o-mini"
             assert body["temperature"] == 0.1 and body["max_tokens"] == 256
             assert "real question?" in body["messages"][0]["content"]
+
+        # faithful accounting through the engine's one ledger: the tokens
+        # the endpoint reports, beside the nominal per-answer cap
+        with MockLlmServer(reply="the final answer") as srv:
+            clients = [ClientState(cid, ClientDataset(cid, tuple(
+                Example(f"ex q {cid}.{i}", TextLabel("ex a"))
+                for i in range(cid))), RemoteBackend(srv.url))
+                for cid in (1, 2)]
+            result = run(ProtocolConfig(rounds=2, aggregation="fusion"),
+                         clients, ["real question?", "second question?"])
             up = sum(u["prompt_tokens"] for u in srv.usages)
             down = sum(u["completion_tokens"] for u in srv.usages)
-            assert ledger.total("tokens") == up + down
+        observed = {}
+        for e in result.ledger.entries:
+            if e.unit == "observed_tokens":
+                observed[e.direction] = (observed.get(e.direction, 0)
+                                         + e.payload_units)
+        assert observed == {"uplink": up, "downlink": down}
+        assert result.ledger.total("tokens") == 2 * 2 * 256 * (2 * 2 + 1)
 
         script = [(429, {"error": "rate limited"}, {"Retry-After": "0"}),
                   (200, None, {})]

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
                             RemoteBackendError, parse_choice, render_prompt)
-from fedicl.core import (ChoiceLabel, CommLedger, Dataset, Example,
+from fedicl.core import (ChoiceLabel, Dataset, Example,
                          RealLabel, TextLabel, ABSTAIN, real_values)
 from fedicl.lsa import gamma, predict_closed_form
 
@@ -221,11 +222,16 @@ def test_parse_choice_requires_options():
 
 def test_generation_params_defaults_and_validation():
     p = GenerationParams()
-    assert (p.temperature, p.max_tokens, p.context_count) == (0.1, 256, 5)
+    assert (p.temperature, p.max_tokens) == (0.1, 256)
+    assert (p.timeout_ms, p.max_retries) == (30_000, 3)
     with pytest.raises(ValueError):
         GenerationParams(temperature=-1.0)
     with pytest.raises(ValueError):
         GenerationParams(max_tokens=0)
+    for bad in ({"max_retries": -1}, {"timeout_ms": 0}, {"timeout_ms": -5}):
+        with pytest.raises(ValueError):
+            GenerationParams(**bad)
+    assert GenerationParams(max_retries=0).max_retries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +300,21 @@ def test_remote_backend_retries_on_rate_limit():
     assert got == TextLabel("mock answer")
 
 
+@pytest.mark.parametrize("retry_after", ["-1", "nan", "inf"])
+def test_remote_backend_falls_back_to_backoff_on_an_invalid_retry_after(
+        monkeypatch, retry_after):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    script = [(503, {"error": "down"}, {"Retry-After": retry_after}),
+              (200, None, {})]
+    with MockLlmServer(script=script) as srv:
+        backend = RemoteBackend(srv.url, backoff_base=0.25)
+        got = backend.answer(Dataset(), ["q"])[0]
+        assert len(srv.requests) == 2
+    assert got == TextLabel("mock answer")
+    assert slept == [0.25]   # the first retry's exponential delay
+
+
 def test_remote_backend_gives_up_after_max_retries():
     script = [(503, {"error": "down"}, {"Retry-After": "0"})] * 3
     with MockLlmServer(script=script) as srv:
@@ -321,21 +342,22 @@ def test_remote_backend_malformed_body_raises():
             backend.answer(Dataset(), ["q"])[0]
 
 
-def test_remote_backend_ledger_matches_server_observed_usage():
-    ledger = CommLedger()
+def test_remote_backend_adds_observed_usage_into_the_given_dict():
+    usage = {}
+    context = Dataset([Example("ex q", TextLabel("ex a"))])
     with MockLlmServer(reply="four words in reply") as srv:
-        backend = RemoteBackend(srv.url, ledger=ledger, client_id=2)
-        backend.round = 3
-        for q in ("first question", "a second question here"):
-            backend.answer(Dataset([Example("ex q", TextLabel("ex a"))]),
-                           [q])[0]
-        up = sum(u["prompt_tokens"] for u in srv.usages)
-        down = sum(u["completion_tokens"] for u in srv.usages)
-    totals = {}
-    for e in ledger.entries:
-        totals[e.direction] = totals.get(e.direction, 0) + e.payload_units
-        assert e.round == 3 and e.client_id == 2 and e.unit == "tokens"
-    assert totals == {"uplink": up, "downlink": down}
+        backend = RemoteBackend(srv.url)
+        backend.answer(context, ["first question"], usage=usage)
+        backend.answer(context, ["a second question here"], usage=usage)
+        backend.answer(context, ["not counted"])
+        served = srv.usages[:2]
+    assert usage == {
+        "prompt_tokens": sum(u["prompt_tokens"] for u in served),
+        "completion_tokens": sum(u["completion_tokens"] for u in served)}
+    lsa_usage = {}
+    LsaBackend(np.eye(1)).answer(Dataset([Example((1.0,), RealLabel(1.0))]),
+                                 [(1.0,)], usage=lsa_usage)
+    assert lsa_usage == {}
 
 
 def test_remote_backend_truncates_long_completions():
@@ -347,11 +369,12 @@ def test_remote_backend_truncates_long_completions():
     assert got.answer == " ".join(str(i) for i in range(10))
 
 
-def test_remote_backend_context_count_limits_exemplars():
+def test_remote_backend_prompt_holds_every_context_exemplar_in_order():
     ctx = Dataset([Example(f"q{i}", TextLabel(f"a{i}")) for i in range(8)])
     with MockLlmServer() as srv:
-        backend = RemoteBackend(
-            srv.url, params=GenerationParams(context_count=5))
-        backend.answer(ctx, ["final"])[0]
+        RemoteBackend(srv.url).answer(ctx, ["final"])
         prompt = srv.requests[0]["messages"][0]["content"]
-    assert "q4" in prompt and "q5" not in prompt
+    assert prompt == render_prompt(ctx.pairs(), "final")
+    positions = [prompt.index(f"Question: q{i}\nAnswer: a{i}\n")
+                 for i in range(8)]
+    assert positions == sorted(positions)

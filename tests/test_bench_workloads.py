@@ -48,3 +48,30 @@ def test_lsa_workload_passes_its_gate(monkeypatch, tmp_path, context_count,
     finally:
         workload.close(inst)
     assert np.isfinite(real_values(out.value.final.labels)).all()
+
+
+def test_remote_text_workload_passes_its_gate(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.RemoteTextWorkload(clients=2, examples=3, queries=2,
+                                            rounds=2)
+    inst = workload.setup(seed=5)
+    try:
+        workload.reference(inst)
+        out = workload.run(inst, tmp_path)
+        assert len(out.value.traces) == 2
+        assert workload.check(inst, out) == []
+        assert out.counters["stub.answered"] == 2 * 2 * (3 + 2)
+        # the observed rows hold what the stub reported
+        observed = {"uplink": 0, "downlink": 0}
+        for e in out.value.ledger.entries:
+            if e.unit == "observed_tokens":
+                observed[e.direction] += e.payload_units
+        assert observed == {
+            "uplink": out.counters["stub.prompt_tokens"],
+            "downlink": out.counters["stub.answered"]
+            * len(workloads.REPLY.split())}
+        # the gate is not vacuous: a POST it cannot account for fails it
+        out.counters["stub.posts"] += 1
+        assert len(workload.check(inst, out)) == 1
+    finally:
+        workload.close(inst)

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,6 +112,60 @@ SIM_CFG = {"dataset": {"d": 2, "num_clients": 3, "examples_per_client": 4,
            "protocol": {"rounds": 5},
            "backend": {"kind": "lsa"},
            "seed": 13}
+
+
+NOT_SPD = [[1.0, 0.0], [0.0, -1.0]]
+REMOTE_CFG = dict(SIM_CFG, protocol={"rounds": 2, "aggregation": "fusion"})
+
+
+def remote(**backend):
+    return dict(REMOTE_CFG, backend=dict({"kind": "remote"}, **backend))
+
+
+def protocol_with(**settings):
+    return dict(SIM_CFG, protocol=dict(SIM_CFG["protocol"], **settings))
+
+
+@pytest.mark.parametrize("mode,config,message", [
+    ("theory", {"theory": {"gamma": NOT_SPD, "server": [[1.0, 0.0]],
+                           "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]}},
+     "gamma must be positive definite"),
+    ("theory", {"theory": {"lambda": NOT_SPD}},
+     "lambda must be positive definite"),
+    ("simulate", dict(SIM_CFG, dataset={"lambda": NOT_SPD}),
+     "lambda must be positive definite"),
+    ("theory", {"theory": {"d": 0}}, "non-empty"),
+    ("simulate", dict(SIM_CFG, dataset={"d": 0}), "non-empty"),
+    ("theory", {"theory": {"rounds": 0}}, "rounds must be >= 1"),
+    ("theory", {"theory": {"examples_per_client": 0}}, "at least one example"),
+    ("simulate", dict(SIM_CFG, dataset={"examples_per_client": 0}),
+     "at least one example"),
+    ("theory", [1, 2], "must hold a JSON object"),
+    ("simulate", "not an object", "must hold a JSON object"),
+    ("simulate", protocol_with(context_count=2.5),
+     "context_count must be an int"),
+    ("simulate", protocol_with(context_count=True),
+     "context_count must be an int"),
+    ("simulate", protocol_with(rounds=2.5), "rounds must be an int"),
+    ("simulate", remote(max_retries=-1), "max_retries must be >= 0"),
+    ("simulate", remote(timeout_ms=0), "timeout_ms must be > 0"),
+    ("simulate", remote(context_count=5), "protocol.context_count"),
+], ids=["theory-gamma-not-spd", "theory-lambda-not-spd",
+        "simulate-lambda-not-spd", "theory-d-0", "simulate-d-0",
+        "theory-rounds-0", "theory-no-examples", "simulate-no-examples",
+        "theory-list-config", "simulate-string-config", "float-context-count",
+        "bool-context-count", "float-rounds", "negative-retries",
+        "zero-timeout", "backend-context-count"])
+def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
+                                              mode, config, message):
+    with MockLlmServer() as srv:
+        monkeypatch.setenv("FEDICL_ENDPOINT", srv.url)  # for remote backends
+        code, out = run_cli(tmp_path, mode, write_config(tmp_path, config))
+        assert srv.requests == []
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+    assert not (out / "theory_report.json").exists()
 
 
 def test_simulate_verify_theory(tmp_path):
@@ -307,9 +362,19 @@ def test_simulate_text_files_end_to_end(tmp_path):
         code, out = run_cli(tmp_path, "simulate", cfg)
         # 2 rounds x 2 clients x (2 examples + 1 query)
         assert len(srv.requests) == 12
+        observed = sum(u["prompt_tokens"] + u["completion_tokens"]
+                       for u in srv.usages)
     assert code == cli.EXIT_PASS
     (_, last) = core.load_traces(out / "traces.jsonl")
     assert last.aggregated.labels == (TextLabel("the Moon's pull"),)
+    # ledger.csv: per round and client, a downlink and an uplink row of
+    # nominal tokens and of the tokens the endpoint reported
+    with open(out / "ledger.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    units = Counter(row["unit"] for row in rows)
+    assert units == {"tokens": 2 * 2 * 2, "observed_tokens": 2 * 2 * 2}
+    assert sum(int(row["payload_units"]) for row in rows
+               if row["unit"] == "observed_tokens") == observed
 
 
 def test_simulate_backend_failure_exits_3(tmp_path):
@@ -380,8 +445,6 @@ def test_simulate_builds_one_backend_per_client(tmp_path, monkeypatch,
     assert code == cli.EXIT_BACKEND
     assert [c.client_id for c in seen] == [1, 2, 3]
     assert len({id(c.backend) for c in seen}) == 3
-    if backend["kind"] == "remote":
-        assert [c.backend.client_id for c in seen] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fedicl import core, lsa, protocol, theory
-from fedicl.backend import GenerationParams, LsaBackend, RemoteBackend
+from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
+                            render_prompt)
 from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
                          RealLabel, TextLabel, ABSTAIN)
 from fedicl.lsa import gamma
@@ -365,9 +366,9 @@ def test_knn_run_makes_one_backend_call_per_client_step_round():
     calls = []
 
     class CountingBackend(LsaBackend):
-        def answer(self, context, queries, neighbours=None):
+        def answer(self, context, queries, neighbours=None, usage=None):
             calls.append((len(queries), neighbours is not None))
-            return super().answer(context, queries, neighbours)
+            return super().answer(context, queries, neighbours, usage)
 
     clients = [ClientState(ds.client_id, ds, CountingBackend(g))
                for ds in clients_data]
@@ -396,8 +397,8 @@ def test_serial_and_pooled_runs_trace_identically():
 
 def test_backend_answer_count_mismatch_is_a_protocol_error():
     class ShortBackend(LsaBackend):
-        def answer(self, context, queries, neighbours=None):
-            return super().answer(context, queries, neighbours)[:-1]
+        def answer(self, context, queries, neighbours=None, usage=None):
+            return super().answer(context, queries, neighbours, usage)[:-1]
 
     client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [1.0, 2.0]),
                          ShortBackend(GAMMA_1D))
@@ -495,6 +496,15 @@ def test_config_validation():
     assert ProtocolConfig(rounds=9, variant="fedicl").effective_rounds == 9
 
 
+@pytest.mark.parametrize("field", ["rounds", "context_count"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_config_rejects_counts_that_are_not_ints(field, value):
+    with pytest.raises(TypeError, match=field):
+        ProtocolConfig(**dict({"rounds": 2}, **{field: value}))
+    assert getattr(ProtocolConfig(**{"rounds": 2, field: np.int64(3)}),
+                   field) == 3
+
+
 @pytest.mark.parametrize("n_clients", [1, 3, 20])
 def test_average_aggregation_is_bitwise_the_per_query_mean(n_clients):
     rng = np.random.default_rng(50 + n_clients)
@@ -582,7 +592,7 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
 def text_clients(url, sizes, params=None):
     return [ClientState(cid, ClientDataset(cid, tuple(
         Example(f"local question {cid}.{i}?", TextLabel(f"local answer {i}"))
-        for i in range(n))), RemoteBackend(url, params=params, client_id=cid))
+        for i in range(n))), RemoteBackend(url, params=params))
         for cid, n in enumerate(sizes, 1)]
 
 
@@ -602,6 +612,8 @@ def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
                      text_clients(srv.url, sizes, params), TEXT_QUERIES,
                      gen_params=params)
         prompts = prompts_of(srv)
+        observed = sum(u["prompt_tokens"] + u["completion_tokens"]
+                       for u in srv.usages)
     # every client answers its N examples (step 1) and the M queries (step 2)
     assert len(prompts) == rounds * sum(n + m for n in sizes)
     assert result.final.labels == (TextLabel("a reply"),) * m
@@ -610,7 +622,8 @@ def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
     # once, labels down and answers up every round
     cap = params.max_tokens
     assert result.ledger.total() == {
-        "tokens": len(sizes) * m * cap * (2 * rounds + 1)}
+        "tokens": len(sizes) * m * cap * (2 * rounds + 1),
+        "observed_tokens": observed}
     # round 1's step-1 prompts cite C_1: the queries with empty answers
     first = [p for p in prompts if "Question: What causes tides?\nAnswer: \n"
              in p]
@@ -626,14 +639,66 @@ def test_text_run_reports_a_backend_failure_as_a_protocol_error():
                 text_clients(srv.url, (2, 3)), TEXT_QUERIES)
 
 
-@pytest.mark.xfail(strict=True, reason="GenerationParams.context_count (5) "
-                   "keeps only the first local examples of step 2's pool")
 def test_text_step2_prompt_cites_a_relabeled_example():
     with MockLlmServer(reply="relabeled answer") as srv:
-        run(ProtocolConfig(rounds=1, aggregation="fusion"),
-            text_clients(srv.url, (6,)), TEXT_QUERIES)
+        clients = text_clients(srv.url, (6,))
+        run(ProtocolConfig(rounds=1, aggregation="fusion"), clients,
+            TEXT_QUERIES)
         prompts = prompts_of(srv)
     step2 = [p for p in prompts
              if any(p.endswith(f"Question: {q}\nAnswer:") for q in TEXT_QUERIES)]
     assert len(step2) == len(TEXT_QUERIES)
     assert any("Answer: relabeled answer" in p for p in step2)
+    # each cites its whole pool, D^i ++ D_k^i: the local examples, then the
+    # same questions with step 1's answers
+    local = clients[0].original.pairs()
+    pool = local + [(q, TextLabel("relabeled answer")) for q, _ in local]
+    assert step2 == [render_prompt(pool, q) for q in TEXT_QUERIES]
+
+
+def test_text_run_records_observed_usage_per_round_and_client():
+    rounds, sizes, m = 2, (2, 3), len(TEXT_QUERIES)
+    with MockLlmServer(reply="a reply") as srv:
+        serial = run(ProtocolConfig(rounds=rounds, aggregation="fusion"),
+                     text_clients(srv.url, sizes), TEXT_QUERIES,
+                     max_workers=1)
+        usages = list(srv.usages)
+        threaded = run(ProtocolConfig(rounds=rounds, aggregation="fusion"),
+                       text_clients(srv.url, sizes), TEXT_QUERIES)
+    # serially the POSTs go round by round, client by client: N relabels
+    # (step 1), then M answers (step 2)
+    want, served = [], iter(usages)
+    for k in range(1, rounds + 1):
+        for cid, n in enumerate(sizes, 1):
+            calls = [next(served) for _ in range(n + m)]
+            want += [(k, "uplink", cid,
+                      sum(u["prompt_tokens"] for u in calls)),
+                     (k, "downlink", cid,
+                      sum(u["completion_tokens"] for u in calls))]
+    assert next(served, None) is None
+    observed = [e for e in serial.ledger.entries
+                if e.unit == "observed_tokens"]
+    assert [(e.round, e.direction, e.client_id, e.payload_units)
+            for e in observed] == want
+    assert serial.ledger.entries == threaded.ledger.entries
+
+
+def test_text_run_does_not_record_the_servers_initial_answers():
+    with MockLlmServer(reply="a reply") as srv:
+        result = run(ProtocolConfig(rounds=1, aggregation="fusion",
+                                    init_mode="backend_generated"),
+                     text_clients(srv.url, (2,)), TEXT_QUERIES)
+        # C_1 comes first, from the first client's backend with no context
+        rounds = srv.usages[len(TEXT_QUERIES):]
+    assert len(rounds) == 2 + len(TEXT_QUERIES)
+    assert result.ledger.total("observed_tokens") == sum(
+        u["prompt_tokens"] + u["completion_tokens"] for u in rounds)
+
+
+def test_lsa_run_records_no_observed_usage():
+    rng = np.random.default_rng(3)
+    clients_data, queries, g = random_regression(rng, d=2, l=2, n=4, m=3)
+    result = run(ProtocolConfig(rounds=2, init_mode="backend_generated"),
+                 [ClientState(c.client_id, c, LsaBackend(g))
+                  for c in clients_data], queries)
+    assert set(result.ledger.total()) == {"bits"}
