@@ -37,7 +37,7 @@ with MockLlmServer(reply="gravitational pull of the Moon") as srv:
         clients.append(ClientState(cid, ds, backend))
 
     result = run(ProtocolConfig(rounds=2, aggregation="fusion"),
-                 clients, queries, gen_params=params)
+                 clients, queries)
 
     print(f"endpoint: {endpoint}")
     print(f"requests served by the endpoint: {len(srv.requests)}\n")

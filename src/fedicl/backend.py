@@ -51,8 +51,11 @@ class LmBackend:
     The labels come as a label column (see ``core.label_column``).
     A backend that observes token usage adds its ``prompt_tokens`` and
     ``completion_tokens`` into the ``usage`` dict, when one is given.
-    Deterministic backends must return identical labels for identical
-    inputs."""
+    ``max_tokens`` is the cap on each text answer, None for a backend that
+    answers with reals. Deterministic backends must return identical labels
+    for identical inputs."""
+
+    max_tokens: Optional[int] = None
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
                neighbours: Optional[np.ndarray] = None,
@@ -166,6 +169,10 @@ class RemoteBackend(LmBackend):
         self.backoff_base = backoff_base
         self.session = requests.Session()
 
+    @property
+    def max_tokens(self) -> int:
+        return self.params.max_tokens
+
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(API_KEY_ENV, "")
@@ -237,11 +244,17 @@ class RemoteBackend(LmBackend):
         raise RemoteBackendError(f"request failed after retries: {last_error}")
 
 
+#: the longest Retry-After delay honoured, in seconds; a longer one is cut
+RETRY_AFTER_MAX_S = 60.0
+
+
 def _retry_after(header: Optional[str], default: float) -> float:
-    """The Retry-After seconds if they are a finite number >= 0, else
-    ``default``."""
+    """The Retry-After seconds, at most ``RETRY_AFTER_MAX_S``, if they are
+    a finite number >= 0, else ``default``."""
     try:
         seconds = float(header)
     except (TypeError, ValueError):
         return default
-    return seconds if 0 <= seconds < math.inf else default
+    if not 0 <= seconds < math.inf:
+        return default
+    return min(seconds, RETRY_AFTER_MAX_S)

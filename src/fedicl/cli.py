@@ -54,6 +54,17 @@ def _substream(seed: int, name: str) -> np.random.Generator:
         entropy=seed, spawn_key=(zlib.crc32(name.encode()),)))
 
 
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return section
+
+
+def _int(cfg: dict, key: str, default: int) -> int:
+    return core.check_int(key, cfg.get(key, default))
+
+
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing {where}.{key}")
@@ -62,10 +73,11 @@ def _require(cfg: dict, key: str, where: str):
 
 @contextlib.contextmanager
 def _parsing(where: str):
-    """Report a value the block rejects as a config error in ``where``."""
+    """Report a value the block rejects, or a file it cannot read, as a
+    config error in ``where``."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -75,11 +87,11 @@ def _parsing(where: str):
 
 def synthesize_instance(cfg: dict, seed: int):
     """Sample clients, server queries, and Gamma from config parameters."""
-    d = int(cfg.get("d", 2))
-    num_clients = int(cfg.get("num_clients", 2))
-    n = int(cfg.get("examples_per_client", 5))
-    m = int(cfg.get("num_queries", 4))
-    t_prompt = int(cfg.get("t_prompt", 10))
+    d = _int(cfg, "d", 2)
+    num_clients = _int(cfg, "num_clients", 2)
+    n = _int(cfg, "examples_per_client", 5)
+    m = _int(cfg, "num_queries", 4)
+    t_prompt = _int(cfg, "t_prompt", 10)
     lam = np.array(cfg["lambda"]) if "lambda" in cfg else np.eye(d)
     rng = _substream(seed, "instance")
     gamma_mat = lsa.gamma(lam, t_prompt)
@@ -96,8 +108,8 @@ def synthesize_instance(cfg: dict, seed: int):
 def matched_moment_instance(cfg: dict):
     """Covariates whose empirical second moments equal Gamma exactly,
     which forces H_cont = I and exact per-round error halving."""
-    d = int(cfg.get("d", 2))
-    t_prompt = int(cfg.get("t_prompt", 2))
+    d = _int(cfg, "d", 2)
+    t_prompt = _int(cfg, "t_prompt", 2)
     lam = np.array(cfg["lambda"]) if "lambda" in cfg else np.eye(d)
     gamma_mat = lsa.gamma(lam, t_prompt)
     # columns of sqrt(d * Gamma): {+/- v_j} has second moment Gamma
@@ -127,9 +139,9 @@ def explicit_instance(tcfg: dict):
 
 
 def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
-    tcfg = config.get("theory", {})
+    tcfg = _section(config, "theory")
     with _parsing("theory"):
-        rounds = int(tcfg.get("rounds", 20))
+        rounds = _int(tcfg, "rounds", 20)
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         if tcfg.get("construction") == "matched_moments":
@@ -154,7 +166,7 @@ def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
 
 
 def _build_protocol_config(config: dict) -> protocol.ProtocolConfig:
-    pcfg = config.get("protocol", {})
+    pcfg = _section(config, "protocol")
     with _parsing("protocol"):
         return protocol.ProtocolConfig(
             rounds=pcfg.get("rounds", 6),
@@ -162,7 +174,7 @@ def _build_protocol_config(config: dict) -> protocol.ProtocolConfig:
             aggregation=pcfg.get("aggregation", "average"),
             context_count=pcfg.get("context_count"),
             init_mode=pcfg.get("init_mode", "zeros"),
-            seed=int(pcfg.get("seed", config.get("seed", 0))),
+            seed=_int(pcfg, "seed", config.get("seed", 0)),
             options=tuple(pcfg.get("options", ())),
         )
 
@@ -174,8 +186,8 @@ _AGGREGATION_OF_BACKEND = {"lsa": "average", "remote": "fusion"}
 
 def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
                     client_ids: Sequence[int], aggregation: str):
-    """One backend per client, plus the generation parameters they share."""
-    bcfg = config.get("backend", {})
+    """One backend per client."""
+    bcfg = _section(config, "backend")
     kind = bcfg.get("kind", "lsa")
     feeds = _AGGREGATION_OF_BACKEND.get(kind)  # None: rejected further down
     if feeds not in (None, aggregation):
@@ -187,16 +199,16 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     with _parsing("backend"):
         params = GenerationParams(
             temperature=float(bcfg.get("temperature", 0.1)),
-            max_tokens=int(bcfg.get("max_tokens", 256)),
+            max_tokens=_int(bcfg, "max_tokens", 256),
             model_name=bcfg.get("model_name", "gpt-4o-mini"),
-            timeout_ms=int(bcfg.get("timeout_ms", 30_000)),
-            max_retries=int(bcfg.get("max_retries", 3)),
+            timeout_ms=_int(bcfg, "timeout_ms", 30_000),
+            max_retries=_int(bcfg, "max_retries", 3),
         )
     if kind == "lsa":
         if gamma_mat is None:
             raise ConfigError("lsa backend needs gamma, and client files give "
                               "none: use the synthetic dataset setup")
-        return [LsaBackend(gamma_mat) for _ in client_ids], params
+        return [LsaBackend(gamma_mat) for _ in client_ids]
     if kind == "remote":
         endpoint = bcfg.get("endpoint") or os.environ.get("FEDICL_ENDPOINT")
         if not endpoint:
@@ -204,7 +216,7 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
                               "FEDICL_ENDPOINT")
         return [RemoteBackend(endpoint, params=params,
                               template_id=bcfg.get("template", "open_qa"))
-                for _ in client_ids], params
+                for _ in client_ids]
     raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
@@ -230,7 +242,7 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     if pconf.variant == "fedicl_lb":
         raise ConfigError("protocol.variant fedicl_lb needs a server "
                           "reference set, which the fedicl command cannot load")
-    scfg = config.get("dataset", {})
+    scfg = _section(config, "dataset")
     gamma_mat = None
     if "client_paths" in scfg:
         # pre-partitioned client files (see partition mode) plus a query file
@@ -254,7 +266,7 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
             clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
     if not clients_data or len(queries) == 0:
         raise ConfigError("dataset holds no queries or no clients")
-    backends, gen_params = _build_backends(
+    backends = _build_backends(
         config, gamma_mat, [ds.client_id for ds in clients_data],
         pconf.aggregation)
     clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
@@ -276,7 +288,6 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     trace_path = os.path.join(output_dir, "traces.jsonl")
     try:
         result = protocol.run(pconf, clients, queries,
-                              gen_params=gen_params,
                               theory_w_trace=theory_trace,
                               trace_path=trace_path)
     except protocol.ProtocolError:
@@ -296,19 +307,21 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
 
 
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
-    pcfg = config.get("partition", {})
-    dataset_path = _require(config.get("dataset", {}), "path", "dataset")
-    examples = data.load_dataset(dataset_path)
+    pcfg = _section(config, "partition")
+    dataset_path = _require(_section(config, "dataset"), "path", "dataset")
+    with _parsing("dataset"):
+        examples = data.load_dataset(dataset_path)
     categories = sorted({ex.category for ex in examples if ex.category})
     prior = pcfg.get("prior")
     if prior is None:
         prior = [1.0 / len(categories)] * len(categories)
     with _parsing("partition"):
         spec = data.PartitionSpec(
-            num_clients=int(_require(pcfg, "num_clients", "partition")),
+            num_clients=core.check_int(
+                "num_clients", _require(pcfg, "num_clients", "partition")),
             alpha=float(_require(pcfg, "alpha", "partition")),
             prior=tuple(prior),
-            seed=int(pcfg.get("seed", seed)),
+            seed=_int(pcfg, "seed", seed),
         )
         clients, manifest = data.dirichlet_partition(examples, spec,
                                                      categories)
@@ -371,7 +384,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = load_config(args.config) if args.config else {}
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        with _parsing("config"):
+            seed = _int(config, "seed", 0) if args.seed is None else args.seed
         if args.mode == "theory":
             return cmd_theory(config, args.output, seed)
         if args.mode == "simulate":

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,20 +30,18 @@ class ConfigError(ValueError):
     """User input (a config or a data file) that cannot be used."""
 
 
-def as_covariate(values) -> Covariate:
-    """Validate and normalize a covariate.
+def check_int(name: str, value):
+    """``value`` if it is an integer and not a bool, else ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
 
-    Sequences of numbers become tuples of finite floats; strings pass
-    through untouched.
-    """
-    if isinstance(values, str):
-        return values
-    cov = tuple(float(v) for v in values)
-    if len(cov) == 0:
-        raise ValueError("covariate must have dimension >= 1")
-    if not all(math.isfinite(v) for v in cov):
-        raise ValueError(f"covariate has non-finite components: {cov}")
-    return cov
+
+def as_covariate(values) -> Covariate:
+    """One covariate, checked as ``covariate_column`` checks a row: a str
+    passes through untouched, a vector becomes a tuple of finite floats."""
+    row = covariate_column([values])[0]
+    return row if isinstance(row, str) else tuple(row.tolist())
 
 
 def covariate_column(values) -> Union[np.ndarray, Tuple[str, ...]]:
@@ -554,9 +552,6 @@ def example_to_json(ex: Example) -> dict:
 
 
 def example_from_json(obj: dict) -> Example:
-    if "question" in obj:
-        cov: Covariate = str(obj["question"])
-    else:
-        cov = as_covariate(obj["x"])
+    cov = str(obj["question"]) if "question" in obj else obj["x"]
     return Example(covariate=cov, label=label_from_json(obj),
                    category=obj.get("category"))

@@ -18,17 +18,16 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import GenerationParams, LmBackend
+from .backend import LmBackend
 from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
                    Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
-                   TextLabel, ABSTAIN, charge_protocol_round, concat,
-                   covariate_column, covariate_text, join_labels,
-                   label_column, real_values, save_traces)
+                   TextLabel, ABSTAIN, charge_protocol_round, check_int,
+                   concat, covariate_column, join_labels, label_column,
+                   real_values, save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -54,11 +53,9 @@ class ProtocolConfig:
             raise ValueError(f"unknown aggregation: {self.aggregation!r}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"unknown init mode: {self.init_mode!r}")
-        for name in ("rounds", "context_count"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or
-                                      not isinstance(value, Integral)):
-                raise TypeError(f"{name} must be an int, got {value!r}")
+        check_int("rounds", self.rounds)
+        if self.context_count is not None:
+            check_int("context_count", self.context_count)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.context_count is not None and self.context_count < 1:
@@ -195,34 +192,12 @@ def _knn_neighbours(client: ClientState, config: ProtocolConfig,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def default_fusion(answers: Sequence[TextLabel]) -> TextLabel:
-    """Trivial fusion: the most frequent answer string, ties by first seen."""
-    return TextLabel(Counter(lab.answer for lab in answers).most_common(1)[0][0])
-
-
-class TokenOverlapJudge:
-    """Prefer the fused candidate iff it matches strictly more reference
-    tokens than the previous answer; otherwise keep the previous one."""
-
-    def __init__(self, references: Dict[str, str]):
-        self.references = references
-
-    def better(self, candidate: TextLabel, previous: Label,
-               query: Covariate) -> bool:
-        ref = self.references.get(covariate_text(query))
-        if ref is None:
-            return False
-        ref_tokens = set(ref.lower().split())
-        cand = len(set(candidate.answer.lower().split()) & ref_tokens)
-        prev_text = previous.answer if isinstance(previous, TextLabel) else ""
-        prev = len(set(prev_text.lower().split()) & ref_tokens)
-        return cand > prev
+#: the label kind each voting aggregation combines
+_VOTED = {"majority": (ChoiceLabel, "choice"), "fusion": (TextLabel, "text")}
 
 
 def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
-              previous: Dataset,
-              options: Sequence[str] = (),
-              judge: Optional[TokenOverlapJudge] = None) -> Dataset:
+              previous: Dataset, options: Sequence[str] = ()) -> Dataset:
     """Combine per-client answers into the next query set C_{k+1}.
 
     Clients are consumed in ascending id order regardless of completion
@@ -240,36 +215,29 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
         answers = np.stack([real_values(per_client[cid])
                             for cid in client_ids], axis=1)
         return previous.with_labels(RealColumn(answers.mean(axis=1)))
+    if strategy not in _VOTED:
+        raise ValueError(f"unknown aggregation: {strategy!r}")
+    kind, kind_name = _VOTED[strategy]
     labels: List[Label] = []
     for qi in range(m):
         answers = [per_client[cid][qi] for cid in client_ids]
-        if strategy == "majority":
-            labels.append(_majority_vote(answers, options, previous.labels[qi]))
-        elif strategy == "fusion":
-            for a in answers:
-                if not isinstance(a, TextLabel):
-                    raise TypeError("fusion aggregation needs text labels")
-            candidate, prev = default_fusion(answers), previous.labels[qi]
-            keep_prev = judge is not None and not judge.better(
-                candidate, prev, previous.covariates[qi])
-            labels.append(prev if keep_prev else candidate)
-        else:
-            raise ValueError(f"unknown aggregation: {strategy!r}")
+        if not all(isinstance(a, kind) for a in answers):
+            raise TypeError(f"{strategy} aggregation needs {kind_name} labels")
+        labels.append(_vote(answers, options, previous.labels[qi]))
     return previous.with_labels(labels)
 
 
-def _majority_vote(answers: Sequence[Label], options: Sequence[str],
-                   previous: Label) -> Label:
-    if not all(isinstance(a, ChoiceLabel) for a in answers):
-        raise TypeError("majority aggregation needs choice labels")
-    counts = Counter(a.option for a in answers if a != ABSTAIN)
+def _vote(answers: Sequence[Label], options: Sequence[str],
+          previous: Label) -> Label:
+    """The most frequent answer, never ``ABSTAIN``. Ties go to the choice
+    with the lowest index in ``options``, then to the answer seen first;
+    with no votes the previous label stays."""
+    counts = Counter(a for a in answers if a != ABSTAIN)
     if not counts:
         return previous
-    option_index = {opt: i for i, opt in enumerate(options)}
-    # argmax over votes; ties broken by lowest option index
-    best = min(counts.items(),
-               key=lambda kv: (-kv[1], option_index.get(kv[0], len(options))))
-    return ChoiceLabel(best[0])
+    rank = {ChoiceLabel(opt): i for i, opt in enumerate(options)}
+    # a Counter keeps first-seen order, and min keeps the first of equals
+    return min(counts, key=lambda a: (-counts[a], rank.get(a, len(options))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +251,29 @@ class ProtocolResult:
     final: Dataset
 
 
-def _payload_units(queries: Dataset,
-                   gen_params: GenerationParams) -> Tuple[int, int, str]:
-    """(question_units, answer_units, unit) for ledger accounting.
+def _payload_units(queries: Dataset, clients: Sequence[ClientState]
+                   ) -> Tuple[List[Tuple[List[int], int, int]], str]:
+    """(client_ids, question_units, answer_units) for each run of clients
+    in a row charged alike, and the unit, for ledger accounting.
 
     Vector questions cost 64 bits per component and real answers 64 bits;
-    text payloads are charged at the hard per-answer token cap.
+    text payloads are charged at the answer cap of the client's backend.
     """
     d = queries.dim
     if d is not None:
-        return BITS_PER_REAL * d, BITS_PER_REAL, "bits"
-    return gen_params.max_tokens, gen_params.max_tokens, "tokens"
+        return [([c.client_id for c in clients], BITS_PER_REAL * d,
+                 BITS_PER_REAL)], "bits"
+    charges: List[Tuple[List[int], int, int]] = []
+    for c in clients:
+        cap = c.backend.max_tokens
+        if cap is None:
+            raise ValueError(f"client {c.client_id}'s backend has no "
+                             f"max_tokens cap to charge its text answers at")
+        if charges and charges[-1][1] == cap:
+            charges[-1][0].append(c.client_id)
+        else:
+            charges.append(([c.client_id], cap, cap))
+    return charges, "tokens"
 
 
 def run(config: ProtocolConfig,
@@ -301,22 +281,21 @@ def run(config: ProtocolConfig,
         queries: Sequence[Covariate],
         embedder: Optional[Embedder] = None,
         server_reference: Optional[ClientDataset] = None,
-        judge: Optional[TokenOverlapJudge] = None,
-        gen_params: Optional[GenerationParams] = None,
         theory_w_trace: Optional[Sequence[np.ndarray]] = None,
         trace_path=None,
         max_workers: Optional[int] = None) -> ProtocolResult:
     """Execute the full protocol loop and return traces plus the ledger.
 
     The ledger holds the nominal charges and, as unit ``observed_tokens``,
-    the tokens each client's backend reported in each round.
+    the tokens each client's backend reported in each round. Text payloads
+    are charged at the ``max_tokens`` of each client's backend, and a text
+    run whose backend has none raises ``ValueError``.
     ``theory_w_trace``, when given, attaches the matching closed-form weight
     vector to each round's trace. The traces are written to ``trace_path``
     (if set) also on a mid-run failure, before it is re-raised.
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
-    gen_params = gen_params or GenerationParams()
 
     if config.variant == "fedicl_ub":
         merged = _merge_clients([c.original for c in clients])
@@ -328,8 +307,7 @@ def run(config: ProtocolConfig,
                       backend=clients[0].backend, rng=rng)
     queries = c_k.covariates  # checked once; every round shares it
     ledger = CommLedger()
-    question_units, answer_units, unit = _payload_units(c_k, gen_params)
-    client_ids = [c.client_id for c in clients]
+    charges, unit = _payload_units(c_k, clients)
 
     # a round changes only labels: each step's pool keeps its covariates
     # and neighbour choice ignores labels, so one step-2 pool and one kNN
@@ -356,8 +334,9 @@ def run(config: ProtocolConfig,
     traces: List[RoundTrace] = []
     try:
         for k in range(1, config.effective_rounds + 1):
-            charge_protocol_round(ledger, k, client_ids, len(queries),
-                                  question_units, answer_units, unit)
+            for client_ids, question_units, answer_units in charges:
+                charge_protocol_round(ledger, k, client_ids, len(queries),
+                                      question_units, answer_units, unit)
             per_client = {}
             for cid, answers, usage in map_clients(client_round, clients):
                 per_client[cid] = answers
@@ -366,7 +345,7 @@ def run(config: ProtocolConfig,
                         ledger.record(k, direction, cid, usage[key],
                                       "observed_tokens")
             c_next = aggregate(per_client, config.aggregation, c_k,
-                               options=config.options, judge=judge)
+                               options=config.options)
             theory_w = None
             if theory_w_trace is not None and k < len(theory_w_trace):
                 theory_w = tuple(float(v) for v in theory_w_trace[k])

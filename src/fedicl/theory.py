@@ -16,7 +16,6 @@ point w* = (2I - H_cont)^-1 w_limit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -137,10 +136,6 @@ class ContractionReport:
             "pass": self.passed,
             "failed_round": self.failed_round,
         }
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
 
 
 def verify_contraction(state: TheoryState, slack: float = 1e-9) -> ContractionReport:

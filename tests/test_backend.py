@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
-                            RemoteBackendError, parse_choice, render_prompt)
+from fedicl.backend import (RETRY_AFTER_MAX_S, GenerationParams, LsaBackend,
+                            RemoteBackend, RemoteBackendError, parse_choice,
+                            render_prompt)
 from fedicl.core import (ChoiceLabel, Dataset, Example,
                          RealLabel, TextLabel, ABSTAIN, real_values)
 from fedicl.lsa import gamma, predict_closed_form
@@ -313,6 +314,20 @@ def test_remote_backend_falls_back_to_backoff_on_an_invalid_retry_after(
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
     assert slept == [0.25]   # the first retry's exponential delay
+
+
+@pytest.mark.parametrize("retry_after", ["1e6", "1e300"])
+def test_remote_backend_waits_at_most_the_retry_after_ceiling(monkeypatch,
+                                                               retry_after):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    script = [(503, {"error": "down"}, {"Retry-After": retry_after}),
+              (200, None, {})]
+    with MockLlmServer(script=script) as srv:
+        got = RemoteBackend(srv.url).answer(Dataset(), ["q"])[0]
+        assert len(srv.requests) == 2
+    assert got == TextLabel("mock answer")
+    assert slept == [RETRY_AFTER_MAX_S]
 
 
 def test_remote_backend_gives_up_after_max_retries():

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from fedicl.backend import LsaBackend
-from fedicl.core import ClientDataset, Example, RealLabel
+from fedicl import protocol
+from fedicl.backend import LsaBackend, RemoteBackend
+from fedicl.core import ClientDataset, Example, RealLabel, TextLabel
 from fedicl.lsa import gamma
 from fedicl.protocol import ClientState, ProtocolConfig, run
+
+from mock_llm import MockLlmServer
+from test_bench_workloads import load_workloads
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 KNN_SPANS = {"data.knn", "data.embed", "data.embed_many"}
@@ -64,3 +68,31 @@ def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
     assert counts["data.embed"] == counts["data.embed_many"]
     # one backend call per (client, step, round), as with full context
     assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2
+
+
+def test_text_run_fires_every_span_of_the_remote_text_workload(monkeypatch,
+                                                                tmp_path):
+    spans = load_workloads(monkeypatch).RemoteTextWorkload.spans
+    tracing = load_tracing()
+    recorder = tracing.SpanRecorder()
+    with MockLlmServer(reply="a reply") as srv:
+        clients = [ClientState(cid, ClientDataset(cid, tuple(
+            Example(f"question {cid}.{i}?", TextLabel(f"answer {i}"))
+            for i in range(2))), RemoteBackend(srv.url)) for cid in (1, 2)]
+        recorder.install()
+        try:
+            # through the module, as the benchmark calls it: the recorder
+            # wraps ``protocol.run`` there
+            result = protocol.run(
+                ProtocolConfig(rounds=2, aggregation="fusion"), clients,
+                ("What causes tides?",), trace_path=tmp_path / "traces.jsonl",
+                max_workers=2)
+            result.ledger.export_csv(tmp_path / "ledger.csv")
+        finally:
+            recorder.close()
+    names = recorder.table()["name"].astype(int)
+    fired = {tracing.SPAN_NAMES[i] for i in names}
+    # as the benchmark's span check: each of its spans fires, no other does
+    assert fired == spans
+    assert not KNN_SPANS & fired
+    assert not {"backend.lsa", "lsa.predict"} & fired

@@ -150,12 +150,20 @@ def protocol_with(**settings):
     ("simulate", remote(max_retries=-1), "max_retries must be >= 0"),
     ("simulate", remote(timeout_ms=0), "timeout_ms must be > 0"),
     ("simulate", remote(context_count=5), "protocol.context_count"),
+    ("simulate", dict(SIM_CFG, protocol=3), "protocol must be a JSON object"),
+    ("simulate", dict(SIM_CFG, backend=[]), "backend must be a JSON object"),
+    ("simulate", dict(SIM_CFG, dataset="x"), "dataset must be a JSON object"),
+    ("theory", {"theory": 5}, "theory must be a JSON object"),
+    ("partition", {"partition": 1, "dataset": {"path": __file__}},
+     "partition must be a JSON object"),
 ], ids=["theory-gamma-not-spd", "theory-lambda-not-spd",
         "simulate-lambda-not-spd", "theory-d-0", "simulate-d-0",
         "theory-rounds-0", "theory-no-examples", "simulate-no-examples",
         "theory-list-config", "simulate-string-config", "float-context-count",
         "bool-context-count", "float-rounds", "negative-retries",
-        "zero-timeout", "backend-context-count"])
+        "zero-timeout", "backend-context-count", "protocol-not-object",
+        "backend-not-object", "dataset-not-object", "theory-not-object",
+        "partition-not-object"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
                                               mode, config, message):
     with MockLlmServer() as srv:
@@ -164,6 +172,27 @@ def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
         assert srv.requests == []
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+    assert not (out / "theory_report.json").exists()
+
+
+@pytest.mark.parametrize("mode,config", [
+    ("theory", {"theory": {"rounds": 2.5}}),
+    ("theory", {"theory": {"rounds": True}}),
+    ("theory", {"theory": {"d": True}}),
+    ("simulate", dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"],
+                                            num_clients=2.7))),
+    ("simulate", dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"], d=True))),
+    ("simulate", dict(SIM_CFG, backend={"kind": "lsa", "max_tokens": 2.5})),
+    ("simulate", dict(SIM_CFG, seed=1.5)),
+    ("simulate", dict(SIM_CFG, protocol={"rounds": 2, "seed": 1.5})),
+], ids=["theory-float-rounds", "theory-bool-rounds", "theory-bool-d",
+        "float-num-clients", "bool-d", "float-max-tokens", "float-seed",
+        "float-protocol-seed"])
+def test_a_count_that_is_not_an_int_exits_2(tmp_path, capsys, mode, config):
+    code, out = run_cli(tmp_path, mode, write_config(tmp_path, config))
+    assert code == cli.EXIT_CONFIG
+    assert "must be an int" in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
     assert not (out / "theory_report.json").exists()
 
@@ -341,6 +370,31 @@ def test_simulate_rejects_a_run_it_cannot_make(tmp_path, capsys, clients,
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
+
+
+@pytest.mark.parametrize("missing", [
+    "client_paths", "query_path", "dataset_path", "traces"])
+def test_a_missing_input_file_exits_2(tmp_path, capsys, missing):
+    gone = str(tmp_path / "gone.jsonl")
+    files = write_files(tmp_path, VECTOR_CLIENTS, VECTOR_QUERIES)
+    mode, extra = "simulate", []
+    # a config valid but for the file; the endpoint is never contacted
+    config = {"dataset": files, "protocol": {"aggregation": "fusion"},
+              "backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9"}}
+    if missing == "client_paths":
+        files["client_paths"].append(gone)
+    elif missing == "query_path":
+        files["query_path"] = gone
+    elif missing == "dataset_path":
+        mode, config = "partition", {"dataset": {"path": gone}, "partition": {
+            "num_clients": 2, "alpha": 1.0}}
+    else:
+        mode, config, extra = "report", None, ["--traces", gone]
+    if config is not None:
+        config = write_config(tmp_path, config)
+    code, _ = run_cli(tmp_path, mode, config, extra=extra)
+    assert code == cli.EXIT_CONFIG
+    assert gone in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size", [{"num_clients": 0}, {"num_queries": 0}])

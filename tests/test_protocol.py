@@ -10,8 +10,8 @@ from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
                          RealLabel, TextLabel, ABSTAIN)
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
-                             TokenOverlapJudge, _step2_pool, aggregate,
-                             init_labels, run, step1_relabel, step2_answer)
+                             _step2_pool, aggregate, init_labels, run,
+                             step1_relabel, step2_answer)
 
 from mock_llm import MockLlmServer
 
@@ -194,16 +194,17 @@ def test_majority_ignores_abstain():
     assert all_abstain.labels == (ChoiceLabel("C"),)  # previous retained
 
 
-def test_fusion_with_judge_keeps_better():
+@pytest.mark.parametrize("answers,want", [
+    (("b", "a", "b"), "b"),
+    (("b", "a"), "b"),        # a tie goes to the answer seen first
+], ids=["plurality", "tie"])
+def test_fusion_picks_the_most_frequent_answer(answers, want):
     prev = qset([TextLabel("old answer")], covs=("q1",))
-    judge = TokenOverlapJudge({"q1": "the correct reference answer"})
-    better = aggregate({1: [TextLabel("the correct reference answer")],
-                        2: [TextLabel("the correct reference answer")]},
-                       "fusion", prev, judge=judge)
-    assert better.labels == (TextLabel("the correct reference answer"),)
-    worse = aggregate({1: [TextLabel("zzz")], 2: [TextLabel("zzz")]},
-                      "fusion", prev, judge=judge)
-    assert worse.labels == (TextLabel("old answer"),)
+    # inserted in descending id order: the vote reads clients by id
+    per_client = {cid: [TextLabel(a)]
+                  for cid, a in reversed(list(enumerate(answers, 1)))}
+    out = aggregate(per_client, "fusion", prev, options=("a", "b"))
+    assert out.labels == (TextLabel(want),)
 
 
 def test_aggregation_strategy_label_mismatch():
@@ -609,8 +610,7 @@ def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
     params = GenerationParams()
     with MockLlmServer(reply="a reply") as srv:
         result = run(ProtocolConfig(rounds=rounds, aggregation="fusion"),
-                     text_clients(srv.url, sizes, params), TEXT_QUERIES,
-                     gen_params=params)
+                     text_clients(srv.url, sizes, params), TEXT_QUERIES)
         prompts = prompts_of(srv)
         observed = sum(u["prompt_tokens"] + u["completion_tokens"]
                        for u in srv.usages)
@@ -629,6 +629,34 @@ def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
              in p]
     assert len(first) == sum(sizes)
     assert not any("Answer: 0.0" in p for p in prompts)
+
+
+@pytest.mark.parametrize("caps", [(4,), (4, 8)], ids=["one", "two"])
+def test_text_run_charges_each_client_at_its_backend_cap(caps):
+    with MockLlmServer(reply="a reply") as srv:
+        clients = [ClientState(cid, ClientDataset(cid, (Example(
+            f"local question {cid}?", TextLabel("local answer")),)),
+            RemoteBackend(srv.url, params=GenerationParams(max_tokens=cap)))
+            for cid, cap in enumerate(caps, 1)]
+        result = run(ProtocolConfig(rounds=1, aggregation="fusion"),
+                     clients, TEXT_QUERIES[:1])
+    # the question and the current answer go down, one answer comes up
+    assert [(e.client_id, e.direction, e.payload_units)
+            for e in result.ledger.entries if e.unit == "tokens"] == [
+        row for cid, cap in enumerate(caps, 1)
+        for row in ((cid, "downlink", 2 * cap), (cid, "uplink", cap))]
+    assert result.ledger.total("tokens") == 3 * sum(caps)
+
+
+def test_text_run_with_a_backend_without_a_cap_fails_before_any_request():
+    with MockLlmServer() as srv:
+        clients = text_clients(srv.url, (2,))
+        clients.append(ClientState(2, clients[0].original,
+                                   LsaBackend(GAMMA_1D)))
+        with pytest.raises(ValueError, match="client 2.*max_tokens"):
+            run(ProtocolConfig(rounds=1, aggregation="fusion"), clients,
+                TEXT_QUERIES)
+        assert srv.requests == []
 
 
 def test_text_run_reports_a_backend_failure_as_a_protocol_error():

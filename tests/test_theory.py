@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -262,11 +264,8 @@ def test_matched_moments_error_halves_exactly():
     assert all(r == pytest.approx(0.5, abs=1e-9) for r in report.ratios)
 
 
-def test_report_json_shape(tmp_path):
+def test_report_json_shape():
     state = iterate_recursion(state_from([[0.5]], [1.0]), 5)
     report = verify_contraction(state)
-    path = tmp_path / "report.json"
-    report.write(path)
-    import json
-    obj = json.loads(path.read_text())
+    obj = json.loads(json.dumps(report.to_json()))
     assert set(obj) >= {"h_norm", "rounds", "ratios", "bound", "pass"}
