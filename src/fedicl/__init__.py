@@ -11,8 +11,8 @@ from .theory import (TheoryState, compute_contraction, fixed_point,
 from .protocol import (ClientState, ProtocolConfig, aggregate, init_labels,
                        run, step1_relabel, step2_answer)
 from .data import (Embedder, IdentityEmbedder, PartitionSpec,
-                   dirichlet_partition, knn_context, knn_filter,
-                   load_dataset, save_dataset)
+                   dirichlet_partition, knn_context, load_dataset,
+                   save_dataset)
 from .backend import (GenerationParams, LmBackend, LsaBackend, RemoteBackend,
                       parse_choice, render_prompt)
 

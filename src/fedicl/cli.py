@@ -91,6 +91,8 @@ def synthesize_instance(cfg: dict, seed: int):
     num_clients = _int(cfg, "num_clients", 2)
     n = _int(cfg, "examples_per_client", 5)
     m = _int(cfg, "num_queries", 4)
+    if min(num_clients, m) < 1:
+        raise ValueError("num_clients and num_queries must be >= 1")
     t_prompt = _int(cfg, "t_prompt", 10)
     lam = np.array(cfg["lambda"]) if "lambda" in cfg else np.eye(d)
     rng = _substream(seed, "instance")
@@ -165,34 +167,31 @@ def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _build_protocol_config(config: dict) -> protocol.ProtocolConfig:
+def _build_protocol_config(config: dict,
+                           seed: int) -> protocol.ProtocolConfig:
     pcfg = _section(config, "protocol")
     with _parsing("protocol"):
-        return protocol.ProtocolConfig(
+        pconf = protocol.ProtocolConfig(
             rounds=pcfg.get("rounds", 6),
             variant=pcfg.get("variant", "fedicl"),
             aggregation=pcfg.get("aggregation", "average"),
             context_count=pcfg.get("context_count"),
             init_mode=pcfg.get("init_mode", "zeros"),
-            seed=_int(pcfg, "seed", config.get("seed", 0)),
+            seed=_int(pcfg, "seed", seed),
             options=tuple(pcfg.get("options", ())),
         )
-
-
-#: the aggregation each backend kind's answers feed: LSA answers are real
-#: and remote ones text; no backend answers with the choices of "majority"
-_AGGREGATION_OF_BACKEND = {"lsa": "average", "remote": "fusion"}
+    if pconf.aggregation == "majority":
+        raise ConfigError("protocol.aggregation 'majority' cannot combine "
+                          "the answers of any backend kind: none answers "
+                          "with choices")
+    return pconf
 
 
 def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
-                    client_ids: Sequence[int], aggregation: str):
+                    client_ids: Sequence[int]):
     """One backend per client."""
     bcfg = _section(config, "backend")
     kind = bcfg.get("kind", "lsa")
-    feeds = _AGGREGATION_OF_BACKEND.get(kind)  # None: rejected further down
-    if feeds not in (None, aggregation):
-        raise ConfigError(f"protocol.aggregation {aggregation!r} cannot "
-                          f"combine {kind} answers; use {feeds!r}")
     if "context_count" in bcfg:
         raise ConfigError("backend.context_count is gone: a prompt holds the "
                           "context protocol.context_count chooses")
@@ -220,11 +219,12 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
-def _modeled_by_recursion(pconf: protocol.ProtocolConfig, backend) -> bool:
+def _modeled_by_recursion(pconf: protocol.ProtocolConfig, backends) -> bool:
     """Whether the recursion, from w_1 = 0, models the run: ``fedicl`` or
     ``fedicl_ub`` with full context on the LSA backend, from C_1 = 0 (zeros,
     or LSA answers with no context)."""
-    return (isinstance(backend, LsaBackend) and pconf.context_count is None
+    return (any(isinstance(b, LsaBackend) for b in backends)
+            and pconf.context_count is None
             and pconf.variant in ("fedicl", "fedicl_ub")
             and pconf.init_mode in ("zeros", "backend_generated"))
 
@@ -238,10 +238,7 @@ def _theory_deviation(trace: core.RoundTrace) -> float:
 
 def cmd_simulate(config: dict, output_dir: str, seed: int,
                  verify_theory: bool = False) -> int:
-    pconf = _build_protocol_config(config)
-    if pconf.variant == "fedicl_lb":
-        raise ConfigError("protocol.variant fedicl_lb needs a server "
-                          "reference set, which the fedicl command cannot load")
+    pconf = _build_protocol_config(config, seed)
     scfg = _section(config, "dataset")
     gamma_mat = None
     if "client_paths" in scfg:
@@ -253,28 +250,17 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
                 for cid, path in enumerate(scfg["client_paths"], start=1)]
             queries = core.covariate_column(
                 [ex.covariate for ex in data.load_dataset(query_path)])
-        text = isinstance(queries, tuple)
-        if pconf.context_count is not None and (
-                text or any(ds.dim is None for ds in clients_data)):
-            raise ConfigError("protocol.context_count needs vector data: the "
-                              "fedicl command has no text embedder")
-        if text and pconf.init_mode == "random":
-            raise ConfigError("protocol.init_mode 'random' needs vector "
-                              "queries")
     else:
         with _parsing("dataset"):
             clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
-    if not clients_data or len(queries) == 0:
-        raise ConfigError("dataset holds no queries or no clients")
-    backends = _build_backends(
-        config, gamma_mat, [ds.client_id for ds in clients_data],
-        pconf.aggregation)
+    backends = _build_backends(config, gamma_mat,
+                               [ds.client_id for ds in clients_data])
     clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
                                     backend=backend)
                for ds, backend in zip(clients_data, backends)]
 
     theory_trace = None
-    modeled = _modeled_by_recursion(pconf, backends[0])
+    modeled = _modeled_by_recursion(pconf, backends)
     if verify_theory and not modeled:
         raise ConfigError("--verify-theory does not cover this run yet: it "
                           "checks fedicl and fedicl_ub with the lsa backend, "

@@ -1,4 +1,4 @@
-"""Dataset ingestion, Dirichlet non-IID partitioning, and kNN filtering."""
+"""Dataset ingestion, Dirichlet non-IID partitioning, and kNN search."""
 
 from __future__ import annotations
 
@@ -173,7 +173,7 @@ def category_entropy(dataset: ClientDataset) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kNN filtering (exact search; desk-scale datasets)
+# kNN context selection (exact search; desk-scale datasets)
 # ---------------------------------------------------------------------------
 
 #: Most elements in one block's (queries, pool, dim) difference array
@@ -203,17 +203,6 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
     return nearest
 
 
-def knn_filter(dataset: ClientDataset, queries: Sequence[Covariate], c: int,
-               embedder: Embedder) -> ClientDataset:
-    """Union over queries of each query's c nearest examples.
-
-    Duplicates are merged; asking for more neighbors than examples returns
-    the whole dataset.
-    """
-    keep = knn_context(dataset.covariates, queries, c, embedder)
-    return dataset.take(sorted(set(keep.ravel().tolist())))
-
-
 # ---------------------------------------------------------------------------
 # JSONL persistence
 # ---------------------------------------------------------------------------
@@ -237,18 +226,3 @@ def save_dataset(examples: Sequence[Example], path) -> None:
         for ex in examples:
             fh.write(json.dumps(example_to_json(ex)) + "\n")
 
-
-def sample_query_set(dataset: Sequence[Example], per_category: int,
-                     seed: int) -> List[Example]:
-    """Draw per_category examples from each category, seeded."""
-    rng = np.random.default_rng(seed)
-    by_cat: Dict[str, List[Example]] = {}
-    for ex in dataset:
-        by_cat.setdefault(ex.category or "", []).append(ex)
-    out: List[Example] = []
-    for cat in sorted(by_cat):
-        pool = by_cat[cat]
-        take = min(per_category, len(pool))
-        idx = rng.choice(len(pool), size=take, replace=False)
-        out.extend(pool[i] for i in sorted(idx))
-    return out

@@ -24,10 +24,10 @@ import numpy as np
 
 from .backend import LmBackend
 from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
-                   Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
-                   TextLabel, ABSTAIN, charge_protocol_round, check_int,
-                   concat, covariate_column, join_labels, label_column,
-                   real_values, save_traces)
+                   ConfigError, Covariate, Dataset, Label, Labels, RealColumn,
+                   RoundTrace, TextLabel, ABSTAIN, charge_protocol_round,
+                   check_int, concat, covariate_column, join_labels,
+                   label_column, real_values, save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -76,6 +76,8 @@ class ClientState:
 
 
 class ProtocolError(RuntimeError):
+    """A client's backend failed, or gave a wrong number of answers."""
+
     def __init__(self, message: str, client_id: Optional[int] = None):
         super().__init__(message)
         self.client_id = client_id
@@ -89,16 +91,17 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
                 backend: Optional[LmBackend] = None,
                 rng: Optional[np.random.Generator] = None) -> Dataset:
     """Build the round-1 query set C_1; ``zeros`` gives text queries empty
-    answers, and ``random`` needs vector queries."""
+    answers, and ``random`` needs vector queries. A query set it cannot
+    build raises ``ConfigError`` before any backend call."""
     covariates = covariate_column(covariates)
     m, text = len(covariates), isinstance(covariates, tuple)
     if m == 0:
-        raise ValueError("query set must contain at least one covariate")
+        raise ConfigError("query set must contain at least one covariate")
     if mode == "zeros":
         labels = (TextLabel(""),) * m if text else RealColumn(np.zeros(m))
     elif mode == "random":
         if text:
-            raise ValueError("random initialization needs vector queries")
+            raise ConfigError("random initialization needs vector queries")
         rng = rng if rng is not None else np.random.default_rng(0)
         labels = RealColumn(rng.standard_normal(m))
     elif mode == "backend_generated":
@@ -115,8 +118,6 @@ def step1_relabel(client: ClientState, c_k: Dataset,
                   usage: Optional[Dict[str, int]] = None) -> ClientDataset:
     """Relabel the client's covariates via ICL on the server's query set
     (all of it, or each covariate's ``neighbours`` in it)."""
-    if client.original is None:
-        raise ProtocolError("client has no local dataset", client.client_id)
     return client.original.with_labels(_answer_in_context(
         client, c_k, client.original.covariates, neighbours, 1, usage))
 
@@ -146,13 +147,8 @@ def _step2_pool(client: ClientState, variant: str,
     labels that precede step 1's answers in it; None for those labels when
     the variant does not relabel and the pool is every round's context."""
     if variant == "fedicl_lb":
-        if server_reference is None:
-            raise ProtocolError("fedicl_lb needs a server reference set",
-                                client.client_id)
         return server_reference, None
     local = client.original
-    if local is None:
-        raise ProtocolError("client has no local dataset", client.client_id)
     if variant == "fedicl_gt":
         return local, None
     if variant == "fedicl_free":
@@ -251,24 +247,62 @@ class ProtocolResult:
     final: Dataset
 
 
+def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
+               text: bool, embedder: Optional[Embedder],
+               server_reference: Optional[ClientDataset]) -> None:
+    """Raise ``ConfigError`` for a run the engine cannot make, with
+    ``text`` queries or not; ``init_labels`` checks the queries themselves.
+
+    A backend's ``max_tokens`` is None exactly when it answers with reals,
+    so ``average`` needs every cap to be None and a vote every cap set;
+    text questions are charged at the cap, so they need one.
+    """
+    if not clients:
+        raise ConfigError("run has no clients")
+    if config.variant == "fedicl_lb":
+        if server_reference is None:
+            raise ConfigError("fedicl_lb needs a server reference set")
+        read = [server_reference]
+    else:
+        read = [c.original for c in clients]
+        missing = [c.client_id for c in clients if c.original is None]
+        if missing:
+            raise ConfigError(f"clients {missing} hold no local dataset, "
+                              f"which {config.variant} reads")
+    if config.variant == "fedicl_ub" and len({ds.dim for ds in read}) > 1:
+        raise ConfigError("fedicl_ub cannot merge clients whose covariates "
+                          "differ in kind or dimension")
+    if (config.context_count is not None and embedder is None
+            and (text or any(ds.dim is None for ds in read))):
+        raise ConfigError("context_count on text covariates needs an "
+                          "embedder, and none is given")
+    reals = config.aggregation == "average"
+    for c in clients:
+        if (c.backend.max_tokens is None) != reals or (reals and text):
+            raise ConfigError(
+                f"aggregation {config.aggregation!r} cannot combine client "
+                f"{c.client_id}'s answers: its backend has max_tokens "
+                f"{c.backend.max_tokens} (None answers with reals, a cap "
+                f"with text) and the queries are "
+                f"{'text' if text else 'vectors'}")
+
+
 def _payload_units(queries: Dataset, clients: Sequence[ClientState]
                    ) -> Tuple[List[Tuple[List[int], int, int]], str]:
     """(client_ids, question_units, answer_units) for each run of clients
     in a row charged alike, and the unit, for ledger accounting.
 
-    Vector questions cost 64 bits per component and real answers 64 bits;
-    text payloads are charged at the answer cap of the client's backend.
+    With backends that answer with reals (no ``max_tokens`` cap;
+    ``_check_run`` makes every cap agree), each vector question costs 64 bits
+    per component and each answer 64 bits. Otherwise every payload is
+    charged at the answer cap of the client's backend, in tokens.
     """
-    d = queries.dim
-    if d is not None:
-        return [([c.client_id for c in clients], BITS_PER_REAL * d,
+    if clients[0].backend.max_tokens is None:
+        return [([c.client_id for c in clients], BITS_PER_REAL * queries.dim,
                  BITS_PER_REAL)], "bits"
     charges: List[Tuple[List[int], int, int]] = []
     for c in clients:
         cap = c.backend.max_tokens
-        if cap is None:
-            raise ValueError(f"client {c.client_id}'s backend has no "
-                             f"max_tokens cap to charge its text answers at")
         if charges and charges[-1][1] == cap:
             charges[-1][0].append(c.client_id)
         else:
@@ -286,26 +320,30 @@ def run(config: ProtocolConfig,
         max_workers: Optional[int] = None) -> ProtocolResult:
     """Execute the full protocol loop and return traces plus the ledger.
 
-    The ledger holds the nominal charges and, as unit ``observed_tokens``,
-    the tokens each client's backend reported in each round. Text payloads
-    are charged at the ``max_tokens`` of each client's backend, and a text
-    run whose backend has none raises ``ValueError``.
+    A run the engine cannot make raises ``ConfigError`` before any backend
+    call (see ``_check_run``), and a failing backend raises
+    ``ProtocolError``. The ledger holds the nominal charges and, as unit
+    ``observed_tokens``, the tokens each client's backend reported in each
+    round.
     ``theory_w_trace``, when given, attaches the matching closed-form weight
     vector to each round's trace. The traces are written to ``trace_path``
     (if set) also on a mid-run failure, before it is re-raised.
     """
-    if len(clients) == 0:
-        raise ValueError("need at least one client")
+    queries = covariate_column(queries)  # every round shares this column
+    _check_run(config, clients, isinstance(queries, tuple), embedder,
+               server_reference)
 
     if config.variant == "fedicl_ub":
-        merged = _merge_clients([c.original for c in clients])
-        clients = [ClientState(client_id=1, original=merged,
-                               backend=clients[0].backend)]
+        merged = concat([c.original for c in clients])
+        clients = [ClientState(client_id=1, backend=clients[0].backend,
+                               original=ClientDataset(
+                                   1, covariates=merged.covariates,
+                                   labels=merged.labels,
+                                   categories=merged.categories))]
 
     rng = np.random.default_rng(config.seed)
     c_k = init_labels(queries, config.init_mode,
                       backend=clients[0].backend, rng=rng)
-    queries = c_k.covariates  # checked once; every round shares it
     ledger = CommLedger()
     charges, unit = _payload_units(c_k, clients)
 
@@ -358,11 +396,3 @@ def run(config: ProtocolConfig,
         if trace_path is not None:
             save_traces(traces, trace_path)
     return ProtocolResult(traces=traces, ledger=ledger, final=c_k)
-
-
-def _merge_clients(datasets: Sequence[Optional[ClientDataset]]) -> ClientDataset:
-    if any(ds is None for ds in datasets):
-        raise ValueError("fedicl_ub requires every client to hold data")
-    merged = concat(datasets)
-    return ClientDataset(1, covariates=merged.covariates, labels=merged.labels,
-                         categories=merged.categories)

@@ -227,14 +227,14 @@ def test_criterion_08_knn_matches_exhaustive_search():
             queries = [tuple(x) for x in
                        rng.standard_normal((int(rng.integers(1, 5)), d))]
             c = int(rng.integers(1, n + 1))
-            kept = data.knn_filter(ds, queries, c, emb)
+            kept = data.knn_context(ds.covariates, queries, c, emb)
             want = set()
             for q in queries:
                 dists = sorted(
                     (float(np.linalg.norm(np.array(cv) - np.array(q))), i)
                     for i, cv in enumerate(ds.covariates))
                 want.update(i for _, i in dists[:c])
-            assert {ds.examples.index(ex) for ex in kept.examples} == want
+            assert set(kept.ravel().tolist()) == want
 
 
 def test_criterion_09_partition_contract():

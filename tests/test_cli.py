@@ -268,6 +268,20 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
         (tmp_path / "c/traces.jsonl").read_bytes()
 
 
+def test_simulate_seed_flag_seeds_the_protocol_as_the_config_seed_does(
+        tmp_path):
+    # random C_1 comes from the protocol seed, the instance from the root seed
+    protocol_cfg = dict(SIM_CFG["protocol"], init_mode="random")
+    flagged = write_config(tmp_path, dict(SIM_CFG, protocol=protocol_cfg),
+                           name="flagged.json")
+    seeded = write_config(tmp_path, dict(SIM_CFG, protocol=protocol_cfg,
+                                         seed=99), name="seeded.json")
+    run_cli(tmp_path, "simulate", flagged, out="flag", extra=["--seed", "99"])
+    run_cli(tmp_path, "simulate", seeded, out="config")
+    assert (tmp_path / "flag/traces.jsonl").read_bytes() == \
+        (tmp_path / "config/traces.jsonl").read_bytes()
+
+
 def test_simulate_from_dataset_files(tmp_path):
     rng = np.random.default_rng(17)
     paths = []
@@ -316,7 +330,7 @@ def test_simulate_rejects_an_empty_query_file(tmp_path, capsys):
         "backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9"}})
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_CONFIG
-    assert "holds no queries" in capsys.readouterr().err
+    assert "at least one covariate" in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
 
 
@@ -344,9 +358,9 @@ VECTOR_QUERIES = [{"x": [0.5, 0.5], "y": 0.0}]
     (VECTOR_CLIENTS, VECTOR_QUERIES, {"variant": "fedicl_lb"}, "remote",
      "server reference set"),
     (TEXT_CLIENTS, TEXT_QUERIES, {"context_count": 1}, "remote",
-     "no text embedder"),
+     "needs an embedder"),
     (TEXT_CLIENTS, VECTOR_QUERIES, {"context_count": 1}, "remote",
-     "no text embedder"),
+     "needs an embedder"),
     (TEXT_CLIENTS, TEXT_QUERIES + VECTOR_QUERIES, {}, "remote",
      "text and vector covariates mixed"),
     (VECTOR_CLIENTS, VECTOR_QUERIES, {"aggregation": "average"}, "lsa",
@@ -354,8 +368,10 @@ VECTOR_QUERIES = [{"x": [0.5, 0.5], "y": 0.0}]
     (TEXT_CLIENTS, TEXT_QUERIES, {"init_mode": "random"}, "remote",
      "needs vector queries"),
     ([], TEXT_QUERIES, {}, "remote", "no clients"),
+    (VECTOR_CLIENTS + [[{"x": [1.0, 0.0, 2.0], "y": 1.0}]], VECTOR_QUERIES,
+     {"variant": "fedicl_ub"}, "remote", "cannot merge"),
 ], ids=["lb", "text-knn", "text-clients-knn", "mixed-queries", "lsa-files",
-        "text-random", "no-clients"])
+        "text-random", "no-clients", "ub-unequal-dims"])
 def test_simulate_rejects_a_run_it_cannot_make(tmp_path, capsys, clients,
                                                queries, protocol_cfg, kind,
                                                message):
@@ -403,7 +419,8 @@ def test_simulate_rejects_a_synthetic_dataset_with_nothing_to_run(
     cfg = dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"], **size))
     code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, cfg))
     assert code == cli.EXIT_CONFIG
-    assert "holds no queries or no clients" in capsys.readouterr().err
+    assert ("num_clients and num_queries must be >= 1"
+            in capsys.readouterr().err)
     assert not (out / "traces.jsonl").exists()
 
 

@@ -8,8 +8,7 @@ from fedicl.core import (ChoiceLabel, ClientDataset, ConfigError, Example,
 from fedicl import data
 from fedicl.data import (IdentityEmbedder, PartitionSpec, TableEmbedder,
                          category_entropy, dirichlet_partition, knn_context,
-                         knn_filter, load_dataset, sample_query_set,
-                         save_dataset)
+                         load_dataset, save_dataset)
 
 CATEGORIES = ("algebra", "biology", "history", "law")
 
@@ -186,15 +185,15 @@ def test_knn_matches_brute_force():
         queries = [tuple(x) for x in
                    rng.standard_normal((int(rng.integers(1, 5)), d))]
         c = int(rng.integers(1, n + 1))
-        kept = knn_filter(ds, queries, c, emb)
+        kept = knn_context(ds.covariates, queries, c, emb)
         want = brute_force_knn(ds, queries, c, emb)
-        assert {ds.examples.index(ex) for ex in kept.examples} == want
+        assert set(kept.ravel().tolist()) == want
 
 
 def test_knn_c_saturation_returns_whole_dataset():
     ds = vec_dataset([[0.0], [1.0], [2.0]])
-    kept = knn_filter(ds, [(0.5,)], 10, IdentityEmbedder())
-    assert kept.examples == ds.examples
+    kept = knn_context(ds.covariates, [(0.5,)], 10, IdentityEmbedder())
+    assert sorted(kept.ravel().tolist()) == [0, 1, 2]
 
 
 def test_knn_context_zero_distance_first():
@@ -210,9 +209,8 @@ def test_knn_kept_set_monotone_in_c():
     queries = [tuple(x) for x in rng.standard_normal((3, 2))]
     prev = set()
     for c in range(1, 13):
-        kept = {ds.examples.index(ex)
-                for ex in knn_filter(ds, queries, c,
-                                     IdentityEmbedder()).examples}
+        kept = set(knn_context(ds.covariates, queries, c,
+                               IdentityEmbedder()).ravel().tolist())
         assert prev <= kept
         prev = kept
 
@@ -267,8 +265,6 @@ def test_knn_context_blocks_cover_every_query():
 
 def test_knn_rejects_nonpositive_c():
     ds = vec_dataset([[1.0]])
-    with pytest.raises(ValueError):
-        knn_filter(ds, [(1.0,)], 0, IdentityEmbedder())
     with pytest.raises(ValueError):
         knn_context(ds.covariates, [(1.0,)], 0, IdentityEmbedder())
 
@@ -345,14 +341,3 @@ def test_load_dataset_malformed_line_reports_position(tmp_path):
     with pytest.raises(ConfigError, match=r"bad\.jsonl:2"):
         load_dataset(path)
 
-
-def test_sample_query_set_seeded_and_per_category():
-    corpus = labeled_corpus(80, seed=4)
-    a = sample_query_set(corpus, per_category=3, seed=9)
-    b = sample_query_set(corpus, per_category=3, seed=9)
-    assert a == b
-    counts = {}
-    for ex in a:
-        counts[ex.category] = counts.get(ex.category, 0) + 1
-    assert all(v == 3 for v in counts.values())
-    assert set(counts) == set(CATEGORIES)

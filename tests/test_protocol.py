@@ -659,6 +659,45 @@ def test_text_run_with_a_backend_without_a_cap_fails_before_any_request():
         assert srv.requests == []
 
 
+def test_remote_run_on_vector_questions_charges_tokens_at_the_cap():
+    with MockLlmServer(reply="a reply") as srv:
+        client = ClientState(1, real_dataset(1, [[1.0, 0.0]], [1.0]),
+                             RemoteBackend(srv.url, params=GenerationParams(
+                                 max_tokens=4)))
+        result = run(ProtocolConfig(rounds=1, aggregation="fusion"),
+                     [client], [(0.5, 0.5)])
+    # the backend answers with text, so every payload is charged at its cap
+    assert result.ledger.total("bits") == 0
+    assert result.ledger.total("tokens") == 3 * 4
+
+
+def unmakeable_runs(url):
+    """(config, clients) of runs the engine rejects, by case."""
+    text = text_clients(url, (2, 2))
+    generated = dict(aggregation="fusion", init_mode="backend_generated")
+    return {
+        "remote-average": (ProtocolConfig(rounds=2), text),
+        "lb-without-reference": (ProtocolConfig(
+            rounds=2, variant="fedicl_lb", **generated), text),
+        "text-knn-without-embedder": (ProtocolConfig(
+            rounds=2, context_count=1, **generated), text),
+        "client-without-data": (
+            ProtocolConfig(rounds=2, aggregation="fusion"),
+            text + [ClientState(3, None, RemoteBackend(url))]),
+    }
+
+
+@pytest.mark.parametrize("case", ["remote-average", "lb-without-reference",
+                                  "text-knn-without-embedder",
+                                  "client-without-data"])
+def test_a_run_the_engine_cannot_make_fails_before_any_request(case):
+    with MockLlmServer() as srv:
+        config, clients = unmakeable_runs(srv.url)[case]
+        with pytest.raises(core.ConfigError):
+            run(config, clients, TEXT_QUERIES)
+        assert srv.requests == []
+
+
 def test_text_run_reports_a_backend_failure_as_a_protocol_error():
     script = [(400, {"error": "bad request"}, {})]
     with MockLlmServer(script=script) as srv:

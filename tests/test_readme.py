@@ -1,0 +1,33 @@
+"""README's code runs as written, so an edit to the program or to the
+README that breaks one of its examples fails a test."""
+
+import json
+import re
+from pathlib import Path
+
+from fedicl import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def block_after(text: str, lang: str) -> str:
+    """The first ``lang`` code block after the first ``text``."""
+    start = README.index(text)
+    match = re.compile(rf"```{lang}\n(.*?)```", re.S).search(README, start)
+    return match.group(1)
+
+
+def test_quick_start_runs(capsys):
+    exec(compile(block_after("## Quick start", "python"), "README", "exec"),
+         {})
+    assert capsys.readouterr().out
+
+
+def test_example_config_simulates_and_matches_the_theory(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(block_after("Example config", "json"))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(path), "--output", str(out),
+                     "--verify-theory"])
+    assert code == cli.EXIT_PASS
+    assert json.loads((out / "metrics.json").read_text())["theory_ok"]
