@@ -52,10 +52,13 @@ class LmBackend:
     A backend that observes token usage adds its ``prompt_tokens`` and
     ``completion_tokens`` into the ``usage`` dict, when one is given.
     ``max_tokens`` is the cap on each text answer, None for a backend that
-    answers with reals. Deterministic backends must return identical labels
-    for identical inputs."""
+    answers with reals. ``waits_on_io`` says that an ``answer`` call spends
+    its time waiting on I/O, so that clients gain from answering in
+    threads; an in-process backend leaves it False. Deterministic backends
+    must return identical labels for identical inputs."""
 
     max_tokens: Optional[int] = None
+    waits_on_io = False
 
     def answer(self, context: Dataset, queries: Sequence[Covariate],
                neighbours: Optional[np.ndarray] = None,
@@ -160,6 +163,8 @@ class RemoteBackend(LmBackend):
     valid Retry-After. Each response's reported token usage is added into
     the caller's ``usage`` dict.
     """
+
+    waits_on_io = True
 
     def __init__(self, endpoint: str, params: Optional[GenerationParams] = None,
                  template_id: str = "open_qa", backoff_base: float = 0.5):

@@ -176,7 +176,8 @@ def category_entropy(dataset: ClientDataset) -> float:
 # kNN context selection (exact search; desk-scale datasets)
 # ---------------------------------------------------------------------------
 
-#: Most elements in one block's (queries, pool, dim) difference array
+#: Most elements in one block's (queries, pool) distance matrix, and in its
+#: (queries, candidates, dim) re-rank array
 KNN_BLOCK_ELEMENTS = 16_384
 
 
@@ -184,22 +185,58 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
                 c: int, embedder: Embedder) -> np.ndarray:
     """Indices into ``pool`` of each query's c nearest covariates: a (Q,
     min(c, len(pool))) integer array, rows nearest-first, distance ties in
-    pool order (the first c of each query's stable argsort). The pool and
-    the queries are embedded once each; distances are computed for a block
-    of queries at a time, so that a block's difference array has at most
-    ``KNN_BLOCK_ELEMENTS`` elements (or one query's, if that is more)."""
+    pool order (the first c of each query's stable argsort of its
+    ``norm(pool - q, axis=1)``). The pool and the queries are embedded once
+    each, and searched a block of queries at a time, so that a block's
+    distance matrix and re-rank array each hold at most
+    ``KNN_BLOCK_ELEMENTS`` elements (or one query's, if that is more).
+
+    A block's squared distances come from one matrix product; each query
+    keeps its c + 8 nearest by those as candidates, which the exact
+    distance re-ranks. A query whose nearest non-candidate is not clear of
+    its c-th exact distance by a rounding slack is searched exactly over
+    the whole pool instead."""
     if c < 1:
         raise ValueError("c must be >= 1")
     pool_emb = embedder.embed_many(pool)
     query_emb = embedder.embed_many(queries)
-    k = min(c, len(pool_emb))
-    rows = max(1, KNN_BLOCK_ELEMENTS // max(pool_emb.size, 1))
+    (n, d), k = pool_emb.shape, min(c, len(pool_emb))
+    m = min(k + 8, n)  # candidates per query; m == n: all of the pool
+    rows = max(1, KNN_BLOCK_ELEMENTS // max(n, m * d, 1))
+    pool_sq = np.einsum("ij,ij->i", pool_emb, pool_emb)
+    pool_norm = np.sqrt(pool_sq.max(initial=0.0))
     nearest = np.empty((len(query_emb), k), dtype=np.intp)
     for lo in range(0, len(query_emb), rows):
         block = query_emb[lo:lo + rows]
-        # each row is bitwise the norm(pool_emb - q, axis=1) of its query
-        dist = np.linalg.norm(pool_emb[None] - block[:, None], axis=2)
-        nearest[lo:lo + rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        at = np.arange(len(block))[:, None]
+        if m == n:
+            cand = np.broadcast_to(np.arange(n), (len(block), n))
+        else:
+            block_sq = np.einsum("ij,ij->i", block, block)
+            approx = pool_sq - 2.0 * (block @ pool_emb.T) + block_sq[:, None]
+            part = np.argpartition(approx, m, axis=1)
+            cand = np.sort(part[:, :m], axis=1)  # pool order, for stable ties
+            outside = approx[at[:, 0], part[:, m]]  # nearest non-candidate
+        # each row is bitwise the norm(pool_emb - q, axis=1) of its candidates
+        exact = np.linalg.norm(pool_emb[cand] - block[:, None], axis=2)
+        order = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        nearest[lo:lo + rows] = cand[at, order]
+        if m == n:
+            continue
+        kth = exact[at[:, 0], order[:, -1]]
+        # Either form of a squared distance errs by at most about
+        # (d + 3) eps (|p| + |q|)^2, plus d half-subnormals where squares
+        # underflow. A non-candidate whose product-form distance exceeds
+        # the c-th exact one squared by 8 (d + 4) (eps (|p| + |q|)^2 + one
+        # subnormal) is exactly farther, so it can neither be nearer nor
+        # tie. Any other row (a tie, lost precision, NaN or inf) is
+        # searched exactly.
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        slack = 8 * (d + 4) * (eps * (pool_norm + np.sqrt(block_sq)) ** 2
+                               + tiny)
+        for i in np.flatnonzero(~(outside > kth * kth + slack)):
+            dist = np.linalg.norm(pool_emb - block[i], axis=1)
+            nearest[lo + i] = np.argsort(dist, kind="stable")[:k]
     return nearest
 
 

@@ -178,8 +178,8 @@ def predict_closed_form(xs, ys, x_query, gamma_mat: np.ndarray | SpdMatrix,
     xs = covariate_matrix(xs)
     if nb is None:
         pred = xq @ np.linalg.solve(gamma_mat, xs.T @ ys / len(ys))
-    else:  # (Q, d) moments, a neighbour rank at a time: no (Q, k, d) array
-        moments = sum(ys[col, None] * xs[col] for col in nb.T) / nb.shape[1]
+    else:  # (Q, d) moments from one (Q, k, d) gather of the neighbours
+        moments = np.einsum("qk,qkd->qd", ys[nb], xs[nb]) / nb.shape[1]
         pred = np.sum(xq * np.linalg.solve(gamma_mat, moments.T).T, axis=1)
     return pred if xq.ndim == 2 else float(pred)
 

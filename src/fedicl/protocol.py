@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -248,10 +248,12 @@ class ProtocolResult:
 
 
 def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
-               text: bool, embedder: Optional[Embedder],
+               queries: Union[np.ndarray, Tuple[str, ...]],
+               embedder: Optional[Embedder],
                server_reference: Optional[ClientDataset]) -> None:
-    """Raise ``ConfigError`` for a run the engine cannot make, with
-    ``text`` queries or not; ``init_labels`` checks the queries themselves.
+    """Raise ``ConfigError`` for a run the engine cannot make with these
+    ``queries`` (a covariate column); ``init_labels`` checks the queries
+    themselves.
 
     A backend's ``max_tokens`` is None exactly when it answers with reals,
     so ``average`` needs every cap to be None and a vote every cap set;
@@ -262,18 +264,25 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
     if config.variant == "fedicl_lb":
         if server_reference is None:
             raise ConfigError("fedicl_lb needs a server reference set")
-        read = [server_reference]
+        read = [("the server reference", server_reference)]
     else:
-        read = [c.original for c in clients]
+        read = [(f"client {c.client_id}", c.original) for c in clients]
         missing = [c.client_id for c in clients if c.original is None]
         if missing:
             raise ConfigError(f"clients {missing} hold no local dataset, "
                               f"which {config.variant} reads")
-    if config.variant == "fedicl_ub" and len({ds.dim for ds in read}) > 1:
+    if config.variant == "fedicl_ub" and len({ds.dim for _, ds in read}) > 1:
         raise ConfigError("fedicl_ub cannot merge clients whose covariates "
                           "differ in kind or dimension")
+    text = isinstance(queries, tuple)
+    if not text and len(queries):
+        for owner, ds in read:
+            if ds.dim not in (None, queries.shape[1]):
+                raise ConfigError(f"{owner} has covariates of dimension "
+                                  f"{ds.dim} and the queries of "
+                                  f"{queries.shape[1]}")
     if (config.context_count is not None and embedder is None
-            and (text or any(ds.dim is None for ds in read))):
+            and (text or any(ds.dim is None for _, ds in read))):
         raise ConfigError("context_count on text covariates needs an "
                           "embedder, and none is given")
     reals = config.aggregation == "average"
@@ -324,14 +333,15 @@ def run(config: ProtocolConfig,
     call (see ``_check_run``), and a failing backend raises
     ``ProtocolError``. The ledger holds the nominal charges and, as unit
     ``observed_tokens``, the tokens each client's backend reported in each
-    round.
+    round. When some client's backend waits on I/O, clients answer in a
+    pool of ``max_workers`` threads (default: one per client); otherwise
+    they answer one after another in the caller's thread.
     ``theory_w_trace``, when given, attaches the matching closed-form weight
     vector to each round's trace. The traces are written to ``trace_path``
     (if set) also on a mid-run failure, before it is re-raised.
     """
     queries = covariate_column(queries)  # every round shares this column
-    _check_run(config, clients, isinstance(queries, tuple), embedder,
-               server_reference)
+    _check_run(config, clients, queries, embedder, server_reference)
 
     if config.variant == "fedicl_ub":
         merged = concat([c.original for c in clients])
@@ -366,8 +376,11 @@ def run(config: ProtocolConfig,
         return client.client_id, step2_answer(client, context, queries,
                                               step2_nn, usage), usage
 
-    executor = (None if max_workers == 1 or len(clients) == 1 else
-                ThreadPoolExecutor(max_workers=max_workers or len(clients)))
+    # threads only pay while a backend waits: in-process ones answer here
+    threaded = (max_workers != 1 and len(clients) > 1
+                and any(c.backend.waits_on_io for c in clients))
+    executor = (ThreadPoolExecutor(max_workers=max_workers or len(clients))
+                if threaded else None)
     map_clients = executor.map if executor is not None else map
     traces: List[RoundTrace] = []
     try:

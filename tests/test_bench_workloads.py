@@ -26,12 +26,13 @@ def load_workloads(monkeypatch):
 
 
 @pytest.mark.parametrize("context_count,examples,queries",
-                         [(None, 6, 4), (2, 6, 4), (3, 64, 70)],
+                         [(None, 6, 4), (2, 6, 4), (3, 64, 140)],
                          ids=["None", "2", "3-in-blocks"])
 def test_lsa_workload_passes_its_gate(monkeypatch, tmp_path, context_count,
                                       examples, queries):
-    if examples > 6:   # step 2's pool: 2 * examples rows of d = 2
-        assert queries > KNN_BLOCK_ELEMENTS // (2 * examples * 2)  # 2 blocks
+    if examples > 6:   # step 2's pool: 2 * examples rows, and a block has
+        # at most KNN_BLOCK_ELEMENTS // (2 * examples) queries: 2 blocks
+        assert queries * 2 * examples > KNN_BLOCK_ELEMENTS
     workloads = load_workloads(monkeypatch)
     workload = workloads.LsaWorkload(
         "tiny", clients=3, examples=examples, queries=queries, dim=2,

@@ -234,8 +234,12 @@ def knn_cases():
     rows = rng.standard_normal((40, 3))
     duplicated = rows[rng.permutation(np.repeat(np.arange(40), 3))]
     rounded = rng.integers(-2, 3, size=(200, 2)).astype(float)
-    wide = rng.standard_normal((2100, 8))   # one query per block
-    yield "several blocks", several_blocks, rng.standard_normal((40, 8)), 10
+    # more pool rows than a block holds elements: one query per block
+    wide = rng.standard_normal((data.KNN_BLOCK_ELEMENTS + 100, 8))
+    spanning = rng.standard_normal((120, 8))
+    # a block has at most KNN_BLOCK_ELEMENTS // len(pool) queries
+    assert len(spanning) * len(several_blocks) > 2 * data.KNN_BLOCK_ELEMENTS
+    yield "several blocks", several_blocks, spanning, 10
     for c in (3, 4, 7):  # every distance occurs 3 times
         yield f"duplicates, c={c}", duplicated, rng.standard_normal((30, 3)), c
     rounded_queries = rng.integers(-2, 3, size=(90, 2)).astype(float)
@@ -244,6 +248,21 @@ def knn_cases():
     yield "c > n", rows, rng.standard_normal((9, 3)), 45
     yield "c = 1 at a tie", rounded, rounded[:90], 1
     yield "wide pool", wide, rng.standard_normal((3, 8)), 6
+    # the product form of a squared distance loses every digit of these
+    # (|p|^2 ~ 4e12 against distances ~1e-5), or at 3e4 enough of them
+    # to miss a neighbour without the slack, so each query is searched
+    # exactly over the whole pool
+    for offset in (1e6, 3e4):
+        yield (f"offset {offset:g}", offset + 1e-3 * rng.standard_normal(
+            (300, 4)), offset + 1e-3 * rng.standard_normal((20, 4)), 5)
+    # q + v and q - v lie at exactly the same distance from q, but the
+    # product form puts q - v nearer by a rounding: the c + 8 = 9
+    # candidates are copies of q - v, and a copy of q + v, not one of
+    # them, must come first, because it has the lower index
+    q, above, below = 1.0409735239361946, 1.055766538239468, 1.026180509632921
+    tied = np.concatenate([[above] * 10, [below] * 10,
+                           q + 1 + rng.random(30)])[:, None]
+    yield "tie across the boundary", tied, np.array([[q]]), 1
 
 
 @pytest.mark.parametrize("name,pool,queries,c", list(knn_cases()),
@@ -258,7 +277,8 @@ def test_knn_context_matches_a_per_query_stable_argsort(name, pool, queries,
 def test_knn_context_blocks_cover_every_query():
     pool = np.random.default_rng(13).standard_normal((300, 8))
     queries = pool[::2] + 0.01
-    assert len(queries) * pool.size > 2 * data.KNN_BLOCK_ELEMENTS
+    # a block has at most KNN_BLOCK_ELEMENTS // len(pool) queries
+    assert len(queries) * len(pool) > 2 * data.KNN_BLOCK_ELEMENTS
     got = knn_context(pool, queries, 1, IdentityEmbedder())
     assert got[:, 0].tolist() == list(range(0, 300, 2))
 

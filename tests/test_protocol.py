@@ -1,3 +1,4 @@
+import threading
 from collections import Counter
 
 import numpy as np
@@ -381,13 +382,19 @@ def test_knn_run_makes_one_backend_call_per_client_step_round():
     assert sorted(calls) == sorted(per_round * 4)
 
 
+class PooledLsaBackend(LsaBackend):
+    """An LSA backend that claims to wait on I/O, so runs use the pool."""
+
+    waits_on_io = True
+
+
 def test_serial_and_pooled_runs_trace_identically():
     rng = np.random.default_rng(32)
     clients_data, queries, g = unequal_regression(rng, d=3, sizes=(4, 5, 6),
                                                   m=4)
 
     def go(max_workers, context_count):
-        clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+        clients = [ClientState(ds.client_id, ds, PooledLsaBackend(g))
                    for ds in clients_data]
         return run(ProtocolConfig(rounds=4, context_count=context_count),
                    clients, queries, max_workers=max_workers).traces
@@ -696,6 +703,76 @@ def test_a_run_the_engine_cannot_make_fails_before_any_request(case):
         with pytest.raises(core.ConfigError):
             run(config, clients, TEXT_QUERIES)
         assert srv.requests == []
+
+
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_free", "fedicl_lb"])
+def test_a_covariate_dimension_other_than_the_queries_is_a_config_error(
+        variant):
+    calls = []
+
+    class CountingBackend(LsaBackend):
+        def answer(self, context, queries, neighbours=None, usage=None):
+            calls.append(len(queries))
+            return super().answer(context, queries, neighbours, usage)
+
+    rng = np.random.default_rng(34)
+    three_d = real_dataset(1, rng.standard_normal((4, 3)), np.ones(4))
+    two_d = real_dataset(2, rng.standard_normal((4, 2)), np.ones(4))
+    clients = [ClientState(2, two_d, CountingBackend(3 * np.eye(2)))]
+    if variant == "fedicl_lb":  # the clients' own data is never read
+        reference = three_d
+    else:
+        reference = None
+        clients.append(ClientState(1, three_d,
+                                   CountingBackend(3 * np.eye(2))))
+    with pytest.raises(core.ConfigError, match="dimension 3.*of 2"):
+        run(ProtocolConfig(rounds=2, variant=variant,
+                           init_mode="backend_generated"), clients,
+            rng.standard_normal((3, 2)), server_reference=reference,
+            max_workers=1)
+    assert calls == []
+
+
+def test_in_process_backends_answer_in_the_callers_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run of in-process backends started a pool")
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng(35)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(3, 4, 5),
+                                                  m=4)
+    clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+               for ds in clients_data]
+    for context_count in (None, 2):
+        result = run(ProtocolConfig(rounds=2, context_count=context_count),
+                     clients, queries, max_workers=4)
+        assert len(result.traces) == 2
+
+
+def test_remote_backends_answer_from_pool_threads(monkeypatch):
+    pools, threads = [], set()
+
+    class RecordingPool(protocol.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    class RecordingBackend(RemoteBackend):
+        def answer(self, *args, **kwargs):
+            threads.add(threading.current_thread())
+            return super().answer(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+    with MockLlmServer(reply="a reply") as srv:
+        clients = [ClientState(c.client_id, c.original,
+                               RecordingBackend(srv.url))
+                   for c in text_clients(srv.url, (2, 3))]
+        result = run(ProtocolConfig(rounds=2, aggregation="fusion"),
+                     clients, TEXT_QUERIES, max_workers=4)
+        assert len(srv.requests) == 2 * (2 + 3 + 2 * len(TEXT_QUERIES))
+    assert len(result.traces) == 2
+    assert pools == [4]
+    assert threads and threading.current_thread() not in threads
 
 
 def test_text_run_reports_a_backend_failure_as_a_protocol_error():
