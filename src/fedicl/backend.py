@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import requests
 
-from .core import (ChoiceLabel, Covariate, Dataset, Label,
-                   Labels, RealColumn, TextLabel, ABSTAIN, covariate_matrix,
-                   covariate_text, neighbour_matrix, real_values)
+from .core import (Covariate, Dataset, Label, Labels, RealColumn, TextLabel,
+                   covariate_matrix, covariate_text, neighbour_matrix,
+                   real_values)
 from .lsa import SpdMatrix, predict_closed_form
 
 
@@ -92,54 +91,26 @@ class LsaBackend(LmBackend):
 
 
 # ---------------------------------------------------------------------------
-# Prompt templates
+# Prompt template
 # ---------------------------------------------------------------------------
 
 _OPEN_QA_HEADER = ("Answer the final question. Use the solved examples "
                    "as guidance.\n")
-_MC_HEADER = ("Answer the final multiple-choice question with the letter of "
-              "the correct option. Use the solved examples as guidance.\n")
 
 def _exemplar_text(covariate: Covariate, label: Label) -> str:
-    if isinstance(label, TextLabel):
-        answer = label.answer
-    elif isinstance(label, ChoiceLabel):
-        answer = label.option
-    else:
-        answer = repr(label.value)
+    answer = (label.answer if isinstance(label, TextLabel) else
+              repr(label.value))
     return f"Question: {covariate_text(covariate)}\nAnswer: {answer}\n"
 
 
 def render_prompt(exemplars: Sequence[Tuple[Covariate, Label]],
-                  query: Covariate, template_id: str = "open_qa") -> str:
-    """Deterministic prompt text: header, the (question, answer) exemplars
-    in order, query last."""
-    if template_id == "open_qa":
-        header = _OPEN_QA_HEADER
-    elif template_id == "multiple_choice":
-        header = _MC_HEADER
-    else:
-        raise ValueError(f"unknown template id: {template_id!r}")
-    parts = [header]
+                  query: Covariate) -> str:
+    """Deterministic open-QA prompt text: header, the (question, answer)
+    exemplars in order, query last."""
+    parts = [_OPEN_QA_HEADER]
     parts.extend(_exemplar_text(x, y) for x, y in exemplars)
     parts.append(f"Question: {covariate_text(query)}\nAnswer:")
     return "\n".join(parts)
-
-
-def parse_choice(answer_text: str, options: Sequence[str]) -> ChoiceLabel:
-    """Map free-form answer text to the first option it mentions.
-
-    Matching is case-insensitive on whole words; text mentioning no option
-    maps to the abstain label, which majority voting ignores.
-    """
-    if len(options) == 0:
-        raise ValueError("options must be nonempty")
-    best: Optional[Tuple[int, str]] = None
-    for opt in options:
-        match = re.search(rf"\b{re.escape(opt)}\b", answer_text, re.IGNORECASE)
-        if match and (best is None or match.start() < best[0]):
-            best = (match.start(), opt)
-    return ChoiceLabel(best[1]) if best else ABSTAIN
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +138,9 @@ class RemoteBackend(LmBackend):
     waits_on_io = True
 
     def __init__(self, endpoint: str, params: Optional[GenerationParams] = None,
-                 template_id: str = "open_qa", backoff_base: float = 0.5):
+                 backoff_base: float = 0.5):
         self.endpoint = endpoint.rstrip("/")
         self.params = params or GenerationParams()
-        self.template_id = template_id
         self.backoff_base = backoff_base
         self.session = requests.Session()
 
@@ -201,7 +171,7 @@ class RemoteBackend(LmBackend):
                     query: Covariate, usage: Optional[Dict[str, int]]
                     ) -> Label:
         p = self.params
-        prompt = render_prompt(exemplars, query, self.template_id)
+        prompt = render_prompt(exemplars, query)
         body = {
             "model": p.model_name,
             "messages": [{"role": "user", "content": prompt}],

@@ -171,20 +171,14 @@ def _build_protocol_config(config: dict,
                            seed: int) -> protocol.ProtocolConfig:
     pcfg = _section(config, "protocol")
     with _parsing("protocol"):
-        pconf = protocol.ProtocolConfig(
+        return protocol.ProtocolConfig(
             rounds=pcfg.get("rounds", 6),
             variant=pcfg.get("variant", "fedicl"),
             aggregation=pcfg.get("aggregation", "average"),
             context_count=pcfg.get("context_count"),
             init_mode=pcfg.get("init_mode", "zeros"),
             seed=_int(pcfg, "seed", seed),
-            options=tuple(pcfg.get("options", ())),
         )
-    if pconf.aggregation == "majority":
-        raise ConfigError("protocol.aggregation 'majority' cannot combine "
-                          "the answers of any backend kind: none answers "
-                          "with choices")
-    return pconf
 
 
 def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
@@ -192,9 +186,6 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     """One backend per client."""
     bcfg = _section(config, "backend")
     kind = bcfg.get("kind", "lsa")
-    if "context_count" in bcfg:
-        raise ConfigError("backend.context_count is gone: a prompt holds the "
-                          "context protocol.context_count chooses")
     with _parsing("backend"):
         params = GenerationParams(
             temperature=float(bcfg.get("temperature", 0.1)),
@@ -213,9 +204,7 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
         if not endpoint:
             raise ConfigError("remote backend needs backend.endpoint or "
                               "FEDICL_ENDPOINT")
-        return [RemoteBackend(endpoint, params=params,
-                              template_id=bcfg.get("template", "open_qa"))
-                for _ in client_ids]
+        return [RemoteBackend(endpoint, params=params) for _ in client_ids]
     raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
@@ -236,8 +225,18 @@ def _theory_deviation(trace: core.RoundTrace) -> float:
     return float(np.max(np.abs(labels - xm @ np.array(trace.theory_w))))
 
 
+#: (section, key, why) of each config key that no longer exists
+_REMOVED_KEYS = (
+    ("backend", "context_count", "protocol.context_count sets the context"),
+    ("backend", "template", "every prompt is open QA"),
+    ("protocol", "options", "no aggregation votes over choices"))
+
+
 def cmd_simulate(config: dict, output_dir: str, seed: int,
                  verify_theory: bool = False) -> int:
+    for name, key, why in _REMOVED_KEYS:
+        if key in _section(config, name):
+            raise ConfigError(f"{name}.{key} is gone: {why}")
     pconf = _build_protocol_config(config, seed)
     scfg = _section(config, "dataset")
     gamma_mat = None

@@ -3,7 +3,7 @@
 A dataset is stored as columns: vector covariates as one read-only (n, d)
 float array, checked when the dataset is built, or text covariates as a
 tuple of str, with the labels beside them: real labels as one read-only
-float vector (``RealColumn``), text and choice labels as a tuple.
+float vector (``RealColumn``), text labels as a tuple.
 ``Example`` is the record type for JSONL I/O; its vector covariate is a
 tuple of floats.
 """
@@ -114,26 +114,14 @@ class TextLabel:
     answer: str
 
 
-@dataclass(frozen=True)
-class ChoiceLabel:
-    option: str
-
-
-Label = Union[RealLabel, TextLabel, ChoiceLabel]
-
-#: ChoiceLabel used when an answer cannot be mapped to any option.
-#: Excluded from majority-vote counts.
-ABSTAIN = ChoiceLabel("")
+Label = Union[RealLabel, TextLabel]
 
 
 def label_to_json(label: Label) -> dict:
     """The label's fields in dataset records and traces: ``y`` for a real
-    label, ``answer`` for text and choice labels, ``answer_kind`` marking
-    choices."""
+    label, ``answer`` for a text label."""
     if isinstance(label, RealLabel):
         return {"y": label.value}
-    if isinstance(label, ChoiceLabel):
-        return {"answer": label.option, "answer_kind": "choice"}
     if isinstance(label, TextLabel):
         return {"answer": label.answer}
     raise TypeError(f"not a label: {label!r}")
@@ -142,8 +130,6 @@ def label_to_json(label: Label) -> dict:
 def label_from_json(obj: dict) -> Label:
     if "y" in obj:
         return RealLabel(float(obj["y"]))
-    if obj.get("answer_kind") == "choice":
-        return ChoiceLabel(str(obj["answer"]))
     if "answer" in obj:
         return TextLabel(str(obj["answer"]))
     raise ValueError(f"record has neither 'y' nor 'answer': {obj}")

@@ -253,7 +253,7 @@ def load_dataset(path) -> List[Example]:
                 continue
             try:
                 examples.append(example_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:  # bad JSON too
                 raise ConfigError(f"{path}:{lineno}: malformed record: {exc}")
     return examples
 

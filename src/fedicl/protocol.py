@@ -23,15 +23,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .backend import LmBackend
-from .core import (BITS_PER_REAL, ChoiceLabel, ClientDataset, CommLedger,
-                   ConfigError, Covariate, Dataset, Label, Labels, RealColumn,
-                   RoundTrace, TextLabel, ABSTAIN, charge_protocol_round,
-                   check_int, concat, covariate_column, join_labels,
-                   label_column, real_values, save_traces)
+from .core import (BITS_PER_REAL, ClientDataset, CommLedger, ConfigError,
+                   Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
+                   TextLabel, charge_protocol_round, check_int, concat,
+                   covariate_column, join_labels, label_column, real_values,
+                   save_traces)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
-AGGREGATIONS = ("average", "majority", "fusion")
+AGGREGATIONS = ("average", "fusion")
 INIT_MODES = ("zeros", "random", "backend_generated")
 OBSERVED = (("uplink", "prompt_tokens"), ("downlink", "completion_tokens"))
 
@@ -44,7 +44,6 @@ class ProtocolConfig:
     context_count: Optional[int] = None  # None: use full context (no kNN)
     init_mode: str = "zeros"
     seed: int = 0
-    options: Tuple[str, ...] = ()        # option set for majority voting
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -60,7 +59,6 @@ class ProtocolConfig:
             raise ValueError("rounds must be >= 1")
         if self.context_count is not None and self.context_count < 1:
             raise ValueError("context_count must be >= 1 when set")
-        object.__setattr__(self, "options", tuple(self.options))
 
     @property
     def effective_rounds(self) -> int:
@@ -188,13 +186,11 @@ def _knn_neighbours(client: ClientState, config: ProtocolConfig,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-#: the label kind each voting aggregation combines
-_VOTED = {"majority": (ChoiceLabel, "choice"), "fusion": (TextLabel, "text")}
-
-
 def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
-              previous: Dataset, options: Sequence[str] = ()) -> Dataset:
-    """Combine per-client answers into the next query set C_{k+1}.
+              previous: Dataset) -> Dataset:
+    """Combine per-client answers into the next query set C_{k+1}:
+    ``average`` takes the mean of real answers, ``fusion`` the most frequent
+    text answer, a tie going to the answer seen first.
 
     Clients are consumed in ascending id order regardless of completion
     order, so aggregation is deterministic.
@@ -211,29 +207,14 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
         answers = np.stack([real_values(per_client[cid])
                             for cid in client_ids], axis=1)
         return previous.with_labels(RealColumn(answers.mean(axis=1)))
-    if strategy not in _VOTED:
+    if strategy != "fusion":
         raise ValueError(f"unknown aggregation: {strategy!r}")
-    kind, kind_name = _VOTED[strategy]
-    labels: List[Label] = []
-    for qi in range(m):
-        answers = [per_client[cid][qi] for cid in client_ids]
-        if not all(isinstance(a, kind) for a in answers):
-            raise TypeError(f"{strategy} aggregation needs {kind_name} labels")
-        labels.append(_vote(answers, options, previous.labels[qi]))
-    return previous.with_labels(labels)
-
-
-def _vote(answers: Sequence[Label], options: Sequence[str],
-          previous: Label) -> Label:
-    """The most frequent answer, never ``ABSTAIN``. Ties go to the choice
-    with the lowest index in ``options``, then to the answer seen first;
-    with no votes the previous label stays."""
-    counts = Counter(a for a in answers if a != ABSTAIN)
-    if not counts:
-        return previous
-    rank = {ChoiceLabel(opt): i for i, opt in enumerate(options)}
-    # a Counter keeps first-seen order, and min keeps the first of equals
-    return min(counts, key=lambda a: (-counts[a], rank.get(a, len(options))))
+    columns = [per_client[cid] for cid in client_ids]
+    if not all(isinstance(a, TextLabel) for col in columns for a in col):
+        raise TypeError("fusion aggregation needs text labels")
+    # most_common lists equal counts in first-seen order: lowest id first
+    return previous.with_labels([Counter(answers).most_common(1)[0][0]
+                                 for answers in zip(*columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +237,10 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
     themselves.
 
     A backend's ``max_tokens`` is None exactly when it answers with reals,
-    so ``average`` needs every cap to be None and a vote every cap set;
-    text questions are charged at the cap, so they need one.
+    so ``average`` needs every cap to be None and ``fusion`` every cap set;
+    text questions are charged at the cap, so they need one. A backend that
+    answers with reals reads vectors, so ``average`` reads no text
+    covariates either.
     """
     if not clients:
         raise ConfigError("run has no clients")
@@ -294,6 +277,10 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
                 f"{c.backend.max_tokens} (None answers with reals, a cap "
                 f"with text) and the queries are "
                 f"{'text' if text else 'vectors'}")
+    owners = [owner for owner, ds in read if reals and ds.dim is None]
+    if owners:
+        raise ConfigError(f"the backends of an 'average' run read vectors, "
+                          f"not the text covariates of {', '.join(owners)}")
 
 
 def _payload_units(queries: Dataset, clients: Sequence[ClientState]
@@ -395,8 +382,7 @@ def run(config: ProtocolConfig,
                     if key in usage:
                         ledger.record(k, direction, cid, usage[key],
                                       "observed_tokens")
-            c_next = aggregate(per_client, config.aggregation, c_k,
-                               options=config.options)
+            c_next = aggregate(per_client, config.aggregation, c_k)
             theory_w = None
             if theory_w_trace is not None and k < len(theory_w_trace):
                 theory_w = tuple(float(v) for v in theory_w_trace[k])

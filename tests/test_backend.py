@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from fedicl.backend import (RETRY_AFTER_MAX_S, GenerationParams, LsaBackend,
-                            RemoteBackend, RemoteBackendError, parse_choice,
-                            render_prompt)
-from fedicl.core import (ChoiceLabel, Dataset, Example,
-                         RealLabel, TextLabel, ABSTAIN, real_values)
+                            RemoteBackend, RemoteBackendError, render_prompt)
+from fedicl.core import Dataset, Example, RealLabel, TextLabel, real_values
 from fedicl.lsa import gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
 
-GOLDEN = Path(__file__).parent / "data" / "golden_mc_prompt.txt"
+GOLDEN = Path(__file__).parent / "data" / "golden_open_qa_prompt.txt"
 
 
 def vec_context(rng, d, n):
@@ -190,35 +188,13 @@ def test_render_prompt_preserves_exemplar_order():
         < prompt.index("the last q")
 
 
-def test_render_prompt_unknown_template():
-    with pytest.raises(ValueError):
-        render_prompt([], "q", template_id="haiku")
-
-
-def test_render_mc_prompt_matches_golden_file():
-    ctx = [Example("What is 2+2? (A) 3 (B) 4", ChoiceLabel("B"),
-                   category="math"),
-           Example("Capital of France? (A) Paris (B) Rome", ChoiceLabel("A"))]
-    prompt = render_prompt(Dataset(ctx).pairs(),
-                           "Largest planet? (A) Mars (B) Jupiter",
-                           template_id="multiple_choice")
-    assert prompt == GOLDEN.read_text()
-
-
-@pytest.mark.parametrize("text,expected", [
-    ("The answer is (B).", ChoiceLabel("B")),
-    ("b", ChoiceLabel("B")),
-    ("A or B? Definitely A.", ChoiceLabel("A")),
-    ("I am not sure.", ABSTAIN),
-    ("", ABSTAIN),
-])
-def test_parse_choice(text, expected):
-    assert parse_choice(text, ("A", "B", "C", "D")) == expected
-
-
-def test_parse_choice_requires_options():
-    with pytest.raises(ValueError):
-        parse_choice("A", ())
+def test_render_open_qa_prompt_matches_golden_file():
+    # the one prompt a RemoteBackend sends: text answers as they are, a real
+    # label as its repr, a vector question as its list of components
+    pairs = [("What is 2+2?", TextLabel("4")),
+             ("Capital of France?", TextLabel("Paris")),
+             ((1.0, -2.5), RealLabel(1 / 3))]
+    assert render_prompt(pairs, "Largest planet?") == GOLDEN.read_text()
 
 
 def test_generation_params_defaults_and_validation():

@@ -150,6 +150,10 @@ def protocol_with(**settings):
     ("simulate", remote(max_retries=-1), "max_retries must be >= 0"),
     ("simulate", remote(timeout_ms=0), "timeout_ms must be > 0"),
     ("simulate", remote(context_count=5), "protocol.context_count"),
+    ("simulate", remote(template="haiku"), "backend.template is gone"),
+    ("simulate", dict(REMOTE_CFG, protocol=dict(REMOTE_CFG["protocol"],
+                                                options=["A", "B"])),
+     "protocol.options is gone"),
     ("simulate", dict(SIM_CFG, protocol=3), "protocol must be a JSON object"),
     ("simulate", dict(SIM_CFG, backend=[]), "backend must be a JSON object"),
     ("simulate", dict(SIM_CFG, dataset="x"), "dataset must be a JSON object"),
@@ -161,7 +165,8 @@ def protocol_with(**settings):
         "theory-rounds-0", "theory-no-examples", "simulate-no-examples",
         "theory-list-config", "simulate-string-config", "float-context-count",
         "bool-context-count", "float-rounds", "negative-retries",
-        "zero-timeout", "backend-context-count", "protocol-not-object",
+        "zero-timeout", "backend-context-count", "backend-template",
+        "protocol-options", "protocol-not-object",
         "backend-not-object", "dataset-not-object", "theory-not-object",
         "partition-not-object"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
@@ -459,17 +464,20 @@ def test_simulate_backend_failure_exits_3(tmp_path):
     assert (out / "traces.jsonl").read_text() == ""
 
 
-@pytest.mark.parametrize("kind,aggregation", [
-    ("remote", "average"), ("remote", "majority"), ("lsa", "majority"),
-    ("lsa", "fusion")])
+@pytest.mark.parametrize("kind,aggregation,message", [
+    ("remote", "average", "cannot combine"),
+    ("remote", "majority", "unknown aggregation"),
+    ("lsa", "majority", "unknown aggregation"),
+    ("lsa", "fusion", "cannot combine")],
+    ids=["remote-average", "remote-majority", "lsa-majority", "lsa-fusion"])
 def test_simulate_rejects_an_aggregation_the_backend_cannot_feed(
-        tmp_path, capsys, kind, aggregation):
+        tmp_path, capsys, kind, aggregation, message):
     cfg = write_config(tmp_path, dict(
         SIM_CFG, protocol={"rounds": 2, "aggregation": aggregation},
         backend={"kind": kind, "endpoint": "http://127.0.0.1:9"}))
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_CONFIG
-    assert "cannot combine" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedicl import core
-from fedicl.core import (ChoiceLabel, ClientDataset, CommLedger, Dataset,
-                         Example, RealLabel, RoundTrace, TextLabel,
+from fedicl.core import (ClientDataset, CommLedger, Dataset, Example,
+                         RealLabel, RoundTrace, TextLabel,
                          charge_protocol_round)
 from fedicl.data import load_dataset, save_dataset
 
@@ -185,7 +185,7 @@ def test_real_labels_are_one_read_only_column(tmp_path):
 
 
 @pytest.mark.parametrize("label", [RealLabel(1.5), TextLabel("paris"),
-                                   ChoiceLabel("B")])
+                                   TextLabel("")])
 def test_label_json_round_trip(label):
     assert core.label_from_json(core.label_to_json(label)) == label
     # traces and dataset records share one label schema
@@ -196,7 +196,7 @@ def test_label_json_round_trip(label):
 def test_example_json_round_trip():
     for ex in [Example((1.0, 2.0), RealLabel(0.5), category="algebra"),
                Example("what is 2+2?", TextLabel("4")),
-               Example("pick one", ChoiceLabel("A"), category="quiz")]:
+               Example("pick one", TextLabel("A"), category="quiz")]:
         assert core.example_from_json(core.example_to_json(ex)) == ex
 
 
@@ -209,9 +209,10 @@ def test_round_trace_round_trip(tmp_path):
                        aggregated=qs, theory_w=(0.125,))
     path = tmp_path / "traces.jsonl"
     text = RoundTrace(round=2,
-                      per_client_answers={1: (TextLabel("a"), ChoiceLabel("B"))},
-                      aggregated=Dataset(covariates=("q1", "q2"),
-                                         labels=(TextLabel("a"), core.ABSTAIN)))
+                      per_client_answers={1: (TextLabel("a"), TextLabel("b"))},
+                      aggregated=Dataset(
+                          covariates=("q1", "q2"),
+                          labels=(TextLabel("a"), TextLabel(""))))
     core.save_traces([trace, text], path)
     assert core.load_traces(path) == [trace, text]
 

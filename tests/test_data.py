@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 
-from fedicl.core import (ChoiceLabel, ClientDataset, ConfigError, Example,
-                         RealLabel, TextLabel)
+from fedicl.core import (ClientDataset, ConfigError, Example, RealLabel,
+                         TextLabel)
 from fedicl import data
 from fedicl.data import (IdentityEmbedder, PartitionSpec, TableEmbedder,
                          category_entropy, dirichlet_partition, knn_context,
@@ -313,8 +313,7 @@ def test_embedders():
 
 def test_dataset_jsonl_round_trip(tmp_path):
     examples = [Example((1.0, 2.0), RealLabel(0.5), category="algebra"),
-                Example("what is 2+2?", TextLabel("4"), category="math"),
-                Example("2+2? (A) 3 (B) 4", ChoiceLabel("B"))]
+                Example("what is 2+2?", TextLabel("4"), category="math")]
     path = tmp_path / "data.jsonl"
     save_dataset(examples, path)
     assert load_dataset(path) == examples
@@ -325,7 +324,7 @@ def test_client_dataset_examples_round_trip_through_jsonl(tmp_path):
                         labels=(RealLabel(0.5), RealLabel(-1.5)),
                         categories=("algebra", None))
     text = ClientDataset(2, (Example("q one", TextLabel("a one")),
-                             Example("q two", ChoiceLabel("B"), category="x")))
+                             Example("q two", TextLabel("B"), category="x")))
     for ds in (vec, text):
         path = tmp_path / f"client_{ds.client_id}.jsonl"
         save_dataset(ds.examples, path)
@@ -346,18 +345,23 @@ def test_load_dataset_fixture(tmp_path):
         '\n'
         '{"question": "capital of France?", "answer": "Paris",'
         ' "answer_kind": "text", "category": "geo"}\n'
-        '{"x": [3.0], "y": -1.0, "answer_kind": "real"}\n')
+        '{"x": [3.0], "y": -1.0, "answer_kind": "real"}\n'
+        '{"question": "2+2? (A) 3 (B) 4", "answer": "B",'
+        ' "answer_kind": "choice"}\n')
     got = load_dataset(path)
+    # answer_kind is ignored: a record's label is its y or its answer
     assert got == [Example((1.0,), RealLabel(2.0)),
                    Example("capital of France?", TextLabel("Paris"),
                            category="geo"),
-                   Example((3.0,), RealLabel(-1.0))]
+                   Example((3.0,), RealLabel(-1.0)),
+                   Example("2+2? (A) 3 (B) 4", TextLabel("B"))]
 
 
 def test_load_dataset_malformed_line_reports_position(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"x": [1.0], "y": 2.0, "answer_kind": "real"}\n'
-                    'not json at all\n')
-    with pytest.raises(ConfigError, match=r"bad\.jsonl:2"):
-        load_dataset(path)
+    for bad in ('not json at all', '{"x": [1.0], "y": null}', 'null'):
+        path.write_text('{"x": [1.0], "y": 2.0, "answer_kind": "real"}\n'
+                        + bad + '\n')
+        with pytest.raises(ConfigError, match=r"bad\.jsonl:2"):
+            load_dataset(path)
 

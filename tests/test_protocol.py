@@ -7,8 +7,7 @@ import pytest
 from fedicl import core, lsa, protocol, theory
 from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
                             render_prompt)
-from fedicl.core import (ChoiceLabel, ClientDataset, Dataset, Example,
-                         RealLabel, TextLabel, ABSTAIN)
+from fedicl.core import ClientDataset, Dataset, Example, RealLabel, TextLabel
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
                              _step2_pool, aggregate, init_labels, run,
@@ -170,31 +169,6 @@ def test_average_aggregation():
     assert out.labels == (RealLabel(2.0),)
 
 
-def test_majority_aggregation():
-    prev = qset([ChoiceLabel("A")])
-    out = aggregate({1: [ChoiceLabel("A")], 2: [ChoiceLabel("A")],
-                     3: [ChoiceLabel("B")]}, "majority", prev,
-                    options=("A", "B", "C", "D"))
-    assert out.labels == (ChoiceLabel("A"),)
-
-
-def test_majority_tie_breaks_to_lowest_option_index():
-    prev = qset([ChoiceLabel("A")])
-    out = aggregate({1: [ChoiceLabel("B")], 2: [ChoiceLabel("A")]},
-                    "majority", prev, options=("A", "B"))
-    assert out.labels == (ChoiceLabel("A"),)
-
-
-def test_majority_ignores_abstain():
-    prev = qset([ChoiceLabel("C")])
-    out = aggregate({1: [ABSTAIN], 2: [ABSTAIN], 3: [ChoiceLabel("B")]},
-                    "majority", prev, options=("A", "B"))
-    assert out.labels == (ChoiceLabel("B"),)
-    all_abstain = aggregate({1: [ABSTAIN], 2: [ABSTAIN]}, "majority", prev,
-                            options=("A", "B"))
-    assert all_abstain.labels == (ChoiceLabel("C"),)  # previous retained
-
-
 @pytest.mark.parametrize("answers,want", [
     (("b", "a", "b"), "b"),
     (("b", "a"), "b"),        # a tie goes to the answer seen first
@@ -204,7 +178,7 @@ def test_fusion_picks_the_most_frequent_answer(answers, want):
     # inserted in descending id order: the vote reads clients by id
     per_client = {cid: [TextLabel(a)]
                   for cid, a in reversed(list(enumerate(answers, 1)))}
-    out = aggregate(per_client, "fusion", prev, options=("a", "b"))
+    out = aggregate(per_client, "fusion", prev)
     assert out.labels == (TextLabel(want),)
 
 
@@ -213,7 +187,7 @@ def test_aggregation_strategy_label_mismatch():
     with pytest.raises(TypeError):
         aggregate({1: [TextLabel("x")]}, "average", prev)
     with pytest.raises(TypeError):
-        aggregate({1: [RealLabel(1.0)]}, "majority", prev)
+        aggregate({1: [RealLabel(1.0)]}, "fusion", prev)
 
 
 def test_aggregation_client_order_independence():
@@ -705,16 +679,21 @@ def test_a_run_the_engine_cannot_make_fails_before_any_request(case):
         assert srv.requests == []
 
 
+class CountingBackend(LsaBackend):
+    """An LSA backend that notes the query count of each ``answer`` call."""
+
+    def __init__(self, gamma):
+        super().__init__(gamma)
+        self.calls = []
+
+    def answer(self, context, queries, neighbours=None, usage=None):
+        self.calls.append(len(queries))
+        return super().answer(context, queries, neighbours, usage)
+
+
 @pytest.mark.parametrize("variant", ["fedicl", "fedicl_free", "fedicl_lb"])
 def test_a_covariate_dimension_other_than_the_queries_is_a_config_error(
         variant):
-    calls = []
-
-    class CountingBackend(LsaBackend):
-        def answer(self, context, queries, neighbours=None, usage=None):
-            calls.append(len(queries))
-            return super().answer(context, queries, neighbours, usage)
-
     rng = np.random.default_rng(34)
     three_d = real_dataset(1, rng.standard_normal((4, 3)), np.ones(4))
     two_d = real_dataset(2, rng.standard_normal((4, 2)), np.ones(4))
@@ -730,7 +709,24 @@ def test_a_covariate_dimension_other_than_the_queries_is_a_config_error(
                            init_mode="backend_generated"), clients,
             rng.standard_normal((3, 2)), server_reference=reference,
             max_workers=1)
-    assert calls == []
+    assert [c.backend.calls for c in clients] == [[]] * len(clients)
+
+
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_lb"])
+def test_text_covariates_in_an_average_run_are_a_config_error(variant):
+    # an LSA backend answers with reals, so it reads vectors only
+    text = ClientDataset(1, (Example("q one", TextLabel("a one")),))
+    if variant == "fedicl":
+        local, reference = text, None
+    else:  # fedicl_lb reads the server reference, not the clients' data
+        local, reference = real_dataset(1, np.eye(2), np.ones(2)), text
+    backend = CountingBackend(np.eye(2))
+    with pytest.raises(core.ConfigError, match="text covariates of"):
+        run(ProtocolConfig(rounds=2, variant=variant,
+                           init_mode="backend_generated"),
+            [ClientState(1, local, backend)], np.eye(2),
+            server_reference=reference)
+    assert backend.calls == []
 
 
 def test_in_process_backends_answer_in_the_callers_thread(monkeypatch):
