@@ -9,18 +9,23 @@ observes.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import math
 import os
+import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import requests
 
-from .core import (Covariate, Dataset, Label, Labels, RealColumn, TextLabel,
-                   covariate_matrix, covariate_text, neighbour_matrix,
-                   real_values)
+from .core import (ConfigError, Covariate, Dataset, Label, Labels,
+                   RealColumn, TextLabel, covariate_matrix, covariate_text,
+                   neighbour_matrix, real_values)
 from .lsa import SpdMatrix, predict_closed_form
 
 
@@ -33,8 +38,8 @@ class GenerationParams:
     max_retries: int = 3
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be a finite number >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.timeout_ms <= 0:
@@ -125,7 +130,8 @@ class RemoteBackendError(RuntimeError):
 
 
 class RemoteBackend(LmBackend):
-    """OpenAI-compatible chat-completions client.
+    """OpenAI-compatible chat-completions client on the stdlib
+    ``http.client``.
 
     POSTs {model, messages, temperature, max_tokens} to
     ``{endpoint}/v1/chat/completions``; the answer is the first completion's
@@ -133,6 +139,15 @@ class RemoteBackend(LmBackend):
     order. Transient failures retry with exponential backoff, honoring a
     valid Retry-After. Each response's reported token usage is added into
     the caller's ``usage`` dict.
+
+    The endpoint must be an http or https URL with a host, else
+    ``ConfigError``. The route is settled when the backend is built (see
+    ``_connection``): ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` are read
+    then and only then. The backend holds one connection, kept alive where
+    the server allows it and reopened after a reply that closes it or after
+    a failure; a lock serialises the POSTs of a backend that threads share.
+    TLS verifies against the system CA store (``SSL_CERT_FILE``);
+    ``REQUESTS_CA_BUNDLE`` is not read.
     """
 
     waits_on_io = True
@@ -142,14 +157,16 @@ class RemoteBackend(LmBackend):
         self.endpoint = endpoint.rstrip("/")
         self.params = params or GenerationParams()
         self.backoff_base = backoff_base
-        self.session = requests.Session()
+        self._conn, self._target, self._proxy_headers = _connection(
+            self.endpoint, self.params.timeout_ms / 1000.0)
+        self._lock = threading.Lock()
 
     @property
     def max_tokens(self) -> int:
         return self.params.max_tokens
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", **self._proxy_headers}
         key = os.environ.get(API_KEY_ENV, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
@@ -178,13 +195,13 @@ class RemoteBackend(LmBackend):
             "temperature": p.temperature,
             "max_tokens": p.max_tokens,
         }
-        resp = self._post_with_retries(body, p)
+        data = self._post_with_retries(body, p)
         try:
-            payload = resp.json()
+            payload = json.loads(data)
             content = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RemoteBackendError(
-                f"malformed response body: {exc}: {resp.text[:200]!r}")
+                f"malformed response body: {exc}: {_text(data)[:200]!r}")
         if usage is not None:
             reported = payload.get("usage") or {}
             for key in ("prompt_tokens", "completion_tokens"):
@@ -195,28 +212,103 @@ class RemoteBackend(LmBackend):
             content = " ".join(tokens[: p.max_tokens])
         return TextLabel(str(content))
 
-    def _post_with_retries(self, body: dict, p: GenerationParams):
-        url = f"{self.endpoint}/v1/chat/completions"
+    def _post_with_retries(self, body: dict, p: GenerationParams) -> bytes:
+        payload = json.dumps(body, allow_nan=False).encode()
+        headers = self._headers()
         last_error: Optional[str] = None
         for attempt in range(p.max_retries + 1):
+            status = None
             try:
-                resp = self.session.post(url, json=body, headers=self._headers(),
-                                         timeout=p.timeout_ms / 1000.0)
-            except requests.RequestException as exc:
+                status, reply_headers, data = self._post(payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport failure: {exc}"
-                resp = None
-            if resp is not None:
-                if 200 <= resp.status_code < 300:
-                    return resp
-                last_error = f"HTTP {resp.status_code}: {resp.text[:200]!r}"
-                if resp.status_code not in (408, 429, 500, 502, 503, 504):
+            if status is not None:
+                if 200 <= status < 300:
+                    return data
+                last_error = f"HTTP {status}: {_text(data)[:200]!r}"
+                if status not in (408, 429, 500, 502, 503, 504):
                     break  # non-retryable
             if attempt < p.max_retries:
                 delay = self.backoff_base * (2 ** attempt)
-                if resp is not None:
-                    delay = _retry_after(resp.headers.get("Retry-After"), delay)
+                if status is not None:
+                    delay = _retry_after(reply_headers.get("Retry-After"),
+                                         delay)
                 time.sleep(delay)
         raise RemoteBackendError(f"request failed after retries: {last_error}")
+
+    def _post(self, payload: bytes, headers: dict):
+        """One POST on the kept connection: (status, headers, body). Any
+        failure closes the connection. A reused connection that the server
+        dropped while idle fails before the status line; that request is
+        sent once more, on a new connection."""
+        with self._lock:
+            conn, reused = self._conn, self._conn.sock is not None
+            try:
+                while True:
+                    try:
+                        conn.request("POST", self._target, payload, headers)
+                        resp = conn.getresponse()
+                        break
+                    except (ConnectionResetError, BrokenPipeError):
+                        if not reused:
+                            raise
+                        conn.close()
+                        reused = False
+                return resp.status, resp.headers, resp.read()
+            except BaseException:
+                conn.close()
+                raise
+
+
+def _connection(endpoint: str, timeout: float):
+    """The connection, request target and per-request headers for POSTs to
+    ``endpoint``, through the environment's proxy unless ``NO_PROXY``
+    exempts the host. An http proxy gets the absolute URL as the target;
+    an https endpoint is reached through a CONNECT tunnel."""
+    url, port = _split_url(endpoint, ("http", "https"), "endpoint")
+    host, https = url.hostname, url.scheme == "https"
+    target = f"{url.path}/v1/chat/completions"
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(host):
+        conn_type = (http.client.HTTPSConnection if https else
+                     http.client.HTTPConnection)
+        return conn_type(host, port, timeout=timeout), target, {}
+    purl, pport = _split_url(proxy if "//" in proxy else f"http://{proxy}",
+                             ("http",), f"the proxy for {endpoint!r}")
+    auth = {}
+    if purl.username is not None:
+        login = (f"{urllib.parse.unquote(purl.username)}:"
+                 f"{urllib.parse.unquote(purl.password or '')}")
+        auth["Proxy-Authorization"] = (
+            "Basic " + base64.b64encode(login.encode()).decode())
+    if https:
+        conn = http.client.HTTPSConnection(purl.hostname, pport or 80,
+                                           timeout=timeout)
+        conn.set_tunnel(host, port, headers=auth)
+        return conn, target, {}
+    conn = http.client.HTTPConnection(purl.hostname, pport or 80,
+                                      timeout=timeout)
+    return conn, f"http://{url.netloc.rpartition('@')[2]}{target}", auth
+
+
+def _split_url(text: str, schemes: Tuple[str, ...], what: str):
+    """``text`` split by ``urlsplit``, and its port; ``ConfigError`` unless
+    it has one of ``schemes``, a host, and a port that is a number if any."""
+    url = urllib.parse.urlsplit(text)
+    try:
+        port = url.port
+        usable = url.scheme in schemes and url.hostname
+    except ValueError:  # a port that is not a number, or out of range
+        usable = False
+    if not usable:
+        raise ConfigError(f"{what} must be an {' or '.join(schemes)} URL "
+                          f"with a host, got {text!r}")
+    return url, port
+
+
+def _text(data: bytes) -> str:
+    return data.decode("utf-8", errors="replace")
 
 
 #: the longest Retry-After delay honoured, in seconds; a longer one is cut

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain
@@ -129,7 +130,10 @@ def label_to_json(label: Label) -> dict:
 
 def label_from_json(obj: dict) -> Label:
     if "y" in obj:
-        return RealLabel(float(obj["y"]))
+        value = float(obj["y"])
+        if not math.isfinite(value):
+            raise ValueError(f"label y is not finite: {obj['y']!r}")
+        return RealLabel(value)
     if "answer" in obj:
         return TextLabel(str(obj["answer"]))
     raise ValueError(f"record has neither 'y' nor 'answer': {obj}")
@@ -538,6 +542,8 @@ def example_to_json(ex: Example) -> dict:
 
 
 def example_from_json(obj: dict) -> Example:
+    if "question" not in obj and isinstance(obj["x"], str):
+        raise ValueError(f"x must be a vector, got a str: {obj['x']!r}")
     cov = str(obj["question"]) if "question" in obj else obj["x"]
     return Example(covariate=cov, label=label_from_json(obj),
                    category=obj.get("category"))

@@ -4,6 +4,13 @@ Runs a ThreadingHTTPServer on an ephemeral port. Responses can be scripted
 per request (status, body, headers); unscripted requests get a canned
 completion whose usage counts whitespace tokens, so ledger accounting can
 be checked against what the server actually observed.
+
+By default the server speaks HTTP/1.0 and closes each connection after one
+response. ``keep_alive=True`` serves HTTP/1.1, so a client may send many
+requests on one connection; ``drop_idle=True`` then closes each connection
+after its reply without saying so, as a server that drops idle connections
+does. The server counts the connections it accepts and records each
+request's path and headers, so it can also stand in for an http proxy.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def _count_tokens(text: str) -> int:
@@ -20,15 +27,36 @@ def _count_tokens(text: str) -> int:
 
 class MockLlmServer:
     def __init__(self, reply: str = "mock answer",
-                 script: Optional[List[Tuple[int, dict, dict]]] = None):
+                 script: Optional[List[Tuple[int, dict, dict]]] = None,
+                 keep_alive: bool = False, drop_idle: bool = False):
         self.reply = reply
         self.script = list(script or [])
         self.requests: List[dict] = []       # parsed JSON bodies, in order
         self.usages: List[dict] = []         # usage blocks actually served
+        self.paths: List[str] = []           # request targets, in order
+        self.headers: List[Dict[str, str]] = []
+        self.connections = 0                 # TCP connections accepted
+        connections_lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def setup(self):
+                super().setup()
+                with connections_lock:
+                    server.connections += 1
+
+            def _record(self):
+                server.paths.append(self.path)
+                server.headers.append(dict(self.headers))
+
+            def do_CONNECT(self):  # noqa: N802 (stdlib naming)
+                self._record()    # a proxy that refuses every tunnel
+                self.send_error(502)
+
             def do_POST(self):  # noqa: N802 (stdlib naming)
+                self._record()
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")
                 server.requests.append(body)
@@ -59,11 +87,14 @@ class MockLlmServer:
                     self.send_header(k, v)
                 self.end_headers()
                 self.wfile.write(data)
+                self.close_connection |= drop_idle
 
             def log_message(self, *args):
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # a client may hold a kept-alive connection open past the test
+        self._httpd.block_on_close = not keep_alive
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True)
 

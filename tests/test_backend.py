@@ -1,12 +1,19 @@
+import base64
+import os
+import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedicl
 from fedicl.backend import (RETRY_AFTER_MAX_S, GenerationParams, LsaBackend,
                             RemoteBackend, RemoteBackendError, render_prompt)
-from fedicl.core import Dataset, Example, RealLabel, TextLabel, real_values
+from fedicl.core import (ConfigError, Dataset, Example, RealLabel, TextLabel,
+                         real_values)
 from fedicl.lsa import gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
@@ -205,7 +212,8 @@ def test_generation_params_defaults_and_validation():
         GenerationParams(temperature=-1.0)
     with pytest.raises(ValueError):
         GenerationParams(max_tokens=0)
-    for bad in ({"max_retries": -1}, {"timeout_ms": 0}, {"timeout_ms": -5}):
+    for bad in ({"max_retries": -1}, {"timeout_ms": 0}, {"timeout_ms": -5},
+                {"temperature": float("nan")}, {"temperature": float("inf")}):
         with pytest.raises(ValueError):
             GenerationParams(**bad)
     assert GenerationParams(max_retries=0).max_retries == 0
@@ -369,3 +377,144 @@ def test_remote_backend_prompt_holds_every_context_exemplar_in_order():
     positions = [prompt.index(f"Question: q{i}\nAnswer: a{i}\n")
                  for i in range(8)]
     assert positions == sorted(positions)
+
+
+# ---------------------------------------------------------------------------
+# remote backend transport: endpoint, connection reuse, proxies
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("endpoint", ["localhost:8000", "ftp://x", "",
+                                      "http://", "http://host:port",
+                                      "http://host:99999"])
+def test_remote_backend_rejects_an_endpoint_that_is_not_an_http_url(
+        endpoint):
+    with pytest.raises(ConfigError, match="endpoint must be an http or "
+                                          "https URL with a host"):
+        RemoteBackend(endpoint)
+
+
+def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
+    with socket.socket() as sock:    # a port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    slept, connects = [], []
+    real_connect = socket.create_connection
+
+    def connect(address, *args, **kwargs):
+        connects.append(address)
+        return real_connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(time, "sleep", slept.append)
+    monkeypatch.setattr(socket, "create_connection", connect)
+    backend = RemoteBackend(f"http://127.0.0.1:{port}", backoff_base=0.25,
+                            params=GenerationParams(max_retries=3))
+    with pytest.raises(RemoteBackendError, match="transport failure"):
+        backend.answer(Dataset(), ["q"])
+    assert connects == [("127.0.0.1", port)] * 4
+    assert slept == [0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("keep_alive,connections", [(True, 1), (False, 3)],
+                         ids=["http1.1", "http1.0"])
+def test_remote_backend_keeps_its_connection_where_the_server_allows(
+        keep_alive, connections):
+    with MockLlmServer(keep_alive=keep_alive) as srv:
+        got = RemoteBackend(srv.url).answer(Dataset(), ["a", "b", "c"])
+        assert (len(srv.requests), srv.connections) == (3, connections)
+    assert got == (TextLabel("mock answer"),) * 3
+
+
+def test_remote_backend_resends_on_a_kept_connection_the_server_dropped(
+        monkeypatch):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    with MockLlmServer(keep_alive=True, drop_idle=True) as srv:
+        backend = RemoteBackend(srv.url,
+                                params=GenerationParams(max_retries=0))
+        got = backend.answer(Dataset(), ["a", "b", "c"])
+        assert (len(srv.requests), srv.connections) == (3, 3)
+    assert got == (TextLabel("mock answer"),) * 3
+    assert slept == []      # a resend uses no retry and no backoff
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+def test_remote_backend_sends_the_absolute_url_to_an_http_proxy(no_proxy_env):
+    with MockLlmServer() as proxy:
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url.replace(
+            "http://", "http://user:p%40ss@"))
+        got = RemoteBackend("http://upstream.invalid/api").answer(
+            Dataset(), ["q"])
+        assert proxy.paths == [
+            "http://upstream.invalid/api/v1/chat/completions"]
+        headers = proxy.headers[0]
+    assert got == (TextLabel("mock answer"),)
+    assert headers["Host"] == "upstream.invalid"
+    assert headers["Proxy-Authorization"] == (
+        "Basic " + base64.b64encode(b"user:p@ss").decode())
+
+
+def test_remote_backend_reads_the_proxy_environment_when_it_is_built(
+        no_proxy_env):
+    with MockLlmServer() as upstream, MockLlmServer() as proxy:
+        backend = RemoteBackend(upstream.url)
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        backend.answer(Dataset(), ["q"])
+        assert upstream.paths == ["/v1/chat/completions"]
+        assert proxy.paths == []
+
+
+def test_no_proxy_bypasses_the_proxy(no_proxy_env):
+    # the connection is refused at the socket, so no name is ever resolved
+    connects = []
+
+    def refuse(address, *args, **kwargs):
+        connects.append(address)
+        raise ConnectionRefusedError("refused")
+
+    no_proxy_env.setattr(socket, "create_connection", refuse)
+    no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    for no_proxy, address in [("", ("127.0.0.1", 9)),
+                              ("upstream.invalid", ("upstream.invalid", 80))]:
+        no_proxy_env.setenv("NO_PROXY", no_proxy)
+        backend = RemoteBackend("http://upstream.invalid",
+                                params=GenerationParams(max_retries=0))
+        with pytest.raises(RemoteBackendError, match="transport failure"):
+            backend.answer(Dataset(), ["q"])
+        assert connects.pop() == address
+
+
+def test_an_https_endpoint_asks_the_proxy_for_a_tunnel(no_proxy_env):
+    with MockLlmServer() as proxy:   # answers CONNECT with 502
+        no_proxy_env.setenv("HTTPS_PROXY", proxy.url)
+        backend = RemoteBackend("https://upstream.invalid:8443",
+                                params=GenerationParams(max_retries=0))
+        with pytest.raises(RemoteBackendError, match="transport failure"):
+            backend.answer(Dataset(), ["q"])
+        assert proxy.paths == ["upstream.invalid:8443"]
+        assert proxy.requests == []
+
+
+@pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080",
+                                   "https://127.0.0.1:3128",
+                                   "http://127.0.0.1:port"])
+def test_remote_backend_rejects_a_proxy_it_cannot_speak(no_proxy_env, proxy):
+    no_proxy_env.setenv("ALL_PROXY", proxy)
+    with pytest.raises(ConfigError, match="must be an http URL with a host"):
+        RemoteBackend("http://upstream.invalid")
+
+
+def test_importing_fedicl_loads_no_third_party_http_client():
+    src = str(Path(fedicl.__file__).resolve().parents[1])
+    code = ("import sys, fedicl; "
+            "print([m for m in ('requests', 'urllib3') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -157,6 +157,14 @@ def protocol_with(**settings):
     ("simulate", dict(SIM_CFG, protocol=3), "protocol must be a JSON object"),
     ("simulate", dict(SIM_CFG, backend=[]), "backend must be a JSON object"),
     ("simulate", dict(SIM_CFG, dataset="x"), "dataset must be a JSON object"),
+    ("simulate", remote(endpoint="localhost:8000"), "URL with a host"),
+    ("simulate", remote(endpoint="ftp://x"), "URL with a host"),
+    ("simulate", remote(temperature=float("nan")),
+     "temperature must be a finite"),
+    ("theory", {"theory": {"gamma": [[1.0, 0.0], [0.0, 1.0]],
+                           "server": [[1.0, 0.0]],
+                           "clients": [[{"x": [1.0, 0.0], "y": "nan"}]]}},
+     "not finite"),
     ("theory", {"theory": 5}, "theory must be a JSON object"),
     ("partition", {"partition": 1, "dataset": {"path": __file__}},
      "partition must be a JSON object"),
@@ -167,7 +175,9 @@ def protocol_with(**settings):
         "bool-context-count", "float-rounds", "negative-retries",
         "zero-timeout", "backend-context-count", "backend-template",
         "protocol-options", "protocol-not-object",
-        "backend-not-object", "dataset-not-object", "theory-not-object",
+        "backend-not-object", "dataset-not-object", "endpoint-no-scheme",
+        "endpoint-ftp", "nan-temperature", "theory-nan-label",
+        "theory-not-object",
         "partition-not-object"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
                                               mode, config, message):

@@ -359,7 +359,9 @@ def test_load_dataset_fixture(tmp_path):
 
 def test_load_dataset_malformed_line_reports_position(tmp_path):
     path = tmp_path / "bad.jsonl"
-    for bad in ('not json at all', '{"x": [1.0], "y": null}', 'null'):
+    for bad in ('not json at all', '{"x": [1.0], "y": null}', 'null',
+                '{"x": [1.0], "y": "nan"}', '{"x": [1.0], "y": 1e999}',
+                '{"x": "abc", "y": 1.0}'):
         path.write_text('{"x": [1.0], "y": 2.0, "answer_kind": "real"}\n'
                         + bad + '\n')
         with pytest.raises(ConfigError, match=r"bad\.jsonl:2"):
