@@ -19,6 +19,7 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +39,15 @@ class GenerationParams:
     max_retries: int = 3
 
     def __post_init__(self):
+        if (isinstance(self.temperature, bool)
+                or not isinstance(self.temperature, Real)):
+            raise TypeError(f"temperature must be a number, got "
+                            f"{self.temperature!r}")
+        # an int from a config file is sent as the float it stands for
+        object.__setattr__(self, "temperature", float(self.temperature))
+        if not isinstance(self.model_name, str):
+            raise TypeError(f"model_name must be a str, got "
+                            f"{self.model_name!r}")
         if not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be a finite number >= 0")
         if self.max_tokens < 1:

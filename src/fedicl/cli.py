@@ -188,7 +188,7 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     kind = bcfg.get("kind", "lsa")
     with _parsing("backend"):
         params = GenerationParams(
-            temperature=float(bcfg.get("temperature", 0.1)),
+            temperature=bcfg.get("temperature", 0.1),
             max_tokens=_int(bcfg, "max_tokens", 256),
             model_name=bcfg.get("model_name", "gpt-4o-mini"),
             timeout_ms=_int(bcfg, "timeout_ms", 30_000),

@@ -390,24 +390,6 @@ class RoundTrace:
     aggregated: Dataset
     theory_w: Optional[Tuple[float, ...]] = None
 
-    def to_json(self) -> dict:
-        covs = self.aggregated.covariates
-        obj = {
-            "round": self.round,
-            "per_client_answers": {
-                str(cid): labels_to_json(labs)
-                for cid, labs in sorted(self.per_client_answers.items())
-            },
-            "aggregated": {
-                "covariates": (list(covs) if isinstance(covs, tuple)
-                               else covs.tolist()),
-                "labels": labels_to_json(self.aggregated.labels),
-            },
-        }
-        if self.theory_w is not None:
-            obj["theory_w"] = list(self.theory_w)
-        return obj
-
     @staticmethod
     def from_json(obj: dict) -> "RoundTrace":
         """One trace line; older files' ``aggregated.round`` is ignored."""
@@ -428,10 +410,39 @@ class RoundTrace:
         )
 
 
+def _labels_text(labels: Labels) -> str:
+    """``json.dumps(labels_to_json(labels))``. A finite real column is
+    joined from its floats' reprs, which is what the JSON encoder writes."""
+    if (isinstance(labels, RealColumn) and len(labels)
+            and np.isfinite(labels.values).all()):
+        return ('[{"y": ' + '}, {"y": '.join(
+            map(float.__repr__, labels.values.tolist())) + '}]')
+    return json.dumps(labels_to_json(labels))
+
+
 def save_traces(traces: Sequence[RoundTrace], path) -> None:
+    """One JSON line per trace, as README's "Round traces" lays it out:
+    ``round``, ``per_client_answers`` by ascending client id,
+    ``aggregated`` (``covariates``, ``labels``) and, if set, ``theory_w``,
+    with the ``", "`` and ``": "`` separators of ``json.dumps``. Traces
+    that hold one covariate column in a row (a run's do) encode it once."""
+    covs, covs_text = None, ""
     with open(path, "w") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace.to_json()) + "\n")
+            agg = trace.aggregated
+            if agg.covariates is not covs:
+                covs = agg.covariates
+                covs_text = json.dumps(list(covs) if isinstance(covs, tuple)
+                                       else covs.tolist())
+            answers = ", ".join(
+                f'"{cid}": {_labels_text(trace.per_client_answers[cid])}'
+                for cid in sorted(trace.per_client_answers))
+            theory_w = ("" if trace.theory_w is None else
+                        f', "theory_w": {json.dumps(list(trace.theory_w))}')
+            fh.write(f'{{"round": {json.dumps(trace.round)}, '
+                     f'"per_client_answers": {{{answers}}}, "aggregated": '
+                     f'{{"covariates": {covs_text}, "labels": '
+                     f'{_labels_text(agg.labels)}}}{theory_w}}}\n')
 
 
 def load_traces(path) -> List[RoundTrace]:

@@ -182,11 +182,12 @@ KNN_BLOCK_ELEMENTS = 16_384
 
 
 def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
-                c: int, embedder: Embedder) -> np.ndarray:
+                c: int, embedder: Embedder, distances: bool = False):
     """Indices into ``pool`` of each query's c nearest covariates: a (Q,
     min(c, len(pool))) integer array, rows nearest-first, distance ties in
     pool order (the first c of each query's stable argsort of its
-    ``norm(pool - q, axis=1)``). The pool and the queries are embedded once
+    ``norm(pool - q, axis=1)``). With ``distances``, also those norms: a
+    float array of the same shape. The pool and the queries are embedded once
     each, and searched a block of queries at a time, so that a block's
     distance matrix and re-rank array each hold at most
     ``KNN_BLOCK_ELEMENTS`` elements (or one query's, if that is more).
@@ -206,6 +207,7 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
     pool_sq = np.einsum("ij,ij->i", pool_emb, pool_emb)
     pool_norm = np.sqrt(pool_sq.max(initial=0.0))
     nearest = np.empty((len(query_emb), k), dtype=np.intp)
+    near = np.empty((len(query_emb), k))
     for lo in range(0, len(query_emb), rows):
         block = query_emb[lo:lo + rows]
         at = np.arange(len(block))[:, None]
@@ -221,9 +223,10 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
         exact = np.linalg.norm(pool_emb[cand] - block[:, None], axis=2)
         order = np.argsort(exact, axis=1, kind="stable")[:, :k]
         nearest[lo:lo + rows] = cand[at, order]
+        near[lo:lo + rows] = exact[at, order]
         if m == n:
             continue
-        kth = exact[at[:, 0], order[:, -1]]
+        kth = near[lo:lo + rows, -1]
         # Either form of a squared distance errs by at most about
         # (d + 3) eps (|p| + |q|)^2, plus d half-subnormals where squares
         # underflow. A non-candidate whose product-form distance exceeds
@@ -237,7 +240,8 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
         for i in np.flatnonzero(~(outside > kth * kth + slack)):
             dist = np.linalg.norm(pool_emb - block[i], axis=1)
             nearest[lo + i] = np.argsort(dist, kind="stable")[:k]
-    return nearest
+            near[lo + i] = dist[nearest[lo + i]]
+    return (nearest, near) if distances else nearest
 
 
 # ---------------------------------------------------------------------------

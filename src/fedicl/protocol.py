@@ -166,10 +166,11 @@ def step2_answer(client: ClientState, context: Dataset,
 
 def _knn_neighbours(client: ClientState, config: ProtocolConfig,
                     queries: Sequence[Covariate], embedder: Optional[Embedder],
-                    step2_pool: Dataset, relabels: bool) -> tuple:
+                    step2_pool: Dataset, kept: Optional[Labels]) -> tuple:
     """Step 1's and step 2's per-query kNN indices into their pools (the
-    queries, and ``step2_pool``); None where the whole pool is every
-    query's context."""
+    queries, and ``step2_pool``, whose first ``len(kept)`` rows precede
+    step 1's answers); None where the whole pool is every query's
+    context."""
     c = config.context_count
     if c is None:
         return None, None
@@ -178,8 +179,18 @@ def _knn_neighbours(client: ClientState, config: ProtocolConfig,
     def search(pool: Sequence[Covariate], qs: Sequence[Covariate]):
         return None if c >= len(pool) else knn_context(pool, qs, c, emb)
 
-    step1 = search(queries, client.original.covariates) if relabels else None
-    return step1, search(step2_pool.covariates, queries)
+    step1 = (None if kept is None else
+             search(queries, client.original.covariates))
+    if not kept or c >= len(step2_pool):
+        return step1, search(step2_pool.covariates, queries)
+    local = client.original.covariates
+    # D^i ++ D_k^i holds each local covariate twice: search them once, then
+    # lay the c nearest out in the doubled pool's stable order, where among
+    # equal distances every row j comes before every row N + j
+    nearest, dist = knn_context(local, queries, c, emb, distances=True)
+    order = np.argsort(np.hstack([dist, dist]), axis=1, kind="stable")
+    doubled = np.hstack([nearest, nearest + len(local)])
+    return step1, np.take_along_axis(doubled, order[:, :c], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +362,7 @@ def run(config: ProtocolConfig,
     for c in clients:
         pool, kept = _step2_pool(c, config.variant, server_reference)
         contexts[c.client_id] = (pool, kept) + _knn_neighbours(
-            c, config, queries, embedder, pool, kept is not None)
+            c, config, queries, embedder, pool, kept)
 
     def client_round(client: ClientState) -> Tuple[int, Labels, dict]:
         context, kept, step1_nn, step2_nn = contexts[client.client_id]

@@ -216,6 +216,10 @@ def test_generation_params_defaults_and_validation():
                 {"temperature": float("nan")}, {"temperature": float("inf")}):
         with pytest.raises(ValueError):
             GenerationParams(**bad)
+    for bad in ({"temperature": True}, {"temperature": "0.5"},
+                {"model_name": 5}):
+        with pytest.raises(TypeError):
+            GenerationParams(**bad)
     assert GenerationParams(max_retries=0).max_retries == 0
 
 

@@ -31,7 +31,7 @@ def test_every_traced_target_resolves():
     assert load_tracing().SpanRecorder().missing == []
 
 
-def traced_span_counts(context_count, clients=3, rounds=2):
+def traced_span_counts(context_count, clients=3, rounds=2, trace_path=None):
     """Span name -> count over one small LSA run under the recorder."""
     tracing = load_tracing()
     rng = np.random.default_rng(40)
@@ -45,15 +45,18 @@ def traced_span_counts(context_count, clients=3, rounds=2):
     try:
         run(ProtocolConfig(rounds=rounds, context_count=context_count),
             [ClientState(ds.client_id, ds, LsaBackend(g)) for ds in datasets],
-            queries, max_workers=2)
+            queries, trace_path=trace_path, max_workers=2)
     finally:
         recorder.close()
     names = recorder.table()["name"].astype(int)
     return Counter(tracing.SPAN_NAMES[i] for i in names)
 
 
-def test_full_context_run_fires_one_backend_call_per_client_step():
-    counts = traced_span_counts(context_count=None)
+def test_full_context_run_fires_one_backend_call_per_client_step(tmp_path):
+    counts = traced_span_counts(context_count=None,
+                                trace_path=tmp_path / "traces.jsonl")
+    # the run writes its traces in one call, which the benchmark times
+    assert counts["core.save_traces"] == 1
     assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2
     assert counts["protocol.step1"] == counts["protocol.step2"] == 3 * 2
     assert not KNN_SPANS & set(counts)
@@ -61,6 +64,7 @@ def test_full_context_run_fires_one_backend_call_per_client_step():
 
 def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
     counts = traced_span_counts(context_count=2)
+    assert "core.save_traces" not in counts   # no trace_path, no traces
     # one search per (client, step) for the whole run, not one per round
     assert counts["data.knn"] == 3 * 2
     assert counts["data.embed_many"] == 2 * counts["data.knn"]

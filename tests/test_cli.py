@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedicl import cli, core, data, protocol
+from fedicl.backend import GenerationParams
 from fedicl.core import Example, RealLabel, TextLabel
 
 from mock_llm import MockLlmServer
@@ -161,6 +162,9 @@ def protocol_with(**settings):
     ("simulate", remote(endpoint="ftp://x"), "URL with a host"),
     ("simulate", remote(temperature=float("nan")),
      "temperature must be a finite"),
+    ("simulate", remote(temperature=True), "temperature must be a number"),
+    ("simulate", remote(temperature="0.5"), "temperature must be a number"),
+    ("simulate", remote(model_name=5), "model_name must be a str"),
     ("theory", {"theory": {"gamma": [[1.0, 0.0], [0.0, 1.0]],
                            "server": [[1.0, 0.0]],
                            "clients": [[{"x": [1.0, 0.0], "y": "nan"}]]}},
@@ -176,7 +180,8 @@ def protocol_with(**settings):
         "zero-timeout", "backend-context-count", "backend-template",
         "protocol-options", "protocol-not-object",
         "backend-not-object", "dataset-not-object", "endpoint-no-scheme",
-        "endpoint-ftp", "nan-temperature", "theory-nan-label",
+        "endpoint-ftp", "nan-temperature", "bool-temperature",
+        "str-temperature", "int-model-name", "theory-nan-label",
         "theory-not-object",
         "partition-not-object"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
@@ -189,6 +194,21 @@ def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
     assert not (out / "theory_report.json").exists()
+
+
+@pytest.mark.parametrize("backend,want", [
+    ({}, GenerationParams()),
+    ({"temperature": 1, "model_name": "m", "max_tokens": 16},
+     GenerationParams(temperature=1.0, model_name="m", max_tokens=16)),
+    ({"temperature": 0.5, "timeout_ms": 2000, "max_retries": 0},
+     GenerationParams(temperature=0.5, timeout_ms=2000, max_retries=0)),
+], ids=["defaults", "int-temperature", "float-temperature"])
+def test_a_valid_backend_config_builds_the_params_it_gives(backend, want):
+    config = remote(endpoint="http://127.0.0.1:9", **backend)
+    backends = cli._build_backends(config, None, [1, 2])
+    assert [b.params for b in backends] == [want, want]
+    # the body's temperature is a JSON float, as float() made it before
+    assert type(backends[0].params.temperature) is float
 
 
 @pytest.mark.parametrize("mode,config", [

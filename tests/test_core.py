@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -217,7 +219,7 @@ def test_round_trace_round_trip(tmp_path):
     assert core.load_traces(path) == [trace, text]
 
 
-def test_round_trace_reads_the_older_aggregated_round_key():
+def test_round_trace_reads_the_older_aggregated_round_key(tmp_path):
     line = {"round": 1, "per_client_answers": {"1": [{"y": 0.5}]},
             "aggregated": {"covariates": [[1.0]], "labels": [{"y": 0.5}],
                            "round": 2}}
@@ -225,8 +227,10 @@ def test_round_trace_reads_the_older_aggregated_round_key():
     assert trace.aggregated == Dataset(covariates=[[1.0]],
                                        labels=[RealLabel(0.5)])
     # the round lives in the trace alone; it is written once
-    assert "round" not in trace.to_json()["aggregated"]
-    assert trace.to_json()["round"] == 1
+    core.save_traces([trace], tmp_path / "traces.jsonl")
+    saved = json.loads((tmp_path / "traces.jsonl").read_text())
+    assert "round" not in saved["aggregated"]
+    assert saved["round"] == 1
 
 
 def test_ledger_csv_export(tmp_path):

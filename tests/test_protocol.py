@@ -8,6 +8,7 @@ from fedicl import core, lsa, protocol, theory
 from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
                             render_prompt)
 from fedicl.core import ClientDataset, Dataset, Example, RealLabel, TextLabel
+from fedicl.data import IdentityEmbedder, knn_context
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
                              _step2_pool, aggregate, init_labels, run,
@@ -332,6 +333,34 @@ def test_knn_context_covering_the_pool_equals_full_context():
     for trace, labels in zip(go(4), want):
         got = core.real_values(trace.aggregated.labels)
         assert np.max(np.abs(got - labels)) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_ub"])
+def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
+    # a line with ties between distinct points, a repeated point, and a
+    # grid of small integers, whose distances tie everywhere
+    line = ClientDataset(1, tuple(Example((x,), RealLabel(0.0)) for x in
+                                  (-1.0, 1.0, 2.0, -2.0, 0.5, 3.0, 1.0)))
+    grid = real_dataset(2, np.random.default_rng(34).integers(
+        -2, 3, size=(9, 2)).astype(float), np.zeros(9))
+    cases = [(line, ((0.0,), (1.5,), (-1.0,))),
+             (grid, ((0.0, 0.0), (1.0, -1.0), (0.5, 0.5), (2.0, 2.0)))]
+    for local, queries in cases:
+        client = ClientState(local.client_id, local, LsaBackend(np.eye(
+            local.dim)))
+        pool, kept = _step2_pool(client, variant, None)
+        assert len(pool) == 2 * len(local) and len(kept) == len(local)
+        for c in range(1, 2 * len(pool)):   # odd and even, below and >= N
+            config = ProtocolConfig(rounds=1, variant=variant,
+                                    context_count=c)
+            _, got = protocol._knn_neighbours(client, config, queries, None,
+                                              pool, kept)
+            if c >= len(pool):
+                assert got is None
+                continue
+            want = knn_context(pool.covariates, queries, c,
+                               IdentityEmbedder())
+            np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
 
 
 def test_knn_run_makes_one_backend_call_per_client_step_round():

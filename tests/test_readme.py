@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from fedicl import cli
+from fedicl import cli, core
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -31,3 +31,11 @@ def test_example_config_simulates_and_matches_the_theory(tmp_path):
                      "--verify-theory"])
     assert code == cli.EXIT_PASS
     assert json.loads((out / "metrics.json").read_text())["theory_ok"]
+
+
+def test_the_trace_line_layout_is_what_save_traces_writes(tmp_path):
+    start = README.index('{"round": 1, "per_client_answers"')
+    line = README[start:README.index("\n", start) + 1]
+    trace = core.RoundTrace.from_json(json.loads(line))
+    core.save_traces([trace], tmp_path / "traces.jsonl")
+    assert (tmp_path / "traces.jsonl").read_text() == line
