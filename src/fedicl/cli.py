@@ -1,7 +1,7 @@
 """Config-driven entry points.
 
 Four commands share one JSON config file with sections
-{dataset, partition, protocol, backend, output}:
+{dataset, partition, protocol, backend, theory}:
 
     theory     closed-form contraction verification, JSON report
     simulate   full protocol run: traces JSONL, ledger CSV, metrics JSON
@@ -107,51 +107,77 @@ def synthesize_instance(cfg: dict, seed: int):
     return clients, queries, gamma_mat
 
 
-def matched_moment_instance(cfg: dict):
-    """Covariates whose empirical second moments equal Gamma exactly,
-    which forces H_cont = I and exact per-round error halving."""
-    d = _int(cfg, "d", 2)
-    t_prompt = _int(cfg, "t_prompt", 2)
-    lam = np.array(cfg["lambda"]) if "lambda" in cfg else np.eye(d)
-    gamma_mat = lsa.gamma(lam, t_prompt)
-    # columns of sqrt(d * Gamma): {+/- v_j} has second moment Gamma
-    root = np.linalg.cholesky(gamma_mat * d)
-    vecs = [tuple(s * root[:, j]) for j in range(d) for s in (+1.0, -1.0)]
-    examples = tuple(core.Example(covariate=v, label=core.RealLabel(float(i + 1)))
-                     for i, v in enumerate(vecs))
-    clients = [core.ClientDataset(client_id=1, examples=examples)]
-    return clients, tuple(vecs), gamma_mat
+def load_instance(config: dict, seed: int):
+    """The clients, queries and Gamma (None for client files) that both
+    ``theory`` and ``simulate`` run, from the ``dataset`` section."""
+    cfg = _section(config, "dataset")
+    with _parsing("dataset"):
+        if "client_paths" in cfg:
+            # pre-partitioned client files (see partition mode), query file
+            query_path = _require(cfg, "query_path", "dataset")
+            clients = [data.load_dataset(path) for path in cfg["client_paths"]]
+            queries = [ex.covariate for ex in data.load_dataset(query_path)]
+            gamma_mat = None
+        elif cfg.get("construction") == "matched_moments":
+            # covariates {+/- v_j}, the columns of sqrt(d * Gamma), whose
+            # second moment is Gamma: H_cont = I, the error halves a round
+            d = _int(cfg, "d", 2)
+            gamma_mat = lsa.gamma(np.array(cfg["lambda"]) if "lambda" in cfg
+                                  else np.eye(d), _int(cfg, "t_prompt", 2))
+            root = np.linalg.cholesky(gamma_mat * d)
+            queries = [s * root[:, j] for j in range(d) for s in (1.0, -1.0)]
+            clients = [[core.Example(tuple(v), core.RealLabel(float(i)))
+                        for i, v in enumerate(queries, start=1)]]
+        elif {"gamma", "clients", "server"} & set(cfg):
+            # an instance spelled out verbatim
+            gamma_mat = lsa._check_spd(_require(cfg, "gamma", "dataset"),
+                                       "gamma")
+            clients = [[core.example_from_json(r) for r in rows]
+                       for rows in _require(cfg, "clients", "dataset")]
+            queries = _require(cfg, "server", "dataset")
+        else:
+            return synthesize_instance(cfg, seed)
+        clients = [core.ClientDataset(cid, tuple(examples))
+                   for cid, examples in enumerate(clients, start=1)]
+        if any(gamma_mat is not None and ds.dim != len(gamma_mat)
+               for ds in clients):
+            raise ValueError("gamma and the covariates differ in dimension")
+        return clients, core.covariate_column(queries), gamma_mat
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def explicit_instance(tcfg: dict):
-    """Clients, queries, and Gamma spelled out verbatim in the config."""
-    gamma_mat = np.array(_require(tcfg, "gamma", "theory"))
-    if not _require(tcfg, "clients", "theory"):
-        raise ConfigError("theory.clients lists no clients")
-    with _parsing("theory.clients"):
-        clients = [core.ClientDataset(client_id=cid, examples=tuple(
-            core.example_from_json(r) for r in rows))
-            for cid, rows in enumerate(tcfg["clients"], start=1)]
-    queries = tuple(tuple(x) for x in _require(tcfg, "server", "theory"))
-    return clients, queries, gamma_mat
+#: (section, key, why) of each config key that no longer exists
+_REMOVED_KEYS = (
+    ("backend", "context_count", "protocol.context_count sets the context"),
+    ("backend", "template", "every prompt is open QA"),
+    ("protocol", "options", "no aggregation votes over choices"),
+    ("protocol", "aggregation", "lsa answers are averaged, remote ones "
+                                "fused"))
+
+
+def _check_removed_keys(config: dict) -> None:
+    for name, key, why in _REMOVED_KEYS:
+        if key in _section(config, name):
+            raise ConfigError(f"{name}.{key} is gone: {why}")
+    moved = sorted(set(_section(config, "theory")) - {"rounds"})
+    if moved:
+        raise ConfigError(f"theory.{moved[0]} is gone: theory holds only "
+                          f"rounds, and the instance lives in dataset")
 
 
 def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
-    tcfg = _section(config, "theory")
+    _check_removed_keys(config)
     with _parsing("theory"):
-        rounds = _int(tcfg, "rounds", 20)
+        rounds = _int(_section(config, "theory"), "rounds", 20)
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if tcfg.get("construction") == "matched_moments":
-            clients, queries, gamma_mat = matched_moment_instance(tcfg)
-        elif "clients" in tcfg:
-            clients, queries, gamma_mat = explicit_instance(tcfg)
-        else:
-            clients, queries, gamma_mat = synthesize_instance(tcfg, seed)
+    clients, queries, gamma_mat = load_instance(config, seed)
+    if gamma_mat is None:
+        raise ConfigError("theory needs gamma, and client files give none")
+    with _parsing("dataset"):
         state = theory.TheoryState.initialize(clients, queries, gamma_mat)
     state = theory.iterate_recursion(state, rounds)
     report = theory.verify_contraction(state)
@@ -170,11 +196,12 @@ def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
 def _build_protocol_config(config: dict,
                            seed: int) -> protocol.ProtocolConfig:
     pcfg = _section(config, "protocol")
+    lsa_answers = _section(config, "backend").get("kind", "lsa") == "lsa"
     with _parsing("protocol"):
         return protocol.ProtocolConfig(
             rounds=pcfg.get("rounds", 6),
             variant=pcfg.get("variant", "fedicl"),
-            aggregation=pcfg.get("aggregation", "average"),
+            aggregation="average" if lsa_answers else "fusion",
             context_count=pcfg.get("context_count"),
             init_mode=pcfg.get("init_mode", "zeros"),
             seed=_int(pcfg, "seed", seed),
@@ -196,8 +223,8 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
         )
     if kind == "lsa":
         if gamma_mat is None:
-            raise ConfigError("lsa backend needs gamma, and client files give "
-                              "none: use the synthetic dataset setup")
+            raise ConfigError("lsa backend needs gamma, and client files "
+                              "give none")
         return [LsaBackend(gamma_mat) for _ in client_ids]
     if kind == "remote":
         endpoint = bcfg.get("endpoint") or os.environ.get("FEDICL_ENDPOINT")
@@ -225,33 +252,10 @@ def _theory_deviation(trace: core.RoundTrace) -> float:
     return float(np.max(np.abs(labels - xm @ np.array(trace.theory_w))))
 
 
-#: (section, key, why) of each config key that no longer exists
-_REMOVED_KEYS = (
-    ("backend", "context_count", "protocol.context_count sets the context"),
-    ("backend", "template", "every prompt is open QA"),
-    ("protocol", "options", "no aggregation votes over choices"))
-
-
-def cmd_simulate(config: dict, output_dir: str, seed: int,
-                 verify_theory: bool = False) -> int:
-    for name, key, why in _REMOVED_KEYS:
-        if key in _section(config, name):
-            raise ConfigError(f"{name}.{key} is gone: {why}")
+def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
+    _check_removed_keys(config)
     pconf = _build_protocol_config(config, seed)
-    scfg = _section(config, "dataset")
-    gamma_mat = None
-    if "client_paths" in scfg:
-        # pre-partitioned client files (see partition mode) plus a query file
-        query_path = _require(scfg, "query_path", "dataset")
-        with _parsing("dataset"):
-            clients_data = [core.ClientDataset(client_id=cid, examples=tuple(
-                data.load_dataset(path)))
-                for cid, path in enumerate(scfg["client_paths"], start=1)]
-            queries = core.covariate_column(
-                [ex.covariate for ex in data.load_dataset(query_path)])
-    else:
-        with _parsing("dataset"):
-            clients_data, queries, gamma_mat = synthesize_instance(scfg, seed)
+    clients_data, queries, gamma_mat = load_instance(config, seed)
     backends = _build_backends(config, gamma_mat,
                                [ds.client_id for ds in clients_data])
     clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
@@ -260,12 +264,12 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
 
     theory_trace = None
     modeled = _modeled_by_recursion(pconf, backends)
-    if verify_theory and not modeled:
-        raise ConfigError("--verify-theory does not cover this run yet: it "
-                          "checks fedicl and fedicl_ub with the lsa backend, "
-                          "full context and zero initial labels")
     if modeled:
-        state = theory.TheoryState.initialize(clients_data, queries, gamma_mat)
+        # fedicl_ub runs one client holding every client's examples
+        with _parsing("dataset"):
+            state = theory.TheoryState.initialize(
+                [core.concat(clients_data)] if pconf.variant == "fedicl_ub"
+                else clients_data, queries, gamma_mat)
         theory_trace = theory.iterate_recursion(
             state, pconf.effective_rounds).w_trace
 
@@ -280,15 +284,13 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     result.ledger.export_csv(os.path.join(output_dir, "ledger.csv"))
 
     metrics: Dict[str, object] = {"rounds": len(result.traces)}
-    if verify_theory:
+    if modeled:
         max_dev = [_theory_deviation(trace) for trace in result.traces]
         metrics["max_theory_deviation_per_round"] = max_dev
-        metrics["theory_ok"] = bool(max(max_dev) <= 1e-9)
+        metrics["theory_ok"] = all(dev <= 1e-9 for dev in max_dev)
     with open(os.path.join(output_dir, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2)
-    if verify_theory and not metrics.get("theory_ok", True):
-        return EXIT_FAIL
-    return EXIT_PASS
+    return EXIT_PASS if metrics.get("theory_ok", True) else EXIT_FAIL
 
 
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
@@ -297,6 +299,9 @@ def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     with _parsing("dataset"):
         examples = data.load_dataset(dataset_path)
     categories = sorted({ex.category for ex in examples if ex.category})
+    if not categories:
+        raise ConfigError(f"{dataset_path}: every example needs a category, "
+                          f"and none has one")
     prior = pcfg.get("prior")
     if prior is None:
         prior = [1.0 / len(categories)] * len(categories)
@@ -360,9 +365,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", help="path to JSON experiment config")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--output", default="out", help="output directory")
-    parser.add_argument("--verify-theory", action="store_true",
-                        help="cross-check simulate labels against the "
-                             "closed-form recursion")
     parser.add_argument("--traces", nargs="*", default=[],
                         help="trace files for report mode")
     args = parser.parse_args(argv)
@@ -371,21 +373,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config) if args.config else {}
         with _parsing("config"):
             seed = _int(config, "seed", 0) if args.seed is None else args.seed
-        if args.mode == "theory":
-            return cmd_theory(config, args.output, seed)
-        if args.mode == "simulate":
-            return cmd_simulate(config, args.output, seed,
-                                verify_theory=args.verify_theory)
-        if args.mode == "partition":
-            return cmd_partition(config, args.output, seed)
-        if args.mode == "report":
-            if not args.traces:
-                raise ConfigError("report mode needs --traces")
-            return cmd_report(args.traces, args.output)
+        if args.mode != "report":
+            command = {"theory": cmd_theory, "simulate": cmd_simulate,
+                       "partition": cmd_partition}[args.mode]
+            return command(config, args.output, seed)
+        if not args.traces:
+            raise ConfigError("report mode needs --traces")
+        return cmd_report(args.traces, args.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -392,22 +392,27 @@ class RoundTrace:
 
     @staticmethod
     def from_json(obj: dict) -> "RoundTrace":
-        """One trace line; older files' ``aggregated.round`` is ignored."""
+        """One trace line; older files' ``aggregated.round`` is ignored.
+        A real label column reads back the ``NaN`` and ``Infinity`` that
+        ``save_traces`` writes for a run whose labels overflowed."""
         agg = obj["aggregated"]
         if not agg["labels"]:
             raise ValueError("query set must contain at least one covariate")
         theory_w = obj.get("theory_w")
         return RoundTrace(
             round=int(obj["round"]),
-            per_client_answers={
-                int(cid): label_column(label_from_json(l) for l in labs)
-                for cid, labs in obj["per_client_answers"].items()
-            },
-            aggregated=Dataset(
-                covariates=agg["covariates"],
-                labels=[label_from_json(l) for l in agg["labels"]]),
+            per_client_answers={int(cid): _labels_from_json(labs) for cid, labs
+                                in obj["per_client_answers"].items()},
+            aggregated=Dataset(covariates=agg["covariates"],
+                               labels=_labels_from_json(agg["labels"])),
             theory_w=tuple(theory_w) if theory_w is not None else None,
         )
+
+
+def _labels_from_json(objs: Sequence[dict]) -> Labels:
+    if objs and all("y" in obj for obj in objs):
+        return RealColumn([float(obj["y"]) for obj in objs])
+    return label_column(label_from_json(obj) for obj in objs)
 
 
 def _labels_text(labels: Labels) -> str:

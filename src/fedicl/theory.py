@@ -89,19 +89,17 @@ class TheoryState:
     @staticmethod
     def initialize(client_datasets: Sequence[ClientDataset],
                    server_covariates: Sequence[Covariate],
-                   gamma_mat: np.ndarray,
-                   w_init: Optional[np.ndarray] = None) -> "TheoryState":
+                   gamma_mat: np.ndarray) -> "TheoryState":
         h_cont, w_limit = compute_contraction(client_datasets,
                                               server_covariates, gamma_mat)
-        d = h_cont.shape[0]
         try:
             w_star: Optional[np.ndarray] = fixed_point(h_cont, w_limit)
         except NonContractiveError:
             w_star = None
-        w1 = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float)
         return TheoryState(gamma=np.asarray(gamma_mat, dtype=float),
                            h_cont=h_cont, w_limit=w_limit, w_star=w_star,
-                           w_trace=(w1,), h_norm=spectral_norm(h_cont))
+                           w_trace=(np.zeros(len(w_limit)),),
+                           h_norm=spectral_norm(h_cont))
 
 
 def iterate_recursion(state: TheoryState, rounds: int) -> TheoryState:

@@ -95,8 +95,9 @@ class MockLlmServer:
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         # a client may hold a kept-alive connection open past the test
         self._httpd.block_on_close = not keep_alive
+        # a short poll keeps shutdown() from waiting out the default 0.5 s
         self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        daemon=True)
+                                        args=(0.01,), daemon=True)
 
     @property
     def url(self) -> str:

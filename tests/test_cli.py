@@ -1,11 +1,13 @@
 import csv
 import json
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedicl import cli, core, data, protocol
+from fedicl import cli, core, data, protocol, theory
 from fedicl.backend import GenerationParams
 from fedicl.core import Example, RealLabel, TextLabel
 
@@ -31,8 +33,9 @@ def run_cli(tmp_path, mode, config=None, out="out", extra=()):
 # ---------------------------------------------------------------------------
 
 def test_theory_matched_moments(tmp_path):
-    cfg = write_config(tmp_path, {"theory": {"construction": "matched_moments",
-                                             "d": 2, "rounds": 12}})
+    cfg = write_config(tmp_path, {
+        "dataset": {"construction": "matched_moments", "d": 2},
+        "theory": {"rounds": 12}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
     report = json.loads((out / "theory_report.json").read_text())
@@ -41,11 +44,10 @@ def test_theory_matched_moments(tmp_path):
 
 
 def test_theory_explicit_instance_fixed_point(tmp_path):
-    cfg = write_config(tmp_path, {"theory": {
+    cfg = write_config(tmp_path, {"dataset": {
         "gamma": [[3.0]],
         "clients": [[{"x": [1.0], "y": 1.0}]],
-        "server": [[1.0]],
-        "rounds": 10}})
+        "server": [[1.0]]}, "theory": {"rounds": 10}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
     report = json.loads((out / "theory_report.json").read_text())
@@ -54,12 +56,11 @@ def test_theory_explicit_instance_fixed_point(tmp_path):
 
 
 def test_theory_explicit_instance_with_unequal_client_sizes(tmp_path):
-    cfg = write_config(tmp_path, {"theory": {
+    cfg = write_config(tmp_path, {"dataset": {
         "gamma": [[3.0]],
         "clients": [[{"x": [1.0], "y": 1.0}],
                     [{"x": [1.0], "y": 1.0}, {"x": [2.0], "y": 2.0}]],
-        "server": [[1.0]],
-        "rounds": 10}})
+        "server": [[1.0]]}, "theory": {"rounds": 10}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
     report = json.loads((out / "theory_report.json").read_text())
@@ -68,10 +69,10 @@ def test_theory_explicit_instance_with_unequal_client_sizes(tmp_path):
 
 
 def test_theory_synthetic_default_passes(tmp_path):
-    cfg = write_config(tmp_path, {"theory": {"d": 2, "num_clients": 2,
-                                             "examples_per_client": 50,
-                                             "num_queries": 8, "rounds": 15},
-                                  "seed": 4})
+    cfg = write_config(tmp_path, {"dataset": {"d": 2, "num_clients": 2,
+                                              "examples_per_client": 50,
+                                              "num_queries": 8},
+                                  "theory": {"rounds": 15}, "seed": 4})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
 
@@ -79,11 +80,10 @@ def test_theory_synthetic_default_passes(tmp_path):
 def test_theory_noncontractive_exit_code_and_report(tmp_path):
     # single example x = sqrt(6) with Gamma = [3]: H = 6*6/9 = 4 >= 2
     x = float(np.sqrt(6.0))
-    cfg = write_config(tmp_path, {"theory": {
+    cfg = write_config(tmp_path, {"dataset": {
         "gamma": [[3.0]],
         "clients": [[{"x": [x], "y": 1.0}]],
-        "server": [[x]],
-        "rounds": 5}})
+        "server": [[x]]}, "theory": {"rounds": 5}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_NONCONTRACTIVE
     report = json.loads((out / "theory_report.json").read_text())
@@ -99,7 +99,8 @@ def test_malformed_config_exit_code(tmp_path):
 
 
 def test_missing_required_key_exit_code(tmp_path):
-    cfg = write_config(tmp_path, {"theory": {"clients": [], "rounds": 3}})
+    cfg = write_config(tmp_path, {"dataset": {"clients": []},
+                                  "theory": {"rounds": 3}})
     code, _ = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_CONFIG
 
@@ -116,7 +117,7 @@ SIM_CFG = {"dataset": {"d": 2, "num_clients": 3, "examples_per_client": 4,
 
 
 NOT_SPD = [[1.0, 0.0], [0.0, -1.0]]
-REMOTE_CFG = dict(SIM_CFG, protocol={"rounds": 2, "aggregation": "fusion"})
+REMOTE_CFG = dict(SIM_CFG, protocol={"rounds": 2})
 
 
 def remote(**backend):
@@ -128,17 +129,22 @@ def protocol_with(**settings):
 
 
 @pytest.mark.parametrize("mode,config,message", [
-    ("theory", {"theory": {"gamma": NOT_SPD, "server": [[1.0, 0.0]],
-                           "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]}},
+    ("theory", {"dataset": {"gamma": NOT_SPD, "server": [[1.0, 0.0]],
+                            "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]}},
      "gamma must be positive definite"),
-    ("theory", {"theory": {"lambda": NOT_SPD}},
+    ("simulate", dict(SIM_CFG, dataset={
+        "gamma": NOT_SPD, "server": [[1.0, 0.0]],
+        "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]}),
+     "gamma must be positive definite"),
+    ("theory", {"dataset": {"lambda": NOT_SPD}},
      "lambda must be positive definite"),
     ("simulate", dict(SIM_CFG, dataset={"lambda": NOT_SPD}),
      "lambda must be positive definite"),
-    ("theory", {"theory": {"d": 0}}, "non-empty"),
+    ("theory", {"dataset": {"d": 0}}, "non-empty"),
     ("simulate", dict(SIM_CFG, dataset={"d": 0}), "non-empty"),
     ("theory", {"theory": {"rounds": 0}}, "rounds must be >= 1"),
-    ("theory", {"theory": {"examples_per_client": 0}}, "at least one example"),
+    ("theory", {"dataset": {"examples_per_client": 0}},
+     "at least one example"),
     ("simulate", dict(SIM_CFG, dataset={"examples_per_client": 0}),
      "at least one example"),
     ("theory", [1, 2], "must hold a JSON object"),
@@ -165,14 +171,28 @@ def protocol_with(**settings):
     ("simulate", remote(temperature=True), "temperature must be a number"),
     ("simulate", remote(temperature="0.5"), "temperature must be a number"),
     ("simulate", remote(model_name=5), "model_name must be a str"),
-    ("theory", {"theory": {"gamma": [[1.0, 0.0], [0.0, 1.0]],
-                           "server": [[1.0, 0.0]],
-                           "clients": [[{"x": [1.0, 0.0], "y": "nan"}]]}},
+    ("theory", {"dataset": {"gamma": [[1.0, 0.0], [0.0, 1.0]],
+                            "server": [[1.0, 0.0]],
+                            "clients": [[{"x": [1.0, 0.0], "y": "nan"}]]}},
      "not finite"),
     ("theory", {"theory": 5}, "theory must be a JSON object"),
+    ("theory", {"theory": {"d": 3, "rounds": 4}},
+     "theory.d is gone: theory holds only rounds, and the instance lives in "
+     "dataset"),
+    ("simulate", dict(SIM_CFG, theory={"clients": [], "gamma": [[1.0]]}),
+     "theory.clients is gone"),
+    ("theory", dict(SIM_CFG, protocol={"aggregation": "average"}),
+     "protocol.aggregation is gone"),
+    ("theory", {"dataset": {"gamma": [[1.0]], "server": [[1.0]]}},
+     "missing dataset.clients"),
+    ("simulate", dict(SIM_CFG, dataset={
+        "gamma": np.eye(3).tolist(), "server": [[1.0, 0.0]],
+        "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]},
+        protocol={"variant": "fedicl_free"}), "differ in dimension"),
     ("partition", {"partition": 1, "dataset": {"path": __file__}},
      "partition must be a JSON object"),
-], ids=["theory-gamma-not-spd", "theory-lambda-not-spd",
+], ids=["theory-gamma-not-spd", "simulate-gamma-not-spd",
+        "theory-lambda-not-spd",
         "simulate-lambda-not-spd", "theory-d-0", "simulate-d-0",
         "theory-rounds-0", "theory-no-examples", "simulate-no-examples",
         "theory-list-config", "simulate-string-config", "float-context-count",
@@ -182,7 +202,9 @@ def protocol_with(**settings):
         "backend-not-object", "dataset-not-object", "endpoint-no-scheme",
         "endpoint-ftp", "nan-temperature", "bool-temperature",
         "str-temperature", "int-model-name", "theory-nan-label",
-        "theory-not-object",
+        "theory-not-object", "theory-moved-key", "simulate-theory-key",
+        "theory-aggregation", "theory-explicit-no-clients",
+        "simulate-gamma-dimension",
         "partition-not-object"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
                                               mode, config, message):
@@ -214,7 +236,7 @@ def test_a_valid_backend_config_builds_the_params_it_gives(backend, want):
 @pytest.mark.parametrize("mode,config", [
     ("theory", {"theory": {"rounds": 2.5}}),
     ("theory", {"theory": {"rounds": True}}),
-    ("theory", {"theory": {"d": True}}),
+    ("theory", {"dataset": {"d": True}}),
     ("simulate", dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"],
                                             num_clients=2.7))),
     ("simulate", dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"], d=True))),
@@ -234,7 +256,7 @@ def test_a_count_that_is_not_an_int_exits_2(tmp_path, capsys, mode, config):
 
 def test_simulate_verify_theory(tmp_path):
     cfg = write_config(tmp_path, SIM_CFG)
-    code, out = run_cli(tmp_path, "simulate", cfg, extra=["--verify-theory"])
+    code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_PASS
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["theory_ok"] is True
@@ -249,8 +271,7 @@ def test_simulate_verify_theory(tmp_path):
 def test_simulate_verify_theory_passes_on_the_runs_it_models(tmp_path,
                                                             protocol_cfg):
     cfg = dict(SIM_CFG, protocol=dict(SIM_CFG["protocol"], **protocol_cfg))
-    code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, cfg),
-                        extra=["--verify-theory"])
+    code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, cfg))
     assert code == cli.EXIT_PASS
     assert json.loads((out / "metrics.json").read_text())["theory_ok"] is True
     assert all(t.theory_w is not None
@@ -263,18 +284,78 @@ def test_simulate_verify_theory_passes_on_the_runs_it_models(tmp_path,
     {"init_mode": "random"}],
     ids=["free", "gt", "knn", "ub-knn", "random-init"])
 def test_simulate_verify_theory_rejects_runs_the_recursion_does_not_model(
-        tmp_path, capsys, protocol_cfg):
+        tmp_path, protocol_cfg):
+    # the run goes ahead unverified: no theory_w, no verification keys
     cfg = write_config(tmp_path, dict(
         SIM_CFG, protocol=dict(SIM_CFG["protocol"], **protocol_cfg)))
-    code, out = run_cli(tmp_path, "simulate", cfg, extra=["--verify-theory"])
-    assert code == cli.EXIT_CONFIG
-    assert "does not cover this run yet" in capsys.readouterr().err
-    assert not (out / "traces.jsonl").exists()
-    # without the flag the run goes ahead, and its traces carry no theory_w
-    code, out = run_cli(tmp_path, "simulate", cfg, out="plain")
+    code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_PASS
     traces = core.load_traces(out / "traces.jsonl")
     assert traces and all(t.theory_w is None for t in traces)
+    assert json.loads((out / "metrics.json").read_text()) == {
+        "rounds": len(traces)}
+
+
+def test_simulate_exits_1_when_a_modeled_run_leaves_the_recursion(
+        tmp_path, monkeypatch):
+    iterate = theory.iterate_recursion
+
+    def shifted(state, rounds):
+        state = iterate(state, rounds)
+        return replace(state, w_trace=tuple(w + 1e-6 for w in state.w_trace))
+
+    monkeypatch.setattr(theory, "iterate_recursion", shifted)
+    code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, SIM_CFG))
+    assert code == cli.EXIT_FAIL
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["theory_ok"] is False
+    assert min(metrics["max_theory_deviation_per_round"]) > 1e-9
+
+
+def test_theory_and_simulate_check_one_instance(tmp_path):
+    config = {"dataset": {"d": 3, "num_clients": 4, "examples_per_client": 6,
+                          "num_queries": 5, "t_prompt": 4},
+              "theory": {"rounds": 4}, "protocol": {"rounds": 4}, "seed": 21}
+    cfg = write_config(tmp_path, config)
+    code, tout = run_cli(tmp_path, "theory", cfg, out="theory")
+    assert code == cli.EXIT_PASS
+    code, sout = run_cli(tmp_path, "simulate", cfg, out="simulate")
+    assert code == cli.EXIT_PASS
+    state = theory.TheoryState.initialize(*cli.load_instance(config, 21))
+    state = theory.iterate_recursion(state, 4)
+    report = json.loads((tout / "theory_report.json").read_text())
+    assert len(report["w_limit"]) == 3
+    assert report["w_limit"] == state.w_limit.tolist()
+    traces = core.load_traces(sout / "traces.jsonl")
+    assert [list(t.theory_w) for t in traces] == [
+        w.tolist() for w in state.w_trace[1:]]
+    assert json.loads((sout / "metrics.json").read_text())["theory_ok"]
+
+
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_ub"])
+def test_simulate_verifies_explicit_clients_of_unequal_sizes(tmp_path,
+                                                             variant):
+    clients = [[{"x": [1.0, 0.0], "y": 1.0}],
+               [{"x": [0.5, 1.0], "y": -1.0}, {"x": [1.0, 2.0], "y": 0.5},
+                {"x": [-1.0, 0.25], "y": 2.0}]]
+    cfg = write_config(tmp_path, {
+        "dataset": {"gamma": [[2.0, 0.5], [0.5, 1.5]], "clients": clients,
+                    "server": [[1.0, 1.0], [0.5, -1.0]]},
+        "protocol": {"rounds": 6, "variant": variant}})
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_PASS
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["theory_ok"] is True
+    assert len(metrics["max_theory_deviation_per_round"]) == 6
+
+
+def test_simulate_verifies_the_matched_moment_instance(tmp_path):
+    cfg = write_config(tmp_path, {
+        "dataset": {"construction": "matched_moments", "d": 3},
+        "protocol": {"rounds": 5}})
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_PASS
+    assert json.loads((out / "metrics.json").read_text())["theory_ok"] is True
 
 
 def test_simulate_gt_variant_single_round(tmp_path):
@@ -340,17 +421,18 @@ def test_simulate_from_dataset_files(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-def test_simulate_verify_theory_needs_synthetic_setup(tmp_path):
+def test_simulate_verify_theory_needs_synthetic_setup(tmp_path, capsys):
+    # client files give no Gamma, so theory has no recursion to check
     p = tmp_path / "c.jsonl"
     data.save_dataset([Example((1.0,), RealLabel(1.0))], p)
     q = tmp_path / "q.jsonl"
     data.save_dataset([Example((1.0,), RealLabel(0.0))], q)
     cfg = write_config(tmp_path, {
-        "dataset": {"client_paths": [str(p)], "query_path": str(q)},
-        "protocol": {"aggregation": "fusion"},
-        "backend": {"kind": "remote", "endpoint": "http://unused"}})
-    code, _ = run_cli(tmp_path, "simulate", cfg, extra=["--verify-theory"])
+        "dataset": {"client_paths": [str(p)], "query_path": str(q)}})
+    code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_CONFIG
+    assert "client files give none" in capsys.readouterr().err
+    assert not (out / "theory_report.json").exists()
 
 
 def test_simulate_rejects_an_empty_query_file(tmp_path, capsys):
@@ -361,7 +443,6 @@ def test_simulate_rejects_an_empty_query_file(tmp_path, capsys):
     # a config valid but for the query file; the endpoint is never contacted
     cfg = write_config(tmp_path, {
         "dataset": {"client_paths": [str(p)], "query_path": str(q)},
-        "protocol": {"aggregation": "fusion"},
         "backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9"}})
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_CONFIG
@@ -398,8 +479,7 @@ VECTOR_QUERIES = [{"x": [0.5, 0.5], "y": 0.0}]
      "needs an embedder"),
     (TEXT_CLIENTS, TEXT_QUERIES + VECTOR_QUERIES, {}, "remote",
      "text and vector covariates mixed"),
-    (VECTOR_CLIENTS, VECTOR_QUERIES, {"aggregation": "average"}, "lsa",
-     "client files give none"),
+    (VECTOR_CLIENTS, VECTOR_QUERIES, {}, "lsa", "client files give none"),
     (TEXT_CLIENTS, TEXT_QUERIES, {"init_mode": "random"}, "remote",
      "needs vector queries"),
     ([], TEXT_QUERIES, {}, "remote", "no clients"),
@@ -413,8 +493,7 @@ def test_simulate_rejects_a_run_it_cannot_make(tmp_path, capsys, clients,
     with MockLlmServer() as srv:
         cfg = write_config(tmp_path, {
             "dataset": write_files(tmp_path, clients, queries),
-            "protocol": dict({"rounds": 2, "aggregation": "fusion"},
-                             **protocol_cfg),
+            "protocol": dict({"rounds": 2}, **protocol_cfg),
             "backend": {"kind": kind, "endpoint": srv.url}})
         code, out = run_cli(tmp_path, "simulate", cfg)
         assert srv.requests == []
@@ -430,7 +509,7 @@ def test_a_missing_input_file_exits_2(tmp_path, capsys, missing):
     files = write_files(tmp_path, VECTOR_CLIENTS, VECTOR_QUERIES)
     mode, extra = "simulate", []
     # a config valid but for the file; the endpoint is never contacted
-    config = {"dataset": files, "protocol": {"aggregation": "fusion"},
+    config = {"dataset": files,
               "backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9"}}
     if missing == "client_paths":
         files["client_paths"].append(gone)
@@ -463,7 +542,7 @@ def test_simulate_text_files_end_to_end(tmp_path):
     with MockLlmServer(reply="the Moon's pull") as srv:
         cfg = write_config(tmp_path, {
             "dataset": write_files(tmp_path, TEXT_CLIENTS * 2, TEXT_QUERIES),
-            "protocol": {"rounds": 2, "aggregation": "fusion"},
+            "protocol": {"rounds": 2},
             "backend": {"kind": "remote", "endpoint": srv.url}})
         code, out = run_cli(tmp_path, "simulate", cfg)
         # 2 rounds x 2 clients x (2 examples + 1 query)
@@ -487,27 +566,26 @@ def test_simulate_backend_failure_exits_3(tmp_path):
     with MockLlmServer(script=[(400, {"error": "bad request"}, {})]) as srv:
         cfg = write_config(tmp_path, {
             "dataset": write_files(tmp_path, TEXT_CLIENTS, TEXT_QUERIES),
-            "protocol": {"rounds": 2, "aggregation": "fusion"},
+            "protocol": {"rounds": 2},
             "backend": {"kind": "remote", "endpoint": srv.url}})
         code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_BACKEND
     assert (out / "traces.jsonl").read_text() == ""
 
 
-@pytest.mark.parametrize("kind,aggregation,message", [
-    ("remote", "average", "cannot combine"),
-    ("remote", "majority", "unknown aggregation"),
-    ("lsa", "majority", "unknown aggregation"),
-    ("lsa", "fusion", "cannot combine")],
+@pytest.mark.parametrize("kind,aggregation", [
+    ("remote", "average"), ("remote", "majority"), ("lsa", "majority"),
+    ("lsa", "fusion")],
     ids=["remote-average", "remote-majority", "lsa-majority", "lsa-fusion"])
 def test_simulate_rejects_an_aggregation_the_backend_cannot_feed(
-        tmp_path, capsys, kind, aggregation, message):
+        tmp_path, capsys, kind, aggregation):
+    # the backend kind picks the aggregation: the key itself is gone
     cfg = write_config(tmp_path, dict(
         SIM_CFG, protocol={"rounds": 2, "aggregation": aggregation},
         backend={"kind": kind, "endpoint": "http://127.0.0.1:9"}))
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    assert "protocol.aggregation is gone" in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
 
 
@@ -518,8 +596,8 @@ def test_simulate_unknown_backend_kind(tmp_path):
 
 
 def test_theory_explicit_instance_without_clients(tmp_path):
-    cfg = write_config(tmp_path, {"theory": {"gamma": [[3.0]], "clients": [],
-                                             "server": [[1.0]]}})
+    cfg = write_config(tmp_path, {"dataset": {"gamma": [[3.0]], "clients": [],
+                                              "server": [[1.0]]}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_CONFIG
     assert not (out / "theory_report.json").exists()
@@ -545,11 +623,7 @@ def test_simulate_builds_one_backend_per_client(tmp_path, monkeypatch,
         raise protocol.ProtocolError("stop after capture")
 
     monkeypatch.setattr(protocol, "run", capture)
-    # remote answers are text, so only fusion can combine them
-    aggregation = "fusion" if backend["kind"] == "remote" else "average"
-    cfg = write_config(tmp_path, dict(
-        SIM_CFG, backend=backend,
-        protocol=dict(SIM_CFG["protocol"], aggregation=aggregation)))
+    cfg = write_config(tmp_path, dict(SIM_CFG, backend=backend))
     code, _ = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_BACKEND
     assert [c.client_id for c in seen] == [1, 2, 3]
@@ -598,13 +672,26 @@ def test_partition_deterministic_across_runs(tmp_path):
         (tmp_path / "p2/manifest.json").read_bytes()
 
 
+def test_partition_rejects_examples_without_a_category(tmp_path, capsys):
+    path = tmp_path / "plain.jsonl"
+    data.save_dataset([Example((0.0,), RealLabel(0.0)),
+                       Example((1.0,), RealLabel(1.0))], path)
+    cfg = write_config(tmp_path, {"dataset": {"path": str(path)},
+                                  "partition": {"num_clients": 2,
+                                                "alpha": 1.0}})
+    code, out = run_cli(tmp_path, "partition", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert "every example needs a category" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # report mode
 # ---------------------------------------------------------------------------
 
 def test_report_rows_and_deviation_column(tmp_path):
     cfg = write_config(tmp_path, SIM_CFG)
-    code, out = run_cli(tmp_path, "simulate", cfg, extra=["--verify-theory"])
+    code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_PASS
     code, rout = run_cli(tmp_path, "report", out="rep",
                          extra=["--traces", str(out / "traces.jsonl")])
@@ -614,6 +701,18 @@ def test_report_rows_and_deviation_column(tmp_path):
     assert [int(r["round"]) for r in rows] == [1, 2, 3, 4, 5]
     assert all(float(r["max_theory_deviation"]) <= 1e-9 for r in rows)
     assert all(int(r["num_queries"]) == 3 for r in rows)
+
+
+def test_report_reads_the_non_finite_labels_simulate_can_write(tmp_path):
+    golden = Path(__file__).parent / "data" / "golden_nonfinite.jsonl"
+    code, rout = run_cli(tmp_path, "report", out="rep",
+                         extra=["--traces", str(golden)])
+    assert code == cli.EXIT_PASS
+    with open(rout / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # round 1 aggregated NaN and inf labels, round 2 finite ones
+    assert [r["max_theory_deviation"] for r in rows][:1] == ["nan"]
+    assert np.isfinite(float(rows[1]["max_theory_deviation"]))
 
 
 def test_report_requires_traces(tmp_path):

@@ -26,11 +26,14 @@ def test_quick_start_runs(capsys):
 def test_example_config_simulates_and_matches_the_theory(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(block_after("Example config", "json"))
-    out = tmp_path / "out"
-    code = cli.main(["simulate", "--config", str(path), "--output", str(out),
-                     "--verify-theory"])
-    assert code == cli.EXIT_PASS
-    assert json.loads((out / "metrics.json").read_text())["theory_ok"]
+    for mode in ("theory", "simulate"):
+        code = cli.main([mode, "--config", str(path),
+                         "--output", str(tmp_path / mode)])
+        assert code == cli.EXIT_PASS
+    report = json.loads((tmp_path / "theory/theory_report.json").read_text())
+    assert report["pass"] and len(report["w_limit"]) == 2
+    assert json.loads((tmp_path / "simulate/metrics.json").read_text())[
+        "theory_ok"]
 
 
 def test_the_trace_line_layout_is_what_save_traces_writes(tmp_path):

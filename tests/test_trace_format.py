@@ -175,8 +175,8 @@ def test_saved_real_columns_load_back(tmp_path_factory, finite, mixed):
     core.save_traces([trace], path)
     assert path.read_text() == reference_line(trace)
     assert core.load_traces(path) == [trace]
-    # JSON writes NaN and ±inf as NaN and ±Infinity, which json.loads reads
-    # back; load_traces rejects a label that is not finite
+    # JSON writes NaN and ±inf as NaN and ±Infinity, which json.loads and
+    # load_traces read back
     trace = RoundTrace(
         round=1, per_client_answers={1: RealColumn(mixed)},
         aggregated=Dataset(covariates=[[0.0]] * len(mixed),
@@ -189,8 +189,16 @@ def test_saved_real_columns_load_back(tmp_path_factory, finite, mixed):
     # JSON keeps the sign of a zero or an infinity, not that of a NaN
     assert [math.copysign(1, v) for v in written if not math.isnan(v)] == [
         math.copysign(1, v) for v in mixed if not math.isnan(v)]
-    if all(map(math.isfinite, mixed)):
-        assert core.load_traces(path) == [trace]
-    else:
-        with pytest.raises(ValueError, match="not finite"):
-            core.load_traces(path)
+    # NaN != NaN, so the columns are compared with NaN equal to NaN
+    (loaded,) = core.load_traces(path)
+    assert (loaded.round, list(loaded.per_client_answers)) == (1, [1])
+    for column in (loaded.per_client_answers[1], loaded.aggregated.labels):
+        np.testing.assert_array_equal(column.values, mixed)
+    np.testing.assert_array_equal(loaded.aggregated.covariates,
+                                  [[0.0]] * len(mixed))
+
+
+def test_a_trace_with_non_finite_labels_loads_back_to_its_bytes(tmp_path):
+    golden = DATA / "golden_nonfinite.jsonl"
+    core.save_traces(core.load_traces(golden), tmp_path / "traces.jsonl")
+    assert (tmp_path / "traces.jsonl").read_bytes() == golden.read_bytes()
