@@ -48,4 +48,5 @@ print("\nprediction on a fresh prompt:")
 print(f"  learned attention layer : {lsa_forward(e, result.params.with_rho(5)):+.5f}")
 print(f"  optimal attention layer : {lsa_forward(e, opt.with_rho(5)):+.5f}")
 xs, ys = zip(*examples)
-print(f"  closed-form expression  : {predict_closed_form(xs, ys, xq, g):+.5f}")
+closed_form = predict_closed_form([(xs, ys, [xq], None)], g)[0][0]
+print(f"  closed-form expression  : {closed_form:+.5f}")

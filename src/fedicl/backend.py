@@ -58,25 +58,35 @@ class GenerationParams:
             raise ValueError("max_retries must be >= 0")
 
 
+#: One request to a backend: a context dataset, the queries, and None or a
+#: (Q, k) index array whose row q lists query q's examples in the context.
+Ask = Tuple[Dataset, Sequence[Covariate], Optional[np.ndarray]]
+
+
 class LmBackend:
-    """Answer queries given in-context examples: one call answers every
-    query, in query order, with all of the ``context`` dataset or, given a
-    (Q, k) index array ``neighbours`` into it, with row q's examples.
-    The labels come as a label column (see ``core.label_column``).
-    A backend that observes token usage adds its ``prompt_tokens`` and
-    ``completion_tokens`` into the ``usage`` dict, when one is given.
+    """Answer batches of asks. ``answer`` takes a list of asks and returns
+    one label column (see ``core.label_column``) per ask, in ask order: an
+    ask ``(context, queries, neighbours)`` has every query, in query order,
+    answered with all of the ``context`` dataset or, given a (Q, k) index
+    array ``neighbours`` into it, with row q's examples.
+    ``usages``, when given, holds one dict (or None) per ask: a backend
+    that observes token usage adds the ``prompt_tokens`` and
+    ``completion_tokens`` of an ask's answers into its dict.
+    Backends that compare equal answer alike, so one call may carry the
+    asks of every client whose backends are equal; a backend equals only
+    itself unless its class says otherwise.
     ``max_tokens`` is the cap on each text answer, None for a backend that
     answers with reals. ``waits_on_io`` says that an ``answer`` call spends
-    its time waiting on I/O, so that clients gain from answering in
-    threads; an in-process backend leaves it False. Deterministic backends
-    must return identical labels for identical inputs."""
+    its time waiting on I/O, so that calls gain from running in threads;
+    an in-process backend leaves it False. Deterministic backends must
+    return identical labels for identical inputs."""
 
     max_tokens: Optional[int] = None
     waits_on_io = False
 
-    def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None,
-               usage: Optional[Dict[str, int]] = None) -> Labels:
+    def answer(self, asks: Sequence[Ask],
+               usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
+               ) -> List[Labels]:
         raise NotImplementedError
 
 
@@ -85,24 +95,38 @@ class LsaBackend(LmBackend):
 
     Pure function of (context, queries). Gamma must be SPD; the backend
     keeps a read-only copy of it, checked once when the backend is built.
+    Two LSA backends of one class are equal when their gammas are.
     """
 
     def __init__(self, gamma: np.ndarray):
         self._gamma = SpdMatrix(gamma, "gamma")
+        # equal exactly when the gammas are: -0.0 + 0.0 is 0.0
+        self._key = (self._gamma.matrix + 0.0).tobytes()
 
     @property
     def gamma(self) -> np.ndarray:
         return self._gamma.matrix
 
-    def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None,
-               usage: Optional[Dict[str, int]] = None) -> RealColumn:
-        xq = covariate_matrix(queries)  # TypeError for text, also a bare str
-        if context.dim is None:
-            raise TypeError("LSA backend needs vector examples, got text")
-        return RealColumn(predict_closed_form(
-            context.covariates, real_values(context.labels), xq, self._gamma,
-            neighbours))
+    def __eq__(self, other):
+        if type(other) is not type(self):  # a subclass may answer otherwise
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def answer(self, asks: Sequence[Ask],
+               usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
+               ) -> List[RealColumn]:
+        batch = []
+        for context, queries, neighbours in asks:
+            if context.dim is None:
+                raise TypeError("LSA backend needs vector examples, got text")
+            # predict_closed_form raises TypeError for text queries
+            batch.append((context.covariates, real_values(context.labels),
+                          queries, neighbours))
+        return [RealColumn(pred)
+                for pred in predict_closed_form(batch, self._gamma)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +206,23 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def answer(self, context: Dataset, queries: Sequence[Covariate],
-               neighbours: Optional[np.ndarray] = None,
-               usage: Optional[Dict[str, int]] = None) -> Tuple[Label, ...]:
-        if isinstance(queries, str):  # would be one POST per character
-            raise TypeError("queries must be a sequence, not a str")
-        pairs = context.pairs()
-        contexts = ([pairs] * len(queries) if neighbours is None else
-                    [[pairs[i] for i in row] for row in neighbour_matrix(
-                        neighbours, len(pairs), len(queries))])
-        return tuple(self._answer_one(c, q, usage)
-                     for c, q in zip(contexts, queries))
+    def answer(self, asks: Sequence[Ask],
+               usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
+               ) -> List[Tuple[Label, ...]]:
+        if usages is not None and len(usages) != len(asks):
+            raise ValueError(f"{len(usages)} usage dicts for {len(asks)} asks")
+        prompts = []  # every ask is checked before the first POST
+        for context, queries, neighbours in asks:
+            if isinstance(queries, str):  # would be one POST per character
+                raise TypeError("queries must be a sequence, not a str")
+            pairs = context.pairs()
+            contexts = ([pairs] * len(queries) if neighbours is None else
+                        [[pairs[i] for i in row] for row in neighbour_matrix(
+                            neighbours, len(pairs), len(queries))])
+            prompts.append(list(zip(contexts, queries)))
+        usages = [None] * len(asks) if usages is None else usages
+        return [tuple(self._answer_one(c, q, usage) for c, q in ask)
+                for ask, usage in zip(prompts, usages)]
 
     def _answer_one(self, exemplars: List[Tuple[Covariate, Label]],
                     query: Covariate, usage: Optional[Dict[str, int]]

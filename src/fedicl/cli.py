@@ -298,7 +298,8 @@ def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     dataset_path = _require(_section(config, "dataset"), "path", "dataset")
     with _parsing("dataset"):
         examples = data.load_dataset(dataset_path)
-    categories = sorted({ex.category for ex in examples if ex.category})
+    categories = sorted({ex.category for ex in examples
+                         if ex.category is not None})
     if not categories:
         raise ConfigError(f"{dataset_path}: every example needs a category, "
                           f"and none has one")

@@ -12,7 +12,7 @@ squared-loss risk over sampled linear-regression prompts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,31 +157,67 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
     return LsaParams(w_kq=w_kq, w_pv=w_pv, rho=float(t_prompt))
 
 
-def predict_closed_form(xs, ys, x_query, gamma_mat: np.ndarray | SpdMatrix,
-                        neighbours=None) -> float | np.ndarray:
-    """Closed-form LSA prediction at the global optimum from the context's
-    (n, d) covariates ``xs`` and (n,) labels ``ys``.
+def predict_closed_form(asks, gamma_mat: np.ndarray | SpdMatrix
+                        ) -> List[np.ndarray]:
+    """Closed-form LSA predictions at the global optimum for a batch of
+    asks, one (Q,) array per ask.
 
-    y_hat = x_query^T Gamma^-1 (1/n sum_i y_i x_i); zero examples yield 0.
-    A (Q, d) matrix of queries shares the one solve and yields a (Q,) array,
-    also when a (Q, k) index array ``neighbours`` picks each one's examples.
-    Gamma is checked to be SPD unless it is an ``SpdMatrix``.
+    An ask is ``(xs, ys, x_query, neighbours)``: a context's (n, d)
+    covariates and (n,) labels, a (Q, d) matrix of queries, and None or a
+    (Q, k) index array whose row q picks query q's examples. Query q's
+    answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over the whole
+    context or over its examples; zero examples yield 0.
+
+    The moments of every ask are stacked and share one solve. Asks that
+    give the same ``xs`` and ``ys`` objects (one context, many query sets)
+    share their whole context's moment; asks that give the same
+    ``x_query`` object (many contexts, one query set) are answered in one
+    matrix product. Gamma is checked to be SPD unless it is an
+    ``SpdMatrix``.
     """
     gamma_mat = (gamma_mat.matrix if isinstance(gamma_mat, SpdMatrix) else
                  _check_spd(gamma_mat, "gamma"))
-    xq = np.asarray(x_query, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    nb = None if neighbours is None else neighbour_matrix(
-        neighbours, len(ys), len(xq))
-    if len(ys) == 0 or xq.size == 0:
-        return np.zeros(len(xq)) if xq.ndim == 2 else 0.0
-    xs = covariate_matrix(xs)
-    if nb is None:
-        pred = xq @ np.linalg.solve(gamma_mat, xs.T @ ys / len(ys))
-    else:  # (Q, d) moments from one (Q, k, d) gather of the neighbours
-        moments = np.einsum("qk,qkd->qd", ys[nb], xs[nb]) / nb.shape[1]
-        pred = np.sum(xq * np.linalg.solve(gamma_mat, moments.T).T, axis=1)
-    return pred if xq.ndim == 2 else float(pred)
+    asks = list(asks)  # alive to the end, so that no two share an id()
+    sums, counts, shared, by_query = [], [], {}, {}
+    near, reads, rows = [], [], 0
+    for xs, ys, x_query, neighbours in asks:
+        xq = covariate_matrix(x_query)
+        nb = None if neighbours is None else neighbour_matrix(
+            neighbours, len(ys), len(xq))
+        if len(ys) == 0 or xq.size == 0:
+            reads.append((xq, None))
+        elif nb is None:  # the whole context's moment, once per context
+            at = shared.get((id(xs), id(ys)))
+            if at is None:
+                at = shared[id(xs), id(ys)] = len(sums)
+                sums.append(np.asarray(ys, dtype=float) @ covariate_matrix(xs))
+                counts.append(len(ys))
+            by_query.setdefault(id(xq), []).append(at)
+            reads.append((xq, at))
+        else:  # (Q, d) moments from one (Q, k, d) gather
+            ys, xs = np.asarray(ys, dtype=float), covariate_matrix(xs)
+            near.append(np.einsum("qk,qkd->qd", ys[nb], xs[nb])
+                        / nb.shape[1])
+            reads.append((xq, slice(rows, rows + len(xq))))
+            rows += len(xq)
+    # one stacked solve: row r of ``v`` is Gamma^-1 applied to moment r,
+    # the whole contexts' moments first and then the neighbourhoods'
+    moments = [np.array(sums) / np.array(counts)[:, None]] if sums else []
+    v = (np.linalg.solve(gamma_mat, np.vstack(moments + near).T).T
+         if moments or near else None)
+    products, preds = {}, []
+    for xq, at in reads:
+        if at is None:
+            preds.append(np.zeros(len(xq)))
+        elif type(at) is slice:
+            preds.append(np.einsum("qd,qd->q", xq, v[len(sums):][at]))
+        elif len(by_query[id(xq)]) > 1:  # its row of the shared product
+            if id(xq) not in products:
+                products[id(xq)] = iter(v[by_query[id(xq)]] @ xq.T)
+            preds.append(next(products[id(xq)]))
+        else:
+            preds.append(xq @ v[at])
+    return preds
 
 
 # ---------------------------------------------------------------------------

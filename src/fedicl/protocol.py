@@ -18,11 +18,12 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .backend import LmBackend
+from .backend import Ask, LmBackend
 from .core import (BITS_PER_REAL, ClientDataset, CommLedger, ConfigError,
                    Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
                    TextLabel, charge_protocol_round, check_int, concat,
@@ -105,37 +106,61 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     elif mode == "backend_generated":
         if backend is None:
             raise ValueError("backend_generated initialization needs a backend")
-        labels = backend.answer(Dataset(), covariates)
+        labels = backend.answer([(Dataset(), covariates, None)])[0]
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return Dataset(covariates=covariates, labels=labels)
 
 
-def step1_relabel(client: ClientState, c_k: Dataset,
-                  neighbours: Optional[np.ndarray] = None,
-                  usage: Optional[Dict[str, int]] = None) -> ClientDataset:
-    """Relabel the client's covariates via ICL on the server's query set
-    (all of it, or each covariate's ``neighbours`` in it)."""
-    return client.original.with_labels(_answer_in_context(
-        client, c_k, client.original.covariates, neighbours, 1, usage))
+def step1_relabel(group: Sequence[ClientState], c_k: Dataset,
+                  neighbours: Optional[Sequence[Optional[np.ndarray]]] = None,
+                  usages: Optional[Sequence[Dict[str, int]]] = None
+                  ) -> List[ClientDataset]:
+    """Relabel each client's covariates via ICL on the server's query set
+    (all of it, or each covariate's neighbours in it), in one call to the
+    backend that the ``group``'s clients share."""
+    neighbours = neighbours or [None] * len(group)
+    answers = _answer_in_context(group, [
+        (c_k, client.original.covariates, nb)
+        for client, nb in zip(group, neighbours)], 1, usages)
+    return [client.original.with_labels(labels)
+            for client, labels in zip(group, answers)]
 
 
-def _answer_in_context(client: ClientState, pool: Dataset,
-                       queries: Sequence[Covariate],
-                       neighbours: Optional[np.ndarray], step: int,
-                       usage: Optional[Dict[str, int]]) -> Labels:
-    """Answer the queries in one call to the client's backend, with the
-    whole pool as every query's context or each query's ``neighbours``."""
+def step2_answer(group: Sequence[ClientState], contexts: Sequence[Dataset],
+                 queries: Sequence[Covariate],
+                 neighbours: Optional[Sequence[Optional[np.ndarray]]] = None,
+                 usages: Optional[Sequence[Dict[str, int]]] = None
+                 ) -> List[Labels]:
+    """Answer the server queries, each client in its own context (all of
+    it, or each query's neighbours in it), in one call to the backend that
+    the ``group``'s clients share."""
+    neighbours = neighbours or [None] * len(group)
+    return _answer_in_context(group, [
+        (context, queries, nb) for context, nb in zip(contexts, neighbours)],
+        2, usages)
+
+
+def _answer_in_context(group: Sequence[ClientState], asks: List[Ask],
+                       step: int, usages: Optional[Sequence[Dict[str, int]]]
+                       ) -> List[Labels]:
+    """One ``answer`` call with each client's ask; a failure names the
+    client whose answers are wrong, or the group's first client when the
+    call itself fails."""
     try:
-        answers = label_column(client.backend.answer(pool, queries,
-                                                     neighbours, usage))
+        columns = [label_column(col)
+                   for col in group[0].backend.answer(asks, usages)]
     except Exception as exc:
         raise ProtocolError(f"step {step} backend failure: {exc}",
-                            client.client_id) from exc
-    if len(answers) != len(queries):
-        raise ProtocolError(f"step {step}: {len(answers)} answers to "
-                            f"{len(queries)} queries", client.client_id)
-    return answers
+                            group[0].client_id) from exc
+    if len(columns) != len(asks):
+        raise ProtocolError(f"step {step}: {len(columns)} answer columns to "
+                            f"{len(asks)} clients", group[0].client_id)
+    for client, (_, queries, _), answers in zip(group, asks, columns):
+        if len(answers) != len(queries):
+            raise ProtocolError(f"step {step}: {len(answers)} answers to "
+                                f"{len(queries)} queries", client.client_id)
+    return columns
 
 
 def _step2_pool(client: ClientState, variant: str,
@@ -155,34 +180,43 @@ def _step2_pool(client: ClientState, variant: str,
     return concat([local, local]), local.labels
 
 
-def step2_answer(client: ClientState, context: Dataset,
-                 queries: Sequence[Covariate],
-                 neighbours: Optional[np.ndarray] = None,
-                 usage: Optional[Dict[str, int]] = None) -> Labels:
-    """Answer the server queries in context (all of it, or each query's
-    ``neighbours`` in it)."""
-    return _answer_in_context(client, context, queries, neighbours, 2, usage)
-
-
-def _knn_neighbours(client: ClientState, config: ProtocolConfig,
+def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
                     queries: Sequence[Covariate], embedder: Optional[Embedder],
-                    step2_pool: Dataset, kept: Optional[Labels]) -> tuple:
-    """Step 1's and step 2's per-query kNN indices into their pools (the
-    queries, and ``step2_pool``, whose first ``len(kept)`` rows precede
-    step 1's answers); None where the whole pool is every query's
-    context."""
+                    pools: Sequence[Tuple[Dataset, Optional[Labels]]]
+                    ) -> Tuple[list, list]:
+    """Each client's step-1 and step-2 kNN indices into its pools (the
+    queries, and its step-2 pool, whose first ``len(kept)`` rows precede
+    step 1's answers); None where the whole pool is every query's context.
+
+    Every client's step-1 pool is the queries, so one search of the
+    group's local covariates, stacked, serves all of step 1: each row of a
+    search is the first c of its own stable argsort."""
     c = config.context_count
     if c is None:
-        return None, None
+        return [None] * len(group), [None] * len(group)
     emb = embedder if embedder is not None else IdentityEmbedder()
+    step1 = [None] * len(group)
+    if pools[0][1] is not None and c < len(queries):
+        covs = [client.original.covariates for client in group]
+        stacked = (np.vstack(covs) if all(isinstance(x, np.ndarray)
+                                          for x in covs)
+                   else tuple(chain.from_iterable(covs)))
+        step1 = np.split(knn_context(queries, stacked, c, emb),
+                         np.cumsum([len(x) for x in covs[:-1]]))
+    return step1, [_step2_neighbours(client, c, queries, emb, pool, kept)
+                   for client, (pool, kept) in zip(group, pools)]
 
-    def search(pool: Sequence[Covariate], qs: Sequence[Covariate]):
-        return None if c >= len(pool) else knn_context(pool, qs, c, emb)
 
-    step1 = (None if kept is None else
-             search(queries, client.original.covariates))
-    if not kept or c >= len(step2_pool):
-        return step1, search(step2_pool.covariates, queries)
+def _step2_neighbours(client: ClientState, c: int,
+                      queries: Sequence[Covariate], emb: Embedder,
+                      pool: Dataset, kept: Optional[Labels]
+                      ) -> Optional[np.ndarray]:
+    """Step 2's kNN indices into the client's ``pool``; None when the
+    pool is every query's context."""
+    if c >= len(pool):
+        return None
+    if not kept:
+        return knn_context(pool.covariates, queries, c, emb)
     local = client.original.covariates
     # D^i ++ D_k^i holds each local covariate twice: search them once, then
     # lay the c nearest out in the doubled pool's stable order, where among
@@ -190,7 +224,7 @@ def _knn_neighbours(client: ClientState, config: ProtocolConfig,
     nearest, dist = knn_context(local, queries, c, emb, distances=True)
     order = np.argsort(np.hstack([dist, dist]), axis=1, kind="stable")
     doubled = np.hstack([nearest, nearest + len(local)])
-    return step1, np.take_along_axis(doubled, order[:, :c], axis=1)
+    return np.take_along_axis(doubled, order[:, :c], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +365,11 @@ def run(config: ProtocolConfig,
     call (see ``_check_run``), and a failing backend raises
     ``ProtocolError``. The ledger holds the nominal charges and, as unit
     ``observed_tokens``, the tokens each client's backend reported in each
-    round. When some client's backend waits on I/O, clients answer in a
-    pool of ``max_workers`` threads (default: one per client); otherwise
-    they answer one after another in the caller's thread.
+    round. Clients whose backends compare equal form a group, and each
+    group answers each step of a round in one ``answer`` call. When some
+    client's backend waits on I/O, the groups answer in a pool of
+    ``max_workers`` threads (default: one per group); otherwise they
+    answer one after another in the caller's thread.
     ``theory_w_trace``, when given, attaches the matching closed-form weight
     vector to each round's trace. The traces are written to ``trace_path``
     (if set) also on a mid-run failure, before it is re-raised.
@@ -355,44 +391,55 @@ def run(config: ProtocolConfig,
     ledger = CommLedger()
     charges, unit = _payload_units(c_k, clients)
 
-    # a round changes only labels: each step's pool keeps its covariates
-    # and neighbour choice ignores labels, so one step-2 pool and one kNN
-    # search per client serve every round of this run
-    contexts = {}
-    for c in clients:
-        pool, kept = _step2_pool(c, config.variant, server_reference)
-        contexts[c.client_id] = (pool, kept) + _knn_neighbours(
-            c, config, queries, embedder, pool, kept)
+    # clients whose backends are equal answer each step in one call. A
+    # round changes only labels: each step's pool keeps its covariates and
+    # neighbour choice ignores labels, so one step-2 pool per client and
+    # one kNN search per step and group serve every round of this run
+    by_backend: Dict[LmBackend, List[int]] = {}
+    for i, c in enumerate(clients):
+        by_backend.setdefault(c.backend, []).append(i)
+    positions = list(by_backend.values())
+    plans = []
+    for group in ([clients[i] for i in at] for at in positions):
+        pools = [_step2_pool(c, config.variant, server_reference)
+                 for c in group]
+        plans.append((group, pools) + _knn_neighbours(
+            group, config, queries, embedder, pools))
 
-    def client_round(client: ClientState) -> Tuple[int, Labels, dict]:
-        context, kept, step1_nn, step2_nn = contexts[client.client_id]
-        usage: Dict[str, int] = {}
-        if kept is not None:
-            relabeled = step1_relabel(client, c_k, step1_nn, usage)
-            context = context.with_labels(join_labels([kept,
-                                                       relabeled.labels]))
-        return client.client_id, step2_answer(client, context, queries,
-                                              step2_nn, usage), usage
+    def group_round(plan) -> List[Tuple[Labels, dict]]:
+        group, pools, step1_nn, step2_nn = plan
+        usages: List[Dict[str, int]] = [{} for _ in group]
+        contexts = [pool for pool, _ in pools]
+        if pools[0][1] is not None:
+            relabeled = step1_relabel(group, c_k, step1_nn, usages)
+            contexts = [pool.with_labels(join_labels([kept, ds.labels]))
+                        for (pool, kept), ds in zip(pools, relabeled)]
+        return list(zip(step2_answer(group, contexts, queries, step2_nn,
+                                     usages), usages))
 
     # threads only pay while a backend waits: in-process ones answer here
-    threaded = (max_workers != 1 and len(clients) > 1
+    threaded = (max_workers != 1 and len(plans) > 1
                 and any(c.backend.waits_on_io for c in clients))
-    executor = (ThreadPoolExecutor(max_workers=max_workers or len(clients))
+    executor = (ThreadPoolExecutor(max_workers=max_workers or len(plans))
                 if threaded else None)
-    map_clients = executor.map if executor is not None else map
+    map_groups = executor.map if executor is not None else map
     traces: List[RoundTrace] = []
     try:
         for k in range(1, config.effective_rounds + 1):
             for client_ids, question_units, answer_units in charges:
                 charge_protocol_round(ledger, k, client_ids, len(queries),
                                       question_units, answer_units, unit)
+            answered = [None] * len(clients)
+            for at, results in zip(positions, map_groups(group_round, plans)):
+                for i, result in zip(at, results):
+                    answered[i] = result
             per_client = {}
-            for cid, answers, usage in map_clients(client_round, clients):
-                per_client[cid] = answers
+            for client, (answers, usage) in zip(clients, answered):
+                per_client[client.client_id] = answers
                 for direction, key in OBSERVED:  # LSA reports no usage
                     if key in usage:
-                        ledger.record(k, direction, cid, usage[key],
-                                      "observed_tokens")
+                        ledger.record(k, direction, client.client_id,
+                                      usage[key], "observed_tokens")
             c_next = aggregate(per_client, config.aggregation, c_k)
             theory_w = None
             if theory_w_trace is not None and k < len(theory_w_trace):

@@ -163,8 +163,8 @@ def test_criterion_06_attention_forward_equals_closed_form():
             e = build_embedding(examples, xq)
             got = lsa_forward(e, base.with_rho(n))
             xs, ys = zip(*examples)
-            assert got == pytest.approx(predict_closed_form(xs, ys, xq, g),
-                                        abs=1e-10)
+            want = predict_closed_form([(xs, ys, [xq], None)], g)[0][0]
+            assert got == pytest.approx(want, abs=1e-10)
             for c in (0.5, 4.0):
                 scaled = LsaParams(c * base.w_kq, base.w_pv / c, rho=float(n))
                 assert lsa_forward(e, scaled) == pytest.approx(
@@ -353,7 +353,7 @@ def test_criterion_12_remote_wire_contract():
         with MockLlmServer(reply="the final answer") as srv:
             backend = RemoteBackend(srv.url)
             context = core.Dataset([Example("ex q", TextLabel("ex a"))])
-            got = backend.answer(context, ["real question?"])[0]
+            got = backend.answer([(context, ["real question?"], None)])[0][0]
             assert got == TextLabel("the final answer")
             body = srv.requests[0]
             assert body["model"] == "gpt-4o-mini"
@@ -383,10 +383,10 @@ def test_criterion_12_remote_wire_contract():
                   (200, None, {})]
         with MockLlmServer(script=script) as srv:
             backend = RemoteBackend(srv.url, backoff_base=0.0)
-            got = backend.answer(core.Dataset(), ["q"])[0]
+            got = backend.answer([(core.Dataset(), ["q"], None)])[0][0]
             assert got == TextLabel("mock answer")
             assert len(srv.requests) == 2
 
         with MockLlmServer(script=[(200, {"bad": "shape"}, {})]) as srv:
             with pytest.raises(RemoteBackendError):
-                RemoteBackend(srv.url).answer(core.Dataset(), ["q"])[0]
+                RemoteBackend(srv.url).answer([(core.Dataset(), ["q"], None)])

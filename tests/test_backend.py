@@ -21,6 +21,18 @@ from mock_llm import MockLlmServer
 GOLDEN = Path(__file__).parent / "data" / "golden_open_qa_prompt.txt"
 
 
+def answer_one(backend, context, queries, neighbours=None, usage=None):
+    """The label column of one ask, through the batch ``answer``."""
+    return backend.answer([(context, queries, neighbours)],
+                          None if usage is None else [usage])[0]
+
+
+def closed_form(context, queries, g, neighbours=None):
+    """``predict_closed_form`` on one ask over a dataset."""
+    return predict_closed_form([(context.covariates, real_values(
+        context.labels), queries, neighbours)], g)[0]
+
+
 def vec_context(rng, d, n):
     return Dataset(covariates=rng.standard_normal((n, d)), labels=[
         RealLabel(float(y)) for y in rng.standard_normal(n)])
@@ -37,34 +49,35 @@ def test_lsa_backend_delegates_to_closed_form():
     for _ in range(100):
         ctx = vec_context(rng, 2, int(rng.integers(0, 7)))
         q = tuple(rng.standard_normal(2))
-        want = predict_closed_form(ctx.covariates, real_values(ctx.labels),
-                                   q, g)
-        assert backend.answer(ctx, [q])[0] == RealLabel(want)
+        want = closed_form(ctx, [q], g)[0]
+        assert answer_one(backend, ctx, [q])[0] == RealLabel(want)
 
 
 def test_lsa_backend_empty_context_answers_zero():
-    got = LsaBackend(np.eye(2)).answer(Dataset(), [(1.0, 2.0)])[0]
+    got = answer_one(LsaBackend(np.eye(2)), Dataset(), [(1.0, 2.0)])[0]
     assert got == RealLabel(0.0)
 
 
 def test_lsa_backend_hand_value():
     ctx = Dataset([Example((1.0,), RealLabel(1.0))])
-    got = LsaBackend(np.array([[3.0]])).answer(ctx, [(1.0,)])[0]
+    got = answer_one(LsaBackend(np.array([[3.0]])), ctx, [(1.0,)])[0]
     assert got.value == pytest.approx(1 / 3)
 
 
 def test_lsa_backend_rejects_text():
     backend = LsaBackend(np.eye(1))
     with pytest.raises(TypeError):
-        backend.answer(Dataset(), ["what is 2+2?"])[0]
+        answer_one(backend, Dataset(), ["what is 2+2?"])[0]
     with pytest.raises(TypeError):
-        backend.answer(Dataset([Example("q", TextLabel("a"))]), [(1.0,)])[0]
+        answer_one(backend, Dataset([Example("q", TextLabel("a"))]),
+                   [(1.0,)])[0]
     with pytest.raises(TypeError):
-        backend.answer(Dataset([Example("q", RealLabel(1.0))]), [(1.0,)])
+        answer_one(backend, Dataset([Example("q", RealLabel(1.0))]), [(1.0,)])
     with pytest.raises(TypeError):
-        backend.answer(Dataset([Example((1.0,), TextLabel("a"))]), [(1.0,)])
+        answer_one(backend, Dataset([Example((1.0,), TextLabel("a"))]),
+                   [(1.0,)])
     with pytest.raises(TypeError):
-        backend.answer(Dataset([Example((1.0,), RealLabel(1.0))]),
+        answer_one(backend, Dataset([Example((1.0,), RealLabel(1.0))]),
                        [(1.0,), "what is 2+2?"])
 
 
@@ -84,15 +97,14 @@ def test_lsa_backend_batch_matches_per_query_closed_form():
     for n in (1, 5, 12):
         ctx = vec_context(rng, 3, n)
         qs = [tuple(q) for q in rng.standard_normal((7, 3))]
-        got = backend.answer(ctx, qs)
+        got = answer_one(backend, ctx, qs)
         assert len(got) == len(qs)
         for label, q in zip(got, qs):
             assert isinstance(label, RealLabel)
-            want = predict_closed_form(ctx.covariates,
-                                       real_values(ctx.labels), q, g)
+            want = closed_form(ctx, [q], g)[0]
             assert abs(label.value - want) <= 1e-12
-    assert backend.answer(Dataset(), qs) == (RealLabel(0.0),) * len(qs)
-    assert backend.answer(ctx, []) == ()
+    assert answer_one(backend, Dataset(), qs) == (RealLabel(0.0),) * len(qs)
+    assert answer_one(backend, ctx, []) == ()
 
 
 def test_lsa_backend_neighbours_match_per_query_contexts():
@@ -103,12 +115,34 @@ def test_lsa_backend_neighbours_match_per_query_contexts():
         pool = vec_context(rng, 3, n)
         qs = [tuple(q) for q in rng.standard_normal((7, 3))]
         nb = rng.integers(0, n, size=(len(qs), k))
-        got = backend.answer(pool, qs, nb)
+        got = answer_one(backend, pool, qs, nb)
         assert len(got) == len(qs)
         for label, q, row in zip(got, qs, nb):
-            want = backend.answer(pool.take(row), [q])[0]
+            want = answer_one(backend, pool.take(row), [q])[0]
             assert abs(label.value - want.value) <= 1e-12
-    assert backend.answer(pool, [], np.zeros((0, 2), dtype=int)) == ()
+    assert answer_one(backend, pool, [], np.zeros((0, 2), dtype=int)) == ()
+
+
+def test_closed_form_batch_equals_each_ask_alone():
+    # every kind of ask in one batch: a context shared by two query sets,
+    # a query set shared by two contexts, neighbours, no examples and no
+    # queries
+    rng = np.random.default_rng(37)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    shared, other = vec_context(rng, 3, 6), vec_context(rng, 3, 4)
+    qs, more = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+    asks = [(shared, qs, None), (shared, more, None), (other, qs, None),
+            (other, more, rng.integers(0, 4, size=(2, 3))),
+            (shared, qs, rng.integers(0, 6, size=(5, 2))),
+            (Dataset(), more, None), (other, np.empty((0, 3)), None)]
+    got = predict_closed_form([
+        (ctx.covariates, real_values(ctx.labels), q, nb)
+        for ctx, q, nb in asks], g)
+    assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0]
+    for pred, (ctx, q, nb) in zip(got, asks):
+        np.testing.assert_allclose(pred, closed_form(ctx, q, g, nb),
+                                   rtol=0, atol=1e-12)
+    assert not got[-2].any()
 
 
 MALFORMED_NEIGHBOURS = {
@@ -127,15 +161,14 @@ def test_malformed_neighbours_raise_value_error(nb):
     rng = np.random.default_rng(34)
     pool, qs = vec_context(rng, 2, 3), [(1.0, 0.0), (0.0, 1.0)]
     with pytest.raises(ValueError, match="neighbours"):
-        LsaBackend(np.eye(2)).answer(pool, qs, nb)
+        answer_one(LsaBackend(np.eye(2)), pool, qs, nb)
     with pytest.raises(ValueError, match="neighbours"):
-        predict_closed_form(pool.covariates, real_values(pool.labels),
-                            np.asarray(qs), np.eye(2), nb)
+        closed_form(pool, np.asarray(qs), np.eye(2), nb)
     text_pool = Dataset([Example(f"q{i}", TextLabel(f"a{i}"))
                          for i in range(3)])
     with MockLlmServer() as srv:
         with pytest.raises(ValueError, match="neighbours"):
-            RemoteBackend(srv.url).answer(text_pool, ["x", "y"], nb)
+            answer_one(RemoteBackend(srv.url), text_pool, ["x", "y"], nb)
         assert srv.requests == []
 
 
@@ -143,15 +176,15 @@ def test_neighbours_are_checked_also_with_zero_queries():
     nb = np.zeros((3, 2), dtype=int)  # three rows for no queries
     pool = vec_context(np.random.default_rng(35), 2, 3)
     with pytest.raises(ValueError, match="neighbours"):
-        LsaBackend(np.eye(2)).answer(pool, [], nb)
+        answer_one(LsaBackend(np.eye(2)), pool, [], nb)
     text_pool = Dataset([Example(f"q{i}", TextLabel(f"a{i}"))
                          for i in range(3)])
     with MockLlmServer() as srv:
         with pytest.raises(ValueError, match="neighbours"):
-            RemoteBackend(srv.url).answer(text_pool, [], nb)
+            answer_one(RemoteBackend(srv.url), text_pool, [], nb)
         assert srv.requests == []
     empty = np.zeros((0, 2), dtype=int)
-    assert LsaBackend(np.eye(2)).answer(pool, [], empty) == ()
+    assert answer_one(LsaBackend(np.eye(2)), pool, [], empty) == ()
 
 
 def test_lsa_backend_keeps_a_read_only_copy_of_gamma():
@@ -159,9 +192,9 @@ def test_lsa_backend_keeps_a_read_only_copy_of_gamma():
     g = gamma(np.diag([1.0, 0.5]), 4)
     backend = LsaBackend(g)
     ctx, qs = vec_context(rng, 2, 5), [(1.0, 0.0), (0.5, -2.0)]
-    before = backend.answer(ctx, qs)
+    before = answer_one(backend, ctx, qs)
     g[0, 0] = 100.0
-    assert backend.answer(ctx, qs) == before
+    assert answer_one(backend, ctx, qs) == before
     with pytest.raises(ValueError):
         backend.gamma[0, 0] = 1.0
     with pytest.raises(ValueError, match="finite"):
@@ -170,10 +203,10 @@ def test_lsa_backend_keeps_a_read_only_copy_of_gamma():
 
 def test_backends_reject_a_bare_string_as_queries():
     with pytest.raises(TypeError):
-        LsaBackend(np.eye(1)).answer(Dataset(), "real question?")
+        answer_one(LsaBackend(np.eye(1)), Dataset(), "real question?")
     with MockLlmServer() as srv:
         with pytest.raises(TypeError, match="str"):
-            RemoteBackend(srv.url).answer(Dataset(), "real question?")
+            answer_one(RemoteBackend(srv.url), Dataset(), "real question?")
         assert srv.requests == []
 
 
@@ -230,7 +263,7 @@ def test_generation_params_defaults_and_validation():
 def test_remote_backend_returns_completion_text():
     with MockLlmServer(reply="Paris is the capital.") as srv:
         backend = RemoteBackend(srv.url)
-        got = backend.answer(Dataset([Example("q1", TextLabel("a1"))]),
+        got = answer_one(backend, Dataset([Example("q1", TextLabel("a1"))]),
                              ["Capital of France?"])[0]
     assert got == TextLabel("Paris is the capital.")
 
@@ -238,7 +271,8 @@ def test_remote_backend_returns_completion_text():
 def test_remote_backend_batch_posts_once_per_query_in_order():
     ctx = Dataset([Example("ex q", TextLabel("ex a"))])
     with MockLlmServer(reply="an answer") as srv:
-        got = RemoteBackend(srv.url).answer(ctx, ["q one", "q two", "q three"])
+        got = answer_one(RemoteBackend(srv.url), ctx,
+                         ["q one", "q two", "q three"])
         prompts = [body["messages"][0]["content"] for body in srv.requests]
     assert got == (TextLabel("an answer"),) * 3
     assert len(prompts) == 3
@@ -252,7 +286,7 @@ def test_remote_backend_neighbours_post_each_querys_exemplars_in_order():
                     for i in range(5)])
     nb = np.array([[3, 0, 4], [1, 1, 2]])
     with MockLlmServer(reply="an answer") as srv:
-        got = RemoteBackend(srv.url).answer(pool, ["q one", "q two"], nb)
+        got = answer_one(RemoteBackend(srv.url), pool, ["q one", "q two"], nb)
         prompts = [body["messages"][0]["content"] for body in srv.requests]
     assert got == (TextLabel("an answer"),) * 2
     assert prompts == [render_prompt(pool.take(row).pairs(), q)
@@ -262,7 +296,7 @@ def test_remote_backend_neighbours_post_each_querys_exemplars_in_order():
 def test_remote_backend_request_body_contract():
     with MockLlmServer() as srv:
         backend = RemoteBackend(srv.url)
-        backend.answer(Dataset(), ["some question"])[0]
+        answer_one(backend, Dataset(), ["some question"])[0]
         body = srv.requests[0]
     assert body["model"] == "gpt-4o-mini"
     assert body["temperature"] == 0.1
@@ -284,7 +318,7 @@ def test_remote_backend_retries_on_rate_limit():
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
-        got = backend.answer(Dataset(), ["q"])[0]
+        got = answer_one(backend, Dataset(), ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
 
@@ -298,7 +332,7 @@ def test_remote_backend_falls_back_to_backoff_on_an_invalid_retry_after(
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.25)
-        got = backend.answer(Dataset(), ["q"])[0]
+        got = answer_one(backend, Dataset(), ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
     assert slept == [0.25]   # the first retry's exponential delay
@@ -312,7 +346,7 @@ def test_remote_backend_waits_at_most_the_retry_after_ceiling(monkeypatch,
     script = [(503, {"error": "down"}, {"Retry-After": retry_after}),
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
-        got = RemoteBackend(srv.url).answer(Dataset(), ["q"])[0]
+        got = answer_one(RemoteBackend(srv.url), Dataset(), ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
     assert slept == [RETRY_AFTER_MAX_S]
@@ -324,7 +358,7 @@ def test_remote_backend_gives_up_after_max_retries():
         backend = RemoteBackend(srv.url, backoff_base=0.0,
                                 params=GenerationParams(max_retries=2))
         with pytest.raises(RemoteBackendError, match="503"):
-            backend.answer(Dataset(), ["q"])[0]
+            answer_one(backend, Dataset(), ["q"])[0]
         assert len(srv.requests) == 3
 
 
@@ -333,7 +367,7 @@ def test_remote_backend_non_retryable_fails_fast():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
         with pytest.raises(RemoteBackendError, match="400"):
-            backend.answer(Dataset(), ["q"])[0]
+            answer_one(backend, Dataset(), ["q"])[0]
         assert len(srv.requests) == 1
 
 
@@ -342,7 +376,7 @@ def test_remote_backend_malformed_body_raises():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url)
         with pytest.raises(RemoteBackendError, match="malformed"):
-            backend.answer(Dataset(), ["q"])[0]
+            answer_one(backend, Dataset(), ["q"])[0]
 
 
 def test_remote_backend_adds_observed_usage_into_the_given_dict():
@@ -350,17 +384,53 @@ def test_remote_backend_adds_observed_usage_into_the_given_dict():
     context = Dataset([Example("ex q", TextLabel("ex a"))])
     with MockLlmServer(reply="four words in reply") as srv:
         backend = RemoteBackend(srv.url)
-        backend.answer(context, ["first question"], usage=usage)
-        backend.answer(context, ["a second question here"], usage=usage)
-        backend.answer(context, ["not counted"])
+        answer_one(backend, context, ["first question"], usage=usage)
+        answer_one(backend, context, ["a second question here"], usage=usage)
+        answer_one(backend, context, ["not counted"])
         served = srv.usages[:2]
     assert usage == {
         "prompt_tokens": sum(u["prompt_tokens"] for u in served),
         "completion_tokens": sum(u["completion_tokens"] for u in served)}
     lsa_usage = {}
-    LsaBackend(np.eye(1)).answer(Dataset([Example((1.0,), RealLabel(1.0))]),
-                                 [(1.0,)], usage=lsa_usage)
+    answer_one(LsaBackend(np.eye(1)),
+               Dataset([Example((1.0,), RealLabel(1.0))]), [(1.0,)],
+               usage=lsa_usage)
     assert lsa_usage == {}
+
+
+def test_remote_backend_answers_a_batch_ask_by_ask_with_its_own_usage():
+    first = Dataset([Example("ex q", TextLabel("ex a"))])
+    second = Dataset([Example(f"q{i}", TextLabel(f"a{i}")) for i in range(3)])
+    usages = [{}, {}]
+    with MockLlmServer(reply="a reply") as srv:
+        got = RemoteBackend(srv.url).answer(
+            [(first, ["one", "two"], None),
+             (second, ["three"], np.array([[2, 0]]))], usages)
+        prompts = [body["messages"][0]["content"] for body in srv.requests]
+        served = list(srv.usages)
+    assert got == [(TextLabel("a reply"),) * 2, (TextLabel("a reply"),)]
+    pairs = second.pairs()
+    assert prompts == [render_prompt(first.pairs(), "one"),
+                       render_prompt(first.pairs(), "two"),
+                       render_prompt([pairs[2], pairs[0]], "three")]
+    for usage, calls in zip(usages, (served[:2], served[2:])):
+        assert usage == {
+            "prompt_tokens": sum(u["prompt_tokens"] for u in calls),
+            "completion_tokens": sum(u["completion_tokens"] for u in calls)}
+
+
+def test_remote_backend_checks_every_ask_before_its_first_request():
+    ctx = Dataset([Example("q", TextLabel("a"))])
+    with MockLlmServer() as srv:
+        backend = RemoteBackend(srv.url)
+        with pytest.raises(ValueError, match="neighbours"):
+            backend.answer([(ctx, ["x"], None),
+                            (ctx, ["y"], np.array([[1]]))])
+        with pytest.raises(TypeError, match="str"):
+            backend.answer([(ctx, ["x"], None), (ctx, "y", None)])
+        with pytest.raises(ValueError, match="usage"):
+            backend.answer([(ctx, ["x"], None), (ctx, ["y"], None)], [{}])
+        assert srv.requests == []
 
 
 def test_remote_backend_truncates_long_completions():
@@ -368,14 +438,14 @@ def test_remote_backend_truncates_long_completions():
     with MockLlmServer(reply=long_reply) as srv:
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_tokens=10))
-        got = backend.answer(Dataset(), ["q"])[0]
+        got = answer_one(backend, Dataset(), ["q"])[0]
     assert got.answer == " ".join(str(i) for i in range(10))
 
 
 def test_remote_backend_prompt_holds_every_context_exemplar_in_order():
     ctx = Dataset([Example(f"q{i}", TextLabel(f"a{i}")) for i in range(8)])
     with MockLlmServer() as srv:
-        RemoteBackend(srv.url).answer(ctx, ["final"])
+        answer_one(RemoteBackend(srv.url), ctx, ["final"])
         prompt = srv.requests[0]["messages"][0]["content"]
     assert prompt == render_prompt(ctx.pairs(), "final")
     positions = [prompt.index(f"Question: q{i}\nAnswer: a{i}\n")
@@ -413,7 +483,7 @@ def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
     backend = RemoteBackend(f"http://127.0.0.1:{port}", backoff_base=0.25,
                             params=GenerationParams(max_retries=3))
     with pytest.raises(RemoteBackendError, match="transport failure"):
-        backend.answer(Dataset(), ["q"])
+        answer_one(backend, Dataset(), ["q"])
     assert connects == [("127.0.0.1", port)] * 4
     assert slept == [0.25, 0.5, 1.0]
 
@@ -423,7 +493,7 @@ def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
 def test_remote_backend_keeps_its_connection_where_the_server_allows(
         keep_alive, connections):
     with MockLlmServer(keep_alive=keep_alive) as srv:
-        got = RemoteBackend(srv.url).answer(Dataset(), ["a", "b", "c"])
+        got = answer_one(RemoteBackend(srv.url), Dataset(), ["a", "b", "c"])
         assert (len(srv.requests), srv.connections) == (3, connections)
     assert got == (TextLabel("mock answer"),) * 3
 
@@ -435,7 +505,7 @@ def test_remote_backend_resends_on_a_kept_connection_the_server_dropped(
     with MockLlmServer(keep_alive=True, drop_idle=True) as srv:
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_retries=0))
-        got = backend.answer(Dataset(), ["a", "b", "c"])
+        got = answer_one(backend, Dataset(), ["a", "b", "c"])
         assert (len(srv.requests), srv.connections) == (3, 3)
     assert got == (TextLabel("mock answer"),) * 3
     assert slept == []      # a resend uses no retry and no backoff
@@ -453,8 +523,8 @@ def test_remote_backend_sends_the_absolute_url_to_an_http_proxy(no_proxy_env):
     with MockLlmServer() as proxy:
         no_proxy_env.setenv("HTTP_PROXY", proxy.url.replace(
             "http://", "http://user:p%40ss@"))
-        got = RemoteBackend("http://upstream.invalid/api").answer(
-            Dataset(), ["q"])
+        got = answer_one(RemoteBackend("http://upstream.invalid/api"),
+                         Dataset(), ["q"])
         assert proxy.paths == [
             "http://upstream.invalid/api/v1/chat/completions"]
         headers = proxy.headers[0]
@@ -469,7 +539,7 @@ def test_remote_backend_reads_the_proxy_environment_when_it_is_built(
     with MockLlmServer() as upstream, MockLlmServer() as proxy:
         backend = RemoteBackend(upstream.url)
         no_proxy_env.setenv("HTTP_PROXY", proxy.url)
-        backend.answer(Dataset(), ["q"])
+        answer_one(backend, Dataset(), ["q"])
         assert upstream.paths == ["/v1/chat/completions"]
         assert proxy.paths == []
 
@@ -490,7 +560,7 @@ def test_no_proxy_bypasses_the_proxy(no_proxy_env):
         backend = RemoteBackend("http://upstream.invalid",
                                 params=GenerationParams(max_retries=0))
         with pytest.raises(RemoteBackendError, match="transport failure"):
-            backend.answer(Dataset(), ["q"])
+            answer_one(backend, Dataset(), ["q"])
         assert connects.pop() == address
 
 
@@ -500,7 +570,7 @@ def test_an_https_endpoint_asks_the_proxy_for_a_tunnel(no_proxy_env):
         backend = RemoteBackend("https://upstream.invalid:8443",
                                 params=GenerationParams(max_retries=0))
         with pytest.raises(RemoteBackendError, match="transport failure"):
-            backend.answer(Dataset(), ["q"])
+            answer_one(backend, Dataset(), ["q"])
         assert proxy.paths == ["upstream.invalid:8443"]
         assert proxy.requests == []
 

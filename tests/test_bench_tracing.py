@@ -57,21 +57,24 @@ def test_full_context_run_fires_one_backend_call_per_client_step(tmp_path):
                                 trace_path=tmp_path / "traces.jsonl")
     # the run writes its traces in one call, which the benchmark times
     assert counts["core.save_traces"] == 1
-    assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2
-    assert counts["protocol.step1"] == counts["protocol.step2"] == 3 * 2
+    # the three clients' backends are equal: one group, so one call per
+    # (step, round)
+    assert counts["backend.lsa"] == counts["lsa.predict"] == 1 * 2 * 2
+    assert counts["protocol.step1"] == counts["protocol.step2"] == 1 * 2
     assert not KNN_SPANS & set(counts)
 
 
 def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
     counts = traced_span_counts(context_count=2)
     assert "core.save_traces" not in counts   # no trace_path, no traces
-    # one search per (client, step) for the whole run, not one per round
-    assert counts["data.knn"] == 3 * 2
+    # for the whole run, not per round: one step-1 search for the group
+    # (the queries are every client's pool) and one step-2 search per client
+    assert counts["data.knn"] == 1 + 3
     assert counts["data.embed_many"] == 2 * counts["data.knn"]
     # the identity embedder embeds each array of covariates in one call
     assert counts["data.embed"] == counts["data.embed_many"]
-    # one backend call per (client, step, round), as with full context
-    assert counts["backend.lsa"] == counts["lsa.predict"] == 3 * 2 * 2
+    # one backend call per (group, step, round), as with full context
+    assert counts["backend.lsa"] == counts["lsa.predict"] == 1 * 2 * 2
 
 
 def test_text_run_fires_every_span_of_the_remote_text_workload(monkeypatch,

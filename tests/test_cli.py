@@ -685,6 +685,38 @@ def test_partition_rejects_examples_without_a_category(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def partition_categories(tmp_path, categories, prior):
+    """Run ``partition`` on one example per entry of ``categories`` over two
+    clients: the exit code, and the categories of the examples written."""
+    path = tmp_path / "corpus.jsonl"
+    data.save_dataset([Example((float(i),), RealLabel(0.0), category=cat)
+                       for i, cat in enumerate(categories)], path)
+    cfg = write_config(tmp_path, {"dataset": {"path": str(path)},
+                                  "partition": {"num_clients": 2,
+                                                "alpha": 1.0,
+                                                "prior": prior}})
+    code, out = run_cli(tmp_path, "partition", cfg)
+    written = sorted(ex.category for cid in (1, 2) if code == cli.EXIT_PASS
+                     for ex in data.load_dataset(out / f"client_{cid}.jsonl"))
+    return code, written
+
+
+def test_partition_counts_the_empty_category_beside_another(tmp_path):
+    # "" is a category: a prior over "" and "a" fits, one entry does not
+    code, written = partition_categories(tmp_path, ["a", "", "a", ""],
+                                         [0.5, 0.5])
+    assert code == cli.EXIT_PASS
+    assert written == ["", "", "a", "a"]
+    code, _ = partition_categories(tmp_path, ["a", "", "a", ""], [1.0])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_partition_over_one_empty_category(tmp_path):
+    code, written = partition_categories(tmp_path, ["", "", ""], [1.0])
+    assert code == cli.EXIT_PASS
+    assert written == ["", "", ""]
+
+
 # ---------------------------------------------------------------------------
 # report mode
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ def brute_force_prediction(examples, x_query, gamma_mat):
 
 
 def closed_form(examples, xq, g):
-    """predict_closed_form on a list of (covariate, label) pairs."""
-    return predict_closed_form([x for x, _ in examples],
-                               [y for _, y in examples], xq, g)
+    """predict_closed_form on one query and a list of (covariate, label)
+    pairs."""
+    return float(predict_closed_form([([x for x, _ in examples],
+                                       [y for _, y in examples], [xq],
+                                       None)], g)[0][0])
 
 
 def random_prompt(rng, d, n):
@@ -205,11 +207,12 @@ def test_closed_form_checks_a_callers_gamma():
     xs, ys, xq = np.eye(2), np.ones(2), np.eye(2)
     for name in ("asymmetric by 1e-4", "inf", "not positive definite"):
         with pytest.raises(ValueError):
-            predict_closed_form(xs, ys, xq, np.array(SPD_CASES[name][0]))
+            predict_closed_form([(xs, ys, xq, None)],
+                                np.array(SPD_CASES[name][0]))
     g = np.array([[2.0, 0.5], [0.5, 1.0]])
     checked = lsa.SpdMatrix(g, "gamma")
-    assert np.array_equal(predict_closed_form(xs, ys, xq, checked),
-                          predict_closed_form(xs, ys, xq, g))
+    assert np.array_equal(predict_closed_form([(xs, ys, xq, None)], checked),
+                          predict_closed_form([(xs, ys, xq, None)], g))
     with pytest.raises(ValueError):
         checked.matrix[0, 0] = 1.0
     with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ def test_init_backend_generated():
     backend = LsaBackend(GAMMA_1D)
     qs = init_labels([(1.0,), (2.0,)], "backend_generated", backend=backend)
     # empty context: backend answers 0 for every query
-    assert qs.labels == tuple(backend.answer(Dataset(), [q])[0]
+    assert qs.labels == tuple(backend.answer([(Dataset(), [q], None)])[0][0]
                               for q in qs.covariates)
 
 
@@ -84,7 +84,7 @@ def test_step1_hand_value():
     client = ClientState(1, real_dataset(1, [[1.0]], [99.0]),
                          LsaBackend(GAMMA_1D))
     c_k = Dataset(covariates=((1.0,),), labels=(RealLabel(3.0),))
-    relabeled = step1_relabel(client, c_k)
+    relabeled, = step1_relabel([client], c_k)
     assert relabeled.labels == (RealLabel(1.0),)
     # the relabeled dataset shares the client's checked covariate array
     assert relabeled.covariates is client.original.covariates
@@ -95,7 +95,7 @@ def test_step1_zero_labels_propagate():
                          LsaBackend(GAMMA_1D))
     c_k = Dataset(covariates=((1.0,), (4.0,)),
                   labels=(RealLabel(0.0), RealLabel(0.0)))
-    relabeled = step1_relabel(client, c_k)
+    relabeled, = step1_relabel([client], c_k)
     assert all(lab.value == 0.0 for lab in relabeled.labels)
 
 
@@ -112,7 +112,7 @@ def test_step2_hand_value():
                          LsaBackend(GAMMA_1D))
     context = step2_context(client, "fedicl", [RealLabel(1.0)])
     assert len(context) == 2
-    answers = step2_answer(client, context, [(1.0,)])
+    answers, = step2_answer([client], [context], [(1.0,)])
     assert answers[0].value == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -120,7 +120,7 @@ def test_step2_free_uses_only_relabeled():
     client = ClientState(1, real_dataset(1, [[1.0]], [7.0]),
                          LsaBackend(GAMMA_1D))
     context = step2_context(client, "fedicl_free", [RealLabel(0.0)])
-    answers = step2_answer(client, context, [(1.0,)])
+    answers, = step2_answer([client], [context], [(1.0,)])
     assert answers == (RealLabel(0.0),)
 
 
@@ -129,8 +129,9 @@ def test_fedicl_and_free_differ_when_labels_differ():
                          LsaBackend(GAMMA_1D))
 
     def answer(variant, relabeled):
-        return step2_answer(client, step2_context(client, variant, relabeled),
-                            [(1.0,)])
+        return step2_answer([client], [step2_context(client, variant,
+                                                     relabeled)],
+                            [(1.0,)])[0]
 
     assert answer("fedicl", [RealLabel(1.0)]) != answer(
         "fedicl_free", [RealLabel(1.0)])
@@ -260,7 +261,7 @@ def test_lb_variant_uses_server_reference_only():
     clients = [ClientState(1, None, LsaBackend(g))]
     result = run(ProtocolConfig(rounds=2, variant="fedicl_lb"),
                  clients, [(1.0,)], server_reference=reference)
-    expected = LsaBackend(g).answer(reference, [(1.0,)])[0]
+    expected = LsaBackend(g).answer([(reference, [(1.0,)], None)])[0][0]
     assert result.final.labels == (expected,)
 
 
@@ -353,8 +354,8 @@ def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
         for c in range(1, 2 * len(pool)):   # odd and even, below and >= N
             config = ProtocolConfig(rounds=1, variant=variant,
                                     context_count=c)
-            _, got = protocol._knn_neighbours(client, config, queries, None,
-                                              pool, kept)
+            _, (got,) = protocol._knn_neighbours([client], config, queries,
+                                                 None, [(pool, kept)])
             if c >= len(pool):
                 assert got is None
                 continue
@@ -371,18 +372,175 @@ def test_knn_run_makes_one_backend_call_per_client_step_round():
     calls = []
 
     class CountingBackend(LsaBackend):
-        def answer(self, context, queries, neighbours=None, usage=None):
-            calls.append((len(queries), neighbours is not None))
-            return super().answer(context, queries, neighbours, usage)
+        def answer(self, asks, usages=None):
+            calls.append([(len(queries), neighbours is not None)
+                          for _, queries, neighbours in asks])
+            return super().answer(asks, usages)
 
     clients = [ClientState(ds.client_id, ds, CountingBackend(g))
                for ds in clients_data]
     run(ProtocolConfig(rounds=4, context_count=3), clients, queries,
         max_workers=1)
-    # per round, each client: step 1 over its covariates, step 2 over the
-    # queries, each with its neighbour indices
-    per_round = [(len(ds), True) for ds in clients_data] + [(5, True)] * 3
-    assert sorted(calls) == sorted(per_round * 4)
+    # the backends are equal, so per round one call answers step 1 for
+    # every client (an ask over its covariates) and one answers step 2 (an
+    # ask over the queries each), every ask with its neighbour indices
+    per_round = [[(len(ds), True) for ds in clients_data], [(5, True)] * 3]
+    assert calls == per_round * 4
+
+
+class SoloLsaBackend(LsaBackend):
+    """An LSA backend equal only to itself: its client is a group of one,
+    answered through one-ask batches."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class AskCountingBackend(LsaBackend):
+    """An LSA backend that notes the ask count of each ``answer`` call."""
+
+    def __init__(self, gamma, calls):
+        super().__init__(gamma)
+        self.calls = calls
+
+    def answer(self, asks, usages=None):
+        self.calls.append((self._key, len(asks)))
+        return super().answer(asks, usages)
+
+
+def test_lsa_backends_are_equal_when_their_gammas_are():
+    g = gamma(np.eye(2), 5)
+    assert LsaBackend(g) == LsaBackend(g.copy())
+    assert hash(LsaBackend(g)) == hash(LsaBackend(g.copy()))
+    assert LsaBackend(g) != LsaBackend(2 * g)
+    # a subclass may answer otherwise, so it is not grouped with the base
+    assert LsaBackend(g) != PooledLsaBackend(g)
+    assert PooledLsaBackend(g) == PooledLsaBackend(g.copy())
+    zero = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert LsaBackend(zero) == LsaBackend(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+    assert hash(LsaBackend(zero)) == hash(
+        LsaBackend(np.array([[1.0, -0.0], [-0.0, 1.0]])))
+    with MockLlmServer() as srv:
+        remote = RemoteBackend(srv.url)
+        assert remote == remote and remote != RemoteBackend(srv.url)
+        assert LsaBackend(g) != remote
+
+
+def grouped_and_solo_runs(variant, context_count, sizes):
+    """One run whose clients hold equal LSA backends (one group), and the
+    same run with every client alone on its own backend."""
+    rng = np.random.default_rng(60 + sum(sizes))
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=sizes,
+                                                  m=4)
+    reference = None
+    if variant == "fedicl_lb":
+        reference = real_dataset(0, rng.standard_normal((6, 2)),
+                                 rng.standard_normal(6))
+        clients_data = [None] * len(sizes)
+    config = ProtocolConfig(rounds=3, variant=variant,
+                            context_count=context_count)
+
+    def go(backend_type):
+        clients = [ClientState(cid, ds, backend_type(g))
+                   for cid, ds in enumerate(clients_data, 1)]
+        return run(config, clients, queries, server_reference=reference)
+
+    return go(LsaBackend), go(SoloLsaBackend)
+
+
+@pytest.mark.parametrize("sizes", [(5, 5, 5), (3, 5, 8)],
+                         ids=["equal", "unequal"])
+@pytest.mark.parametrize("context_count", [None, 2], ids=["full", "knn"])
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_grouped_answers_equal_each_client_answered_alone(variant,
+                                                          context_count,
+                                                          sizes):
+    grouped, solo = grouped_and_solo_runs(variant, context_count, sizes)
+    assert len(grouped.traces) == len(solo.traces)
+    for a, b in zip(grouped.traces, solo.traces):
+        assert list(a.per_client_answers) == list(b.per_client_answers)
+        for cid, answers in a.per_client_answers.items():
+            np.testing.assert_allclose(
+                core.real_values(answers),
+                core.real_values(b.per_client_answers[cid]),
+                rtol=0, atol=1e-12)
+    assert grouped.ledger.entries == solo.ledger.entries
+
+
+def test_clients_with_different_gammas_get_their_own_answers():
+    rng = np.random.default_rng(61)
+    clients_data, queries, _ = unequal_regression(rng, d=2, sizes=(3, 4, 5),
+                                                  m=4)
+    ga, gb = gamma(np.eye(2), 5), gamma(np.diag([1.0, 3.0]), 4)
+    calls = []
+
+    def go(backends):
+        clients = [ClientState(ds.client_id, ds, backend)
+                   for ds, backend in zip(clients_data, backends)]
+        return run(ProtocolConfig(rounds=3), clients, queries)
+
+    grouped = go([AskCountingBackend(g, calls) for g in (ga, gb, ga)])
+    solo = go([SoloLsaBackend(g) for g in (ga, gb, ga)])
+    # per step and round: one call for the two Γa clients, one for Γb
+    key_a, key_b = LsaBackend(ga)._key, LsaBackend(gb)._key
+    assert calls == [(key_a, 2), (key_a, 2), (key_b, 1), (key_b, 1)] * 3
+    for a, b in zip(grouped.traces, solo.traces):
+        assert list(a.per_client_answers) == [1, 2, 3]
+        for cid in (1, 2, 3):
+            np.testing.assert_allclose(
+                core.real_values(a.per_client_answers[cid]),
+                core.real_values(b.per_client_answers[cid]),
+                rtol=0, atol=1e-12)
+    # client 2 is not answered with Γa
+    all_a = go([SoloLsaBackend(ga)] * 3).traces[0].per_client_answers
+    assert not np.allclose(
+        core.real_values(grouped.traces[0].per_client_answers[2]),
+        core.real_values(all_a[2]))
+    assert [(e.round, e.direction, e.client_id)
+            for e in grouped.ledger.entries] == [
+        (k, direction, cid) for k in (1, 2, 3) for cid in (1, 2, 3)
+        for direction in ("downlink", "uplink")]
+
+
+def test_a_wrong_answer_count_names_the_client_of_that_ask():
+    class LastAskShortBackend(LsaBackend):
+        def answer(self, asks, usages=None):
+            columns = super().answer(asks, usages)
+            return columns[:-1] + [columns[-1][:-1]]
+
+    backend = LastAskShortBackend(GAMMA_1D)
+    clients = [ClientState(cid, real_dataset(cid, [[1.0], [2.0]],
+                                             [1.0, 2.0]), backend)
+               for cid in (1, 2)]
+    with pytest.raises(ProtocolError, match="step 1: 1 answers to 2") as exc:
+        step1_relabel(clients, qset([RealLabel(3.0)]))
+    assert exc.value.client_id == 2
+    with pytest.raises(ProtocolError, match="step 1: 1 answers to 2") as exc:
+        run(ProtocolConfig(rounds=1), clients, [(1.0,)])
+    assert exc.value.client_id == 2
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5])
+def test_one_step1_search_of_the_stacked_covariates_equals_each_clients(c):
+    rng = np.random.default_rng(62)
+    # random points, and a grid of small integers whose distances tie
+    # everywhere, in clients of unequal sizes
+    grid = rng.integers(-2, 3, size=(12, 2)).astype(float)
+    cases = [(rng.standard_normal((20, 2)), rng.standard_normal((7, 2))),
+             (grid, rng.integers(-2, 3, size=(9, 2)).astype(float))]
+    for covs, queries in cases:
+        group = [ClientState(cid, real_dataset(cid, part, np.zeros(len(part))),
+                             LsaBackend(np.eye(2)))
+                 for cid, part in enumerate(np.split(covs, [1, 5, 9]), 1)]
+        pools = [_step2_pool(client, "fedicl", None) for client in group]
+        step1, _ = protocol._knn_neighbours(
+            group, ProtocolConfig(rounds=1, context_count=c), queries, None,
+            pools)
+        assert len(step1) == len(group)
+        for client, got in zip(group, step1):
+            want = knn_context(queries, client.original.covariates, c,
+                               IdentityEmbedder())
+            np.testing.assert_array_equal(got, want)
 
 
 class PooledLsaBackend(LsaBackend):
@@ -408,14 +566,14 @@ def test_serial_and_pooled_runs_trace_identically():
 
 def test_backend_answer_count_mismatch_is_a_protocol_error():
     class ShortBackend(LsaBackend):
-        def answer(self, context, queries, neighbours=None, usage=None):
-            return super().answer(context, queries, neighbours, usage)[:-1]
+        def answer(self, asks, usages=None):
+            return [col[:-1] for col in super().answer(asks, usages)]
 
     client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [1.0, 2.0]),
                          ShortBackend(GAMMA_1D))
     c_k = qset([RealLabel(3.0)])
     with pytest.raises(ProtocolError, match="step 1: 1 answers to 2"):
-        step1_relabel(client, c_k)
+        step1_relabel([client], c_k)
 
 
 def test_client_permutation_leaves_aggregate_unchanged():
@@ -591,7 +749,7 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
     # step 2's pool is stacked once per client and run, in no round
     assert concats == [len(clients)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
-    lsa.predict_closed_form(np.eye(2), np.ones(2), np.eye(2), g)
+    lsa.predict_closed_form([(np.eye(2), np.ones(2), np.eye(2), None)], g)
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
                              "_check_spd": 1})
 
@@ -715,9 +873,9 @@ class CountingBackend(LsaBackend):
         super().__init__(gamma)
         self.calls = []
 
-    def answer(self, context, queries, neighbours=None, usage=None):
-        self.calls.append(len(queries))
-        return super().answer(context, queries, neighbours, usage)
+    def answer(self, asks, usages=None):
+        self.calls.append([len(queries) for _, queries, _ in asks])
+        return super().answer(asks, usages)
 
 
 @pytest.mark.parametrize("variant", ["fedicl", "fedicl_free", "fedicl_lb"])
@@ -850,6 +1008,34 @@ def test_text_run_records_observed_usage_per_round_and_client():
     assert [(e.round, e.direction, e.client_id, e.payload_units)
             for e in observed] == want
     assert serial.ledger.entries == threaded.ledger.entries
+
+
+def test_clients_that_share_a_remote_backend_keep_their_own_usage():
+    rounds, sizes, m = 2, (2, 3), len(TEXT_QUERIES)
+    with MockLlmServer(reply="a reply") as srv:
+        backend = RemoteBackend(srv.url)
+        clients = [ClientState(c.client_id, c.original, backend)
+                   for c in text_clients(srv.url, sizes)]
+        result = run(ProtocolConfig(rounds=rounds, aggregation="fusion"),
+                     clients, TEXT_QUERIES)
+        usages = list(srv.usages)
+    # one group: each step is one call, its asks answered client by
+    # client, so a round POSTs client 1's N relabels, client 2's, then
+    # client 1's M answers and client 2's
+    want, served = [], iter(usages)
+    for k in range(1, rounds + 1):
+        step1 = [[next(served) for _ in range(n)] for n in sizes]
+        step2 = [[next(served) for _ in range(m)] for _ in sizes]
+        for cid, calls in enumerate(zip(step1, step2), 1):
+            calls = calls[0] + calls[1]
+            want += [(k, "uplink", cid,
+                      sum(u["prompt_tokens"] for u in calls)),
+                     (k, "downlink", cid,
+                      sum(u["completion_tokens"] for u in calls))]
+    assert next(served, None) is None
+    assert [(e.round, e.direction, e.client_id, e.payload_units)
+            for e in result.ledger.entries
+            if e.unit == "observed_tokens"] == want
 
 
 def test_text_run_does_not_record_the_servers_initial_answers():

@@ -71,9 +71,9 @@ class EchoBackend(LmBackend):
 
     max_tokens = 8
 
-    def answer(self, context, queries, neighbours=None, usage=None):
-        return tuple(TextLabel(f'“{q[::-1]}” \\ "{len(context)}"')
-                     for q in queries)
+    def answer(self, asks, usages=None):
+        return [tuple(TextLabel(f'“{q[::-1]}” \\ "{len(context)}"')
+                      for q in queries) for context, queries, _ in asks]
 
 
 def text_traces():
