@@ -117,8 +117,9 @@ def step1_relabel(group: Sequence[ClientState], c_k: Dataset,
                   usages: Optional[Sequence[Dict[str, int]]] = None
                   ) -> List[ClientDataset]:
     """Relabel each client's covariates via ICL on the server's query set
-    (all of it, or each covariate's neighbours in it), in one call to the
-    backend that the ``group``'s clients share."""
+    (all of it, or each covariate's neighbours in it). The ``group``'s
+    backends are equal, so one ``answer`` call, one ask per client, goes to
+    the first client's."""
     neighbours = neighbours or [None] * len(group)
     answers = _answer_in_context(group, [
         (c_k, client.original.covariates, nb)
@@ -133,8 +134,8 @@ def step2_answer(group: Sequence[ClientState], contexts: Sequence[Dataset],
                  usages: Optional[Sequence[Dict[str, int]]] = None
                  ) -> List[Labels]:
     """Answer the server queries, each client in its own context (all of
-    it, or each query's neighbours in it), in one call to the backend that
-    the ``group``'s clients share."""
+    it, or each query's neighbours in it), in one ``answer`` call to the
+    first client's backend, which the ``group``'s others equal."""
     neighbours = neighbours or [None] * len(group)
     return _answer_in_context(group, [
         (context, queries, nb) for context, nb in zip(contexts, neighbours)],
