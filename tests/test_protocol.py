@@ -404,7 +404,7 @@ class AskCountingBackend(LsaBackend):
         self.calls = calls
 
     def answer(self, asks, usages=None):
-        self.calls.append((self._key, len(asks)))
+        self.calls.append((self, len(asks)))
         return super().answer(asks, usages)
 
 
@@ -479,11 +479,14 @@ def test_clients_with_different_gammas_get_their_own_answers():
                    for ds, backend in zip(clients_data, backends)]
         return run(ProtocolConfig(rounds=3), clients, queries)
 
-    grouped = go([AskCountingBackend(g, calls) for g in (ga, gb, ga)])
+    backends = [AskCountingBackend(g, calls) for g in (ga, gb, ga)]
+    grouped = go(backends)
     solo = go([SoloLsaBackend(g) for g in (ga, gb, ga)])
-    # per step and round: one call for the two Γa clients, one for Γb
-    key_a, key_b = LsaBackend(ga)._key, LsaBackend(gb)._key
-    assert calls == [(key_a, 2), (key_a, 2), (key_b, 1), (key_b, 1)] * 3
+    # per step and round: one call to client 1's backend for the two Γa
+    # clients, one to client 2's for Γb
+    a, b = map(id, backends[:2])
+    assert [(id(backend), n) for backend, n in calls] == [
+        (a, 2), (a, 2), (b, 1), (b, 1)] * 3
     for a, b in zip(grouped.traces, solo.traces):
         assert list(a.per_client_answers) == [1, 2, 3]
         for cid in (1, 2, 3):
