@@ -484,9 +484,9 @@ def test_clients_with_different_gammas_get_their_own_answers():
     solo = go([SoloLsaBackend(g) for g in (ga, gb, ga)])
     # per step and round: one call to client 1's backend for the two Γa
     # clients, one to client 2's for Γb
-    a, b = map(id, backends[:2])
+    first, second = map(id, backends[:2])
     assert [(id(backend), n) for backend, n in calls] == [
-        (a, 2), (a, 2), (b, 1), (b, 1)] * 3
+        (first, 2), (first, 2), (second, 1), (second, 1)] * 3
     for a, b in zip(grouped.traces, solo.traces):
         assert list(a.per_client_answers) == [1, 2, 3]
         for cid in (1, 2, 3):
