@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ConfigError, Covariate, Dataset, Label, Labels,
-                   RealColumn, TextLabel, covariate_matrix, covariate_text,
-                   neighbour_matrix, real_values)
+                   RealColumn, TextLabel, covariate_text, neighbour_matrix,
+                   real_values)
 from .lsa import SpdMatrix, predict_closed_form
 
 
