@@ -125,7 +125,7 @@ class LsaBackend(LmBackend):
             # predict_closed_form raises TypeError for text queries
             batch.append((context.covariates, real_values(context.labels),
                           queries, neighbours))
-        return [RealColumn(pred)
+        return [RealColumn.wrap(pred)
                 for pred in predict_closed_form(batch, self._gamma)]
 
 

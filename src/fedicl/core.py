@@ -153,8 +153,17 @@ class RealColumn(SequenceABC):
         if values.ndim != 1:
             raise ValueError(f"a label column is one vector, got shape "
                              f"{values.shape}")
-        values.flags.writeable = False
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def wrap(cls, values: np.ndarray) -> "RealColumn":
+        """A column over ``values``, a new 1-d float array that nothing
+        else holds: it is neither copied nor checked."""
+        values.setflags(write=False)
+        column = object.__new__(cls)
+        object.__setattr__(column, "values", values)
+        return column
 
     def __setattr__(self, name, value):
         raise AttributeError("RealColumn is immutable")
@@ -201,7 +210,7 @@ def join_labels(columns: Sequence[Labels]) -> Labels:
     is real, else a tuple."""
     parts = [col for col in columns if len(col)]
     if parts and all(isinstance(col, RealColumn) for col in parts):
-        return RealColumn(np.concatenate([col.values for col in parts]))
+        return RealColumn.wrap(np.concatenate([col.values for col in parts]))
     return tuple(chain.from_iterable(parts))
 
 
@@ -322,7 +331,17 @@ class Dataset:
 
     def with_labels(self, labels: Sequence[Label]) -> "Dataset":
         """The same covariates (shared, not copied) with new labels."""
-        return self._derive(labels=label_column(labels))
+        labels = label_column(labels)
+        if len(labels) != len(self.covariates):
+            raise ValueError(f"{type(self).__name__} has "
+                             f"{len(self.covariates)} examples, not "
+                             f"{len(labels)}")
+        # only the labels are new, and their count is checked
+        new = object.__new__(type(self))
+        for name in Dataset.__slots__ + self._EXTRA:
+            object.__setattr__(new, name, getattr(self, name))
+        object.__setattr__(new, "labels", labels)
+        return new
 
     def take(self, indices: Sequence[int]) -> "Dataset":
         """The examples at ``indices``, in that order."""
@@ -345,15 +364,15 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     parts = [ds for ds in datasets if len(ds)]
     if not parts:
         return Dataset()
-    kinds = {isinstance(ds.covariates, tuple) for ds in parts}
-    if len(kinds) > 1 or len({ds.dim for ds in parts}) > 1:
+    dims = {ds.dim for ds in parts}  # None for text
+    if len(dims) > 1:
         raise ValueError(f"inconsistent covariate dimensions: "
-                         f"{sorted({str(ds.dim) for ds in parts})}")
-    if kinds == {True}:
+                         f"{sorted(map(str, dims))}")
+    if dims == {None}:
         covs = tuple(chain.from_iterable(ds.covariates for ds in parts))
     else:
-        covs = np.vstack([ds.covariates for ds in parts])
-        covs.flags.writeable = False
+        covs = np.concatenate([ds.covariates for ds in parts])
+        covs.setflags(write=False)
     # every column is given, so ``_derive`` reads nothing of the bare object
     return object.__new__(Dataset)._derive(
         covariates=covs, labels=join_labels([ds.labels for ds in parts]),

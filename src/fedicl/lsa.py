@@ -168,34 +168,26 @@ def predict_closed_form(asks, gamma_mat: np.ndarray | SpdMatrix
     answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over the whole
     context or over its examples; zero examples yield 0.
 
-    The moments of every ask are stacked and share one solve. Asks that
-    give the same ``xs`` and ``ys`` objects (one context, many query sets)
-    share their whole context's moment; asks that give the same
-    ``x_query`` object (many contexts, one query set) are answered in one
-    matrix product. Gamma is checked to be SPD unless it is an
-    ``SpdMatrix``.
+    The moments of every ask (one for a whole context, one per query for
+    neighbourhoods) are stacked and share one solve. Gamma is checked to
+    be SPD unless it is an ``SpdMatrix``.
     """
     gamma_mat = (gamma_mat.matrix if isinstance(gamma_mat, SpdMatrix) else
                  _check_spd(gamma_mat, "gamma"))
-    asks = list(asks)  # alive to the end, so that no two share an id()
-    sums, counts, shared, by_query = [], [], {}, {}
-    near, reads, rows = [], [], 0
+    sums, counts, near, reads, rows = [], [], [], [], 0
     for xs, ys, x_query, neighbours in asks:
         xq = covariate_matrix(x_query)
+        ys = np.asarray(ys, dtype=float)
         nb = None if neighbours is None else neighbour_matrix(
             neighbours, len(ys), len(xq))
         if len(ys) == 0 or xq.size == 0:
             reads.append((xq, None))
-        elif nb is None:  # the whole context's moment, once per context
-            at = shared.get((id(xs), id(ys)))
-            if at is None:
-                at = shared[id(xs), id(ys)] = len(sums)
-                sums.append(np.asarray(ys, dtype=float) @ covariate_matrix(xs))
-                counts.append(len(ys))
-            by_query.setdefault(id(xq), []).append(at)
-            reads.append((xq, at))
+        elif nb is None:  # one moment for the whole context
+            reads.append((xq, len(sums)))
+            sums.append(ys @ covariate_matrix(xs))
+            counts.append(len(ys))
         else:  # (Q, d) moments from one (Q, k, d) gather
-            ys, xs = np.asarray(ys, dtype=float), covariate_matrix(xs)
+            xs = covariate_matrix(xs)
             near.append(np.einsum("qk,qkd->qd", ys[nb], xs[nb])
                         / nb.shape[1])
             reads.append((xq, slice(rows, rows + len(xq))))
@@ -203,21 +195,12 @@ def predict_closed_form(asks, gamma_mat: np.ndarray | SpdMatrix
     # one stacked solve: row r of ``v`` is Gamma^-1 applied to moment r,
     # the whole contexts' moments first and then the neighbourhoods'
     moments = [np.array(sums) / np.array(counts)[:, None]] if sums else []
-    v = (np.linalg.solve(gamma_mat, np.vstack(moments + near).T).T
+    v = (np.linalg.solve(gamma_mat, np.concatenate(moments + near).T).T
          if moments or near else None)
-    products, preds = {}, []
-    for xq, at in reads:
-        if at is None:
-            preds.append(np.zeros(len(xq)))
-        elif type(at) is slice:
-            preds.append(np.einsum("qd,qd->q", xq, v[len(sums):][at]))
-        elif len(by_query[id(xq)]) > 1:  # its row of the shared product
-            if id(xq) not in products:
-                products[id(xq)] = iter(v[by_query[id(xq)]] @ xq.T)
-            preds.append(next(products[id(xq)]))
-        else:
-            preds.append(xq @ v[at])
-    return preds
+    return [np.zeros(len(xq)) if at is None else
+            xq @ v[at] if type(at) is int else
+            np.einsum("qd,qd->q", xq, v[len(sums):][at])
+            for xq, at in reads]
 
 
 # ---------------------------------------------------------------------------

@@ -115,17 +115,15 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
 def step1_relabel(group: Sequence[ClientState], c_k: Dataset,
                   neighbours: Optional[Sequence[Optional[np.ndarray]]] = None,
                   usages: Optional[Sequence[Dict[str, int]]] = None
-                  ) -> List[ClientDataset]:
-    """Relabel each client's covariates via ICL on the server's query set
-    (all of it, or each covariate's neighbours in it). The ``group``'s
-    backends are equal, so one ``answer`` call, one ask per client, goes to
-    the first client's."""
+                  ) -> List[Labels]:
+    """Each client's new labels for its covariates, via ICL on the
+    server's query set (all of it, or each covariate's neighbours in it).
+    The ``group``'s backends are equal, so one ``answer`` call, one ask per
+    client, goes to the first client's."""
     neighbours = neighbours or [None] * len(group)
-    answers = _answer_in_context(group, [
+    return _answer_in_context(group, [
         (c_k, client.original.covariates, nb)
         for client, nb in zip(group, neighbours)], 1, usages)
-    return [client.original.with_labels(labels)
-            for client, labels in zip(group, answers)]
 
 
 def step2_answer(group: Sequence[ClientState], contexts: Sequence[Dataset],
@@ -250,9 +248,9 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
     if strategy == "average":
         # (M, L), so each query's mean runs along a contiguous row, as
         # np.mean of that query's L answers does
-        answers = np.stack([real_values(per_client[cid])
-                            for cid in client_ids], axis=1)
-        return previous.with_labels(RealColumn(answers.mean(axis=1)))
+        answers = np.ascontiguousarray(np.array(
+            [real_values(per_client[cid]) for cid in client_ids]).T)
+        return previous.with_labels(RealColumn.wrap(answers.mean(axis=1)))
     if strategy != "fusion":
         raise ValueError(f"unknown aggregation: {strategy!r}")
     columns = [per_client[cid] for cid in client_ids]
@@ -413,8 +411,8 @@ def run(config: ProtocolConfig,
         contexts = [pool for pool, _ in pools]
         if pools[0][1] is not None:
             relabeled = step1_relabel(group, c_k, step1_nn, usages)
-            contexts = [pool.with_labels(join_labels([kept, ds.labels]))
-                        for (pool, kept), ds in zip(pools, relabeled)]
+            contexts = [pool.with_labels(join_labels([kept, labels]))
+                        for (pool, kept), labels in zip(pools, relabeled)]
         return list(zip(step2_answer(group, contexts, queries, step2_nn,
                                      usages), usages))
 

@@ -84,10 +84,8 @@ def test_step1_hand_value():
     client = ClientState(1, real_dataset(1, [[1.0]], [99.0]),
                          LsaBackend(GAMMA_1D))
     c_k = Dataset(covariates=((1.0,),), labels=(RealLabel(3.0),))
-    relabeled, = step1_relabel([client], c_k)
-    assert relabeled.labels == (RealLabel(1.0),)
-    # the relabeled dataset shares the client's checked covariate array
-    assert relabeled.covariates is client.original.covariates
+    labels, = step1_relabel([client], c_k)
+    assert labels == (RealLabel(1.0),)
 
 
 def test_step1_zero_labels_propagate():
@@ -95,8 +93,8 @@ def test_step1_zero_labels_propagate():
                          LsaBackend(GAMMA_1D))
     c_k = Dataset(covariates=((1.0,), (4.0,)),
                   labels=(RealLabel(0.0), RealLabel(0.0)))
-    relabeled, = step1_relabel([client], c_k)
-    assert all(lab.value == 0.0 for lab in relabeled.labels)
+    labels, = step1_relabel([client], c_k)
+    assert all(lab.value == 0.0 for lab in labels)
 
 
 def step2_context(client, variant, relabeled):
@@ -414,8 +412,8 @@ def test_lsa_backends_are_equal_when_their_gammas_are():
     assert hash(LsaBackend(g)) == hash(LsaBackend(g.copy()))
     assert LsaBackend(g) != LsaBackend(2 * g)
     # a subclass may answer otherwise, so it is not grouped with the base
-    assert LsaBackend(g) != PooledLsaBackend(g)
-    assert PooledLsaBackend(g) == PooledLsaBackend(g.copy())
+    assert LsaBackend(g) != AskCountingBackend(g, [])
+    assert AskCountingBackend(g, []) == AskCountingBackend(g.copy(), [])
     zero = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert LsaBackend(zero) == LsaBackend(np.array([[1.0, -0.0], [-0.0, 1.0]]))
     assert hash(LsaBackend(zero)) == hash(
@@ -546,13 +544,27 @@ def test_one_step1_search_of_the_stacked_covariates_equals_each_clients(c):
             np.testing.assert_array_equal(got, want)
 
 
-class PooledLsaBackend(LsaBackend):
-    """An LSA backend that claims to wait on I/O, so runs use the pool."""
+class PooledLsaBackend(SoloLsaBackend):
+    """An LSA backend equal only to itself that claims to wait on I/O, so
+    a run of several clients answers its groups in the pool."""
 
     waits_on_io = True
 
 
-def test_serial_and_pooled_runs_trace_identically():
+class RecordingPool(protocol.ThreadPoolExecutor):
+    """A thread pool that notes in ``started`` the ``max_workers`` of each
+    one started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_serial_and_pooled_runs_trace_identically(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
     rng = np.random.default_rng(32)
     clients_data, queries, g = unequal_regression(rng, d=3, sizes=(4, 5, 6),
                                                   m=4)
@@ -564,7 +576,13 @@ def test_serial_and_pooled_runs_trace_identically():
                    clients, queries, max_workers=max_workers).traces
 
     for context_count in (None, 2):
-        assert go(1, context_count) == go(None, context_count)
+        serial = go(1, context_count)
+        assert RecordingPool.started == []
+        # three groups of one client: the pooled run starts one pool of
+        # one thread per group
+        assert serial == go(None, context_count)
+        assert RecordingPool.started == [3]
+        RecordingPool.started.clear()
 
 
 def test_backend_answer_count_mismatch_is_a_protocol_error():
@@ -927,7 +945,8 @@ def test_in_process_backends_answer_in_the_callers_thread(monkeypatch):
     rng = np.random.default_rng(35)
     clients_data, queries, g = unequal_regression(rng, d=2, sizes=(3, 4, 5),
                                                   m=4)
-    clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+    # three groups, each a client alone on its backend
+    clients = [ClientState(ds.client_id, ds, SoloLsaBackend(g))
                for ds in clients_data]
     for context_count in (None, 2):
         result = run(ProtocolConfig(rounds=2, context_count=context_count),
@@ -937,11 +956,7 @@ def test_in_process_backends_answer_in_the_callers_thread(monkeypatch):
 
 def test_remote_backends_answer_from_pool_threads(monkeypatch):
     pools, threads = [], set()
-
-    class RecordingPool(protocol.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    monkeypatch.setattr(RecordingPool, "started", pools)
 
     class RecordingBackend(RemoteBackend):
         def answer(self, *args, **kwargs):
