@@ -43,7 +43,7 @@ with MockLlmServer(reply="gravitational pull of the Moon") as srv:
     print(f"requests served by the endpoint: {len(srv.requests)}\n")
     for trace in result.traces:
         print(f"after round {trace.round}:")
-        for q, a in trace.aggregated.pairs():
+        for q, a in zip(trace.aggregated.covariates, trace.aggregated.labels):
             print(f"  Q: {q}\n  A: {a.answer}")
     print("\ntoken ledger (nominal: the 256-token per-answer cap; observed: "
           "what the endpoint reported):")

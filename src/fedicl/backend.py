@@ -24,9 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConfigError, Covariate, Dataset, Label, Labels,
-                   RealColumn, TextLabel, covariate_text, neighbour_matrix,
-                   real_values)
+from .core import (ConfigError, Covariate, Label, Labels, RealColumn,
+                   TextLabel, covariate_text, neighbour_matrix, real_values)
 from .lsa import SpdMatrix, predict_closed_form
 
 
@@ -58,17 +57,19 @@ class GenerationParams:
             raise ValueError("max_retries must be >= 0")
 
 
-#: One request to a backend: a context dataset, the queries, and None or a
-#: (Q, k) index array whose row q lists query q's examples in the context.
-Ask = Tuple[Dataset, Sequence[Covariate], Optional[np.ndarray]]
+#: One request to a backend: a context's covariates and labels, the queries,
+#: and None or a (Q, k) index array whose row q lists query q's examples.
+Ask = Tuple[Sequence[Covariate], Sequence[Label], Sequence[Covariate],
+            Optional[np.ndarray]]
 
 
 class LmBackend:
     """Answer batches of asks. ``answer`` takes a list of asks and returns
     one label column (see ``core.label_column``) per ask, in ask order: an
-    ask ``(context, queries, neighbours)`` has every query, in query order,
-    answered with all of the ``context`` dataset or, given a (Q, k) index
-    array ``neighbours`` into it, with row q's examples.
+    ask ``(covariates, labels, queries, neighbours)`` has every query, in
+    query order, answered with all of the context's examples (the pairs of
+    ``covariates`` and ``labels``) or, given a (Q, k) index array
+    ``neighbours`` into them, with row q's examples.
     ``usages``, when given, holds one dict (or None) per ask: a backend
     that observes token usage adds the ``prompt_tokens`` and
     ``completion_tokens`` of an ask's answers into its dict.
@@ -118,15 +119,10 @@ class LsaBackend(LmBackend):
     def answer(self, asks: Sequence[Ask],
                usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
                ) -> List[RealColumn]:
-        batch = []
-        for context, queries, neighbours in asks:
-            if context.dim is None:
-                raise TypeError("LSA backend needs vector examples, got text")
-            # predict_closed_form raises TypeError for text queries
-            batch.append((context.covariates, real_values(context.labels),
-                          queries, neighbours))
-        return [RealColumn.wrap(pred)
-                for pred in predict_closed_form(batch, self._gamma)]
+        # text covariates or labels raise TypeError on the way to numbers
+        return [RealColumn.wrap(pred) for pred in predict_closed_form(
+            [(xs, real_values(ys), xq, nb) for xs, ys, xq, nb in asks],
+            self._gamma)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +208,10 @@ class RemoteBackend(LmBackend):
         if usages is not None and len(usages) != len(asks):
             raise ValueError(f"{len(usages)} usage dicts for {len(asks)} asks")
         prompts = []  # every ask is checked before the first POST
-        for context, queries, neighbours in asks:
+        for covariates, labels, queries, neighbours in asks:
             if isinstance(queries, str):  # would be one POST per character
                 raise TypeError("queries must be a sequence, not a str")
-            pairs = context.pairs()
+            pairs = list(zip(covariates, labels, strict=True))
             contexts = ([pairs] * len(queries) if neighbours is None else
                         [[pairs[i] for i in row] for row in neighbour_matrix(
                             neighbours, len(pairs), len(queries))])

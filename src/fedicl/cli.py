@@ -290,6 +290,13 @@ def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
         metrics["theory_ok"] = all(dev <= 1e-9 for dev in max_dev)
     with open(os.path.join(output_dir, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2)
+    diverged = [t.round for t in result.traces
+                if isinstance(t.aggregated.labels, core.RealColumn)
+                and not np.isfinite(t.aggregated.labels.values).all()]
+    if diverged:
+        print(f"run diverged: round {diverged[0]}'s labels are not finite",
+              file=sys.stderr)
+        return EXIT_NONCONTRACTIVE
     return EXIT_PASS if metrics.get("theory_ok", True) else EXIT_FAIL
 
 

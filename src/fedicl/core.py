@@ -72,6 +72,16 @@ def covariate_column(values) -> Union[np.ndarray, Tuple[str, ...]]:
     return column
 
 
+def stack_covariates(columns) -> Union[np.ndarray, Tuple[Covariate, ...]]:
+    """Covariate columns end to end: one read-only array when every column
+    is an array, else a tuple of their covariates (text, for one)."""
+    if not all(isinstance(col, np.ndarray) for col in columns):
+        return tuple(chain.from_iterable(columns))
+    stacked = np.concatenate(columns)
+    stacked.flags.writeable = False
+    return stacked
+
+
 def covariate_matrix(covariates) -> np.ndarray:
     """Stack vector covariates into an (n, d) float array."""
     if (not isinstance(covariates, np.ndarray)
@@ -252,8 +262,8 @@ class Dataset:
     optional str each).
 
     Built from ``Example`` records or from the columns. Immutable; the
-    derived datasets (``with_labels``, ``take``, ``concat``) share or slice
-    the checked covariates instead of checking them again.
+    derived datasets (``with_labels``, ``concat``) share or stack the
+    checked covariates instead of checking them again.
     """
 
     __slots__ = ("covariates", "labels", "categories")
@@ -326,9 +336,6 @@ class Dataset:
         return tuple(Example(x, y, c) for x, y, c in
                      zip(covs, self.labels, self.categories))
 
-    def pairs(self) -> List[Tuple[Covariate, Label]]:
-        return list(zip(self.covariates, self.labels))
-
     def with_labels(self, labels: Sequence[Label]) -> "Dataset":
         """The same covariates (shared, not copied) with new labels."""
         labels = label_column(labels)
@@ -343,21 +350,6 @@ class Dataset:
         object.__setattr__(new, "labels", labels)
         return new
 
-    def take(self, indices: Sequence[int]) -> "Dataset":
-        """The examples at ``indices``, in that order."""
-        idx = [int(i) for i in indices]
-        covs, labels = self.covariates, self.labels
-        if isinstance(covs, tuple):
-            covs = tuple(covs[i] for i in idx)
-        else:
-            covs = covs[idx]
-            covs.flags.writeable = False
-        labels = (RealColumn(labels.values[idx])
-                  if isinstance(labels, RealColumn) else
-                  tuple(labels[i] for i in idx))
-        return self._derive(covariates=covs, labels=labels,
-                            categories=tuple(self.categories[i] for i in idx))
-
 
 def concat(datasets: Sequence[Dataset]) -> Dataset:
     """The examples of all ``datasets``, in order, as one ``Dataset``."""
@@ -368,14 +360,10 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     if len(dims) > 1:
         raise ValueError(f"inconsistent covariate dimensions: "
                          f"{sorted(map(str, dims))}")
-    if dims == {None}:
-        covs = tuple(chain.from_iterable(ds.covariates for ds in parts))
-    else:
-        covs = np.concatenate([ds.covariates for ds in parts])
-        covs.setflags(write=False)
     # every column is given, so ``_derive`` reads nothing of the bare object
     return object.__new__(Dataset)._derive(
-        covariates=covs, labels=join_labels([ds.labels for ds in parts]),
+        covariates=stack_covariates([ds.covariates for ds in parts]),
+        labels=join_labels([ds.labels for ds in parts]),
         categories=tuple(chain.from_iterable(ds.categories for ds in parts)))
 
 

@@ -207,7 +207,7 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
     pool_sq = np.einsum("ij,ij->i", pool_emb, pool_emb)
     pool_norm = np.sqrt(pool_sq.max(initial=0.0))
     nearest = np.empty((len(query_emb), k), dtype=np.intp)
-    near = np.empty((len(query_emb), k))
+    near = np.empty((len(query_emb), k)) if distances else None
     for lo in range(0, len(query_emb), rows):
         block = query_emb[lo:lo + rows]
         at = np.arange(len(block))[:, None]
@@ -223,10 +223,11 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
         exact = np.linalg.norm(pool_emb[cand] - block[:, None], axis=2)
         order = np.argsort(exact, axis=1, kind="stable")[:, :k]
         nearest[lo:lo + rows] = cand[at, order]
-        near[lo:lo + rows] = exact[at, order]
+        if distances:
+            near[lo:lo + rows] = exact[at, order]
         if m == n:
             continue
-        kth = near[lo:lo + rows, -1]
+        kth = exact[at[:, 0], order[:, -1]]
         # Either form of a squared distance errs by at most about
         # (d + 3) eps (|p| + |q|)^2, plus d half-subnormals where squares
         # underflow. A non-candidate whose product-form distance exceeds
@@ -240,7 +241,8 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
         for i in np.flatnonzero(~(outside > kth * kth + slack)):
             dist = np.linalg.norm(pool_emb - block[i], axis=1)
             nearest[lo + i] = np.argsort(dist, kind="stable")[:k]
-            near[lo + i] = dist[nearest[lo + i]]
+            if distances:
+                near[lo + i] = dist[nearest[lo + i]]
     return (nearest, near) if distances else nearest
 
 

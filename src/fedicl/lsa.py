@@ -178,6 +178,9 @@ def predict_closed_form(asks, gamma_mat: np.ndarray | SpdMatrix
     for xs, ys, x_query, neighbours in asks:
         xq = covariate_matrix(x_query)
         ys = np.asarray(ys, dtype=float)
+        if len(xs) != len(ys):
+            raise ValueError(f"context of {len(xs)} covariates and "
+                             f"{len(ys)} labels")
         nb = None if neighbours is None else neighbour_matrix(
             neighbours, len(ys), len(xq))
         if len(ys) == 0 or xq.size == 0:

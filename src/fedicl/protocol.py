@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,7 +27,7 @@ from .core import (BITS_PER_REAL, ClientDataset, CommLedger, ConfigError,
                    Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
                    TextLabel, charge_protocol_round, check_int, concat,
                    covariate_column, join_labels, label_column, real_values,
-                   save_traces)
+                   save_traces, stack_covariates)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -62,9 +61,13 @@ class ProtocolConfig:
             raise ValueError("context_count must be >= 1 when set")
 
     @property
+    def relabels(self) -> bool:
+        """Whether step 1 runs; without it, every round repeats round 1."""
+        return self.variant not in ("fedicl_gt", "fedicl_lb")
+
+    @property
     def effective_rounds(self) -> int:
-        # these variants never relabel, so later rounds would repeat round 1
-        return 1 if self.variant in ("fedicl_gt", "fedicl_lb") else self.rounds
+        return self.rounds if self.relabels else 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     elif mode == "backend_generated":
         if backend is None:
             raise ValueError("backend_generated initialization needs a backend")
-        labels = backend.answer([(Dataset(), covariates, None)])[0]
+        labels = backend.answer([((), (), covariates, None)])[0]
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return Dataset(covariates=covariates, labels=labels)
@@ -122,22 +125,24 @@ def step1_relabel(group: Sequence[ClientState], c_k: Dataset,
     client, goes to the first client's."""
     neighbours = neighbours or [None] * len(group)
     return _answer_in_context(group, [
-        (c_k, client.original.covariates, nb)
+        (c_k.covariates, c_k.labels, client.original.covariates, nb)
         for client, nb in zip(group, neighbours)], 1, usages)
 
 
-def step2_answer(group: Sequence[ClientState], contexts: Sequence[Dataset],
+def step2_answer(group: Sequence[ClientState],
+                 contexts: Sequence[Tuple[Sequence[Covariate], Labels]],
                  queries: Sequence[Covariate],
                  neighbours: Optional[Sequence[Optional[np.ndarray]]] = None,
                  usages: Optional[Sequence[Dict[str, int]]] = None
                  ) -> List[Labels]:
-    """Answer the server queries, each client in its own context (all of
-    it, or each query's neighbours in it), in one ``answer`` call to the
-    first client's backend, which the ``group``'s others equal."""
+    """Answer the server queries, each client in its own context, a
+    (covariates, labels) pair (all of it, or each query's neighbours in
+    it), in one ``answer`` call to the first client's backend, which the
+    ``group``'s others equal."""
     neighbours = neighbours or [None] * len(group)
     return _answer_in_context(group, [
-        (context, queries, nb) for context, nb in zip(contexts, neighbours)],
-        2, usages)
+        (covs, labels, queries, nb)
+        for (covs, labels), nb in zip(contexts, neighbours)], 2, usages)
 
 
 def _answer_in_context(group: Sequence[ClientState], asks: List[Ask],
@@ -155,7 +160,7 @@ def _answer_in_context(group: Sequence[ClientState], asks: List[Ask],
     if len(columns) != len(asks):
         raise ProtocolError(f"step {step}: {len(columns)} answer columns to "
                             f"{len(asks)} clients", group[0].client_id)
-    for client, (_, queries, _), answers in zip(group, asks, columns):
+    for client, (_, _, queries, _), answers in zip(group, asks, columns):
         if len(answers) != len(queries):
             raise ProtocolError(f"step {step}: {len(answers)} answers to "
                                 f"{len(queries)} queries", client.client_id)
@@ -164,28 +169,29 @@ def _answer_in_context(group: Sequence[ClientState], asks: List[Ask],
 
 def _step2_pool(client: ClientState, variant: str,
                 server_reference: Optional[ClientDataset]
-                ) -> Tuple[Dataset, Optional[Labels]]:
-    """Step 2's pool for a whole run, its covariates stacked once, and the
-    labels that precede step 1's answers in it; None for those labels when
-    the variant does not relabel and the pool is every round's context."""
+                ) -> Tuple[Sequence[Covariate], Labels]:
+    """Step 2's covariates for a whole run, stacked once, and the labels
+    that precede step 1's answers in its context: all of its labels for a
+    variant that does not relabel, whose context is the same every round."""
     if variant == "fedicl_lb":
-        return server_reference, None
+        return server_reference.covariates, server_reference.labels
     local = client.original
     if variant == "fedicl_gt":
-        return local, None
+        return local.covariates, local.labels
     if variant == "fedicl_free":
-        return local, ()
+        return local.covariates, ()
     # relabeling keeps the local covariates in order: D^i ++ D_k^i
-    return concat([local, local]), local.labels
+    return stack_covariates([local.covariates] * 2), local.labels
 
 
 def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
                     queries: Sequence[Covariate], embedder: Optional[Embedder],
-                    pools: Sequence[Tuple[Dataset, Optional[Labels]]]
+                    pools: Sequence[Tuple[Sequence[Covariate], Labels]]
                     ) -> Tuple[list, list]:
     """Each client's step-1 and step-2 kNN indices into its pools (the
-    queries, and its step-2 pool, whose first ``len(kept)`` rows precede
-    step 1's answers); None where the whole pool is every query's context.
+    queries, and its step-2 covariates, whose first ``len(kept)`` rows
+    precede step 1's answers when the variant relabels); None where the
+    whole pool is every query's context.
 
     Every client's step-1 pool is the queries, so one search of the
     group's local covariates, stacked, serves all of step 1: each row of a
@@ -195,27 +201,26 @@ def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
         return [None] * len(group), [None] * len(group)
     emb = embedder if embedder is not None else IdentityEmbedder()
     step1 = [None] * len(group)
-    if pools[0][1] is not None and c < len(queries):
+    if config.relabels and c < len(queries):
         covs = [client.original.covariates for client in group]
-        stacked = (np.vstack(covs) if all(isinstance(x, np.ndarray)
-                                          for x in covs)
-                   else tuple(chain.from_iterable(covs)))
-        step1 = np.split(knn_context(queries, stacked, c, emb),
+        step1 = np.split(knn_context(queries, stack_covariates(covs), c, emb),
                          np.cumsum([len(x) for x in covs[:-1]]))
-    return step1, [_step2_neighbours(client, c, queries, emb, pool, kept)
+    return step1, [_step2_neighbours(client, c, queries, emb, pool,
+                                     config.relabels and len(kept) > 0)
                    for client, (pool, kept) in zip(group, pools)]
 
 
 def _step2_neighbours(client: ClientState, c: int,
                       queries: Sequence[Covariate], emb: Embedder,
-                      pool: Dataset, kept: Optional[Labels]
+                      pool: Sequence[Covariate], doubled: bool
                       ) -> Optional[np.ndarray]:
-    """Step 2's kNN indices into the client's ``pool``; None when the
-    pool is every query's context."""
+    """Step 2's kNN indices into the client's ``pool`` of covariates,
+    which is ``doubled`` when it holds the local covariates twice; None
+    when the pool is every query's context."""
     if c >= len(pool):
         return None
-    if not kept:
-        return knn_context(pool.covariates, queries, c, emb)
+    if not doubled:
+        return knn_context(pool, queries, c, emb)
     local = client.original.covariates
     # D^i ++ D_k^i holds each local covariate twice: search them once, then
     # lay the c nearest out in the doubled pool's stable order, where among
@@ -329,8 +334,8 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
 
 def _payload_units(queries: Dataset, clients: Sequence[ClientState]
                    ) -> Tuple[List[Tuple[List[int], int, int]], str]:
-    """(client_ids, question_units, answer_units) for each run of clients
-    in a row charged alike, and the unit, for ledger accounting.
+    """(client_ids, question_units, answer_units) for all clients at once
+    or for each client on its own, and the unit, for ledger accounting.
 
     With backends that answer with reals (no ``max_tokens`` cap;
     ``_check_run`` makes every cap agree), each vector question costs 64 bits
@@ -340,14 +345,8 @@ def _payload_units(queries: Dataset, clients: Sequence[ClientState]
     if clients[0].backend.max_tokens is None:
         return [([c.client_id for c in clients], BITS_PER_REAL * queries.dim,
                  BITS_PER_REAL)], "bits"
-    charges: List[Tuple[List[int], int, int]] = []
-    for c in clients:
-        cap = c.backend.max_tokens
-        if charges and charges[-1][1] == cap:
-            charges[-1][0].append(c.client_id)
-        else:
-            charges.append(([c.client_id], cap, cap))
-    return charges, "tokens"
+    return [([c.client_id], c.backend.max_tokens, c.backend.max_tokens)
+            for c in clients], "tokens"
 
 
 def run(config: ProtocolConfig,
@@ -408,11 +407,11 @@ def run(config: ProtocolConfig,
     def group_round(plan) -> List[Tuple[Labels, dict]]:
         group, pools, step1_nn, step2_nn = plan
         usages: List[Dict[str, int]] = [{} for _ in group]
-        contexts = [pool for pool, _ in pools]
-        if pools[0][1] is not None:
+        contexts = pools
+        if config.relabels:
             relabeled = step1_relabel(group, c_k, step1_nn, usages)
-            contexts = [pool.with_labels(join_labels([kept, labels]))
-                        for (pool, kept), labels in zip(pools, relabeled)]
+            contexts = [(covs, join_labels([kept, labels]))
+                        for (covs, kept), labels in zip(pools, relabeled)]
         return list(zip(step2_answer(group, contexts, queries, step2_nn,
                                      usages), usages))
 

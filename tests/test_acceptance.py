@@ -352,8 +352,8 @@ def test_criterion_12_remote_wire_contract():
     with criterion(12, desc):
         with MockLlmServer(reply="the final answer") as srv:
             backend = RemoteBackend(srv.url)
-            context = core.Dataset([Example("ex q", TextLabel("ex a"))])
-            got = backend.answer([(context, ["real question?"], None)])[0][0]
+            got = backend.answer([(["ex q"], [TextLabel("ex a")],
+                                   ["real question?"], None)])[0][0]
             assert got == TextLabel("the final answer")
             body = srv.requests[0]
             assert body["model"] == "gpt-4o-mini"
@@ -383,10 +383,10 @@ def test_criterion_12_remote_wire_contract():
                   (200, None, {})]
         with MockLlmServer(script=script) as srv:
             backend = RemoteBackend(srv.url, backoff_base=0.0)
-            got = backend.answer([(core.Dataset(), ["q"], None)])[0][0]
+            got = backend.answer([((), (), ["q"], None)])[0][0]
             assert got == TextLabel("mock answer")
             assert len(srv.requests) == 2
 
         with MockLlmServer(script=[(200, {"bad": "shape"}, {})]) as srv:
             with pytest.raises(RemoteBackendError):
-                RemoteBackend(srv.url).answer([(core.Dataset(), ["q"], None)])
+                RemoteBackend(srv.url).answer([((), (), ["q"], None)])

@@ -12,8 +12,7 @@ import pytest
 import fedicl
 from fedicl.backend import (RETRY_AFTER_MAX_S, GenerationParams, LsaBackend,
                             RemoteBackend, RemoteBackendError, render_prompt)
-from fedicl.core import (ConfigError, Dataset, Example, RealLabel, TextLabel,
-                         real_values)
+from fedicl.core import ConfigError, RealLabel, TextLabel, real_values
 from fedicl.lsa import gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
@@ -21,21 +20,41 @@ from mock_llm import MockLlmServer
 GOLDEN = Path(__file__).parent / "data" / "golden_open_qa_prompt.txt"
 
 
+#: the context of no examples: no covariates and no labels
+EMPTY = ((), ())
+
+
 def answer_one(backend, context, queries, neighbours=None, usage=None):
-    """The label column of one ask, through the batch ``answer``."""
-    return backend.answer([(context, queries, neighbours)],
+    """The label column of one ask, with a ``(covariates, labels)``
+    context, through the batch ``answer``."""
+    return backend.answer([(*context, queries, neighbours)],
                           None if usage is None else [usage])[0]
 
 
 def closed_form(context, queries, g, neighbours=None):
-    """``predict_closed_form`` on one ask over a dataset."""
-    return predict_closed_form([(context.covariates, real_values(
-        context.labels), queries, neighbours)], g)[0]
+    """``predict_closed_form`` on one ask over a ``(covariates, labels)``
+    context."""
+    xs, ys = context
+    return predict_closed_form([(xs, real_values(ys), queries, neighbours)],
+                               g)[0]
 
 
 def vec_context(rng, d, n):
-    return Dataset(covariates=rng.standard_normal((n, d)), labels=[
-        RealLabel(float(y)) for y in rng.standard_normal(n)])
+    return rng.standard_normal((n, d)), [RealLabel(float(y))
+                                         for y in rng.standard_normal(n)]
+
+
+def qa(pairs):
+    """A text context: the questions of (question, answer) ``pairs`` and
+    their answers as ``TextLabel``s."""
+    return (tuple(q for q, _ in pairs),
+            tuple(TextLabel(a) for _, a in pairs))
+
+
+def take(context, rows):
+    """The examples of ``context`` at ``rows``, in that order."""
+    xs, ys = context
+    return [xs[i] for i in rows], [ys[i] for i in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +73,12 @@ def test_lsa_backend_delegates_to_closed_form():
 
 
 def test_lsa_backend_empty_context_answers_zero():
-    got = answer_one(LsaBackend(np.eye(2)), Dataset(), [(1.0, 2.0)])[0]
-    assert got == RealLabel(0.0)
+    got = LsaBackend(np.eye(2)).answer([((), (), [(1.0, 2.0)], None)])
+    assert got == [(RealLabel(0.0),)]
 
 
 def test_lsa_backend_hand_value():
-    ctx = Dataset([Example((1.0,), RealLabel(1.0))])
+    ctx = ([(1.0,)], [RealLabel(1.0)])
     got = answer_one(LsaBackend(np.array([[3.0]])), ctx, [(1.0,)])[0]
     assert got.value == pytest.approx(1 / 3)
 
@@ -67,18 +86,25 @@ def test_lsa_backend_hand_value():
 def test_lsa_backend_rejects_text():
     backend = LsaBackend(np.eye(1))
     with pytest.raises(TypeError):
-        answer_one(backend, Dataset(), ["what is 2+2?"])[0]
+        answer_one(backend, EMPTY, ["what is 2+2?"])[0]
     with pytest.raises(TypeError):
-        answer_one(backend, Dataset([Example("q", TextLabel("a"))]),
-                   [(1.0,)])[0]
+        answer_one(backend, qa([("q", "a")]), [(1.0,)])[0]
     with pytest.raises(TypeError):
-        answer_one(backend, Dataset([Example("q", RealLabel(1.0))]), [(1.0,)])
+        answer_one(backend, (("q",), [RealLabel(1.0)]), [(1.0,)])
     with pytest.raises(TypeError):
-        answer_one(backend, Dataset([Example((1.0,), TextLabel("a"))]),
-                   [(1.0,)])
+        answer_one(backend, ([(1.0,)], [TextLabel("a")]), [(1.0,)])
     with pytest.raises(TypeError):
-        answer_one(backend, Dataset([Example((1.0,), RealLabel(1.0))]),
-                       [(1.0,), "what is 2+2?"])
+        answer_one(backend, ([(1.0,)], [RealLabel(1.0)]),
+                   [(1.0,), "what is 2+2?"])
+
+
+def test_a_context_whose_columns_differ_in_length_raises_value_error():
+    xs, ys = vec_context(np.random.default_rng(38), 2, 3)
+    backend = LsaBackend(np.eye(2))
+    for nb in (None, np.array([[0], [1]])):
+        for context in ((xs[:2], ys), (xs, ys[:2]), (xs, ())):
+            with pytest.raises(ValueError, match="covariates and"):
+                answer_one(backend, context, [(1.0, 0.0), (0.0, 1.0)], nb)
 
 
 def test_lsa_backend_rejects_bad_gamma_at_construction():
@@ -103,7 +129,7 @@ def test_lsa_backend_batch_matches_per_query_closed_form():
             assert isinstance(label, RealLabel)
             want = closed_form(ctx, [q], g)[0]
             assert abs(label.value - want) <= 1e-12
-    assert answer_one(backend, Dataset(), qs) == (RealLabel(0.0),) * len(qs)
+    assert answer_one(backend, EMPTY, qs) == (RealLabel(0.0),) * len(qs)
     assert answer_one(backend, ctx, []) == ()
 
 
@@ -118,7 +144,7 @@ def test_lsa_backend_neighbours_match_per_query_contexts():
         got = answer_one(backend, pool, qs, nb)
         assert len(got) == len(qs)
         for label, q, row in zip(got, qs, nb):
-            want = answer_one(backend, pool.take(row), [q])[0]
+            want = answer_one(backend, take(pool, row), [q])[0]
             assert abs(label.value - want.value) <= 1e-12
     assert answer_one(backend, pool, [], np.zeros((0, 2), dtype=int)) == ()
 
@@ -134,10 +160,9 @@ def test_closed_form_batch_equals_each_ask_alone():
     asks = [(shared, qs, None), (shared, more, None), (other, qs, None),
             (other, more, rng.integers(0, 4, size=(2, 3))),
             (shared, qs, rng.integers(0, 6, size=(5, 2))),
-            (Dataset(), more, None), (other, np.empty((0, 3)), None)]
+            (EMPTY, more, None), (other, np.empty((0, 3)), None)]
     got = predict_closed_form([
-        (ctx.covariates, real_values(ctx.labels), q, nb)
-        for ctx, q, nb in asks], g)
+        (xs, real_values(ys), q, nb) for (xs, ys), q, nb in asks], g)
     assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0]
     for pred, (ctx, q, nb) in zip(got, asks):
         np.testing.assert_allclose(pred, closed_form(ctx, q, g, nb),
@@ -164,8 +189,7 @@ def test_malformed_neighbours_raise_value_error(nb):
         answer_one(LsaBackend(np.eye(2)), pool, qs, nb)
     with pytest.raises(ValueError, match="neighbours"):
         closed_form(pool, np.asarray(qs), np.eye(2), nb)
-    text_pool = Dataset([Example(f"q{i}", TextLabel(f"a{i}"))
-                         for i in range(3)])
+    text_pool = qa([(f"q{i}", f"a{i}") for i in range(3)])
     with MockLlmServer() as srv:
         with pytest.raises(ValueError, match="neighbours"):
             answer_one(RemoteBackend(srv.url), text_pool, ["x", "y"], nb)
@@ -177,8 +201,7 @@ def test_neighbours_are_checked_also_with_zero_queries():
     pool = vec_context(np.random.default_rng(35), 2, 3)
     with pytest.raises(ValueError, match="neighbours"):
         answer_one(LsaBackend(np.eye(2)), pool, [], nb)
-    text_pool = Dataset([Example(f"q{i}", TextLabel(f"a{i}"))
-                         for i in range(3)])
+    text_pool = qa([(f"q{i}", f"a{i}") for i in range(3)])
     with MockLlmServer() as srv:
         with pytest.raises(ValueError, match="neighbours"):
             answer_one(RemoteBackend(srv.url), text_pool, [], nb)
@@ -203,10 +226,10 @@ def test_lsa_backend_keeps_a_read_only_copy_of_gamma():
 
 def test_backends_reject_a_bare_string_as_queries():
     with pytest.raises(TypeError):
-        answer_one(LsaBackend(np.eye(1)), Dataset(), "real question?")
+        answer_one(LsaBackend(np.eye(1)), EMPTY, "real question?")
     with MockLlmServer() as srv:
         with pytest.raises(TypeError, match="str"):
-            answer_one(RemoteBackend(srv.url), Dataset(), "real question?")
+            answer_one(RemoteBackend(srv.url), EMPTY, "real question?")
         assert srv.requests == []
 
 
@@ -221,9 +244,9 @@ def test_render_prompt_zero_exemplars():
 
 
 def test_render_prompt_preserves_exemplar_order():
-    ctx = [Example("first q", TextLabel("first a")),
-           Example("second q", TextLabel("second a"))]
-    prompt = render_prompt(Dataset(ctx).pairs(), "the last q")
+    ctx = [("first q", TextLabel("first a")),
+           ("second q", TextLabel("second a"))]
+    prompt = render_prompt(ctx, "the last q")
     assert prompt.index("first q") < prompt.index("second q") \
         < prompt.index("the last q")
 
@@ -263,13 +286,13 @@ def test_generation_params_defaults_and_validation():
 def test_remote_backend_returns_completion_text():
     with MockLlmServer(reply="Paris is the capital.") as srv:
         backend = RemoteBackend(srv.url)
-        got = answer_one(backend, Dataset([Example("q1", TextLabel("a1"))]),
-                             ["Capital of France?"])[0]
+        got = answer_one(backend, qa([("q1", "a1")]),
+                         ["Capital of France?"])[0]
     assert got == TextLabel("Paris is the capital.")
 
 
 def test_remote_backend_batch_posts_once_per_query_in_order():
-    ctx = Dataset([Example("ex q", TextLabel("ex a"))])
+    ctx = qa([("ex q", "ex a")])
     with MockLlmServer(reply="an answer") as srv:
         got = answer_one(RemoteBackend(srv.url), ctx,
                          ["q one", "q two", "q three"])
@@ -282,21 +305,20 @@ def test_remote_backend_batch_posts_once_per_query_in_order():
 
 
 def test_remote_backend_neighbours_post_each_querys_exemplars_in_order():
-    pool = Dataset([Example(f"ex q{i}", TextLabel(f"ex a{i}"))
-                    for i in range(5)])
+    pool = qa([(f"ex q{i}", f"ex a{i}") for i in range(5)])
     nb = np.array([[3, 0, 4], [1, 1, 2]])
     with MockLlmServer(reply="an answer") as srv:
         got = answer_one(RemoteBackend(srv.url), pool, ["q one", "q two"], nb)
         prompts = [body["messages"][0]["content"] for body in srv.requests]
     assert got == (TextLabel("an answer"),) * 2
-    assert prompts == [render_prompt(pool.take(row).pairs(), q)
+    assert prompts == [render_prompt(list(zip(*take(pool, row))), q)
                        for q, row in zip(["q one", "q two"], nb)]
 
 
 def test_remote_backend_request_body_contract():
     with MockLlmServer() as srv:
         backend = RemoteBackend(srv.url)
-        answer_one(backend, Dataset(), ["some question"])[0]
+        answer_one(backend, EMPTY, ["some question"])[0]
         body = srv.requests[0]
     assert body["model"] == "gpt-4o-mini"
     assert body["temperature"] == 0.1
@@ -318,7 +340,7 @@ def test_remote_backend_retries_on_rate_limit():
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
-        got = answer_one(backend, Dataset(), ["q"])[0]
+        got = answer_one(backend, EMPTY, ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
 
@@ -332,7 +354,7 @@ def test_remote_backend_falls_back_to_backoff_on_an_invalid_retry_after(
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.25)
-        got = answer_one(backend, Dataset(), ["q"])[0]
+        got = answer_one(backend, EMPTY, ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
     assert slept == [0.25]   # the first retry's exponential delay
@@ -346,7 +368,7 @@ def test_remote_backend_waits_at_most_the_retry_after_ceiling(monkeypatch,
     script = [(503, {"error": "down"}, {"Retry-After": retry_after}),
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
-        got = answer_one(RemoteBackend(srv.url), Dataset(), ["q"])[0]
+        got = answer_one(RemoteBackend(srv.url), EMPTY, ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
     assert slept == [RETRY_AFTER_MAX_S]
@@ -358,7 +380,7 @@ def test_remote_backend_gives_up_after_max_retries():
         backend = RemoteBackend(srv.url, backoff_base=0.0,
                                 params=GenerationParams(max_retries=2))
         with pytest.raises(RemoteBackendError, match="503"):
-            answer_one(backend, Dataset(), ["q"])[0]
+            answer_one(backend, EMPTY, ["q"])[0]
         assert len(srv.requests) == 3
 
 
@@ -367,7 +389,7 @@ def test_remote_backend_non_retryable_fails_fast():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url, backoff_base=0.0)
         with pytest.raises(RemoteBackendError, match="400"):
-            answer_one(backend, Dataset(), ["q"])[0]
+            answer_one(backend, EMPTY, ["q"])[0]
         assert len(srv.requests) == 1
 
 
@@ -376,12 +398,12 @@ def test_remote_backend_malformed_body_raises():
     with MockLlmServer(script=script) as srv:
         backend = RemoteBackend(srv.url)
         with pytest.raises(RemoteBackendError, match="malformed"):
-            answer_one(backend, Dataset(), ["q"])[0]
+            answer_one(backend, EMPTY, ["q"])[0]
 
 
 def test_remote_backend_adds_observed_usage_into_the_given_dict():
     usage = {}
-    context = Dataset([Example("ex q", TextLabel("ex a"))])
+    context = qa([("ex q", "ex a")])
     with MockLlmServer(reply="four words in reply") as srv:
         backend = RemoteBackend(srv.url)
         answer_one(backend, context, ["first question"], usage=usage)
@@ -392,26 +414,25 @@ def test_remote_backend_adds_observed_usage_into_the_given_dict():
         "prompt_tokens": sum(u["prompt_tokens"] for u in served),
         "completion_tokens": sum(u["completion_tokens"] for u in served)}
     lsa_usage = {}
-    answer_one(LsaBackend(np.eye(1)),
-               Dataset([Example((1.0,), RealLabel(1.0))]), [(1.0,)],
-               usage=lsa_usage)
+    answer_one(LsaBackend(np.eye(1)), ([(1.0,)], [RealLabel(1.0)]),
+               [(1.0,)], usage=lsa_usage)
     assert lsa_usage == {}
 
 
 def test_remote_backend_answers_a_batch_ask_by_ask_with_its_own_usage():
-    first = Dataset([Example("ex q", TextLabel("ex a"))])
-    second = Dataset([Example(f"q{i}", TextLabel(f"a{i}")) for i in range(3)])
+    first = qa([("ex q", "ex a")])
+    second = qa([(f"q{i}", f"a{i}") for i in range(3)])
     usages = [{}, {}]
     with MockLlmServer(reply="a reply") as srv:
         got = RemoteBackend(srv.url).answer(
-            [(first, ["one", "two"], None),
-             (second, ["three"], np.array([[2, 0]]))], usages)
+            [(*first, ["one", "two"], None),
+             (*second, ["three"], np.array([[2, 0]]))], usages)
         prompts = [body["messages"][0]["content"] for body in srv.requests]
         served = list(srv.usages)
     assert got == [(TextLabel("a reply"),) * 2, (TextLabel("a reply"),)]
-    pairs = second.pairs()
-    assert prompts == [render_prompt(first.pairs(), "one"),
-                       render_prompt(first.pairs(), "two"),
+    pairs = list(zip(*second))
+    assert prompts == [render_prompt(list(zip(*first)), "one"),
+                       render_prompt(list(zip(*first)), "two"),
                        render_prompt([pairs[2], pairs[0]], "three")]
     for usage, calls in zip(usages, (served[:2], served[2:])):
         assert usage == {
@@ -420,16 +441,19 @@ def test_remote_backend_answers_a_batch_ask_by_ask_with_its_own_usage():
 
 
 def test_remote_backend_checks_every_ask_before_its_first_request():
-    ctx = Dataset([Example("q", TextLabel("a"))])
+    ctx = qa([("q", "a")])
     with MockLlmServer() as srv:
         backend = RemoteBackend(srv.url)
         with pytest.raises(ValueError, match="neighbours"):
-            backend.answer([(ctx, ["x"], None),
-                            (ctx, ["y"], np.array([[1]]))])
+            backend.answer([(*ctx, ["x"], None),
+                            (*ctx, ["y"], np.array([[1]]))])
         with pytest.raises(TypeError, match="str"):
-            backend.answer([(ctx, ["x"], None), (ctx, "y", None)])
+            backend.answer([(*ctx, ["x"], None), (*ctx, "y", None)])
         with pytest.raises(ValueError, match="usage"):
-            backend.answer([(ctx, ["x"], None), (ctx, ["y"], None)], [{}])
+            backend.answer([(*ctx, ["x"], None), (*ctx, ["y"], None)], [{}])
+        with pytest.raises(ValueError, match="shorter"):
+            backend.answer([(*ctx, ["x"], None), (("q", "r"), ctx[1], ["y"],
+                                                  None)])
         assert srv.requests == []
 
 
@@ -438,16 +462,16 @@ def test_remote_backend_truncates_long_completions():
     with MockLlmServer(reply=long_reply) as srv:
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_tokens=10))
-        got = answer_one(backend, Dataset(), ["q"])[0]
+        got = answer_one(backend, EMPTY, ["q"])[0]
     assert got.answer == " ".join(str(i) for i in range(10))
 
 
 def test_remote_backend_prompt_holds_every_context_exemplar_in_order():
-    ctx = Dataset([Example(f"q{i}", TextLabel(f"a{i}")) for i in range(8)])
+    ctx = qa([(f"q{i}", f"a{i}") for i in range(8)])
     with MockLlmServer() as srv:
         answer_one(RemoteBackend(srv.url), ctx, ["final"])
         prompt = srv.requests[0]["messages"][0]["content"]
-    assert prompt == render_prompt(ctx.pairs(), "final")
+    assert prompt == render_prompt(list(zip(*ctx)), "final")
     positions = [prompt.index(f"Question: q{i}\nAnswer: a{i}\n")
                  for i in range(8)]
     assert positions == sorted(positions)
@@ -483,7 +507,7 @@ def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
     backend = RemoteBackend(f"http://127.0.0.1:{port}", backoff_base=0.25,
                             params=GenerationParams(max_retries=3))
     with pytest.raises(RemoteBackendError, match="transport failure"):
-        answer_one(backend, Dataset(), ["q"])
+        answer_one(backend, EMPTY, ["q"])
     assert connects == [("127.0.0.1", port)] * 4
     assert slept == [0.25, 0.5, 1.0]
 
@@ -493,7 +517,7 @@ def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
 def test_remote_backend_keeps_its_connection_where_the_server_allows(
         keep_alive, connections):
     with MockLlmServer(keep_alive=keep_alive) as srv:
-        got = answer_one(RemoteBackend(srv.url), Dataset(), ["a", "b", "c"])
+        got = answer_one(RemoteBackend(srv.url), EMPTY, ["a", "b", "c"])
         assert (len(srv.requests), srv.connections) == (3, connections)
     assert got == (TextLabel("mock answer"),) * 3
 
@@ -505,7 +529,7 @@ def test_remote_backend_resends_on_a_kept_connection_the_server_dropped(
     with MockLlmServer(keep_alive=True, drop_idle=True) as srv:
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_retries=0))
-        got = answer_one(backend, Dataset(), ["a", "b", "c"])
+        got = answer_one(backend, EMPTY, ["a", "b", "c"])
         assert (len(srv.requests), srv.connections) == (3, 3)
     assert got == (TextLabel("mock answer"),) * 3
     assert slept == []      # a resend uses no retry and no backoff
@@ -524,7 +548,7 @@ def test_remote_backend_sends_the_absolute_url_to_an_http_proxy(no_proxy_env):
         no_proxy_env.setenv("HTTP_PROXY", proxy.url.replace(
             "http://", "http://user:p%40ss@"))
         got = answer_one(RemoteBackend("http://upstream.invalid/api"),
-                         Dataset(), ["q"])
+                         EMPTY, ["q"])
         assert proxy.paths == [
             "http://upstream.invalid/api/v1/chat/completions"]
         headers = proxy.headers[0]
@@ -539,7 +563,7 @@ def test_remote_backend_reads_the_proxy_environment_when_it_is_built(
     with MockLlmServer() as upstream, MockLlmServer() as proxy:
         backend = RemoteBackend(upstream.url)
         no_proxy_env.setenv("HTTP_PROXY", proxy.url)
-        answer_one(backend, Dataset(), ["q"])
+        answer_one(backend, EMPTY, ["q"])
         assert upstream.paths == ["/v1/chat/completions"]
         assert proxy.paths == []
 
@@ -560,7 +584,7 @@ def test_no_proxy_bypasses_the_proxy(no_proxy_env):
         backend = RemoteBackend("http://upstream.invalid",
                                 params=GenerationParams(max_retries=0))
         with pytest.raises(RemoteBackendError, match="transport failure"):
-            answer_one(backend, Dataset(), ["q"])
+            answer_one(backend, EMPTY, ["q"])
         assert connects.pop() == address
 
 
@@ -570,7 +594,7 @@ def test_an_https_endpoint_asks_the_proxy_for_a_tunnel(no_proxy_env):
         backend = RemoteBackend("https://upstream.invalid:8443",
                                 params=GenerationParams(max_retries=0))
         with pytest.raises(RemoteBackendError, match="transport failure"):
-            answer_one(backend, Dataset(), ["q"])
+            answer_one(backend, EMPTY, ["q"])
         assert proxy.paths == ["upstream.invalid:8443"]
         assert proxy.requests == []
 

@@ -312,6 +312,32 @@ def test_simulate_exits_1_when_a_modeled_run_leaves_the_recursion(
     assert min(metrics["max_theory_deviation_per_round"]) > 1e-9
 
 
+def test_simulate_exits_4_when_a_run_diverges(tmp_path, capsys):
+    # kNN context on the LSA backend: the labels grow every round until
+    # they overflow
+    config = {"seed": 7, "dataset": {"d": 2, "num_clients": 2,
+                                     "examples_per_client": 10,
+                                     "num_queries": 6},
+              "protocol": {"rounds": 2000, "context_count": 2}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, "simulate",
+                            write_config(tmp_path, config))
+    assert code == cli.EXIT_NONCONTRACTIVE
+    traces = core.load_traces(out / "traces.jsonl")
+    assert len(traces) == 2000
+    finite = [np.isfinite(core.real_values(t.aggregated.labels)).all()
+              for t in traces]
+    first = finite.index(False) + 1
+    assert first > 1
+    assert (f"round {first}'s labels are not finite"
+            in capsys.readouterr().err)
+    assert json.loads((out / "metrics.json").read_text()) == {"rounds": 2000}
+    assert (out / "ledger.csv").read_text().count("\n") > 2000
+    code, _ = run_cli(tmp_path, "report", out="report",
+                      extra=["--traces", str(out / "traces.jsonl")])
+    assert code == cli.EXIT_PASS
+
+
 def test_theory_and_simulate_check_one_instance(tmp_path):
     config = {"dataset": {"d": 3, "num_clients": 4, "examples_per_client": 6,
                           "num_queries": 5, "t_prompt": 4},

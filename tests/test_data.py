@@ -272,6 +272,13 @@ def test_knn_context_matches_a_per_query_stable_argsort(name, pool, queries,
     got = knn_context(pool, queries, c, IdentityEmbedder())
     assert got.shape == (len(queries), min(c, len(pool)))
     assert np.array_equal(got, per_query_knn(pool, queries, c))
+    # the rows found must not depend on keeping their distances, also at
+    # the ties and exact fallbacks these cases are full of
+    nearest, dist = knn_context(pool, queries, c, IdentityEmbedder(),
+                                distances=True)
+    assert np.array_equal(nearest, got)
+    assert np.array_equal(dist, [np.linalg.norm(pool[row] - q, axis=1)
+                                 for row, q in zip(nearest, queries)])
 
 
 def test_knn_context_blocks_cover_every_query():

@@ -52,8 +52,9 @@ def test_init_backend_generated():
     backend = LsaBackend(GAMMA_1D)
     qs = init_labels([(1.0,), (2.0,)], "backend_generated", backend=backend)
     # empty context: backend answers 0 for every query
-    assert qs.labels == tuple(backend.answer([(Dataset(), [q], None)])[0][0]
+    assert qs.labels == tuple(backend.answer([((), (), [q], None)])[0][0]
                               for q in qs.covariates)
+    assert qs.labels == (RealLabel(0.0),) * 2
 
 
 def test_init_backend_generated_requires_backend():
@@ -98,10 +99,10 @@ def test_step1_zero_labels_propagate():
 
 
 def step2_context(client, variant, relabeled):
-    """The variant's step-2 context as ``run`` builds it, given step 1's
-    relabeled labels."""
-    pool, kept = _step2_pool(client, variant, None)
-    return pool.with_labels(core.join_labels([kept, relabeled]))
+    """The variant's step-2 context as ``run`` builds it, a (covariates,
+    labels) pair, given step 1's relabeled labels."""
+    covs, kept = _step2_pool(client, variant, None)
+    return covs, core.join_labels([kept, relabeled])
 
 
 def test_step2_hand_value():
@@ -109,7 +110,7 @@ def test_step2_hand_value():
     client = ClientState(1, real_dataset(1, [[1.0]], [1.0]),
                          LsaBackend(GAMMA_1D))
     context = step2_context(client, "fedicl", [RealLabel(1.0)])
-    assert len(context) == 2
+    assert [len(column) for column in context] == [2, 2]
     answers, = step2_answer([client], [context], [(1.0,)])
     assert answers[0].value == pytest.approx(1 / 3, abs=1e-12)
 
@@ -259,7 +260,8 @@ def test_lb_variant_uses_server_reference_only():
     clients = [ClientState(1, None, LsaBackend(g))]
     result = run(ProtocolConfig(rounds=2, variant="fedicl_lb"),
                  clients, [(1.0,)], server_reference=reference)
-    expected = LsaBackend(g).answer([(reference, [(1.0,)], None)])[0][0]
+    expected = LsaBackend(g).answer([(reference.covariates, reference.labels,
+                                      [(1.0,)], None)])[0][0]
     assert result.final.labels == (expected,)
 
 
@@ -357,8 +359,7 @@ def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
             if c >= len(pool):
                 assert got is None
                 continue
-            want = knn_context(pool.covariates, queries, c,
-                               IdentityEmbedder())
+            want = knn_context(pool, queries, c, IdentityEmbedder())
             np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
 
 
@@ -372,7 +373,7 @@ def test_knn_run_makes_one_backend_call_per_client_step_round():
     class CountingBackend(LsaBackend):
         def answer(self, asks, usages=None):
             calls.append([(len(queries), neighbours is not None)
-                          for _, queries, neighbours in asks])
+                          for _, _, queries, neighbours in asks])
             return super().answer(asks, usages)
 
     clients = [ClientState(ds.client_id, ds, CountingBackend(g))
@@ -631,7 +632,14 @@ def test_deterministic_traces_byte_identical(tmp_path):
 def test_sent_payloads_never_contain_client_data():
     rng = np.random.default_rng(28)
     clients_data, queries, g = random_regression(rng, d=2, l=3, n=4, m=3)
-    clients = [ClientState(ds.client_id, ds, LsaBackend(g))
+    calls = []
+
+    class RecordingBackend(LsaBackend):
+        def answer(self, asks, usages=None):
+            calls.append(list(asks))
+            return super().answer(asks, usages)
+
+    clients = [ClientState(ds.client_id, ds, RecordingBackend(g))
                for ds in clients_data]
     config = ProtocolConfig(rounds=4)
     result = run(config, clients, queries)
@@ -642,14 +650,22 @@ def test_sent_payloads_never_contain_client_data():
     downlink = [init_labels(queries, config.init_mode)]
     downlink += [trace.aggregated for trace in result.traces[:-1]]
     assert len(downlink) == len(result.traces) == 4
-    for c_k, trace in zip(downlink, result.traces):
+    # the clients form one group, which asks step 1 and then step 2 a round
+    assert len(calls) == 2 * len(result.traces)
+    for c_k, step1, trace in zip(downlink, calls[::2], result.traces):
         assert np.array_equal(c_k.covariates, queries)
+        # every client's step-1 ask has exactly C_k as its context
+        assert len(step1) == len(clients)
+        for covs, labels, _, _ in step1:
+            assert np.array_equal(covs, c_k.covariates)
+            assert labels == c_k.labels
         # uplink payload is exactly {(x_m, y^i_{k+1,m})}, from every client
         assert sorted(trace.per_client_answers) == [1, 2, 3]
         uplink = [tuple(zip(queries, answers))
                   for answers in trace.per_client_answers.values()]
-        assert all(len(pairs) == len(queries) for pairs in uplink)
-        for pairs in [tuple(c_k.pairs())] + uplink:
+        sent = [tuple(zip(*step1[0][:2]))] + uplink
+        assert all(len(pairs) == len(queries) for pairs in sent)
+        for pairs in sent:
             for cov, label in pairs:
                 cov = tuple(cov)
                 assert cov in set(queries)
@@ -753,22 +769,23 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
     monkeypatch.setattr(core, "as_covariate", counting_as_covariate)
     monkeypatch.setattr(RealLabel, "__init__", counting_label_init)
     monkeypatch.setattr(lsa, "_check_spd", counting_check_spd)
-    concats = []
+    stacks = []
 
-    def counting_concat(datasets):
-        concats[-1] += 1
-        return core.concat(datasets)
+    def counting_stack(columns):
+        stacks[-1] += 1
+        return core.stack_covariates(columns)
 
-    monkeypatch.setattr(protocol, "concat", counting_concat)
+    monkeypatch.setattr(protocol, "stack_covariates", counting_stack)
     for rounds in (1, 3):
-        concats.append(0)
+        stacks.append(0)
         result = run(ProtocolConfig(rounds=rounds,
                                     context_count=context_count),
                      clients, queries, trace_path=tmp_path / "traces.jsonl")
         assert len(result.traces) == rounds
     assert built == Counter()
-    # step 2's pool is stacked once per client and run, in no round
-    assert concats == [len(clients)] * 2
+    # step 2's covariates are stacked once per client and run, and step 1's
+    # kNN search stacks the group's local covariates once, in no round
+    assert stacks == [len(clients) + (context_count is not None)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
     lsa.predict_closed_form([(np.eye(2), np.ones(2), np.eye(2), None)], g)
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
@@ -820,7 +837,8 @@ def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
     assert not any("Answer: 0.0" in p for p in prompts)
 
 
-@pytest.mark.parametrize("caps", [(4,), (4, 8)], ids=["one", "two"])
+@pytest.mark.parametrize("caps", [(4,), (4, 8), (4, 4, 8, 4)],
+                         ids=["one", "two", "mixed"])
 def test_text_run_charges_each_client_at_its_backend_cap(caps):
     with MockLlmServer(reply="a reply") as srv:
         clients = [ClientState(cid, ClientDataset(cid, (Example(
@@ -996,7 +1014,8 @@ def test_text_step2_prompt_cites_a_relabeled_example():
     assert any("Answer: relabeled answer" in p for p in step2)
     # each cites its whole pool, D^i ++ D_k^i: the local examples, then the
     # same questions with step 1's answers
-    local = clients[0].original.pairs()
+    local = list(zip(clients[0].original.covariates,
+                     clients[0].original.labels))
     pool = local + [(q, TextLabel("relabeled answer")) for q, _ in local]
     assert step2 == [render_prompt(pool, q) for q in TEXT_QUERIES]
 

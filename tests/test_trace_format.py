@@ -72,8 +72,8 @@ class EchoBackend(LmBackend):
     max_tokens = 8
 
     def answer(self, asks, usages=None):
-        return [tuple(TextLabel(f'“{q[::-1]}” \\ "{len(context)}"')
-                      for q in queries) for context, queries, _ in asks]
+        return [tuple(TextLabel(f'“{q[::-1]}” \\ "{len(labels)}"')
+                      for q in queries) for _, labels, queries, _ in asks]
 
 
 def text_traces():
