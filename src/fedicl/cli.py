@@ -275,10 +275,13 @@ def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
 
     os.makedirs(output_dir, exist_ok=True)
     trace_path = os.path.join(output_dir, "traces.jsonl")
+    # a run whose labels overflow is reported below, after its files are
+    # written, in place of numpy's warnings
     try:
-        result = protocol.run(pconf, clients, queries,
-                              theory_w_trace=theory_trace,
-                              trace_path=trace_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = protocol.run(pconf, clients, queries,
+                                  theory_w_trace=theory_trace,
+                                  trace_path=trace_path)
     except protocol.ProtocolError:
         return EXIT_BACKEND
     result.ledger.export_csv(os.path.join(output_dir, "ledger.csv"))

@@ -1,4 +1,4 @@
-"""Shared domain types, round-trace records, and communication-cost accounting.
+"""Shared domain types, round-trace records, and the communication ledger.
 
 A dataset is stored as columns: vector covariates as one read-only (n, d)
 float array, checked when the dataset is built, or text covariates as a
@@ -17,14 +17,13 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 #: A question: either a d-vector (regression/theory mode) or raw text.
 Covariate = Union[Tuple[float, ...], str]
-
-BITS_PER_REAL = 64
 
 
 class ConfigError(ValueError):
@@ -261,9 +260,9 @@ class Dataset:
     beside them ``labels`` (see ``label_column``) and ``categories`` (an
     optional str each).
 
-    Built from ``Example`` records or from the columns. Immutable; the
-    derived datasets (``with_labels``, ``concat``) share or stack the
-    checked covariates instead of checking them again.
+    Built from ``Example`` records or from the columns. Immutable;
+    ``with_labels`` shares the checked covariates instead of checking them
+    again.
     """
 
     __slots__ = ("covariates", "labels", "categories")
@@ -292,14 +291,6 @@ class Dataset:
             raise ValueError(f"{type(self).__name__} has {n} covariates, "
                              f"{len(self.labels)} labels and "
                              f"{len(self.categories)} categories")
-
-    def _derive(self, **columns) -> "Dataset":
-        new = object.__new__(type(self))
-        for name in Dataset.__slots__ + self._EXTRA:
-            value = columns[name] if name in columns else getattr(self, name)
-            object.__setattr__(new, name, value)
-        new._validate()
-        return new
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -360,8 +351,7 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     if len(dims) > 1:
         raise ValueError(f"inconsistent covariate dimensions: "
                          f"{sorted(map(str, dims))}")
-    # every column is given, so ``_derive`` reads nothing of the bare object
-    return object.__new__(Dataset)._derive(
+    return Dataset(
         covariates=stack_covariates([ds.covariates for ds in parts]),
         labels=join_labels([ds.labels for ds in parts]),
         categories=tuple(chain.from_iterable(ds.categories for ds in parts)))
@@ -475,8 +465,7 @@ DIRECTIONS = ("downlink", "uplink")
 UNITS = ("bits", "tokens", "observed_tokens")
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     round: int
     direction: str
     client_id: int
@@ -526,27 +515,8 @@ class CommLedger:
     def export_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["round", "direction", "client_id",
-                             "payload_units", "unit"])
-            for e in self.entries:
-                writer.writerow([e.round, e.direction, e.client_id,
-                                 e.payload_units, e.unit])
-
-
-def charge_protocol_round(ledger: CommLedger, round: int, client_ids: Sequence[int],
-                          num_queries: int, question_units: int, answer_units: int,
-                          unit: str) -> None:
-    """Charge one protocol round's traffic to the ledger.
-
-    Downlink per client: the M query payloads (question + current label);
-    questions are charged only in round 1, since only the labels change in
-    later rounds. Uplink per client: M answers.
-    """
-    per_question = question_units if round == 1 else 0
-    for cid in client_ids:
-        ledger.record(round, "downlink", cid,
-                      num_queries * (per_question + answer_units), unit)
-        ledger.record(round, "uplink", cid, num_queries * answer_units, unit)
+            writer.writerow(LedgerEntry._fields)
+            writer.writerows(self.entries)
 
 
 # ---------------------------------------------------------------------------

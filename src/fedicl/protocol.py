@@ -23,17 +23,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .backend import Ask, LmBackend
-from .core import (BITS_PER_REAL, ClientDataset, CommLedger, ConfigError,
-                   Covariate, Dataset, Label, Labels, RealColumn, RoundTrace,
-                   TextLabel, charge_protocol_round, check_int, concat,
-                   covariate_column, join_labels, label_column, real_values,
-                   save_traces, stack_covariates)
+from .core import (ClientDataset, CommLedger, ConfigError, Covariate,
+                   Dataset, Label, Labels, RealColumn, RoundTrace, TextLabel,
+                   check_int, concat, covariate_column, join_labels,
+                   label_column, real_values, save_traces, stack_covariates)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
 AGGREGATIONS = ("average", "fusion")
 INIT_MODES = ("zeros", "random", "backend_generated")
-OBSERVED = (("uplink", "prompt_tokens"), ("downlink", "completion_tokens"))
+BITS_PER_REAL = 64
 
 
 @dataclass(frozen=True)
@@ -293,6 +292,11 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
     """
     if not clients:
         raise ConfigError("run has no clients")
+    repeated = sorted(cid for cid, n in
+                      Counter(c.client_id for c in clients).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"client ids {repeated} are each given to more "
+                          f"than one client")
     if config.variant == "fedicl_lb":
         if server_reference is None:
             raise ConfigError("fedicl_lb needs a server reference set")
@@ -332,21 +336,31 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
                           f"not the text covariates of {', '.join(owners)}")
 
 
-def _payload_units(queries: Dataset, clients: Sequence[ClientState]
-                   ) -> Tuple[List[Tuple[List[int], int, int]], str]:
-    """(client_ids, question_units, answer_units) for all clients at once
-    or for each client on its own, and the unit, for ledger accounting.
+def charge_protocol_round(ledger: CommLedger, round: int,
+                          payloads: Sequence[Tuple[int, int, int]],
+                          num_queries: int, unit: str,
+                          usages: Sequence[Dict[str, int]]) -> None:
+    """Charge a round that has answered to ``ledger``, in ``unit``, from
+    each client's ``payloads`` row (client_id, question_units,
+    answer_units).
 
-    With backends that answer with reals (no ``max_tokens`` cap;
-    ``_check_run`` makes every cap agree), each vector question costs 64 bits
-    per component and each answer 64 bits. Otherwise every payload is
-    charged at the answer cap of the client's backend, in tokens.
+    Downlink per client: the M query payloads (question + current label);
+    questions are charged only in round 1, since only the labels change in
+    later rounds. Uplink per client: M answers. Then, as unit
+    ``observed_tokens``, what each client's backend reported in its
+    ``usages`` dict: prompt tokens as uplink, completion tokens as
+    downlink (LSA reports nothing).
     """
-    if clients[0].backend.max_tokens is None:
-        return [([c.client_id for c in clients], BITS_PER_REAL * queries.dim,
-                 BITS_PER_REAL)], "bits"
-    return [([c.client_id], c.backend.max_tokens, c.backend.max_tokens)
-            for c in clients], "tokens"
+    for cid, question_units, answer_units in payloads:
+        sent = question_units + answer_units if round == 1 else answer_units
+        ledger.record(round, "downlink", cid, num_queries * sent, unit)
+        ledger.record(round, "uplink", cid, num_queries * answer_units, unit)
+    for (cid, _, _), usage in zip(payloads, usages, strict=True):
+        for direction, key in (("uplink", "prompt_tokens"),
+                               ("downlink", "completion_tokens")):
+            if key in usage:
+                ledger.record(round, direction, cid, usage[key],
+                              "observed_tokens")
 
 
 def run(config: ProtocolConfig,
@@ -361,13 +375,13 @@ def run(config: ProtocolConfig,
 
     A run the engine cannot make raises ``ConfigError`` before any backend
     call (see ``_check_run``), and a failing backend raises
-    ``ProtocolError``. The ledger holds the nominal charges and, as unit
-    ``observed_tokens``, the tokens each client's backend reported in each
-    round. Clients whose backends compare equal form a group, and each
-    group answers each step of a round in one ``answer`` call. When some
-    client's backend waits on I/O, the groups answer in a pool of
-    ``max_workers`` threads (default: one per group); otherwise they
-    answer one after another in the caller's thread.
+    ``ProtocolError``. Each round is charged to the ledger once, after
+    its answers (see ``charge_protocol_round``). Clients whose backends
+    compare equal form a group, and each group answers each step of a
+    round in one ``answer`` call. When some client's backend waits on
+    I/O, the groups answer in a pool of ``max_workers`` threads (default:
+    one per group); otherwise they answer one after another in the
+    caller's thread.
     ``theory_w_trace``, when given, attaches the matching closed-form weight
     vector to each round's trace. The traces are written to ``trace_path``
     (if set) also on a mid-run failure, before it is re-raised.
@@ -387,7 +401,14 @@ def run(config: ProtocolConfig,
     c_k = init_labels(queries, config.init_mode,
                       backend=clients[0].backend, rng=rng)
     ledger = CommLedger()
-    charges, unit = _payload_units(c_k, clients)
+    # one payload row per client: backends that answer with reals (every
+    # cap agrees, by ``_check_run``) send 64 bits a real, vector questions
+    # included; the others send every question and answer at their cap
+    unit = "bits" if clients[0].backend.max_tokens is None else "tokens"
+    payloads = [(c.client_id, BITS_PER_REAL * queries.shape[1], BITS_PER_REAL)
+                if unit == "bits" else
+                (c.client_id, c.backend.max_tokens, c.backend.max_tokens)
+                for c in clients]
 
     # clients whose backends are equal answer each step in one call. A
     # round changes only labels: each step's pool keeps its covariates and
@@ -424,20 +445,14 @@ def run(config: ProtocolConfig,
     traces: List[RoundTrace] = []
     try:
         for k in range(1, config.effective_rounds + 1):
-            for client_ids, question_units, answer_units in charges:
-                charge_protocol_round(ledger, k, client_ids, len(queries),
-                                      question_units, answer_units, unit)
             answered = [None] * len(clients)
             for at, results in zip(positions, map_groups(group_round, plans)):
                 for i, result in zip(at, results):
                     answered[i] = result
-            per_client = {}
-            for client, (answers, usage) in zip(clients, answered):
-                per_client[client.client_id] = answers
-                for direction, key in OBSERVED:  # LSA reports no usage
-                    if key in usage:
-                        ledger.record(k, direction, client.client_id,
-                                      usage[key], "observed_tokens")
+            answers, usages = zip(*answered)
+            charge_protocol_round(ledger, k, payloads, len(queries), unit,
+                                  usages)
+            per_client = dict(zip((c.client_id for c in clients), answers))
             c_next = aggregate(per_client, config.aggregation, c_k)
             theory_w = None
             if theory_w_trace is not None and k < len(theory_w_trace):

@@ -14,11 +14,12 @@ from fedicl import core, data, lsa, theory
 from fedicl.backend import (LsaBackend, RemoteBackend,
                             RemoteBackendError)
 from fedicl.core import (ClientDataset, CommLedger, Example, RealLabel,
-                         TextLabel, charge_protocol_round)
+                         TextLabel)
 from fedicl.data import IdentityEmbedder, PartitionSpec, dirichlet_partition
 from fedicl.lsa import (LsaParams, build_embedding, gamma, limit_params,
                         lsa_forward, predict_closed_form, prediction_map)
-from fedicl.protocol import ClientState, ProtocolConfig, run
+from fedicl.protocol import (ClientState, ProtocolConfig,
+                             charge_protocol_round, run)
 
 from mock_llm import MockLlmServer
 
@@ -268,9 +269,10 @@ def test_criterion_10_communication_accounting():
     with criterion(10, desc):
         l_clients, k_rounds, m_queries, tok = 3, 6, 114, 256
         ledger = CommLedger()
+        payloads = [(cid, tok, tok) for cid in range(1, l_clients + 1)]
         for k in range(1, k_rounds + 1):
-            charge_protocol_round(ledger, k, list(range(1, l_clients + 1)),
-                                  m_queries, tok, tok, "tokens")
+            charge_protocol_round(ledger, k, payloads, m_queries, "tokens",
+                                  [{}] * l_clients)
         # round 1: questions down + answers down/up; later rounds: labels only
         hand = (l_clients * m_queries * 512 + l_clients * m_queries * 256
                 + (k_rounds - 1) * 2 * l_clients * m_queries * 256)

@@ -61,6 +61,8 @@ def test_full_context_run_fires_one_backend_call_per_client_step(tmp_path):
     # (step, round)
     assert counts["backend.lsa"] == counts["lsa.predict"] == 1 * 2 * 2
     assert counts["protocol.step1"] == counts["protocol.step2"] == 1 * 2
+    # the ledger is charged in one call per round
+    assert counts["core.charge"] == 2
     assert not KNN_SPANS & set(counts)
 
 
@@ -98,7 +100,10 @@ def test_text_run_fires_every_span_of_the_remote_text_workload(monkeypatch,
         finally:
             recorder.close()
     names = recorder.table()["name"].astype(int)
-    fired = {tracing.SPAN_NAMES[i] for i in names}
+    counts = Counter(tracing.SPAN_NAMES[i] for i in names)
+    # one charge per round, not one per client that holds its own backend
+    assert counts["core.charge"] == 2
+    fired = set(counts)
     # as the benchmark's span check: each of its spans fires, no other does
     assert fired == spans
     assert not KNN_SPANS & fired

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from fedicl import core
 from fedicl.core import (ClientDataset, CommLedger, Dataset, Example,
-                         RealLabel, RoundTrace, TextLabel,
-                         charge_protocol_round)
+                         RealLabel, RoundTrace, TextLabel)
 from fedicl.data import load_dataset, save_dataset
+from fedicl.protocol import charge_protocol_round
 
 
 def test_ledger_single_append():
@@ -64,9 +64,9 @@ def test_multi_client_token_budget_hand_total():
     # charged only in round 1, labels/answers every round.
     L, K, M, tok = 3, 6, 114, 256
     ledger = CommLedger()
+    payloads = [(cid, tok, tok) for cid in range(1, L + 1)]
     for k in range(1, K + 1):
-        charge_protocol_round(ledger, k, list(range(1, L + 1)), M, tok, tok,
-                              "tokens")
+        charge_protocol_round(ledger, k, payloads, M, "tokens", [{}] * L)
     hand = L * M * (tok + tok) + L * M * tok            # round 1 down+up
     hand += (K - 1) * (L * M * tok + L * M * tok)       # rounds 2..K
     assert ledger.total("tokens") == hand

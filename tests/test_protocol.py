@@ -891,12 +891,17 @@ def unmakeable_runs(url):
         "client-without-data": (
             ProtocolConfig(rounds=2, aggregation="fusion"),
             text + [ClientState(3, None, RemoteBackend(url))]),
+        # a repeated id would drop out of the aggregate, yet be charged
+        "repeated-client-id": (
+            ProtocolConfig(rounds=2, aggregation="fusion"),
+            text + [ClientState(2, text[0].original, RemoteBackend(url))]),
     }
 
 
 @pytest.mark.parametrize("case", ["remote-average", "lb-without-reference",
                                   "text-knn-without-embedder",
-                                  "client-without-data"])
+                                  "client-without-data",
+                                  "repeated-client-id"])
 def test_a_run_the_engine_cannot_make_fails_before_any_request(case):
     with MockLlmServer() as srv:
         config, clients = unmakeable_runs(srv.url)[case]
