@@ -182,11 +182,10 @@ class RemoteBackend(LmBackend):
 
     waits_on_io = True
 
-    def __init__(self, endpoint: str, params: Optional[GenerationParams] = None,
-                 backoff_base: float = 0.5):
+    def __init__(self, endpoint: str,
+                 params: Optional[GenerationParams] = None):
         self.endpoint = endpoint.rstrip("/")
         self.params = params or GenerationParams()
-        self.backoff_base = backoff_base
         self._conn, self._target, self._proxy_headers = _connection(
             self.endpoint, self.params.timeout_ms / 1000.0)
         self._lock = threading.Lock()
@@ -265,7 +264,7 @@ class RemoteBackend(LmBackend):
                 if status not in (408, 429, 500, 502, 503, 504):
                     break  # non-retryable
             if attempt < p.max_retries:
-                delay = self.backoff_base * (2 ** attempt)
+                delay = BACKOFF_BASE_S * (2 ** attempt)
                 if status is not None:
                     delay = _retry_after(reply_headers.get("Retry-After"),
                                          delay)
@@ -347,6 +346,8 @@ def _text(data: bytes) -> str:
     return data.decode("utf-8", errors="replace")
 
 
+#: the first retry's delay in seconds, doubled for each later retry
+BACKOFF_BASE_S = 0.5
 #: the longest Retry-After delay honoured, in seconds; a longer one is cut
 RETRY_AFTER_MAX_S = 60.0
 

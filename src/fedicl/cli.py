@@ -282,7 +282,9 @@ def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
             result = protocol.run(pconf, clients, queries,
                                   theory_w_trace=theory_trace,
                                   trace_path=trace_path)
-    except protocol.ProtocolError:
+    except protocol.ProtocolError as exc:
+        print(f"backend error: client {exc.client_id}: {exc}",
+              file=sys.stderr)
         return EXIT_BACKEND
     result.ledger.export_csv(os.path.join(output_dir, "ledger.csv"))
 

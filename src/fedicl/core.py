@@ -484,7 +484,7 @@ class CommLedger:
     entries: List[LedgerEntry] = field(default_factory=list)
 
     def record(self, round: int, direction: str, client_id: int,
-               payload_units: int, unit: str) -> "CommLedger":
+               payload_units: int, unit: str) -> None:
         if payload_units < 0:
             raise ValueError(f"negative payload: {payload_units}")
         if direction not in DIRECTIONS:
@@ -493,20 +493,10 @@ class CommLedger:
             raise ValueError(f"unknown unit: {unit!r}")
         self.entries.append(LedgerEntry(round, direction, client_id,
                                         int(payload_units), unit))
-        return self
 
-    def total(self, unit: Optional[str] = None) -> Union[int, Dict[str, int]]:
-        """Sum of payload_units grouped by unit.
-
-        With ``unit`` given, returns that unit's total (0 if absent);
-        otherwise returns a dict of totals per unit present.
-        """
-        totals: Dict[str, int] = {}
-        for e in self.entries:
-            totals[e.unit] = totals.get(e.unit, 0) + e.payload_units
-        if unit is not None:
-            return totals.get(unit, 0)
-        return totals
+    def total(self, unit: str) -> int:
+        """Sum of the payload_units recorded in ``unit`` (0 if none)."""
+        return sum(e.payload_units for e in self.entries if e.unit == unit)
 
     def round_total(self, round: int, unit: str) -> int:
         return sum(e.payload_units for e in self.entries

@@ -12,7 +12,7 @@ squared-loss risk over sampled linear-regression prompts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,24 +87,8 @@ class LsaParams:
         object.__setattr__(self, "w_kq", w_kq)
         object.__setattr__(self, "w_pv", w_pv)
 
-    @property
-    def dim(self) -> int:
-        return self.w_kq.shape[0] - 1
-
     def with_rho(self, rho: float) -> "LsaParams":
         return LsaParams(self.w_kq, self.w_pv, rho)
-
-    def to_json(self) -> dict:
-        return {
-            "w_kq": self.w_kq.tolist(),
-            "w_pv": self.w_pv.tolist(),
-            "rho": self.rho,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "LsaParams":
-        return LsaParams(np.array(obj["w_kq"]), np.array(obj["w_pv"]),
-                         float(obj["rho"]))
 
 
 def build_embedding(examples: Sequence[Tuple[Covariate, float]],
@@ -254,18 +238,15 @@ class PretrainSpec:
         return LsaParams(w_kq=w_kq, w_pv=w_pv, rho=float(self.t_prompt))
 
 
-def sample_prompts(spec: PretrainSpec,
-                   rng: Optional[np.random.Generator] = None,
-                   b: Optional[int] = None):
+def sample_prompts(spec: PretrainSpec):
     """Sample B linear-regression prompts as (A, u, y) batches.
 
     A[b] = E_b E_b^T, u[b] = last embedding column (x_query; 0),
     y[b] = the query's true label <w_b, x_query>. Only these enter the
     prediction, so prompts are reduced at sampling time.
     """
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    b = b if b is not None else spec.b_tasks
-    d, t = spec.dim, spec.t_prompt
+    rng = np.random.default_rng(spec.seed)
+    b, d, t = spec.b_tasks, spec.dim, spec.t_prompt
     chol = np.linalg.cholesky(spec.lam)
     w = rng.standard_normal((b, d))
     xs = rng.standard_normal((b, t + 1, d)) @ chol.T
@@ -310,7 +291,6 @@ def empirical_loss(params: LsaParams, a: np.ndarray, u: np.ndarray,
 class PretrainResult:
     params: LsaParams
     final_loss: float
-    steps: int
     loss_trace: Tuple[float, ...]
 
 
@@ -340,7 +320,7 @@ def pretrain_gd(spec: PretrainSpec) -> PretrainResult:
     final_loss = empirical_loss(final, a, u, y)
     loss_trace.append(final_loss)
     return PretrainResult(params=final, final_loss=final_loss,
-                          steps=spec.max_steps, loss_trace=tuple(loss_trace))
+                          loss_trace=tuple(loss_trace))
 
 
 def prediction_map(params: LsaParams) -> np.ndarray:

@@ -52,10 +52,13 @@ class ProtocolConfig:
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"unknown init mode: {self.init_mode!r}")
         check_int("rounds", self.rounds)
+        check_int("seed", self.seed)
         if self.context_count is not None:
             check_int("context_count", self.context_count)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.context_count is not None and self.context_count < 1:
             raise ValueError("context_count must be >= 1 when set")
 
@@ -89,10 +92,11 @@ class ProtocolError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def init_labels(covariates: Sequence[Covariate], mode: str,
-                backend: Optional[LmBackend] = None,
+                client: Optional[ClientState] = None,
                 rng: Optional[np.random.Generator] = None) -> Dataset:
     """Build the round-1 query set C_1; ``zeros`` gives text queries empty
-    answers, and ``random`` needs vector queries. A query set it cannot
+    answers, ``random`` needs vector queries, and ``backend_generated``
+    asks ``client``'s backend with no context. A query set it cannot
     build raises ``ConfigError`` before any backend call."""
     covariates = covariate_column(covariates)
     m, text = len(covariates), isinstance(covariates, tuple)
@@ -106,9 +110,10 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
         rng = rng if rng is not None else np.random.default_rng(0)
         labels = RealColumn(rng.standard_normal(m))
     elif mode == "backend_generated":
-        if backend is None:
-            raise ValueError("backend_generated initialization needs a backend")
-        labels = backend.answer([((), (), covariates, None)])[0]
+        if client is None:
+            raise ValueError("backend_generated initialization needs a client")
+        labels = _answer_in_context([client], [((), (), covariates, None)],
+                                    "C_1", None)[0]
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return Dataset(covariates=covariates, labels=labels)
@@ -125,7 +130,7 @@ def step1_relabel(group: Sequence[ClientState], c_k: Dataset,
     neighbours = neighbours or [None] * len(group)
     return _answer_in_context(group, [
         (c_k.covariates, c_k.labels, client.original.covariates, nb)
-        for client, nb in zip(group, neighbours)], 1, usages)
+        for client, nb in zip(group, neighbours)], "step 1", usages)
 
 
 def step2_answer(group: Sequence[ClientState],
@@ -141,27 +146,28 @@ def step2_answer(group: Sequence[ClientState],
     neighbours = neighbours or [None] * len(group)
     return _answer_in_context(group, [
         (covs, labels, queries, nb)
-        for (covs, labels), nb in zip(contexts, neighbours)], 2, usages)
+        for (covs, labels), nb in zip(contexts, neighbours)], "step 2",
+        usages)
 
 
 def _answer_in_context(group: Sequence[ClientState], asks: List[Ask],
-                       step: int, usages: Optional[Sequence[Dict[str, int]]]
+                       step: str, usages: Optional[Sequence[Dict[str, int]]]
                        ) -> List[Labels]:
-    """One ``answer`` call with each client's ask; a failure names the
-    client whose answers are wrong, or the group's first client when the
-    call itself fails."""
+    """One ``answer`` call with each client's ask, for ``step`` (``C_1``,
+    ``step 1`` or ``step 2``); a failure names the client whose answers
+    are wrong, or the group's first client when the call itself fails."""
     try:
         columns = [label_column(col)
                    for col in group[0].backend.answer(asks, usages)]
     except Exception as exc:
-        raise ProtocolError(f"step {step} backend failure: {exc}",
+        raise ProtocolError(f"{step} backend failure: {exc}",
                             group[0].client_id) from exc
     if len(columns) != len(asks):
-        raise ProtocolError(f"step {step}: {len(columns)} answer columns to "
+        raise ProtocolError(f"{step}: {len(columns)} answer columns to "
                             f"{len(asks)} clients", group[0].client_id)
     for client, (_, _, queries, _), answers in zip(group, asks, columns):
         if len(answers) != len(queries):
-            raise ProtocolError(f"step {step}: {len(answers)} answers to "
+            raise ProtocolError(f"{step}: {len(answers)} answers to "
                                 f"{len(queries)} queries", client.client_id)
     return columns
 
@@ -273,7 +279,11 @@ def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
 class ProtocolResult:
     traces: List[RoundTrace]
     ledger: CommLedger
-    final: Dataset
+
+    @property
+    def final(self) -> Dataset:
+        """The last round's aggregated query set."""
+        return self.traces[-1].aggregated
 
 
 def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
@@ -398,8 +408,7 @@ def run(config: ProtocolConfig,
                                    categories=merged.categories))]
 
     rng = np.random.default_rng(config.seed)
-    c_k = init_labels(queries, config.init_mode,
-                      backend=clients[0].backend, rng=rng)
+    c_k = init_labels(queries, config.init_mode, clients[0], rng)
     ledger = CommLedger()
     # one payload row per client: backends that answer with reals (every
     # cap agrees, by ``_check_run``) send 64 bits a real, vector questions
@@ -465,4 +474,4 @@ def run(config: ProtocolConfig,
             executor.shutdown()
         if trace_path is not None:
             save_traces(traces, trace_path)
-    return ProtocolResult(traces=traces, ledger=ledger, final=c_k)
+    return ProtocolResult(traces=traces, ledger=ledger)

@@ -59,12 +59,6 @@ def compute_contraction(client_datasets: Sequence[ClientDataset],
     return h_cont, w_limit
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    # H_cont is a product of two symmetric matrices, hence generally
-    # non-symmetric: use singular values for the operator 2-norm.
-    return float(np.linalg.norm(np.asarray(mat, dtype=float), 2))
-
-
 def fixed_point(h_cont: np.ndarray, w_limit: np.ndarray) -> np.ndarray:
     """w* = (2I - H_cont)^-1 w_limit."""
     h_cont = np.asarray(h_cont, dtype=float)
@@ -79,12 +73,16 @@ def fixed_point(h_cont: np.ndarray, w_limit: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TheoryState:
-    gamma: np.ndarray
     h_cont: np.ndarray
     w_limit: np.ndarray
     w_star: Optional[np.ndarray]
     w_trace: Tuple[np.ndarray, ...]  # w_1, w_2, ...
-    h_norm: float
+
+    @property
+    def h_norm(self) -> float:
+        """||H_cont||_2, its largest singular value: H_cont, a product of
+        two symmetric matrices, is generally not symmetric."""
+        return float(np.linalg.norm(self.h_cont, 2))
 
     @staticmethod
     def initialize(client_datasets: Sequence[ClientDataset],
@@ -96,10 +94,8 @@ class TheoryState:
             w_star: Optional[np.ndarray] = fixed_point(h_cont, w_limit)
         except NonContractiveError:
             w_star = None
-        return TheoryState(gamma=np.asarray(gamma_mat, dtype=float),
-                           h_cont=h_cont, w_limit=w_limit, w_star=w_star,
-                           w_trace=(np.zeros(len(w_limit)),),
-                           h_norm=spectral_norm(h_cont))
+        return TheoryState(h_cont=h_cont, w_limit=w_limit, w_star=w_star,
+                           w_trace=(np.zeros(len(w_limit)),))
 
 
 def iterate_recursion(state: TheoryState, rounds: int) -> TheoryState:
@@ -136,18 +132,24 @@ class ContractionReport:
         }
 
 
-def verify_contraction(state: TheoryState, slack: float = 1e-9) -> ContractionReport:
-    """Check ||w_{k+1} - w*|| <= 1/2 ||H_cont|| ||w_k - w*|| along the trace.
+#: the absolute error allowed on each step of the contraction bound
+SLACK = 1e-9
+
+
+def verify_contraction(state: TheoryState) -> ContractionReport:
+    """Check ||w_{k+1} - w*|| <= 1/2 ||H_cont|| ||w_k - w*|| + ``SLACK``
+    along the trace.
 
     Non-contractive configurations (||H_cont|| >= 2 or no fixed point) are
     reported, not raised, so divergence can be demonstrated.
     """
     if len(state.w_trace) < 2:
         raise ValueError("w_trace must hold at least two iterates")
-    bound = 0.5 * state.h_norm
-    contractive = state.w_star is not None and state.h_norm < 2.0
+    h_norm = state.h_norm
+    bound = 0.5 * h_norm
+    contractive = state.w_star is not None and h_norm < 2.0
     if state.w_star is None:
-        return ContractionReport(h_norm=state.h_norm,
+        return ContractionReport(h_norm=h_norm,
                                  rounds=len(state.w_trace) - 1, ratios=(),
                                  bound=bound, contractive=False, passed=False)
     errs = [float(np.linalg.norm(w - state.w_star)) for w in state.w_trace]
@@ -156,17 +158,17 @@ def verify_contraction(state: TheoryState, slack: float = 1e-9) -> ContractionRe
     failed_round: Optional[int] = None
     # a ratio is only meaningful while the error is large enough that float
     # roundoff (~eps * ||w*||) cannot perturb it by more than the slack
-    floor = max(slack,
+    floor = max(SLACK,
                 np.finfo(float).eps * float(np.linalg.norm(state.w_star))
-                / slack)
+                / SLACK)
     for k in range(len(errs) - 1):
         if errs[k] > floor:
             ratios.append(errs[k + 1] / errs[k])
-        if errs[k + 1] > bound * errs[k] + slack:
+        if errs[k + 1] > bound * errs[k] + SLACK:
             passed = False
             if failed_round is None:
                 failed_round = k + 1
-    return ContractionReport(h_norm=state.h_norm, rounds=len(errs) - 1,
+    return ContractionReport(h_norm=h_norm, rounds=len(errs) - 1,
                              ratios=tuple(ratios), bound=bound,
                              contractive=contractive,
                              passed=passed and contractive,

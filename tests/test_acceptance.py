@@ -384,7 +384,7 @@ def test_criterion_12_remote_wire_contract():
         script = [(429, {"error": "rate limited"}, {"Retry-After": "0"}),
                   (200, None, {})]
         with MockLlmServer(script=script) as srv:
-            backend = RemoteBackend(srv.url, backoff_base=0.0)
+            backend = RemoteBackend(srv.url)
             got = backend.answer([((), (), ["q"], None)])[0][0]
             assert got == TextLabel("mock answer")
             assert len(srv.requests) == 2

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import fedicl
-from fedicl.backend import (RETRY_AFTER_MAX_S, GenerationParams, LsaBackend,
-                            RemoteBackend, RemoteBackendError, render_prompt)
+from fedicl.backend import (BACKOFF_BASE_S, RETRY_AFTER_MAX_S,
+                            GenerationParams, LsaBackend, RemoteBackend,
+                            RemoteBackendError, render_prompt)
 from fedicl.core import ConfigError, RealLabel, TextLabel, real_values
 from fedicl.lsa import gamma, predict_closed_form
 
@@ -339,8 +340,7 @@ def test_remote_backend_retries_on_rate_limit():
     script = [(429, {"error": "slow down"}, {"Retry-After": "0"}),
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
-        backend = RemoteBackend(srv.url, backoff_base=0.0)
-        got = answer_one(backend, EMPTY, ["q"])[0]
+        got = answer_one(RemoteBackend(srv.url), EMPTY, ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
 
@@ -353,11 +353,10 @@ def test_remote_backend_falls_back_to_backoff_on_an_invalid_retry_after(
     script = [(503, {"error": "down"}, {"Retry-After": retry_after}),
               (200, None, {})]
     with MockLlmServer(script=script) as srv:
-        backend = RemoteBackend(srv.url, backoff_base=0.25)
-        got = answer_one(backend, EMPTY, ["q"])[0]
+        got = answer_one(RemoteBackend(srv.url), EMPTY, ["q"])[0]
         assert len(srv.requests) == 2
     assert got == TextLabel("mock answer")
-    assert slept == [0.25]   # the first retry's exponential delay
+    assert slept == [BACKOFF_BASE_S]   # the first retry's exponential delay
 
 
 @pytest.mark.parametrize("retry_after", ["1e6", "1e300"])
@@ -377,7 +376,7 @@ def test_remote_backend_waits_at_most_the_retry_after_ceiling(monkeypatch,
 def test_remote_backend_gives_up_after_max_retries():
     script = [(503, {"error": "down"}, {"Retry-After": "0"})] * 3
     with MockLlmServer(script=script) as srv:
-        backend = RemoteBackend(srv.url, backoff_base=0.0,
+        backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_retries=2))
         with pytest.raises(RemoteBackendError, match="503"):
             answer_one(backend, EMPTY, ["q"])[0]
@@ -387,7 +386,7 @@ def test_remote_backend_gives_up_after_max_retries():
 def test_remote_backend_non_retryable_fails_fast():
     script = [(400, {"error": "bad request"}, {})]
     with MockLlmServer(script=script) as srv:
-        backend = RemoteBackend(srv.url, backoff_base=0.0)
+        backend = RemoteBackend(srv.url)
         with pytest.raises(RemoteBackendError, match="400"):
             answer_one(backend, EMPTY, ["q"])[0]
         assert len(srv.requests) == 1
@@ -504,12 +503,12 @@ def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
 
     monkeypatch.setattr(time, "sleep", slept.append)
     monkeypatch.setattr(socket, "create_connection", connect)
-    backend = RemoteBackend(f"http://127.0.0.1:{port}", backoff_base=0.25,
+    backend = RemoteBackend(f"http://127.0.0.1:{port}",
                             params=GenerationParams(max_retries=3))
     with pytest.raises(RemoteBackendError, match="transport failure"):
         answer_one(backend, EMPTY, ["q"])
     assert connects == [("127.0.0.1", port)] * 4
-    assert slept == [0.25, 0.5, 1.0]
+    assert slept == [BACKOFF_BASE_S, 2 * BACKOFF_BASE_S, 4 * BACKOFF_BASE_S]
 
 
 @pytest.mark.parametrize("keep_alive,connections", [(True, 1), (False, 3)],

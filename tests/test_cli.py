@@ -129,6 +129,11 @@ def protocol_with(**settings):
     return dict(SIM_CFG, protocol=dict(SIM_CFG["protocol"], **settings))
 
 
+#: an instance spelled out in the dataset section
+EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
+                "server": [[1.0]]}
+
+
 @pytest.mark.parametrize("mode,config,message", [
     ("theory", {"dataset": {"gamma": NOT_SPD, "server": [[1.0, 0.0]],
                             "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]}},
@@ -192,6 +197,8 @@ def protocol_with(**settings):
         protocol={"variant": "fedicl_free"}), "differ in dimension"),
     ("partition", {"partition": 1, "dataset": {"path": __file__}},
      "partition must be a JSON object"),
+    ("simulate", dict(SIM_CFG, dataset=EXPLICIT_CFG,
+                      protocol={"seed": -1}), "seed must be >= 0"),
 ], ids=["theory-gamma-not-spd", "simulate-gamma-not-spd",
         "theory-lambda-not-spd",
         "simulate-lambda-not-spd", "theory-d-0", "simulate-d-0",
@@ -206,7 +213,7 @@ def protocol_with(**settings):
         "theory-not-object", "theory-moved-key", "simulate-theory-key",
         "theory-aggregation", "theory-explicit-no-clients",
         "simulate-gamma-dimension",
-        "partition-not-object"])
+        "partition-not-object", "negative-seed"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
                                               mode, config, message):
     with MockLlmServer() as srv:
@@ -313,18 +320,20 @@ def test_simulate_exits_1_when_a_modeled_run_leaves_the_recursion(
     assert min(metrics["max_theory_deviation_per_round"]) > 1e-9
 
 
+#: kNN context on the LSA backend: the labels grow every round until they
+#: overflow
+DIVERGING_CFG = {"seed": 7, "dataset": {"d": 2, "num_clients": 2,
+                                        "examples_per_client": 10,
+                                        "num_queries": 6},
+                 "protocol": {"rounds": 2000, "context_count": 2}}
+
+
 def test_simulate_exits_4_when_a_run_diverges(tmp_path, capsys):
-    # kNN context on the LSA backend: the labels grow every round until
-    # they overflow
-    config = {"seed": 7, "dataset": {"d": 2, "num_clients": 2,
-                                     "examples_per_client": 10,
-                                     "num_queries": 6},
-              "protocol": {"rounds": 2000, "context_count": 2}}
     # numpy's overflow warnings would raise here: the run must give none
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(tmp_path, "simulate",
-                            write_config(tmp_path, config))
+                            write_config(tmp_path, DIVERGING_CFG))
     assert code == cli.EXIT_NONCONTRACTIVE
     traces = core.load_traces(out / "traces.jsonl")
     assert len(traces) == 2000
@@ -600,6 +609,41 @@ def test_simulate_backend_failure_exits_3(tmp_path):
         code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_BACKEND
     assert (out / "traces.jsonl").read_text() == ""
+
+
+def text_run(tmp_path, url, **protocol_cfg):
+    """A remote text run of two rounds against ``url``."""
+    return {"dataset": write_files(tmp_path, TEXT_CLIENTS, TEXT_QUERIES),
+            "protocol": dict({"rounds": 2}, **protocol_cfg),
+            "backend": {"kind": "remote", "endpoint": url}}
+
+
+HTTP_400 = "request failed after retries: HTTP 400"
+
+
+@pytest.mark.parametrize("config,extra,code,line", [
+    (lambda tmp_path, url: dict(SIM_CFG, dataset=EXPLICIT_CFG),
+     ["--seed", "-3"], cli.EXIT_CONFIG,
+     "config error: protocol: seed must be >= 0"),
+    (text_run, [], cli.EXIT_BACKEND,
+     f"backend error: client 1: step 1 backend failure: {HTTP_400}"),
+    (lambda tmp_path, url: text_run(tmp_path, url,
+                                    init_mode="backend_generated"),
+     [], cli.EXIT_BACKEND,
+     f"backend error: client 1: C_1 backend failure: {HTTP_400}"),
+    (lambda tmp_path, url: DIVERGING_CFG, [], cli.EXIT_NONCONTRACTIVE,
+     "run diverged: round "),
+], ids=["bad-config", "failing-round", "failing-c-1", "diverging-knn-run"])
+def test_each_failure_of_simulate_has_its_exit_code_and_one_stderr_line(
+        tmp_path, capsys, config, extra, code, line):
+    # the stub answers the first request 400, which ends a run
+    with MockLlmServer(script=[(400, {"error": "bad request"}, {})]) as srv:
+        got, _ = run_cli(tmp_path, "simulate", write_config(
+            tmp_path, config(tmp_path, srv.url)), extra=extra)
+        assert len(srv.requests) == (code == cli.EXIT_BACKEND)
+    assert got == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
 
 
 @pytest.mark.parametrize("kind,aggregation", [

@@ -30,13 +30,13 @@ def test_ledger_totals_grouped_by_unit():
     ledger.record(1, "downlink", 1, 3, "tokens")
     ledger.record(1, "downlink", 1, 4, "tokens")
     ledger.record(2, "uplink", 2, 128, "bits")
-    assert ledger.total() == {"tokens": 7, "bits": 128}
+    assert ledger.total("tokens") == 7
     assert ledger.total("bits") == 128
 
 
 def test_ledger_empty_total_zero():
-    assert CommLedger().total("tokens") == 0
-    assert CommLedger().total() == {}
+    assert [CommLedger().total(unit) for unit in core.UNITS] == [0] * len(
+        core.UNITS)
 
 
 def test_ledger_rejects_negative_payload():
@@ -56,7 +56,8 @@ def test_ledger_total_invariant_under_reordering(entries, rnd):
     rnd.shuffle(shuffled)
     for e in shuffled:
         b.record(*e)
-    assert a.total() == b.total()
+    assert ([a.total(unit) for unit in core.UNITS]
+            == [b.total(unit) for unit in core.UNITS])
 
 
 def test_multi_client_token_budget_hand_total():

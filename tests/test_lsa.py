@@ -161,14 +161,6 @@ def test_limit_params_scale_factors_cancel():
     assert np.allclose(product, np.linalg.inv(g))
 
 
-def test_lsa_params_json_round_trip():
-    p = limit_params(np.eye(2), 5)
-    q = LsaParams.from_json(p.to_json())
-    assert np.array_equal(p.w_kq, q.w_kq)
-    assert np.array_equal(p.w_pv, q.w_pv)
-    assert p.rho == q.rho
-
-
 # ---------------------------------------------------------------------------
 # closed-form prediction
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ def test_init_random_reproducible():
 
 def test_init_backend_generated():
     backend = LsaBackend(GAMMA_1D)
-    qs = init_labels([(1.0,), (2.0,)], "backend_generated", backend=backend)
+    qs = init_labels([(1.0,), (2.0,)], "backend_generated",
+                     ClientState(1, None, backend))
     # empty context: backend answers 0 for every query
     assert qs.labels == tuple(backend.answer([((), (), [q], None)])[0][0]
                               for q in qs.covariates)
@@ -58,7 +59,7 @@ def test_init_backend_generated():
 
 
 def test_init_backend_generated_requires_backend():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a client"):
         init_labels([(1.0,)], "backend_generated")
 
 
@@ -363,28 +364,35 @@ def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
             np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
 
 
+class CountingBackend(LsaBackend):
+    """An LSA backend that notes each ``answer`` call: a (query count,
+    whether it has neighbours) pair per ask."""
+
+    def __init__(self, gamma):
+        super().__init__(gamma)
+        self.calls = []
+
+    def answer(self, asks, usages=None):
+        self.calls.append([(len(queries), neighbours is not None)
+                           for _, _, queries, neighbours in asks])
+        return super().answer(asks, usages)
+
+
 def test_knn_run_makes_one_backend_call_per_client_step_round():
     rng = np.random.default_rng(33)
     clients_data, queries, g = unequal_regression(rng, d=2, sizes=(4, 6, 9),
                                                   m=5)
 
-    calls = []
-
-    class CountingBackend(LsaBackend):
-        def answer(self, asks, usages=None):
-            calls.append([(len(queries), neighbours is not None)
-                          for _, _, queries, neighbours in asks])
-            return super().answer(asks, usages)
-
     clients = [ClientState(ds.client_id, ds, CountingBackend(g))
                for ds in clients_data]
     run(ProtocolConfig(rounds=4, context_count=3), clients, queries,
         max_workers=1)
-    # the backends are equal, so per round one call answers step 1 for
-    # every client (an ask over its covariates) and one answers step 2 (an
-    # ask over the queries each), every ask with its neighbour indices
+    # the backends are equal, so per round one call to the first client's
+    # answers step 1 for every client (an ask over its covariates) and one
+    # answers step 2 (an ask over the queries each), every ask with its
+    # neighbour indices
     per_round = [[(len(ds), True) for ds in clients_data], [(5, True)] * 3]
-    assert calls == per_round * 4
+    assert [c.backend.calls for c in clients] == [per_round * 4, [], []]
 
 
 class SoloLsaBackend(LsaBackend):
@@ -827,7 +835,8 @@ def test_text_run_posts_once_per_answer_and_charges_nominal_tokens():
     # nominal accounting: every payload at the token cap; questions go down
     # once, labels down and answers up every round
     cap = params.max_tokens
-    assert result.ledger.total() == {
+    ledger = result.ledger
+    assert {e.unit: ledger.total(e.unit) for e in ledger.entries} == {
         "tokens": len(sizes) * m * cap * (2 * rounds + 1),
         "observed_tokens": observed}
     # round 1's step-1 prompts cite C_1: the queries with empty answers
@@ -910,18 +919,6 @@ def test_a_run_the_engine_cannot_make_fails_before_any_request(case):
         assert srv.requests == []
 
 
-class CountingBackend(LsaBackend):
-    """An LSA backend that notes the query count of each ``answer`` call."""
-
-    def __init__(self, gamma):
-        super().__init__(gamma)
-        self.calls = []
-
-    def answer(self, asks, usages=None):
-        self.calls.append([len(queries) for _, queries, _ in asks])
-        return super().answer(asks, usages)
-
-
 @pytest.mark.parametrize("variant", ["fedicl", "fedicl_free", "fedicl_lb"])
 def test_a_covariate_dimension_other_than_the_queries_is_a_config_error(
         variant):
@@ -958,6 +955,19 @@ def test_text_covariates_in_an_average_run_are_a_config_error(variant):
             [ClientState(1, local, backend)], np.eye(2),
             server_reference=reference)
     assert backend.calls == []
+
+
+def test_the_counting_backend_records_the_calls_of_an_accepted_run():
+    # the two runs above are rejected before any call; this one is not,
+    # so their empty ``calls`` can only mean that no call was made
+    rng = np.random.default_rng(34)
+    backend = CountingBackend(3 * np.eye(2))
+    run(ProtocolConfig(rounds=2, init_mode="backend_generated"),
+        [ClientState(1, real_dataset(1, rng.standard_normal((4, 2)),
+                                     np.ones(4)), backend)],
+        rng.standard_normal((3, 2)))
+    # C_1, then step 1 (the 4 local covariates) and step 2 (the 3 queries)
+    assert backend.calls == [[(3, False)]] + [[(4, False)], [(3, False)]] * 2
 
 
 def test_in_process_backends_answer_in_the_callers_thread(monkeypatch):
@@ -1005,6 +1015,36 @@ def test_text_run_reports_a_backend_failure_as_a_protocol_error():
         with pytest.raises(ProtocolError, match="step 1 backend failure"):
             run(ProtocolConfig(rounds=2, aggregation="fusion"),
                 text_clients(srv.url, (2, 3)), TEXT_QUERIES)
+
+
+def test_a_backend_failure_building_c_1_is_a_protocol_error():
+    # C_1 comes from the first client's backend, so a failure names it
+    with MockLlmServer(script=[(400, {"error": "bad request"}, {})]) as srv:
+        clients = text_clients(srv.url, (2, 3))[::-1]
+        with pytest.raises(ProtocolError, match="C_1 backend failure") as exc:
+            run(ProtocolConfig(rounds=2, aggregation="fusion",
+                               init_mode="backend_generated"),
+                clients, TEXT_QUERIES)
+        assert len(srv.requests) == 1
+    assert exc.value.client_id == 2
+
+
+class ShortBackend(LsaBackend):
+    """An LSA backend that gives one answer too few to every ask."""
+
+    def answer(self, asks, usages=None):
+        return [column[:-1] for column in super().answer(asks, usages)]
+
+
+def test_a_wrong_answer_count_for_c_1_is_a_protocol_error():
+    rng = np.random.default_rng(36)
+    clients_data, queries, g = random_regression(rng, d=2, l=2, n=4, m=3)
+    clients = [ClientState(c.client_id, c, ShortBackend(g))
+               for c in clients_data[::-1]]
+    with pytest.raises(ProtocolError, match="C_1: 2 answers to 3") as exc:
+        run(ProtocolConfig(rounds=2, init_mode="backend_generated"),
+            clients, queries)
+    assert exc.value.client_id == 2
 
 
 def test_text_step2_prompt_cites_a_relabeled_example():
@@ -1098,4 +1138,4 @@ def test_lsa_run_records_no_observed_usage():
     result = run(ProtocolConfig(rounds=2, init_mode="backend_generated"),
                  [ClientState(c.client_id, c, LsaBackend(g))
                   for c in clients_data], queries)
-    assert set(result.ledger.total()) == {"bits"}
+    assert {e.unit for e in result.ledger.entries} == {"bits"}
