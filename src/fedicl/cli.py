@@ -50,6 +50,8 @@ def _substream(seed: int, name: str) -> np.random.Generator:
     # all randomness flows from one root seed split into named substreams;
     # crc32 keeps the split stable across processes
     import zlib
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     return np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(zlib.crc32(name.encode()),)))
 

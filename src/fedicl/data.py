@@ -76,6 +76,8 @@ class PartitionSpec:
             raise ValueError("num_clients must be >= 1")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if any(p < 0 for p in prior) or abs(sum(prior) - 1.0) > 1e-12:
             raise ValueError("prior must be a probability vector")
 
@@ -176,74 +178,83 @@ def category_entropy(dataset: ClientDataset) -> float:
 # kNN context selection (exact search; desk-scale datasets)
 # ---------------------------------------------------------------------------
 
-#: Most elements in one block's (queries, pool) distance matrix, and in its
-#: (queries, candidates, dim) re-rank array
+#: Most elements in one block's (queries, pool) distance matrix
 KNN_BLOCK_ELEMENTS = 16_384
 
 
 def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
-                c: int, embedder: Embedder, distances: bool = False):
+                c: int, embedder: Embedder, keys: bool = False,
+                sizes: Optional[Sequence[int]] = None):
     """Indices into ``pool`` of each query's c nearest covariates: a (Q,
     min(c, len(pool))) integer array, rows nearest-first, distance ties in
     pool order (the first c of each query's stable argsort of its
-    ``norm(pool - q, axis=1)``). With ``distances``, also those norms: a
-    float array of the same shape. The pool and the queries are embedded once
+    ``norm(pool - q, axis=1)``). With ``sizes``, ``pool`` holds pools of
+    those lengths end to end, and a list holds one such array per pool, of
+    indices into that pool. With ``keys``, each array comes with a float
+    array of its shape that increases along each row and is equal exactly
+    where those distances tie. The pool and the queries are embedded once
     each, and searched a block of queries at a time, so that a block's
-    distance matrix and re-rank array each hold at most
-    ``KNN_BLOCK_ELEMENTS`` elements (or one query's, if that is more).
+    distance matrix holds at most ``KNN_BLOCK_ELEMENTS`` elements (or one
+    query's, if that is more).
 
-    A block's squared distances come from one matrix product; each query
-    keeps its c + 8 nearest by those as candidates, which the exact
-    distance re-ranks. A query whose nearest non-candidate is not clear of
-    its c-th exact distance by a rounding slack is searched exactly over
-    the whole pool instead."""
+    A block's squared distances, less each query's ``|q|^2``, come from
+    one matrix product. Each query sorts its c + 1 nearest in each pool by
+    those, and keeps the first c when all of them are clear of each other
+    by a rounding slack; any other query is searched exactly in that pool."""
     if c < 1:
         raise ValueError("c must be >= 1")
     pool_emb = embedder.embed_many(pool)
     query_emb = embedder.embed_many(queries)
-    (n, d), k = pool_emb.shape, min(c, len(pool_emb))
-    m = min(k + 8, n)  # candidates per query; m == n: all of the pool
-    rows = max(1, KNN_BLOCK_ELEMENTS // max(n, m * d, 1))
+    (n, d), q = pool_emb.shape, len(query_emb)
+    lengths = [n] if sizes is None else list(sizes)
+    starts = np.cumsum([0] + lengths[:-1])
+    rows = max(1, KNN_BLOCK_ELEMENTS // max(n, 1))
     pool_sq = np.einsum("ij,ij->i", pool_emb, pool_emb)
-    pool_norm = np.sqrt(pool_sq.max(initial=0.0))
-    nearest = np.empty((len(query_emb), k), dtype=np.intp)
-    near = np.empty((len(query_emb), k)) if distances else None
-    for lo in range(0, len(query_emb), rows):
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    # the pools of one size are searched together: (pools, size) columns
+    plans, found = [], [None] * len(lengths)
+    for size in dict.fromkeys(lengths):
+        at = [i for i, length in enumerate(lengths) if length == size]
+        cols, k = starts[at, None] + np.arange(size), min(c, size)
+        nearest = np.empty((q, len(at), k), dtype=np.intp)
+        key = np.empty(nearest.shape)
+        if size:
+            plans.append((cols, k, min(k + 1, size), nearest, key, np.sqrt(
+                pool_sq[cols].max(axis=1, initial=0))))
+        for j, i in enumerate(at):
+            found[i] = (nearest[:, j], key[:, j]) if keys else nearest[:, j]
+    for lo in range(0, q, rows):
         block = query_emb[lo:lo + rows]
-        at = np.arange(len(block))[:, None]
-        if m == n:
-            cand = np.broadcast_to(np.arange(n), (len(block), n))
-        else:
-            block_sq = np.einsum("ij,ij->i", block, block)
-            approx = pool_sq - 2.0 * (block @ pool_emb.T) + block_sq[:, None]
-            part = np.argpartition(approx, m, axis=1)
-            cand = np.sort(part[:, :m], axis=1)  # pool order, for stable ties
-            outside = approx[at[:, 0], part[:, m]]  # nearest non-candidate
-        # each row is bitwise the norm(pool_emb - q, axis=1) of its candidates
-        exact = np.linalg.norm(pool_emb[cand] - block[:, None], axis=2)
-        order = np.argsort(exact, axis=1, kind="stable")[:, :k]
-        nearest[lo:lo + rows] = cand[at, order]
-        if distances:
-            near[lo:lo + rows] = exact[at, order]
-        if m == n:
-            continue
-        kth = exact[at[:, 0], order[:, -1]]
-        # Either form of a squared distance errs by at most about
-        # (d + 3) eps (|p| + |q|)^2, plus d half-subnormals where squares
-        # underflow. A non-candidate whose product-form distance exceeds
-        # the c-th exact one squared by 8 (d + 4) (eps (|p| + |q|)^2 + one
-        # subnormal) is exactly farther, so it can neither be nearer nor
-        # tie. Any other row (a tie, lost precision, NaN or inf) is
-        # searched exactly.
-        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-        slack = 8 * (d + 4) * (eps * (pool_norm + np.sqrt(block_sq)) ** 2
-                               + tiny)
-        for i in np.flatnonzero(~(outside > kth * kth + slack)):
-            dist = np.linalg.norm(pool_emb - block[i], axis=1)
-            nearest[lo + i] = np.argsort(dist, kind="stable")[:k]
-            if distances:
-                near[lo + i] = dist[nearest[lo + i]]
-    return (nearest, near) if distances else nearest
+        # squared distances less |q|^2, which is constant along a row
+        approx = pool_sq - 2.0 * (block @ pool_emb.T)
+        for cols, k, m, nearest, key, pool_norm in plans:
+            # one row per (query, pool); flat indices gather from a row
+            seg = (approx if len(plans) == 1 else approx[:, cols]).reshape(
+                -1, cols.shape[1])
+            at = np.arange(len(seg))[:, None]
+            top = np.argpartition(seg, m - 1, axis=1)[:, :m]
+            vals = seg.ravel()[top + at * seg.shape[1]]
+            order = np.argsort(vals, axis=1) + at * m
+            top, vals = top.ravel()[order], vals.ravel()[order]
+            nearest[lo:lo + rows] = top[:, :k].reshape(len(block), -1, k)
+            key[lo:lo + rows] = vals[:, :k].reshape(len(block), -1, k)
+            # The product above errs from a true squared distance less
+            # |q|^2, and the sum of squares in norm() from that distance,
+            # by at most about E = (d + 3) eps (|p| + |q|)^2 + d half-
+            # subnormals each, and slack >= 8 E. Where consecutive products
+            # differ by over 2 slack, the sums differ by over 1.5 slack, so
+            # by over 4 eps times either: they and their correctly rounded
+            # square roots keep the products' strict order, which is the
+            # stable argsort's. Any other row (a tie, lost digits; NaN or
+            # inf make slack NaN or inf) is searched exactly.
+            slack = 8 * (d + 4) * (eps * (pool_norm + np.linalg.norm(
+                block, axis=1)[:, None]) ** 2 + tiny)
+            clear = (np.diff(vals, axis=1) > 2 * slack.reshape(-1, 1)).all(1)
+            for i, j in zip(*np.divmod(np.flatnonzero(~clear), len(cols))):
+                dist = np.linalg.norm(pool_emb[cols[j]] - block[i], axis=1)
+                nearest[lo + i, j] = np.argsort(dist, kind="stable")[:k]
+                key[lo + i, j] = dist[nearest[lo + i, j]]
+    return found if sizes is not None else found[0]
 
 
 # ---------------------------------------------------------------------------

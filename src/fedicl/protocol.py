@@ -200,7 +200,8 @@ def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
 
     Every client's step-1 pool is the queries, so one search of the
     group's local covariates, stacked, serves all of step 1: each row of a
-    search is the first c of its own stable argsort."""
+    search is the first c of its own stable argsort. One more search, of
+    every client's step-2 pool at once, serves all of step 2."""
     c = config.context_count
     if c is None:
         return [None] * len(group), [None] * len(group)
@@ -210,30 +211,25 @@ def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
         covs = [client.original.covariates for client in group]
         step1 = np.split(knn_context(queries, stack_covariates(covs), c, emb),
                          np.cumsum([len(x) for x in covs[:-1]]))
-    return step1, [_step2_neighbours(client, c, queries, emb, pool,
-                                     config.relabels and len(kept) > 0)
-                   for client, (pool, kept) in zip(group, pools)]
-
-
-def _step2_neighbours(client: ClientState, c: int,
-                      queries: Sequence[Covariate], emb: Embedder,
-                      pool: Sequence[Covariate], doubled: bool
-                      ) -> Optional[np.ndarray]:
-    """Step 2's kNN indices into the client's ``pool`` of covariates,
-    which is ``doubled`` when it holds the local covariates twice; None
-    when the pool is every query's context."""
-    if c >= len(pool):
-        return None
-    if not doubled:
-        return knn_context(pool, queries, c, emb)
-    local = client.original.covariates
-    # D^i ++ D_k^i holds each local covariate twice: search them once, then
-    # lay the c nearest out in the doubled pool's stable order, where among
-    # equal distances every row j comes before every row N + j
-    nearest, dist = knn_context(local, queries, c, emb, distances=True)
-    order = np.argsort(np.hstack([dist, dist]), axis=1, kind="stable")
-    doubled = np.hstack([nearest, nearest + len(local)])
-    return np.take_along_axis(doubled, order[:, :c], axis=1)
+    # step 2 searches the pools that are not every query's context, and
+    # in D^i ++ D_k^i, which holds each local covariate twice, those once
+    at = [i for i, (covs, _) in enumerate(pools) if c < len(covs)]
+    searched = [group[i].original.covariates if config.relabels
+                and len(pools[i][1]) else pools[i][0] for i in at]
+    step2 = [None] * len(group)
+    if not at:
+        return step1, step2
+    found = knn_context(stack_covariates(searched), queries, c, emb,
+                        keys=True, sizes=[len(x) for x in searched])
+    for i, local, (nearest, key) in zip(at, searched, found):
+        if len(pools[i][0]) > len(local):
+            # lay the c nearest out in the doubled pool's stable order,
+            # where among equal distances row j comes before row N + j
+            order = np.argsort(np.hstack([key, key]), axis=1, kind="stable")
+            nearest = np.take_along_axis(np.hstack(
+                [nearest, nearest + len(local)]), order[:, :c], axis=1)
+        step2[i] = nearest
+    return step1, step2
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +395,12 @@ def run(config: ProtocolConfig,
     queries = covariate_column(queries)  # every round shares this column
     _check_run(config, clients, queries, embedder, server_reference)
 
-    if config.variant == "fedicl_ub":
+    if config.variant == "fedicl_ub":   # one client, with the first's id
+        cid = clients[0].client_id
         merged = concat([c.original for c in clients])
-        clients = [ClientState(client_id=1, backend=clients[0].backend,
+        clients = [ClientState(client_id=cid, backend=clients[0].backend,
                                original=ClientDataset(
-                                   1, covariates=merged.covariates,
+                                   cid, covariates=merged.covariates,
                                    labels=merged.labels,
                                    categories=merged.categories))]
 

@@ -70,8 +70,9 @@ def test_knn_run_searches_once_per_client_step_and_embeds_through_embed_many():
     counts = traced_span_counts(context_count=2)
     assert "core.save_traces" not in counts   # no trace_path, no traces
     # for the whole run, not per round: one step-1 search for the group
-    # (the queries are every client's pool) and one step-2 search per client
-    assert counts["data.knn"] == 1 + 3
+    # (the queries are every client's pool) and one step-2 search of every
+    # client's pool at once
+    assert counts["data.knn"] == 2
     assert counts["data.embed_many"] == 2 * counts["data.knn"]
     # the identity embedder embeds each array of covariates in one call
     assert counts["data.embed"] == counts["data.embed_many"]

@@ -621,24 +621,31 @@ def text_run(tmp_path, url, **protocol_cfg):
 HTTP_400 = "request failed after retries: HTTP 400"
 
 
-@pytest.mark.parametrize("config,extra,code,line", [
-    (lambda tmp_path, url: dict(SIM_CFG, dataset=EXPLICIT_CFG),
+@pytest.mark.parametrize("mode,config,extra,code,line", [
+    ("simulate", lambda tmp_path, url: dict(SIM_CFG, dataset=EXPLICIT_CFG),
      ["--seed", "-3"], cli.EXIT_CONFIG,
      "config error: protocol: seed must be >= 0"),
-    (text_run, [], cli.EXIT_BACKEND,
+    ("simulate", text_run, [], cli.EXIT_BACKEND,
      f"backend error: client 1: step 1 backend failure: {HTTP_400}"),
-    (lambda tmp_path, url: text_run(tmp_path, url,
-                                    init_mode="backend_generated"),
-     [], cli.EXIT_BACKEND,
+    ("simulate", lambda tmp_path, url: text_run(
+        tmp_path, url, init_mode="backend_generated"), [], cli.EXIT_BACKEND,
      f"backend error: client 1: C_1 backend failure: {HTTP_400}"),
-    (lambda tmp_path, url: DIVERGING_CFG, [], cli.EXIT_NONCONTRACTIVE,
-     "run diverged: round "),
-], ids=["bad-config", "failing-round", "failing-c-1", "diverging-knn-run"])
+    ("simulate", lambda tmp_path, url: DIVERGING_CFG, [],
+     cli.EXIT_NONCONTRACTIVE, "run diverged: round "),
+    # theory and partition take the seed as simulate does
+    ("theory", lambda tmp_path, url: SIM_CFG, ["--seed", "-3"],
+     cli.EXIT_CONFIG, "config error: dataset: seed must be >= 0"),
+    ("partition", lambda tmp_path, url: {
+        "dataset": {"path": make_corpus_file(tmp_path)[0]},
+        "partition": {"num_clients": 2, "alpha": 1.0}}, ["--seed", "-3"],
+     cli.EXIT_CONFIG, "config error: partition: seed must be >= 0"),
+], ids=["bad-config", "failing-round", "failing-c-1", "diverging-knn-run",
+        "theory-negative-seed", "partition-negative-seed"])
 def test_each_failure_of_simulate_has_its_exit_code_and_one_stderr_line(
-        tmp_path, capsys, config, extra, code, line):
+        tmp_path, capsys, mode, config, extra, code, line):
     # the stub answers the first request 400, which ends a run
     with MockLlmServer(script=[(400, {"error": "bad request"}, {})]) as srv:
-        got, _ = run_cli(tmp_path, "simulate", write_config(
+        got, _ = run_cli(tmp_path, mode, write_config(
             tmp_path, config(tmp_path, srv.url)), extra=extra)
         assert len(srv.requests) == (code == cli.EXIT_BACKEND)
     assert got == code

@@ -160,6 +160,8 @@ def test_partition_spec_validation():
         PartitionSpec(num_clients=1, alpha=0.0, prior=(1.0,))
     with pytest.raises(ValueError):
         PartitionSpec(num_clients=1, alpha=1.0, prior=(0.7, 0.7))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PartitionSpec(num_clients=1, alpha=1.0, prior=(1.0,), seed=-3)
 
 
 def test_category_entropy_values():
@@ -265,6 +267,17 @@ def knn_cases():
     yield "tie across the boundary", tied, np.array([[q]]), 1
 
 
+def assert_keys_order_as_distances(pool, queries, nearest, key):
+    """``key`` increases along each row of ``nearest``, and ties exactly
+    where the exact distances do."""
+    dist = np.array([np.linalg.norm(pool[row] - q, axis=1)
+                     for row, q in zip(nearest, queries)]).reshape(key.shape)
+    assert key.shape == nearest.shape
+    assert (np.diff(key, axis=1) >= 0).all()
+    assert np.array_equal(np.diff(key, axis=1) == 0,
+                          np.diff(dist, axis=1) == 0)
+
+
 @pytest.mark.parametrize("name,pool,queries,c", list(knn_cases()),
                          ids=[case[0] for case in knn_cases()])
 def test_knn_context_matches_a_per_query_stable_argsort(name, pool, queries,
@@ -272,13 +285,33 @@ def test_knn_context_matches_a_per_query_stable_argsort(name, pool, queries,
     got = knn_context(pool, queries, c, IdentityEmbedder())
     assert got.shape == (len(queries), min(c, len(pool)))
     assert np.array_equal(got, per_query_knn(pool, queries, c))
-    # the rows found must not depend on keeping their distances, also at
-    # the ties and exact fallbacks these cases are full of
-    nearest, dist = knn_context(pool, queries, c, IdentityEmbedder(),
-                                distances=True)
+    # the rows found must not depend on keeping their keys, also at the
+    # ties and exact fallbacks these cases are full of
+    nearest, key = knn_context(pool, queries, c, IdentityEmbedder(),
+                               keys=True)
     assert np.array_equal(nearest, got)
-    assert np.array_equal(dist, [np.linalg.norm(pool[row] - q, axis=1)
-                                 for row, q in zip(nearest, queries)])
+    assert_keys_order_as_distances(pool, queries, nearest, key)
+
+
+@pytest.mark.parametrize("name,pool,queries,c", list(knn_cases()),
+                         ids=[case[0] for case in knn_cases()])
+def test_one_search_of_stacked_pools_equals_a_search_of_each(name, pool,
+                                                             queries, c):
+    # unequal pools, two of them of one size, searched in one call
+    n = len(pool)
+    cuts = np.cumsum([n // 5, n // 3, n // 5])
+    parts = np.split(pool, cuts)
+    assert len({len(part) for part in parts}) == 3 and min(map(len, parts))
+    found = knn_context(pool, queries, c, IdentityEmbedder(), keys=True,
+                        sizes=[len(part) for part in parts])
+    assert len(found) == len(parts)
+    for part, (nearest, key) in zip(parts, found):
+        assert nearest.shape == (len(queries), min(c, len(part)))
+        assert np.array_equal(nearest, per_query_knn(part, queries, c))
+        assert_keys_order_as_distances(part, queries, nearest, key)
+    assert all(np.array_equal(a, b) for a, (b, _) in zip(
+        knn_context(pool, queries, c, IdentityEmbedder(),
+                    sizes=[len(part) for part in parts]), found))
 
 
 def test_knn_context_blocks_cover_every_query():

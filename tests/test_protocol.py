@@ -1,3 +1,4 @@
+import json
 import threading
 from collections import Counter
 
@@ -253,6 +254,32 @@ def test_ub_variant_equals_merged_single_client():
                                                  for t in manual.traces]
 
 
+def test_ub_variant_names_the_merged_client_by_the_first_clients_id(
+        tmp_path):
+    rng = np.random.default_rng(26)
+    clients_data, queries, g = random_regression(rng, d=2, l=2, n=2, m=3)
+    data = [real_dataset(cid, ds.covariates, core.real_values(ds.labels))
+            for cid, ds in zip((7, 8), clients_data)]
+
+    class FailingBackend(LsaBackend):
+        def answer(self, asks, usages=None):
+            raise RuntimeError("boom")
+
+    with pytest.raises(ProtocolError, match="step 1 backend failure: boom"
+                       ) as exc:
+        run(ProtocolConfig(rounds=2, variant="fedicl_ub"),
+            [ClientState(ds.client_id, ds, FailingBackend(g)) for ds in data],
+            queries)
+    assert exc.value.client_id == 7
+    backend = LsaBackend(g)
+    result = run(ProtocolConfig(rounds=2, variant="fedicl_ub"),
+                 [ClientState(ds.client_id, ds, backend) for ds in data],
+                 queries, trace_path=tmp_path / "traces.jsonl")
+    assert [list(t.per_client_answers) for t in result.traces] == [[7], [7]]
+    for line in (tmp_path / "traces.jsonl").read_text().splitlines():
+        assert list(json.loads(line)["per_client_answers"]) == ["7"]
+
+
 def test_lb_variant_uses_server_reference_only():
     rng = np.random.default_rng(25)
     g = gamma(np.eye(1), 5)
@@ -361,6 +388,47 @@ def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
                 assert got is None
                 continue
             want = knn_context(pool, queries, c, IdentityEmbedder())
+            np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
+
+
+class AskRecordingBackend(LsaBackend):
+    """An LSA backend that notes each ask's (covariates, queries,
+    neighbours)."""
+
+    def __init__(self, gamma):
+        super().__init__(gamma)
+        self.asks = []
+
+    def answer(self, asks, usages=None):
+        self.asks.extend((covs, queries, nb) for covs, _, queries, nb in asks)
+        return super().answer(asks, usages)
+
+
+@pytest.mark.parametrize("sizes", [(5, 5, 5), (3, 5, 8)],
+                         ids=["equal N_i", "unequal N_i"])
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_ub"])
+def test_every_knn_ask_is_a_stable_argsort_of_its_own_pool(variant, sizes):
+    # points on a grid of small integers, whose distances tie everywhere,
+    # and in the doubled pool D^i ++ D_k^i between every j and N + j
+    rng = np.random.default_rng(35)
+    queries = rng.integers(-2, 3, size=(6, 2)).astype(float)
+    data = [real_dataset(cid, rng.integers(-2, 3, size=(n, 2)).astype(float),
+                         np.zeros(n)) for cid, n in enumerate(sizes, 1)]
+    doubled = ([2 * n for n in sizes] if variant == "fedicl"
+               else [2 * sum(sizes)])
+    for c in (1, 2, 3, 5, 8, 13, 40):   # below N, between N and 2N, above
+        backend = AskRecordingBackend(np.eye(2))
+        run(ProtocolConfig(rounds=1, variant=variant, context_count=c),
+            [ClientState(ds.client_id, ds, backend) for ds in data], queries)
+        # one call for step 1, then one for step 2, of one ask per client
+        step2 = backend.asks[len(backend.asks) // 2:]
+        assert [len(covs) for covs, _, _ in step2] == doubled
+        for covs, asked, got in backend.asks:
+            if c >= len(covs):
+                assert got is None
+                continue
+            want = [np.argsort(np.linalg.norm(covs - q, axis=1),
+                               kind="stable")[:c] for q in asked]
             np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
 
 
@@ -791,9 +859,9 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
                      clients, queries, trace_path=tmp_path / "traces.jsonl")
         assert len(result.traces) == rounds
     assert built == Counter()
-    # step 2's covariates are stacked once per client and run, and step 1's
-    # kNN search stacks the group's local covariates once, in no round
-    assert stacks == [len(clients) + (context_count is not None)] * 2
+    # step 2's covariates are stacked once per client and run, and each
+    # step's kNN search stacks the group's pools once, in no round
+    assert stacks == [len(clients) + 2 * (context_count is not None)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
     lsa.predict_closed_form([(np.eye(2), np.ones(2), np.eye(2), None)], g)
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
