@@ -1,9 +1,9 @@
 """Config-driven entry points.
 
 Four commands share one JSON config file with sections
-{dataset, partition, protocol, backend, theory}:
+{dataset, partition, protocol, backend}:
 
-    theory     closed-form contraction verification, JSON report
+    theory     contraction check of the run simulate makes, JSON report
     simulate   full protocol run: traces JSONL, ledger CSV, metrics JSON
     partition  Dirichlet split into per-client JSONL files plus a manifest
     report     per-round metric tables (CSV) from saved traces
@@ -164,35 +164,9 @@ def _check_removed_keys(config: dict) -> None:
     for name, key, why in _REMOVED_KEYS:
         if key in _section(config, name):
             raise ConfigError(f"{name}.{key} is gone: {why}")
-    moved = sorted(set(_section(config, "theory")) - {"rounds"})
-    if moved:
-        raise ConfigError(f"theory.{moved[0]} is gone: theory holds only "
-                          f"rounds, and the instance lives in dataset")
-
-
-def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
-    _check_removed_keys(config)
-    with _parsing("theory"):
-        rounds = _int(_section(config, "theory"), "rounds", 20)
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-    clients, queries, gamma_mat = load_instance(config, seed)
-    if gamma_mat is None:
-        raise ConfigError("theory needs gamma, and client files give none")
-    with _parsing("dataset"):
-        state = theory.TheoryState.initialize(clients, queries, gamma_mat)
-    state = theory.iterate_recursion(state, rounds)
-    report = theory.verify_contraction(state)
-    os.makedirs(output_dir, exist_ok=True)
-    report_path = os.path.join(output_dir, "theory_report.json")
-    obj = report.to_json()
-    obj["w_star"] = state.w_star.tolist() if state.w_star is not None else None
-    obj["w_limit"] = state.w_limit.tolist()
-    with open(report_path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-    if not report.contractive:
-        return EXIT_NONCONTRACTIVE
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    if "theory" in config:
+        raise ConfigError("theory is gone: protocol.rounds sets the rounds "
+                          "of theory and simulate alike")
 
 
 def _build_protocol_config(config: dict,
@@ -237,14 +211,48 @@ def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
     raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
-def _modeled_by_recursion(pconf: protocol.ProtocolConfig, backends) -> bool:
-    """Whether the recursion, from w_1 = 0, models the run: ``fedicl`` or
-    ``fedicl_ub`` with full context on the LSA backend, from C_1 = 0 (zeros,
-    or LSA answers with no context)."""
-    return (any(isinstance(b, LsaBackend) for b in backends)
-            and pconf.context_count is None
-            and pconf.variant in ("fedicl", "fedicl_ub")
-            and pconf.init_mode in ("zeros", "backend_generated"))
+def _unmodeled(pconf: protocol.ProtocolConfig) -> List[str]:
+    """The settings of a run that the recursion, from w_1 = 0, does not
+    model: it models fedicl or fedicl_ub with full context on the lsa
+    backend, from C_1 = 0 (zeros, or LSA answers with no context)."""
+    return [key for key, modeled in (
+        ("backend.kind", pconf.aggregation == "average"),
+        ("protocol.variant", pconf.variant in ("fedicl", "fedicl_ub")),
+        ("protocol.context_count", pconf.context_count is None),
+        ("protocol.init_mode",
+         pconf.init_mode in ("zeros", "backend_generated"))) if not modeled]
+
+
+def _recursion(pconf: protocol.ProtocolConfig, clients, queries,
+               gamma_mat: Optional[np.ndarray]) -> theory.TheoryState:
+    """The recursion of the run ``pconf`` makes of an instance, over its
+    rounds: fedicl_ub runs one client holding every client's examples."""
+    if gamma_mat is None:
+        raise ConfigError("recursion needs gamma, and client files give none")
+    with _parsing("dataset"):
+        state = theory.TheoryState.initialize(
+            [core.concat(clients)] if pconf.variant == "fedicl_ub"
+            else clients, queries, gamma_mat)
+    return theory.iterate_recursion(state, pconf.effective_rounds)
+
+
+def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
+    _check_removed_keys(config)
+    pconf = _build_protocol_config(config, seed)
+    if unmodeled := _unmodeled(pconf):
+        raise ConfigError(f"the recursion does not model this run's "
+                          f"{', '.join(unmodeled)}; simulate runs it "
+                          f"unverified")
+    state = _recursion(pconf, *load_instance(config, seed))
+    report = theory.verify_contraction(state)
+    os.makedirs(output_dir, exist_ok=True)
+    obj = dict(report.to_json(), w_star=None if state.w_star is None
+               else state.w_star.tolist(), w_limit=state.w_limit.tolist())
+    with open(os.path.join(output_dir, "theory_report.json"), "w") as fh:
+        json.dump(obj, fh, indent=2)
+    if not report.contractive:
+        return EXIT_NONCONTRACTIVE
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _theory_deviation(trace: core.RoundTrace) -> float:
@@ -264,16 +272,9 @@ def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
                                     backend=backend)
                for ds, backend in zip(clients_data, backends)]
 
-    theory_trace = None
-    modeled = _modeled_by_recursion(pconf, backends)
-    if modeled:
-        # fedicl_ub runs one client holding every client's examples
-        with _parsing("dataset"):
-            state = theory.TheoryState.initialize(
-                [core.concat(clients_data)] if pconf.variant == "fedicl_ub"
-                else clients_data, queries, gamma_mat)
-        theory_trace = theory.iterate_recursion(
-            state, pconf.effective_rounds).w_trace
+    modeled = not _unmodeled(pconf)
+    theory_trace = _recursion(pconf, clients_data, queries,
+                              gamma_mat).w_trace if modeled else None
 
     os.makedirs(output_dir, exist_ok=True)
     trace_path = os.path.join(output_dir, "traces.jsonl")

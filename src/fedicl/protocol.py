@@ -201,7 +201,7 @@ def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
     Every client's step-1 pool is the queries, so one search of the
     group's local covariates, stacked, serves all of step 1: each row of a
     search is the first c of its own stable argsort. One more search, of
-    every client's step-2 pool at once, serves all of step 2."""
+    every distinct step-2 pool at once, serves all of step 2."""
     c = config.context_count
     if c is None:
         return [None] * len(group), [None] * len(group)
@@ -219,9 +219,13 @@ def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
     step2 = [None] * len(group)
     if not at:
         return step1, step2
-    found = knn_context(stack_covariates(searched), queries, c, emb,
-                        keys=True, sizes=[len(x) for x in searched])
-    for i, local, (nearest, key) in zip(at, searched, found):
+    # clients that share a pool (fedicl_lb's reference) share its search
+    unique = list({id(x): x for x in searched}.values())
+    found = dict(zip(map(id, unique), knn_context(
+        stack_covariates(unique), queries, c, emb, keys=True,
+        sizes=[len(x) for x in unique])))
+    for i, local in zip(at, searched):
+        nearest, key = found[id(local)]
         if len(pools[i][0]) > len(local):
             # lay the c nearest out in the doubled pool's stable order,
             # where among equal distances row j comes before row N + j

@@ -25,10 +25,6 @@ from .core import ClientDataset, Covariate, covariate_matrix, real_values
 from .lsa import _check_spd
 
 
-class NonContractiveError(ValueError):
-    """Raised when 2I - H_cont is singular and no fixed point exists."""
-
-
 def compute_contraction(client_datasets: Sequence[ClientDataset],
                         server_covariates: Sequence[Covariate],
                         gamma_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -59,15 +55,13 @@ def compute_contraction(client_datasets: Sequence[ClientDataset],
     return h_cont, w_limit
 
 
-def fixed_point(h_cont: np.ndarray, w_limit: np.ndarray) -> np.ndarray:
-    """w* = (2I - H_cont)^-1 w_limit."""
-    h_cont = np.asarray(h_cont, dtype=float)
+def fixed_point(h_cont: np.ndarray,
+                w_limit: np.ndarray) -> Optional[np.ndarray]:
+    """w* = (2I - H_cont)^-1 w_limit, or None if 2I - H_cont is singular."""
     w_limit = np.asarray(w_limit, dtype=float).ravel()
-    d = h_cont.shape[0]
-    a = 2.0 * np.eye(d) - h_cont
+    a = 2.0 * np.eye(len(h_cont)) - np.asarray(h_cont, dtype=float)
     if abs(np.linalg.det(a)) < 1e-300 or np.linalg.cond(a) > 1e14:
-        raise NonContractiveError(
-            "2I - H_cont is singular: configuration has no fixed point")
+        return None
     return np.linalg.solve(a, w_limit)
 
 
@@ -90,11 +84,8 @@ class TheoryState:
                    gamma_mat: np.ndarray) -> "TheoryState":
         h_cont, w_limit = compute_contraction(client_datasets,
                                               server_covariates, gamma_mat)
-        try:
-            w_star: Optional[np.ndarray] = fixed_point(h_cont, w_limit)
-        except NonContractiveError:
-            w_star = None
-        return TheoryState(h_cont=h_cont, w_limit=w_limit, w_star=w_star,
+        return TheoryState(h_cont=h_cont, w_limit=w_limit,
+                           w_star=fixed_point(h_cont, w_limit),
                            w_trace=(np.zeros(len(w_limit)),))
 
 

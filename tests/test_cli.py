@@ -36,7 +36,7 @@ def run_cli(tmp_path, mode, config=None, out="out", extra=()):
 def test_theory_matched_moments(tmp_path):
     cfg = write_config(tmp_path, {
         "dataset": {"construction": "matched_moments", "d": 2},
-        "theory": {"rounds": 12}})
+        "protocol": {"rounds": 12}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
     report = json.loads((out / "theory_report.json").read_text())
@@ -48,7 +48,7 @@ def test_theory_explicit_instance_fixed_point(tmp_path):
     cfg = write_config(tmp_path, {"dataset": {
         "gamma": [[3.0]],
         "clients": [[{"x": [1.0], "y": 1.0}]],
-        "server": [[1.0]]}, "theory": {"rounds": 10}})
+        "server": [[1.0]]}, "protocol": {"rounds": 10}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
     report = json.loads((out / "theory_report.json").read_text())
@@ -61,7 +61,7 @@ def test_theory_explicit_instance_with_unequal_client_sizes(tmp_path):
         "gamma": [[3.0]],
         "clients": [[{"x": [1.0], "y": 1.0}],
                     [{"x": [1.0], "y": 1.0}, {"x": [2.0], "y": 2.0}]],
-        "server": [[1.0]]}, "theory": {"rounds": 10}})
+        "server": [[1.0]]}, "protocol": {"rounds": 10}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
     report = json.loads((out / "theory_report.json").read_text())
@@ -73,7 +73,7 @@ def test_theory_synthetic_default_passes(tmp_path):
     cfg = write_config(tmp_path, {"dataset": {"d": 2, "num_clients": 2,
                                               "examples_per_client": 50,
                                               "num_queries": 8},
-                                  "theory": {"rounds": 15}, "seed": 4})
+                                  "protocol": {"rounds": 15}, "seed": 4})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_PASS
 
@@ -84,7 +84,7 @@ def test_theory_noncontractive_exit_code_and_report(tmp_path):
     cfg = write_config(tmp_path, {"dataset": {
         "gamma": [[3.0]],
         "clients": [[{"x": [x], "y": 1.0}]],
-        "server": [[x]]}, "theory": {"rounds": 5}})
+        "server": [[x]]}, "protocol": {"rounds": 5}})
     code, out = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_NONCONTRACTIVE
     report = json.loads((out / "theory_report.json").read_text())
@@ -99,11 +99,12 @@ def test_malformed_config_exit_code(tmp_path):
     assert not (out / "theory_report.json").exists()
 
 
-def test_missing_required_key_exit_code(tmp_path):
+def test_missing_required_key_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {"dataset": {"clients": []},
-                                  "theory": {"rounds": 3}})
+                                  "protocol": {"rounds": 3}})
     code, _ = run_cli(tmp_path, "theory", cfg)
     assert code == cli.EXIT_CONFIG
+    assert "missing dataset.gamma" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,17 @@ def protocol_with(**settings):
     return dict(SIM_CFG, protocol=dict(SIM_CFG["protocol"], **settings))
 
 
+#: kNN context on the LSA backend: the labels grow every round until they
+#: overflow
+DIVERGING_CFG = {"seed": 7, "dataset": {"d": 2, "num_clients": 2,
+                                        "examples_per_client": 10,
+                                        "num_queries": 6},
+                 "protocol": {"rounds": 2000, "context_count": 2}}
+
+
+#: what theory says of a run the recursion does not model
+UNMODELED = "config error: the recursion does not model this run's"
+
 #: an instance spelled out in the dataset section
 EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
                 "server": [[1.0]]}
@@ -148,7 +160,7 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
      "lambda must be positive definite"),
     ("theory", {"dataset": {"d": 0}}, "non-empty"),
     ("simulate", dict(SIM_CFG, dataset={"d": 0}), "non-empty"),
-    ("theory", {"theory": {"rounds": 0}}, "rounds must be >= 1"),
+    ("theory", {"protocol": {"rounds": 0}}, "rounds must be >= 1"),
     ("theory", {"dataset": {"examples_per_client": 0}},
      "at least one example"),
     ("simulate", dict(SIM_CFG, dataset={"examples_per_client": 0}),
@@ -181,12 +193,12 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
                             "server": [[1.0, 0.0]],
                             "clients": [[{"x": [1.0, 0.0], "y": "nan"}]]}},
      "not finite"),
-    ("theory", {"theory": 5}, "theory must be a JSON object"),
+    ("theory", {"theory": 5}, "theory is gone: protocol.rounds"),
     ("theory", {"theory": {"d": 3, "rounds": 4}},
-     "theory.d is gone: theory holds only rounds, and the instance lives in "
-     "dataset"),
+     "theory is gone: protocol.rounds sets the rounds of theory and "
+     "simulate alike"),
     ("simulate", dict(SIM_CFG, theory={"clients": [], "gamma": [[1.0]]}),
-     "theory.clients is gone"),
+     "theory is gone: protocol.rounds"),
     ("theory", dict(SIM_CFG, protocol={"aggregation": "average"}),
      "protocol.aggregation is gone"),
     ("theory", {"dataset": {"gamma": [[1.0]], "server": [[1.0]]}},
@@ -199,6 +211,15 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
      "partition must be a JSON object"),
     ("simulate", dict(SIM_CFG, dataset=EXPLICIT_CFG,
                       protocol={"seed": -1}), "seed must be >= 0"),
+    # simulate runs these unverified; theory has no verdict to give
+    ("theory", DIVERGING_CFG, f"{UNMODELED} protocol.context_count;"),
+    ("theory", protocol_with(variant="fedicl_free"),
+     f"{UNMODELED} protocol.variant;"),
+    ("theory", protocol_with(variant="fedicl_gt"),
+     f"{UNMODELED} protocol.variant;"),
+    ("theory", protocol_with(init_mode="random"),
+     f"{UNMODELED} protocol.init_mode;"),
+    ("theory", remote(), f"{UNMODELED} backend.kind;"),
 ], ids=["theory-gamma-not-spd", "simulate-gamma-not-spd",
         "theory-lambda-not-spd",
         "simulate-lambda-not-spd", "theory-d-0", "simulate-d-0",
@@ -213,7 +234,8 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
         "theory-not-object", "theory-moved-key", "simulate-theory-key",
         "theory-aggregation", "theory-explicit-no-clients",
         "simulate-gamma-dimension",
-        "partition-not-object", "negative-seed"])
+        "partition-not-object", "negative-seed", "theory-knn", "theory-free",
+        "theory-gt", "theory-random-init", "theory-remote"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
                                               mode, config, message):
     with MockLlmServer() as srv:
@@ -242,8 +264,8 @@ def test_a_valid_backend_config_builds_the_params_it_gives(backend, want):
 
 
 @pytest.mark.parametrize("mode,config", [
-    ("theory", {"theory": {"rounds": 2.5}}),
-    ("theory", {"theory": {"rounds": True}}),
+    ("theory", {"protocol": {"rounds": 2.5}}),
+    ("theory", {"protocol": {"rounds": True}}),
     ("theory", {"dataset": {"d": True}}),
     ("simulate", dict(SIM_CFG, dataset=dict(SIM_CFG["dataset"],
                                             num_clients=2.7))),
@@ -320,14 +342,6 @@ def test_simulate_exits_1_when_a_modeled_run_leaves_the_recursion(
     assert min(metrics["max_theory_deviation_per_round"]) > 1e-9
 
 
-#: kNN context on the LSA backend: the labels grow every round until they
-#: overflow
-DIVERGING_CFG = {"seed": 7, "dataset": {"d": 2, "num_clients": 2,
-                                        "examples_per_client": 10,
-                                        "num_queries": 6},
-                 "protocol": {"rounds": 2000, "context_count": 2}}
-
-
 def test_simulate_exits_4_when_a_run_diverges(tmp_path, capsys):
     # numpy's overflow warnings would raise here: the run must give none
     with warnings.catch_warnings():
@@ -353,7 +367,7 @@ def test_simulate_exits_4_when_a_run_diverges(tmp_path, capsys):
 def test_theory_and_simulate_check_one_instance(tmp_path):
     config = {"dataset": {"d": 3, "num_clients": 4, "examples_per_client": 6,
                           "num_queries": 5, "t_prompt": 4},
-              "theory": {"rounds": 4}, "protocol": {"rounds": 4}, "seed": 21}
+              "protocol": {"rounds": 4}, "seed": 21}
     cfg = write_config(tmp_path, config)
     code, tout = run_cli(tmp_path, "theory", cfg, out="theory")
     assert code == cli.EXIT_PASS
@@ -368,6 +382,44 @@ def test_theory_and_simulate_check_one_instance(tmp_path):
     assert [list(t.theory_w) for t in traces] == [
         w.tolist() for w in state.w_trace[1:]]
     assert json.loads((sout / "metrics.json").read_text())["theory_ok"]
+
+
+#: explicit clients of equal sizes and of sizes 1 and 3, on one Gamma
+AGREEMENT_CLIENTS = {
+    "equal": [[{"x": [1.0, 0.0], "y": 1.0}, {"x": [0.5, -1.0], "y": 0.25}],
+              [{"x": [0.5, 1.0], "y": -1.0}, {"x": [1.0, 2.0], "y": 0.5}]],
+    "unequal": [[{"x": [1.0, 0.0], "y": 1.0}],
+                [{"x": [0.5, 1.0], "y": -1.0}, {"x": [1.0, 2.0], "y": 0.5},
+                 {"x": [-1.0, 0.25], "y": 2.0}]]}
+
+
+@pytest.mark.parametrize("sizes", ["equal", "unequal"])
+@pytest.mark.parametrize("variant", ["fedicl", "fedicl_ub"])
+def test_theory_reports_the_recursion_simulate_verifies(tmp_path, variant,
+                                                        sizes):
+    config = {"dataset": {"gamma": [[2.0, 0.5], [0.5, 1.5]],
+                          "clients": AGREEMENT_CLIENTS[sizes],
+                          "server": [[1.0, 1.0], [0.5, -1.0]]},
+              "protocol": {"rounds": 6, "variant": variant}}
+    cfg = write_config(tmp_path, config)
+    code, tout = run_cli(tmp_path, "theory", cfg, out="theory")
+    assert code == cli.EXIT_PASS
+    code, sout = run_cli(tmp_path, "simulate", cfg, out="simulate")
+    assert code == cli.EXIT_PASS
+    report = json.loads((tout / "theory_report.json").read_text())
+    theory_w = [list(t.theory_w) for t in core.load_traces(
+        sout / "traces.jsonl")]
+    # from w_1 = 0, simulate's first iterate w_2 is half of w_limit
+    assert report["w_limit"] == [2 * w for w in theory_w[0]]
+    # fedicl_ub runs one client holding every client's examples
+    clients, queries, gamma_mat = cli.load_instance(config, 0)
+    state = theory.iterate_recursion(theory.TheoryState.initialize(
+        [core.concat(clients)] if variant == "fedicl_ub" else clients,
+        queries, gamma_mat), 6)
+    assert theory_w == [w.tolist() for w in state.w_trace[1:]]
+    assert report["w_limit"] == state.w_limit.tolist()
+    assert report["w_star"] == state.w_star.tolist()
+    assert report["h_norm"] == state.h_norm and report["rounds"] == 6
 
 
 @pytest.mark.parametrize("variant", ["fedicl", "fedicl_ub"])
@@ -634,7 +686,7 @@ HTTP_400 = "request failed after retries: HTTP 400"
      cli.EXIT_NONCONTRACTIVE, "run diverged: round "),
     # theory and partition take the seed as simulate does
     ("theory", lambda tmp_path, url: SIM_CFG, ["--seed", "-3"],
-     cli.EXIT_CONFIG, "config error: dataset: seed must be >= 0"),
+     cli.EXIT_CONFIG, "config error: protocol: seed must be >= 0"),
     ("partition", lambda tmp_path, url: {
         "dataset": {"path": make_corpus_file(tmp_path)[0]},
         "partition": {"num_clients": 2, "alpha": 1.0}}, ["--seed", "-3"],

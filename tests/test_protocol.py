@@ -621,6 +621,42 @@ def test_one_step1_search_of_the_stacked_covariates_equals_each_clients(c):
             np.testing.assert_array_equal(got, want)
 
 
+def test_a_run_searches_each_distinct_step2_pool_once(monkeypatch):
+    calls = []
+
+    def spy(pool, queries, c, embedder, keys=False, sizes=None):
+        calls.append((len(pool), sizes))
+        return knn_context(pool, queries, c, embedder, keys=keys, sizes=sizes)
+
+    monkeypatch.setattr(protocol, "knn_context", spy)
+    rng = np.random.default_rng(63)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(4, 6, 9),
+                                                  m=8)
+    reference = real_dataset(0, rng.standard_normal((20, 2)),
+                             rng.standard_normal(20))
+    # fedicl: one step-1 search of the queries, one step-2 search of the
+    # three clients' covariates stacked
+    run(ProtocolConfig(rounds=2, context_count=3),
+        [ClientState(ds.client_id, ds, LsaBackend(g)) for ds in clients_data],
+        queries)
+    assert calls == [(8, None), (19, [4, 6, 9])]
+    # fedicl_lb: its five clients share the reference, searched once
+    calls.clear()
+    result = run(ProtocolConfig(rounds=1, variant="fedicl_lb",
+                                context_count=3),
+                 [ClientState(cid, None, LsaBackend(g)) for cid in range(1, 6)],
+                 queries, server_reference=reference)
+    assert calls == [(20, [20])]
+    x, y = np.asarray(reference.covariates), core.real_values(reference.labels)
+    want = []
+    for q in np.asarray(queries):
+        nearest = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")[:3]
+        want.append(q @ np.linalg.solve(g, x[nearest].T @ y[nearest] / 3))
+    for answers in result.traces[0].per_client_answers.values():
+        np.testing.assert_allclose(core.real_values(answers), want, rtol=0,
+                                   atol=1e-12)
+
+
 class PooledLsaBackend(SoloLsaBackend):
     """An LSA backend equal only to itself that claims to wait on I/O, so
     a run of several clients answers its groups in the pool."""
