@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ConfigError, Covariate, Label, Labels, RealColumn,
-                   TextLabel, covariate_text, neighbour_matrix, real_values)
+                   TextLabel, check_int, covariate_text, neighbour_matrix,
+                   real_values)
 from .lsa import SpdMatrix, predict_closed_form
 
 
@@ -38,6 +39,8 @@ class GenerationParams:
     max_retries: int = 3
 
     def __post_init__(self):
+        for name in ("max_tokens", "timeout_ms", "max_retries"):
+            check_int(name, getattr(self, name))
         if (isinstance(self.temperature, bool)
                 or not isinstance(self.temperature, Real)):
             raise TypeError(f"temperature must be a number, got "

@@ -1,6 +1,6 @@
 """Config-driven entry points.
 
-Four commands share one JSON config file with sections
+Four commands share one JSON config file with a ``seed`` and sections
 {dataset, partition, protocol, backend}:
 
     theory     contraction check of the run simulate makes, JSON report
@@ -8,8 +8,11 @@ Four commands share one JSON config file with sections
     partition  Dirichlet split into per-client JSONL files plus a manifest
     report     per-round metric tables (CSV) from saved traces
 
-Exit codes: 0 pass, 1 verification failure, 2 config error,
-3 backend error, 4 non-contractive configuration.
+The partition, protocol and backend sections go whole to the types that
+own them (PartitionSpec, ProtocolConfig, GenerationParams), which hold
+their defaults and checks. Exit codes: 0 pass, 1 verification failure,
+2 config error (a key that no command reads among them), 3 backend error,
+4 non-contractive configuration.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -104,8 +108,8 @@ def synthesize_instance(cfg: dict, seed: int):
     for cid in range(1, num_clients + 1):
         xs = rng.standard_normal((n, d))
         clients.append(core.ClientDataset(cid, covariates=xs, labels=(
-            core.RealColumn([float(x @ w_true) for x in xs]))))
-    queries = tuple(tuple(x) for x in rng.standard_normal((m, d)))
+            core.RealColumn(np.vecdot(xs, w_true)))))
+    queries = core.covariate_column(rng.standard_normal((m, d)))
     return clients, queries, gamma_mat
 
 
@@ -151,59 +155,50 @@ def load_instance(config: dict, seed: int):
 # Commands
 # ---------------------------------------------------------------------------
 
-#: (section, key, why) of each config key that no longer exists
-_REMOVED_KEYS = (
-    ("backend", "context_count", "protocol.context_count sets the context"),
-    ("backend", "template", "every prompt is open QA"),
-    ("protocol", "options", "no aggregation votes over choices"),
-    ("protocol", "aggregation", "lsa answers are averaged, remote ones "
-                                "fused"))
+#: the keys each section may hold: those the dataset constructions and
+#: partition read, and the fields of the type each other section builds
+_SETTINGS = {
+    "dataset": {"client_paths", "query_path", "construction", "d", "lambda",
+                "t_prompt", "gamma", "clients", "server", "num_clients",
+                "examples_per_client", "num_queries", "path"},
+    "partition": {f.name for f in fields(data.PartitionSpec)},
+    "protocol": {f.name for f in fields(protocol.ProtocolConfig)}
+    - {"aggregation"},
+    "backend": {f.name for f in fields(GenerationParams)}
+    | {"kind", "endpoint"}}
 
 
-def _check_removed_keys(config: dict) -> None:
-    for name, key, why in _REMOVED_KEYS:
-        if key in _section(config, name):
-            raise ConfigError(f"{name}.{key} is gone: {why}")
-    if "theory" in config:
-        raise ConfigError("theory is gone: protocol.rounds sets the rounds "
-                          "of theory and simulate alike")
+def _check_settings(config: dict) -> None:
+    unknown = [key for key in config if key not in {"seed", *_SETTINGS}]
+    unknown += [f"{name}.{key}" for name, keys in _SETTINGS.items()
+                for key in _section(config, name) if key not in keys]
+    if unknown:
+        raise ConfigError(f"not a setting: {', '.join(unknown)}")
 
 
 def _build_protocol_config(config: dict,
                            seed: int) -> protocol.ProtocolConfig:
-    pcfg = _section(config, "protocol")
     lsa_answers = _section(config, "backend").get("kind", "lsa") == "lsa"
     with _parsing("protocol"):
         return protocol.ProtocolConfig(
-            rounds=pcfg.get("rounds", 6),
-            variant=pcfg.get("variant", "fedicl"),
-            aggregation="average" if lsa_answers else "fusion",
-            context_count=pcfg.get("context_count"),
-            init_mode=pcfg.get("init_mode", "zeros"),
-            seed=_int(pcfg, "seed", seed),
-        )
+            **{"seed": seed, **_section(config, "protocol")},
+            aggregation="average" if lsa_answers else "fusion")
 
 
 def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
                     client_ids: Sequence[int]):
     """One backend per client."""
-    bcfg = _section(config, "backend")
-    kind = bcfg.get("kind", "lsa")
+    bcfg = dict(_section(config, "backend"))
+    kind = bcfg.pop("kind", "lsa")
+    endpoint = bcfg.pop("endpoint", None) or os.environ.get("FEDICL_ENDPOINT")
     with _parsing("backend"):
-        params = GenerationParams(
-            temperature=bcfg.get("temperature", 0.1),
-            max_tokens=_int(bcfg, "max_tokens", 256),
-            model_name=bcfg.get("model_name", "gpt-4o-mini"),
-            timeout_ms=_int(bcfg, "timeout_ms", 30_000),
-            max_retries=_int(bcfg, "max_retries", 3),
-        )
+        params = GenerationParams(**bcfg)
     if kind == "lsa":
         if gamma_mat is None:
             raise ConfigError("lsa backend needs gamma, and client files "
                               "give none")
         return [LsaBackend(gamma_mat) for _ in client_ids]
     if kind == "remote":
-        endpoint = bcfg.get("endpoint") or os.environ.get("FEDICL_ENDPOINT")
         if not endpoint:
             raise ConfigError("remote backend needs backend.endpoint or "
                               "FEDICL_ENDPOINT")
@@ -237,7 +232,6 @@ def _recursion(pconf: protocol.ProtocolConfig, clients, queries,
 
 
 def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
-    _check_removed_keys(config)
     pconf = _build_protocol_config(config, seed)
     if unmodeled := _unmodeled(pconf):
         raise ConfigError(f"the recursion does not model this run's "
@@ -263,7 +257,6 @@ def _theory_deviation(trace: core.RoundTrace) -> float:
 
 
 def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
-    _check_removed_keys(config)
     pconf = _build_protocol_config(config, seed)
     clients_data, queries, gamma_mat = load_instance(config, seed)
     backends = _build_backends(config, gamma_mat,
@@ -309,28 +302,16 @@ def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
 
 
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
-    pcfg = _section(config, "partition")
     dataset_path = _require(_section(config, "dataset"), "path", "dataset")
     with _parsing("dataset"):
         examples = data.load_dataset(dataset_path)
-    categories = sorted({ex.category for ex in examples
-                         if ex.category is not None})
-    if not categories:
+    if all(ex.category is None for ex in examples):
         raise ConfigError(f"{dataset_path}: every example needs a category, "
                           f"and none has one")
-    prior = pcfg.get("prior")
-    if prior is None:
-        prior = [1.0 / len(categories)] * len(categories)
     with _parsing("partition"):
-        spec = data.PartitionSpec(
-            num_clients=core.check_int(
-                "num_clients", _require(pcfg, "num_clients", "partition")),
-            alpha=float(_require(pcfg, "alpha", "partition")),
-            prior=tuple(prior),
-            seed=_int(pcfg, "seed", seed),
-        )
-        clients, manifest = data.dirichlet_partition(examples, spec,
-                                                     categories)
+        spec = data.PartitionSpec(**{"seed": seed,
+                                     **_section(config, "partition")})
+        clients, manifest = data.dirichlet_partition(examples, spec)
     os.makedirs(output_dir, exist_ok=True)
     for ds in clients:
         data.save_dataset(ds.examples,
@@ -387,6 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = load_config(args.config) if args.config else {}
+        _check_settings(config)
         with _parsing("config"):
             seed = _int(config, "seed", 0) if args.seed is None else args.seed
         if args.mode != "report":

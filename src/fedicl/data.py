@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (ClientDataset, ConfigError, Covariate, Example,
-                   example_from_json, example_to_json)
+                   check_int, example_from_json, example_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +67,24 @@ class TableEmbedder(Embedder):
 class PartitionSpec:
     num_clients: int
     alpha: float
-    prior: Tuple[float, ...]  # probability vector over categories
+    prior: Optional[Tuple[float, ...]] = None  # None: uniform over categories
     seed: int = 0
 
     def __post_init__(self):
-        prior = tuple(float(p) for p in self.prior)
+        check_int("num_clients", self.num_clients)
+        check_int("seed", self.seed)
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise TypeError(f"alpha must be a number, got {self.alpha!r}")
+        prior = self.prior and tuple(float(p) for p in self.prior)
         object.__setattr__(self, "prior", prior)
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if any(p < 0 for p in prior) or abs(sum(prior) - 1.0) > 1e-12:
+        if prior is not None and (any(p < 0 for p in prior)
+                                  or abs(sum(prior) - 1.0) > 1e-12):
             raise ValueError("prior must be a probability vector")
 
 
@@ -115,10 +121,11 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec,
     if categories is None:
         categories = sorted({ex.category for ex in dataset})
     categories = list(categories)
-    if len(categories) != len(spec.prior):
-        raise ValueError(f"prior has {len(spec.prior)} entries but there are "
+    prior = spec.prior or tuple(np.ones(len(categories)) / len(categories))
+    if len(categories) != len(prior):
+        raise ValueError(f"prior has {len(prior)} entries but there are "
                          f"{len(categories)} categories")
-    missing = [c for c, p in zip(categories, spec.prior)
+    missing = [c for c, p in zip(categories, prior)
                if p > 0 and not any(ex.category == c for ex in dataset)]
     if missing:
         raise ValueError(f"dataset has no examples of category {missing[0]!r}")
@@ -136,7 +143,7 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec,
 
     total = len(dataset)
     client_sizes = _largest_remainder(np.ones(spec.num_clients), total)
-    alpha_vec = spec.alpha * np.asarray(spec.prior)
+    alpha_vec = spec.alpha * np.asarray(prior)
     # Dirichlet with zero-mass components: sample over the positive support.
     positive = alpha_vec > 0
 

@@ -290,7 +290,6 @@ def empirical_loss(params: LsaParams, a: np.ndarray, u: np.ndarray,
 @dataclass(frozen=True)
 class PretrainResult:
     params: LsaParams
-    final_loss: float
     loss_trace: Tuple[float, ...]
 
 
@@ -317,10 +316,8 @@ def pretrain_gd(spec: PretrainSpec) -> PretrainResult:
         w_kq = w_kq - spec.step_size * g_kq
         w_pv = w_pv - spec.step_size * g_pv
     final = LsaParams(w_kq, w_pv, params.rho)
-    final_loss = empirical_loss(final, a, u, y)
-    loss_trace.append(final_loss)
-    return PretrainResult(params=final, final_loss=final_loss,
-                          loss_trace=tuple(loss_trace))
+    loss_trace.append(empirical_loss(final, a, u, y))
+    return PretrainResult(params=final, loss_trace=tuple(loss_trace))
 
 
 def prediction_map(params: LsaParams) -> np.ndarray:

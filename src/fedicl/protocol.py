@@ -37,7 +37,7 @@ BITS_PER_REAL = 64
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    rounds: int
+    rounds: int = 6
     variant: str = "fedicl"
     aggregation: str = "average"
     context_count: Optional[int] = None  # None: use full context (no kNN)

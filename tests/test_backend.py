@@ -280,6 +280,14 @@ def test_generation_params_defaults_and_validation():
     assert GenerationParams(max_retries=0).max_retries == 0
 
 
+@pytest.mark.parametrize("field", ["max_tokens", "timeout_ms", "max_retries"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_generation_params_reject_counts_that_are_not_ints(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an int"):
+        GenerationParams(**{field: value})
+    assert getattr(GenerationParams(**{field: np.int64(3)}), field) == 3
+
+
 # ---------------------------------------------------------------------------
 # remote backend wire contract (against an in-process mock server)
 # ---------------------------------------------------------------------------

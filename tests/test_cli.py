@@ -174,11 +174,12 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
     ("simulate", protocol_with(rounds=2.5), "rounds must be an int"),
     ("simulate", remote(max_retries=-1), "max_retries must be >= 0"),
     ("simulate", remote(timeout_ms=0), "timeout_ms must be > 0"),
-    ("simulate", remote(context_count=5), "protocol.context_count"),
-    ("simulate", remote(template="haiku"), "backend.template is gone"),
+    ("simulate", remote(context_count=5),
+     "not a setting: backend.context_count"),
+    ("simulate", remote(template="haiku"), "not a setting: backend.template"),
     ("simulate", dict(REMOTE_CFG, protocol=dict(REMOTE_CFG["protocol"],
                                                 options=["A", "B"])),
-     "protocol.options is gone"),
+     "not a setting: protocol.options"),
     ("simulate", dict(SIM_CFG, protocol=3), "protocol must be a JSON object"),
     ("simulate", dict(SIM_CFG, backend=[]), "backend must be a JSON object"),
     ("simulate", dict(SIM_CFG, dataset="x"), "dataset must be a JSON object"),
@@ -193,14 +194,12 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
                             "server": [[1.0, 0.0]],
                             "clients": [[{"x": [1.0, 0.0], "y": "nan"}]]}},
      "not finite"),
-    ("theory", {"theory": 5}, "theory is gone: protocol.rounds"),
-    ("theory", {"theory": {"d": 3, "rounds": 4}},
-     "theory is gone: protocol.rounds sets the rounds of theory and "
-     "simulate alike"),
+    ("theory", {"theory": 5}, "not a setting: theory"),
+    ("theory", {"theory": {"d": 3, "rounds": 4}}, "not a setting: theory"),
     ("simulate", dict(SIM_CFG, theory={"clients": [], "gamma": [[1.0]]}),
-     "theory is gone: protocol.rounds"),
+     "not a setting: theory"),
     ("theory", dict(SIM_CFG, protocol={"aggregation": "average"}),
-     "protocol.aggregation is gone"),
+     "not a setting: protocol.aggregation"),
     ("theory", {"dataset": {"gamma": [[1.0]], "server": [[1.0]]}},
      "missing dataset.clients"),
     ("simulate", dict(SIM_CFG, dataset={
@@ -246,6 +245,85 @@ def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
     assert not (out / "theory_report.json").exists()
+
+
+def every_key_config(tmp_path):
+    """A config that sets every key of every section but those of the
+    other dataset constructions, for all four commands."""
+    return {"seed": 5,
+            "dataset": {"d": 2, "num_clients": 2, "examples_per_client": 4,
+                        "num_queries": 3, "t_prompt": 8,
+                        "lambda": [[1.0, 0.0], [0.0, 2.0]],
+                        "path": make_corpus_file(tmp_path)[0]},
+            "partition": {"num_clients": 2, "alpha": 0.5,
+                          "prior": [0.5, 0.5], "seed": 3},
+            "protocol": {"rounds": 3, "variant": "fedicl",
+                         "context_count": None, "init_mode": "zeros",
+                         "seed": 1},
+            "backend": {"kind": "lsa", "endpoint": "http://127.0.0.1:9",
+                        "temperature": 0.2, "max_tokens": 64,
+                        "model_name": "m", "timeout_ms": 1000,
+                        "max_retries": 1}}
+
+
+@pytest.mark.parametrize("construction", [
+    {}, {"construction": "matched_moments"}, EXPLICIT_CFG],
+    ids=["synthetic", "matched-moments", "explicit"])
+def test_every_key_of_the_config_is_read_by_every_command(tmp_path,
+                                                          construction):
+    config = every_key_config(tmp_path)
+    config["dataset"].update(construction)
+    cfg = write_config(tmp_path, config)
+    for mode in ("theory", "simulate", "partition"):
+        code, _ = run_cli(tmp_path, mode, cfg, out=mode)
+        assert code == cli.EXIT_PASS, mode
+    code, _ = run_cli(tmp_path, "report", cfg, out="report", extra=[
+        "--traces", str(tmp_path / "simulate" / "traces.jsonl")])
+    assert code == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "sed"), ("dataset", "num_client"), ("protocol", "round"),
+    ("backend", "max_token"), ("partition", "alpah")],
+    ids=["top-level", "dataset", "protocol", "backend", "partition"])
+@pytest.mark.parametrize("mode", ["theory", "simulate", "partition"])
+def test_a_key_no_command_reads_exits_2(tmp_path, capsys, mode, section,
+                                        key):
+    config = every_key_config(tmp_path)
+    (config if section is None else config[section])[key] = 1
+    code, out = run_cli(tmp_path, mode, write_config(tmp_path, config))
+    assert code == cli.EXIT_CONFIG
+    name = key if section is None else f"{section}.{key}"
+    assert capsys.readouterr().err == f"config error: not a setting: {name}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["theory", "simulate", "partition"])
+def test_every_unknown_key_is_named_in_config_order(tmp_path, capsys, mode):
+    config = every_key_config(tmp_path)
+    config["sed"] = 4
+    config["dataset"]["num_client"] = 3
+    config["protocol"].update(round=2, contxt_count=1)
+    config["backend"]["max_token"] = 8
+    code, _ = run_cli(tmp_path, mode, write_config(tmp_path, config))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: not a setting: sed, dataset.num_client, "
+        "protocol.round, protocol.contxt_count, backend.max_token\n")
+
+
+def test_synthesize_instance_draws_arrays_with_per_row_labels():
+    for seed in range(1, 8):
+        for d in (1, 2, 3, 8, 16):
+            cfg = {"d": d, "num_clients": 2, "examples_per_client": 9,
+                   "num_queries": 5}
+            clients, queries, _ = cli.synthesize_instance(cfg, seed)
+            w_true = cli._substream(seed, "instance").standard_normal(d)
+            assert isinstance(queries, np.ndarray)
+            assert queries.shape == (5, d) and not queries.flags.writeable
+            for ds in clients:
+                assert ds.labels.values.tolist() == [
+                    float(x @ w_true) for x in ds.covariates]
 
 
 @pytest.mark.parametrize("backend,want", [
@@ -711,13 +789,13 @@ def test_each_failure_of_simulate_has_its_exit_code_and_one_stderr_line(
     ids=["remote-average", "remote-majority", "lsa-majority", "lsa-fusion"])
 def test_simulate_rejects_an_aggregation_the_backend_cannot_feed(
         tmp_path, capsys, kind, aggregation):
-    # the backend kind picks the aggregation: the key itself is gone
+    # the backend kind picks the aggregation: the key is not a setting
     cfg = write_config(tmp_path, dict(
         SIM_CFG, protocol={"rounds": 2, "aggregation": aggregation},
         backend={"kind": kind, "endpoint": "http://127.0.0.1:9"}))
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_CONFIG
-    assert "protocol.aggregation is gone" in capsys.readouterr().err
+    assert "not a setting: protocol.aggregation" in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
 
 

@@ -162,6 +162,34 @@ def test_partition_spec_validation():
         PartitionSpec(num_clients=1, alpha=1.0, prior=(0.7, 0.7))
     with pytest.raises(ValueError, match="seed must be >= 0"):
         PartitionSpec(num_clients=1, alpha=1.0, prior=(1.0,), seed=-3)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        PartitionSpec(num_clients=1, alpha=float("nan"))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("num_clients", 2.5, "num_clients must be an int"),
+    ("num_clients", True, "num_clients must be an int"),
+    ("num_clients", "2", "num_clients must be an int"),
+    ("seed", 1.5, "seed must be an int"),
+    ("seed", True, "seed must be an int"),
+    ("alpha", "1.0", "alpha must be a number"),
+    ("alpha", True, "alpha must be a number"),
+    ("alpha", None, "alpha must be a number")])
+def test_partition_spec_rejects_a_setting_of_the_wrong_type(field, value,
+                                                            message):
+    with pytest.raises(TypeError, match=message):
+        PartitionSpec(**dict({"num_clients": 2, "alpha": 1.0},
+                             **{field: value}))
+
+
+def test_partition_spec_without_a_prior_is_uniform_over_the_categories():
+    corpus = labeled_corpus(60, num_cats=3, seed=4)
+    clients, manifest = dirichlet_partition(corpus, PartitionSpec(
+        num_clients=3, alpha=0.5, seed=8))
+    want_clients, want = dirichlet_partition(corpus, PartitionSpec(
+        num_clients=3, alpha=0.5, prior=uniform_prior(3), seed=8))
+    assert manifest == want
+    assert [c.examples for c in clients] == [c.examples for c in want_clients]
 
 
 def test_category_entropy_values():

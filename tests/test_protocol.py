@@ -803,6 +803,7 @@ def test_run_rejects_empty_client_list():
 
 
 def test_config_validation():
+    assert ProtocolConfig().rounds == 6
     with pytest.raises(ValueError):
         ProtocolConfig(rounds=0)
     with pytest.raises(ValueError):
