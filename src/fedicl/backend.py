@@ -93,6 +93,9 @@ class LmBackend:
                ) -> List[Labels]:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend holds open; ``answer`` reopens it."""
+
 
 class LsaBackend(LmBackend):
     """Closed-form LSA predictor at the pretrained global optimum.
@@ -177,8 +180,9 @@ class RemoteBackend(LmBackend):
     ``ConfigError``. The route is settled when the backend is built (see
     ``_connection``): ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` are read
     then and only then. The backend holds one connection, kept alive where
-    the server allows it and reopened after a reply that closes it or after
-    a failure; a lock serialises the POSTs of a backend that threads share.
+    the server allows it and reopened after a reply that closes it, a
+    failure or ``close()``; a lock serialises the POSTs of a backend that
+    threads share.
     TLS verifies against the system CA store (``SSL_CERT_FILE``);
     ``REQUESTS_CA_BUNDLE`` is not read.
     """
@@ -273,6 +277,10 @@ class RemoteBackend(LmBackend):
                                          delay)
                 time.sleep(delay)
         raise RemoteBackendError(f"request failed after retries: {last_error}")
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
 
     def _post(self, payload: bytes, headers: dict):
         """One POST on the kept connection: (status, headers, body). Any

@@ -10,9 +10,10 @@ Four commands share one JSON config file with a ``seed`` and sections
 
 The partition, protocol and backend sections go whole to the types that
 own them (PartitionSpec, ProtocolConfig, GenerationParams), which hold
-their defaults and checks. Exit codes: 0 pass, 1 verification failure,
-2 config error (a key that no command reads among them), 3 backend error,
-4 non-contractive configuration.
+their defaults and checks; each command but report checks protocol and
+backend alike, and partition splits over its examples' categories. Exit
+codes: 0 pass, 1 verification failure, 2 config error (a key that no
+command reads among them), 3 backend error, 4 non-contractive configuration.
 """
 
 from __future__ import annotations
@@ -176,34 +177,21 @@ def _check_settings(config: dict) -> None:
         raise ConfigError(f"not a setting: {', '.join(unknown)}")
 
 
-def _build_protocol_config(config: dict,
-                           seed: int) -> protocol.ProtocolConfig:
-    lsa_answers = _section(config, "backend").get("kind", "lsa") == "lsa"
-    with _parsing("protocol"):
-        return protocol.ProtocolConfig(
-            **{"seed": seed, **_section(config, "protocol")},
-            aggregation="average" if lsa_answers else "fusion")
-
-
-def _build_backends(config: dict, gamma_mat: Optional[np.ndarray],
-                    client_ids: Sequence[int]):
-    """One backend per client."""
+def _run_settings(config: dict, seed: int):
+    """The protocol config, backend kind, endpoint and generation params
+    of a config: ``main`` reads them once, for each command but report."""
     bcfg = dict(_section(config, "backend"))
     kind = bcfg.pop("kind", "lsa")
     endpoint = bcfg.pop("endpoint", None) or os.environ.get("FEDICL_ENDPOINT")
+    with _parsing("protocol"):
+        pconf = protocol.ProtocolConfig(
+            **{"seed": seed, **_section(config, "protocol")},
+            aggregation="average" if kind == "lsa" else "fusion")
     with _parsing("backend"):
         params = GenerationParams(**bcfg)
-    if kind == "lsa":
-        if gamma_mat is None:
-            raise ConfigError("lsa backend needs gamma, and client files "
-                              "give none")
-        return [LsaBackend(gamma_mat) for _ in client_ids]
-    if kind == "remote":
-        if not endpoint:
-            raise ConfigError("remote backend needs backend.endpoint or "
-                              "FEDICL_ENDPOINT")
-        return [RemoteBackend(endpoint, params=params) for _ in client_ids]
-    raise ConfigError(f"unknown backend kind: {kind!r}")
+    if kind not in ("lsa", "remote"):
+        raise ConfigError(f"unknown backend kind: {kind!r}")
+    return pconf, kind, endpoint, params
 
 
 def _unmodeled(pconf: protocol.ProtocolConfig) -> List[str]:
@@ -231,8 +219,8 @@ def _recursion(pconf: protocol.ProtocolConfig, clients, queries,
     return theory.iterate_recursion(state, pconf.effective_rounds)
 
 
-def cmd_theory(config: dict, output_dir: str, seed: int) -> int:
-    pconf = _build_protocol_config(config, seed)
+def cmd_theory(config: dict, output_dir: str, seed: int,
+               pconf: protocol.ProtocolConfig) -> int:
     if unmodeled := _unmodeled(pconf):
         raise ConfigError(f"the recursion does not model this run's "
                           f"{', '.join(unmodeled)}; simulate runs it "
@@ -256,18 +244,24 @@ def _theory_deviation(trace: core.RoundTrace) -> float:
     return float(np.max(np.abs(labels - xm @ np.array(trace.theory_w))))
 
 
-def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
-    pconf = _build_protocol_config(config, seed)
+def cmd_simulate(config: dict, output_dir: str, seed: int,
+                 pconf: protocol.ProtocolConfig, kind: str,
+                 endpoint: Optional[str], params: GenerationParams) -> int:
     clients_data, queries, gamma_mat = load_instance(config, seed)
-    backends = _build_backends(config, gamma_mat,
-                               [ds.client_id for ds in clients_data])
-    clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
-                                    backend=backend)
-               for ds, backend in zip(clients_data, backends)]
-
+    if kind == "lsa" and gamma_mat is None:
+        raise ConfigError("lsa backend needs gamma, and client files give "
+                          "none")
+    if kind == "remote" and not endpoint:
+        raise ConfigError("remote backend needs backend.endpoint or "
+                          "FEDICL_ENDPOINT")
     modeled = not _unmodeled(pconf)
     theory_trace = _recursion(pconf, clients_data, queries,
                               gamma_mat).w_trace if modeled else None
+    backends = [LsaBackend(gamma_mat) if kind == "lsa" else
+                RemoteBackend(endpoint, params=params) for _ in clients_data]
+    clients = [protocol.ClientState(client_id=ds.client_id, original=ds,
+                                    backend=backend)
+               for ds, backend in zip(clients_data, backends)]
 
     os.makedirs(output_dir, exist_ok=True)
     trace_path = os.path.join(output_dir, "traces.jsonl")
@@ -282,6 +276,9 @@ def cmd_simulate(config: dict, output_dir: str, seed: int) -> int:
         print(f"backend error: client {exc.client_id}: {exc}",
               file=sys.stderr)
         return EXIT_BACKEND
+    finally:
+        for backend in backends:
+            backend.close()
     result.ledger.export_csv(os.path.join(output_dir, "ledger.csv"))
 
     metrics: Dict[str, object] = {"rounds": len(result.traces)}
@@ -305,9 +302,6 @@ def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     dataset_path = _require(_section(config, "dataset"), "path", "dataset")
     with _parsing("dataset"):
         examples = data.load_dataset(dataset_path)
-    if all(ex.category is None for ex in examples):
-        raise ConfigError(f"{dataset_path}: every example needs a category, "
-                          f"and none has one")
     with _parsing("partition"):
         spec = data.PartitionSpec(**{"seed": seed,
                                      **_section(config, "partition")})
@@ -372,9 +366,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with _parsing("config"):
             seed = _int(config, "seed", 0) if args.seed is None else args.seed
         if args.mode != "report":
-            command = {"theory": cmd_theory, "simulate": cmd_simulate,
-                       "partition": cmd_partition}[args.mode]
-            return command(config, args.output, seed)
+            pconf, *backend = _run_settings(config, seed)
+            if args.mode == "partition":
+                return cmd_partition(config, args.output, seed)
+            if args.mode == "theory":
+                return cmd_theory(config, args.output, seed, pconf)
+            return cmd_simulate(config, args.output, seed, pconf, *backend)
         if not args.traces:
             raise ConfigError("report mode needs --traces")
         return cmd_report(args.traces, args.output)

@@ -91,8 +91,6 @@ class PartitionSpec:
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """Round `weights * total / sum(weights)` to integers summing to total."""
     weights = np.asarray(weights, dtype=float)
-    if weights.sum() <= 0:
-        weights = np.ones_like(weights)
     quotas = weights / weights.sum() * total
     counts = np.floor(quotas).astype(int)
     remainder = total - counts.sum()
@@ -102,10 +100,10 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec,
-                        categories: Optional[Sequence[str]] = None
+def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
                         ) -> Tuple[List[ClientDataset], Dict[int, int]]:
-    """Split examples across clients with category mix q ~ Dir(alpha * prior).
+    """Split examples across clients with category mix q ~ Dir(alpha * prior),
+    over the sorted categories of the examples.
 
     Per client, a proportion vector is sampled once and converted to integer
     per-category counts by largest-remainder rounding; draws are without
@@ -118,25 +116,16 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec,
     if spec.num_clients > len(dataset):
         raise ValueError(f"cannot split {len(dataset)} examples across "
                          f"{spec.num_clients} clients")
-    if categories is None:
-        categories = sorted({ex.category for ex in dataset})
-    categories = list(categories)
+    categories = sorted({ex.category for ex in dataset})
     prior = spec.prior or tuple(np.ones(len(categories)) / len(categories))
     if len(categories) != len(prior):
         raise ValueError(f"prior has {len(prior)} entries but there are "
                          f"{len(categories)} categories")
-    missing = [c for c, p in zip(categories, prior)
-               if p > 0 and not any(ex.category == c for ex in dataset)]
-    if missing:
-        raise ValueError(f"dataset has no examples of category {missing[0]!r}")
 
     rng = np.random.default_rng(spec.seed)
     cat_index = {c: i for i, c in enumerate(categories)}
     pools: List[List[int]] = [[] for _ in categories]
     for idx, ex in enumerate(dataset):
-        if ex.category not in cat_index:
-            raise ValueError(f"example category {ex.category!r} not in prior "
-                             "support")
         pools[cat_index[ex.category]].append(idx)
     for pool in pools:
         rng.shuffle(pool)
@@ -160,10 +149,9 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec,
             for _ in range(take):
                 picked.append(pools[cat].pop())
             available[cat] -= take
+        # the client sizes sum to the dataset's length: no pool runs dry
         while len(picked) < client_sizes[ci]:
             cat = int(np.argmax(available))
-            if available[cat] == 0:
-                raise ValueError("dataset exhausted before all clients filled")
             picked.append(pools[cat].pop())
             available[cat] -= 1
         examples = tuple(dataset[i] for i in sorted(picked))

@@ -353,7 +353,8 @@ def test_remote_backend_retries_on_rate_limit():
     assert got == TextLabel("mock answer")
 
 
-@pytest.mark.parametrize("retry_after", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("retry_after", [
+    "-1", "nan", "inf", "Wed, 21 Oct 2015 07:28:00 GMT"])
 def test_remote_backend_falls_back_to_backoff_on_an_invalid_retry_after(
         monkeypatch, retry_after):
     slept = []
@@ -524,9 +525,25 @@ def test_remote_backend_refused_port_fails_after_every_retry(monkeypatch):
 def test_remote_backend_keeps_its_connection_where_the_server_allows(
         keep_alive, connections):
     with MockLlmServer(keep_alive=keep_alive) as srv:
-        got = answer_one(RemoteBackend(srv.url), EMPTY, ["a", "b", "c"])
+        backend = RemoteBackend(srv.url)
+        got = answer_one(backend, EMPTY, ["a", "b", "c"])
+        backend.close()
         assert (len(srv.requests), srv.connections) == (3, connections)
     assert got == (TextLabel("mock answer"),) * 3
+
+
+def test_a_closed_remote_backend_holds_no_socket_and_still_answers():
+    with MockLlmServer(keep_alive=True) as srv:
+        backend = RemoteBackend(srv.url)
+        answer_one(backend, EMPTY, ["a"])
+        assert backend._conn.sock is not None
+        backend.close()
+        assert backend._conn.sock is None
+        got = answer_one(backend, EMPTY, ["b"])
+        backend.close()
+        assert (len(srv.requests), srv.connections) == (2, 2)
+    assert got == (TextLabel("mock answer"),)
+    assert backend._conn.sock is None
 
 
 def test_remote_backend_resends_on_a_kept_connection_the_server_dropped(
@@ -537,6 +554,7 @@ def test_remote_backend_resends_on_a_kept_connection_the_server_dropped(
         backend = RemoteBackend(srv.url,
                                 params=GenerationParams(max_retries=0))
         got = answer_one(backend, EMPTY, ["a", "b", "c"])
+        backend.close()
         assert (len(srv.requests), srv.connections) == (3, 3)
     assert got == (TextLabel("mock answer"),) * 3
     assert slept == []      # a resend uses no retry and no backoff

@@ -282,6 +282,33 @@ def test_every_key_of_the_config_is_read_by_every_command(tmp_path,
     assert code == cli.EXIT_PASS
 
 
+@pytest.mark.parametrize("section,value,line", [
+    ("backend", {"max_tokens": 2.5},
+     "config error: backend: max_tokens must be an int, got 2.5"),
+    ("backend", {"temperature": "hot"},
+     "config error: backend: temperature must be a number, got 'hot'"),
+    ("backend", {"max_retries": -1},
+     "config error: backend: max_retries must be >= 0"),
+    ("backend", {"kind": "bogus"},
+     "config error: unknown backend kind: 'bogus'"),
+    ("protocol", {"variant": "nope"},
+     "config error: protocol: unknown variant: 'nope'"),
+    ("protocol", {"rounds": 0},
+     "config error: protocol: rounds must be >= 1"),
+], ids=["float-max-tokens", "str-temperature", "negative-retries",
+        "unknown-kind", "unknown-variant", "zero-rounds"])
+def test_theory_and_partition_reject_the_run_settings_simulate_rejects(
+        tmp_path, capsys, section, value, line):
+    config = every_key_config(tmp_path)
+    config[section].update(value)
+    cfg = write_config(tmp_path, config)
+    for mode in ("simulate", "theory", "partition"):
+        code, out = run_cli(tmp_path, mode, cfg, out=mode)
+        assert code == cli.EXIT_CONFIG, mode
+        assert capsys.readouterr().err == line + "\n", mode
+        assert not out.exists(), mode
+
+
 @pytest.mark.parametrize("section,key", [
     (None, "sed"), ("dataset", "num_client"), ("protocol", "round"),
     ("backend", "max_token"), ("partition", "alpah")],
@@ -335,10 +362,11 @@ def test_synthesize_instance_draws_arrays_with_per_row_labels():
 ], ids=["defaults", "int-temperature", "float-temperature"])
 def test_a_valid_backend_config_builds_the_params_it_gives(backend, want):
     config = remote(endpoint="http://127.0.0.1:9", **backend)
-    backends = cli._build_backends(config, None, [1, 2])
-    assert [b.params for b in backends] == [want, want]
+    pconf, kind, endpoint, params = cli._run_settings(config, 0)
+    assert (kind, endpoint, params) == ("remote", "http://127.0.0.1:9", want)
+    assert pconf.aggregation == "fusion"
     # the body's temperature is a JSON float, as float() made it before
-    assert type(backends[0].params.temperature) is float
+    assert type(params.temperature) is float
 
 
 @pytest.mark.parametrize("mode,config", [
@@ -768,7 +796,7 @@ HTTP_400 = "request failed after retries: HTTP 400"
     ("partition", lambda tmp_path, url: {
         "dataset": {"path": make_corpus_file(tmp_path)[0]},
         "partition": {"num_clients": 2, "alpha": 1.0}}, ["--seed", "-3"],
-     cli.EXIT_CONFIG, "config error: partition: seed must be >= 0"),
+     cli.EXIT_CONFIG, "config error: protocol: seed must be >= 0"),
 ], ids=["bad-config", "failing-round", "failing-c-1", "diverging-knn-run",
         "theory-negative-seed", "partition-negative-seed"])
 def test_each_failure_of_simulate_has_its_exit_code_and_one_stderr_line(
@@ -796,6 +824,19 @@ def test_simulate_rejects_an_aggregation_the_backend_cannot_feed(
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_CONFIG
     assert "not a setting: protocol.aggregation" in capsys.readouterr().err
+    assert not (out / "traces.jsonl").exists()
+
+
+def test_simulate_remote_without_an_endpoint_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv("FEDICL_ENDPOINT", raising=False)
+    config = text_run(tmp_path, None)
+    del config["backend"]["endpoint"]
+    code, out = run_cli(tmp_path, "simulate", write_config(tmp_path, config))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: remote backend needs backend.endpoint or "
+        "FEDICL_ENDPOINT\n")
     assert not (out / "traces.jsonl").exists()
 
 
@@ -960,6 +1001,31 @@ def test_report_reads_the_non_finite_labels_simulate_can_write(tmp_path):
 def test_report_requires_traces(tmp_path):
     code, _ = run_cli(tmp_path, "report")
     assert code == cli.EXIT_CONFIG
+
+
+def test_report_rejects_an_empty_trace_file(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, _ = run_cli(tmp_path, "report", extra=["--traces", str(empty)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no traces in {empty}\n"
+
+
+def test_report_rejects_rounds_that_disagree_on_the_query_count(tmp_path,
+                                                                capsys):
+    def line(k, covariates):
+        return json.dumps({"round": k, "per_client_answers": {},
+                           "aggregated": {"covariates": covariates,
+                                          "labels": [{"y": 0.5}] * len(
+                                              covariates),
+                                          "round": k + 1}}) + "\n"
+
+    path = tmp_path / "uneven.jsonl"
+    path.write_text(line(1, [[1.0]]) + line(2, [[1.0], [2.0]]))
+    code, _ = run_cli(tmp_path, "report", extra=["--traces", str(path)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {path}: trace rounds disagree on query count\n")
 
 
 def test_report_reads_older_trace_lines_and_rejects_an_empty_query_set(

@@ -68,8 +68,7 @@ def test_partition_conservation_property(n, l, alpha, seed):
     present = sorted({ex.category for ex in corpus})
     clients, manifest = dirichlet_partition(
         corpus, PartitionSpec(num_clients=l, alpha=alpha,
-                              prior=uniform_prior(len(present)), seed=seed),
-        categories=present)
+                              prior=uniform_prior(len(present)), seed=seed))
     assert sum(len(c.examples) for c in clients) == n
     assert sorted(manifest) == list(range(n))
 
@@ -129,14 +128,6 @@ def test_partition_entropy_decreases_with_alpha():
             ents.extend(category_entropy(c) for c in clients)
         medians.append(float(np.median(ents)))
     assert medians[0] < medians[1] < medians[2]
-
-
-def test_partition_missing_category_errors():
-    corpus = [Example((1.0,), RealLabel(0.0), category="algebra")]
-    with pytest.raises(ValueError, match="biology"):
-        dirichlet_partition(corpus, PartitionSpec(
-            num_clients=1, alpha=1.0, prior=(0.5, 0.5)),
-            categories=("algebra", "biology"))
 
 
 def test_partition_requires_categories():
@@ -423,6 +414,15 @@ def test_load_dataset_fixture(tmp_path):
                            category="geo"),
                    Example((3.0,), RealLabel(-1.0)),
                    Example("2+2? (A) 3 (B) 4", TextLabel("B"))]
+
+
+def test_load_dataset_names_the_line_of_a_record_without_a_label(tmp_path):
+    path = tmp_path / "unlabeled.jsonl"
+    path.write_text('{"x": [1.0], "y": 2.0}\n\n{"question": "Why?"}\n')
+    with pytest.raises(ConfigError, match=(
+            r"unlabeled\.jsonl:3: malformed record: record has neither "
+            r"'y' nor 'answer'")):
+        load_dataset(path)
 
 
 def test_load_dataset_malformed_line_reports_position(tmp_path):

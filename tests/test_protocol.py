@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fedicl import core, lsa, protocol, theory
-from fedicl.backend import (GenerationParams, LsaBackend, RemoteBackend,
-                            render_prompt)
+from fedicl.backend import (GenerationParams, LmBackend, LsaBackend,
+                            RemoteBackend, render_prompt)
 from fedicl.core import ClientDataset, Dataset, Example, RealLabel, TextLabel
-from fedicl.data import IdentityEmbedder, knn_context
+from fedicl.data import IdentityEmbedder, TableEmbedder, knn_context
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
                              _step2_pool, aggregate, init_labels, run,
@@ -432,6 +432,52 @@ def test_every_knn_ask_is_a_stable_argsort_of_its_own_pool(variant, sizes):
             np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
 
 
+class TextAskRecordingBackend(LmBackend):
+    """An in-process text backend that notes each ask's (covariates,
+    queries, neighbours) and answers every query with its own text."""
+
+    max_tokens = 8
+
+    def __init__(self):
+        self.asks = []
+
+    def answer(self, asks, usages=None):
+        self.asks.extend((covs, queries, nb) for covs, _, queries, nb in asks)
+        return [tuple(TextLabel(q) for q in queries) for _, _, queries, _
+                in asks]
+
+
+@pytest.mark.parametrize("variant",
+                         ["fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub"])
+def test_every_text_knn_ask_is_a_stable_argsort_of_its_embedded_pool(
+        variant):
+    # text covariates embedded on a grid of small integers, where many
+    # distances tie; clients 1 and 2 share a backend, client 3 has its own
+    rng = np.random.default_rng(37)
+    names = [f"client {cid} question {j}" for cid in (1, 2, 3)
+             for j in range(5)] + [f"server query {j}" for j in range(5)]
+    table = TableEmbedder({name: rng.integers(-1, 2, size=2).astype(float)
+                           for name in names})
+    shared, solo = TextAskRecordingBackend(), TextAskRecordingBackend()
+    clients = [ClientState(cid, ClientDataset(cid, tuple(
+        Example(f"client {cid} question {j}", TextLabel(f"a{j}"))
+        for j in range(5))), shared if cid < 3 else solo)
+        for cid in (1, 2, 3)]
+    queries = [f"server query {j}" for j in range(5)]
+    run(ProtocolConfig(rounds=2, variant=variant, aggregation="fusion",
+                       context_count=3), clients, queries, embedder=table)
+    asks = shared.asks + solo.asks
+    assert any(nb is not None for _, _, nb in asks)
+    for covs, asked, got in asks:
+        if len(covs) <= 3:
+            assert got is None
+            continue
+        pool = table.embed_many(covs)
+        want = [np.argsort(np.linalg.norm(pool - table.embed(q), axis=1),
+                           kind="stable")[:3] for q in asked]
+        np.testing.assert_array_equal(got, want)
+
+
 class CountingBackend(LsaBackend):
     """An LSA backend that notes each ``answer`` call: a (query count,
     whether it has neighbours) pair per ask."""
@@ -578,6 +624,21 @@ def test_clients_with_different_gammas_get_their_own_answers():
             for e in grouped.ledger.entries] == [
         (k, direction, cid) for k in (1, 2, 3) for cid in (1, 2, 3)
         for direction in ("downlink", "uplink")]
+
+
+def test_a_missing_answer_column_names_the_first_client_of_the_group():
+    class ColumnShortBackend(LsaBackend):
+        def answer(self, asks, usages=None):
+            return super().answer(asks, usages)[:-1]
+
+    backend = ColumnShortBackend(GAMMA_1D)
+    clients = [ClientState(cid, real_dataset(cid, [[1.0], [2.0]],
+                                             [1.0, 2.0]), backend)
+               for cid in (3, 4)]
+    with pytest.raises(ProtocolError,
+                       match="step 1: 1 answer columns to 2 clients") as exc:
+        run(ProtocolConfig(rounds=1), clients, [(1.0,)])
+    assert exc.value.client_id == 3
 
 
 def test_a_wrong_answer_count_names_the_client_of_that_ask():

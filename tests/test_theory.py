@@ -237,6 +237,16 @@ def test_verify_non_contractive_reported_not_raised():
     assert not report.contractive and not report.passed
 
 
+def test_verify_a_state_without_a_fixed_point_gives_no_ratios():
+    # H = 2I leaves 2I - H singular: there is no w* to measure against
+    state = iterate_recursion(state_from(2.0 * np.eye(2), [1.0, 2.0]), 4)
+    assert state.w_star is None
+    report = verify_contraction(state)
+    assert not report.contractive and not report.passed
+    assert report.ratios == () and report.rounds == 4
+    assert report.h_norm == pytest.approx(2.0)
+
+
 def test_initialization_independence():
     rng = np.random.default_rng(15)
     h = np.array([[0.5, 0.1], [0.0, 0.3]])
