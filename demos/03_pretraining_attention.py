@@ -12,9 +12,9 @@ Run:  python3 demos/03_pretraining_attention.py   (~5 s)
 
 import numpy as np
 
-from fedicl.lsa import (PretrainSpec, build_embedding, limit_params,
-                        lsa_forward, predict_closed_form, prediction_map,
-                        pretrain_gd, gamma)
+from fedicl.lsa import (ClosedFormStep, PretrainSpec, build_embedding,
+                        limit_params, lsa_forward, predict_closed_form,
+                        prediction_map, pretrain_gd, gamma)
 
 d = 2
 spec = PretrainSpec(lam=np.eye(d), t_prompt=10, b_tasks=10_000, sigma=0.5,
@@ -48,5 +48,8 @@ print("\nprediction on a fresh prompt:")
 print(f"  learned attention layer : {lsa_forward(e, result.params.with_rho(5)):+.5f}")
 print(f"  optimal attention layer : {lsa_forward(e, opt.with_rho(5)):+.5f}")
 xs, ys = zip(*examples)
-closed_form = predict_closed_form([(xs, ys, [xq], None)], g)[0][0]
+# one ask (context covariates, queries, no neighbours), prepared once and
+# answered with its labels
+step = ClosedFormStep([(xs, [xq], None)])
+closed_form = predict_closed_form(step, [ys], g)[0][0]
 print(f"  closed-form expression  : {closed_form:+.5f}")

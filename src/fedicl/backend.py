@@ -27,7 +27,7 @@ import numpy as np
 from .core import (ConfigError, Covariate, Label, Labels, RealColumn,
                    TextLabel, check_int, covariate_text, neighbour_matrix,
                    real_values)
-from .lsa import SpdMatrix, predict_closed_form
+from .lsa import ClosedFormStep, SpdMatrix, predict_closed_form
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,24 @@ class GenerationParams:
             raise ValueError("max_retries must be >= 0")
 
 
-#: One request to a backend: a context's covariates and labels, the queries,
-#: and None or a (Q, k) index array whose row q lists query q's examples.
-Ask = Tuple[Sequence[Covariate], Sequence[Label], Sequence[Covariate],
-            Optional[np.ndarray]]
+#: One request to a backend, without its labels: a context's covariates,
+#: the queries, and None or a (Q, k) index array whose row q lists query
+#: q's examples.
+Ask = Tuple[Sequence[Covariate], Sequence[Covariate], Optional[np.ndarray]]
 
 
 class LmBackend:
-    """Answer batches of asks. ``answer`` takes a list of asks and returns
-    one label column (see ``core.label_column``) per ask, in ask order: an
-    ask ``(covariates, labels, queries, neighbours)`` has every query, in
-    query order, answered with all of the context's examples (the pairs of
-    ``covariates`` and ``labels``) or, given a (Q, k) index array
-    ``neighbours`` into them, with row q's examples.
+    """Answer batches of asks, prepared once and answered with labels.
+
+    ``prepare`` takes a list of asks and returns a prepared step, which
+    holds all that the answers need but the context labels. ``answer``
+    takes a prepared step and one label column per ask, and returns one
+    label column (see ``core.label_column``) per ask, in ask order: an ask
+    ``(covariates, queries, neighbours)`` with labels ``labels`` has every
+    query, in query order, answered with all of the context's examples
+    (the pairs of ``covariates`` and ``labels``) or, given a (Q, k) index
+    array ``neighbours`` into them, with row q's examples. A step is
+    prepared by the backend that answers it, or by one equal to it.
     ``usages``, when given, holds one dict (or None) per ask: a backend
     that observes token usage adds the ``prompt_tokens`` and
     ``completion_tokens`` of an ask's answers into its dict.
@@ -88,7 +93,11 @@ class LmBackend:
     max_tokens: Optional[int] = None
     waits_on_io = False
 
-    def answer(self, asks: Sequence[Ask],
+    def prepare(self, asks: Sequence[Ask]):
+        """The prepared step of ``asks``: here, the asks themselves."""
+        return tuple(asks)
+
+    def answer(self, step, labels: Sequence[Sequence[Label]],
                usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
                ) -> List[Labels]:
         raise NotImplementedError
@@ -122,13 +131,16 @@ class LsaBackend(LmBackend):
     def __hash__(self):
         return hash(self._key)
 
-    def answer(self, asks: Sequence[Ask],
+    def prepare(self, asks: Sequence[Ask]) -> ClosedFormStep:
+        # text covariates raise TypeError on the way to numbers
+        return ClosedFormStep(asks)
+
+    def answer(self, step: ClosedFormStep, labels: Sequence[Sequence[Label]],
                usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
                ) -> List[RealColumn]:
-        # text covariates or labels raise TypeError on the way to numbers
+        # text labels raise TypeError on the way to numbers
         return [RealColumn.wrap(pred) for pred in predict_closed_form(
-            [(xs, real_values(ys), xq, nb) for xs, ys, xq, nb in asks],
-            self._gamma)]
+            step, [real_values(ys) for ys in labels], self._gamma)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +220,38 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def answer(self, asks: Sequence[Ask],
-               usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
-               ) -> List[Tuple[Label, ...]]:
-        if usages is not None and len(usages) != len(asks):
-            raise ValueError(f"{len(usages)} usage dicts for {len(asks)} asks")
-        prompts = []  # every ask is checked before the first POST
-        for covariates, labels, queries, neighbours in asks:
+    def prepare(self, asks: Sequence[Ask]
+                ) -> List[Tuple[List[str], List[str], list]]:
+        """Each ask's exemplar question texts, query texts, and each
+        query's exemplar indices (None for all); every ask is checked
+        here, before any POST."""
+        step = []
+        for covariates, queries, neighbours in asks:
             if isinstance(queries, str):  # would be one POST per character
                 raise TypeError("queries must be a sequence, not a str")
-            pairs = list(zip(covariates, labels, strict=True))
-            contexts = ([pairs] * len(queries) if neighbours is None else
-                        [[pairs[i] for i in row] for row in neighbour_matrix(
-                            neighbours, len(pairs), len(queries))])
-            prompts.append(list(zip(contexts, queries)))
-        usages = [None] * len(asks) if usages is None else usages
-        return [tuple(self._answer_one(c, q, usage) for c, q in ask)
-                for ask, usage in zip(prompts, usages)]
+            rows = ([None] * len(queries) if neighbours is None else
+                    neighbour_matrix(neighbours, len(covariates),
+                                     len(queries)).tolist())
+            step.append(([covariate_text(x) for x in covariates],
+                         [covariate_text(q) for q in queries], rows))
+        return step
+
+    def answer(self, step, labels: Sequence[Sequence[Label]],
+               usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
+               ) -> List[Tuple[Label, ...]]:
+        if len(labels) != len(step):
+            raise ValueError(f"{len(labels)} label columns for {len(step)} "
+                             f"asks")
+        if usages is not None and len(usages) != len(step):
+            raise ValueError(f"{len(usages)} usage dicts for {len(step)} asks")
+        # every ask is checked before the first POST
+        pairs = [list(zip(texts, ys, strict=True))
+                 for (texts, _, _), ys in zip(step, labels)]
+        usages = [None] * len(step) if usages is None else usages
+        return [tuple(self._answer_one(
+                    ask if row is None else [ask[i] for i in row], query,
+                    usage) for query, row in zip(queries, rows))
+                for ask, (_, queries, rows), usage in zip(pairs, step, usages)]
 
     def _answer_one(self, exemplars: List[Tuple[Covariate, Label]],
                     query: Covariate, usage: Optional[Dict[str, int]]

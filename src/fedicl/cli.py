@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import core, data, lsa, protocol, theory
-from .backend import GenerationParams, LsaBackend, RemoteBackend
+from .backend import (GenerationParams, LsaBackend, RemoteBackend,
+                      _split_url)
 from .core import ConfigError
 
 EXIT_PASS = 0
@@ -179,7 +180,9 @@ def _check_settings(config: dict) -> None:
 
 def _run_settings(config: dict, seed: int):
     """The protocol config, backend kind, endpoint and generation params
-    of a config: ``main`` reads them once, for each command but report."""
+    of a config: ``main`` reads them once, for each command but report.
+    An endpoint, from the config or ``FEDICL_ENDPOINT``, is checked as
+    ``RemoteBackend`` checks it, and the remote kind needs one."""
     bcfg = dict(_section(config, "backend"))
     kind = bcfg.pop("kind", "lsa")
     endpoint = bcfg.pop("endpoint", None) or os.environ.get("FEDICL_ENDPOINT")
@@ -191,6 +194,14 @@ def _run_settings(config: dict, seed: int):
         params = GenerationParams(**bcfg)
     if kind not in ("lsa", "remote"):
         raise ConfigError(f"unknown backend kind: {kind!r}")
+    if kind == "remote" and not endpoint:
+        raise ConfigError("remote backend needs backend.endpoint or "
+                          "FEDICL_ENDPOINT")
+    if endpoint is not None:
+        if not isinstance(endpoint, str):
+            raise ConfigError(f"backend: endpoint must be a str, got "
+                              f"{endpoint!r}")
+        _split_url(endpoint.rstrip("/"), ("http", "https"), "endpoint")
     return pconf, kind, endpoint, params
 
 
@@ -251,9 +262,6 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
     if kind == "lsa" and gamma_mat is None:
         raise ConfigError("lsa backend needs gamma, and client files give "
                           "none")
-    if kind == "remote" and not endpoint:
-        raise ConfigError("remote backend needs backend.endpoint or "
-                          "FEDICL_ENDPOINT")
     modeled = not _unmodeled(pconf)
     theory_trace = _recursion(pconf, clients_data, queries,
                               gamma_mat).w_trace if modeled else None
@@ -301,7 +309,7 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     dataset_path = _require(_section(config, "dataset"), "path", "dataset")
     with _parsing("dataset"):
-        examples = data.load_dataset(dataset_path)
+        examples = data.load_dataset(dataset_path, categorised=True)
     with _parsing("partition"):
         spec = data.PartitionSpec(**{"seed": seed,
                                      **_section(config, "partition")})

@@ -414,11 +414,12 @@ def _labels_from_json(objs: Sequence[dict]) -> Labels:
 
 def _labels_text(labels: Labels) -> str:
     """``json.dumps(labels_to_json(labels))``. A finite real column is
-    joined from its floats' reprs, which is what the JSON encoder writes."""
-    if (isinstance(labels, RealColumn) and len(labels)
-            and np.isfinite(labels.values).all()):
-        return ('[{"y": ' + '}, {"y": '.join(
-            map(float.__repr__, labels.values.tolist())) + '}]')
+    joined from its floats' reprs, which is what the JSON encoder writes;
+    of those reprs, only ``inf`` and ``nan`` hold an ``n``."""
+    if isinstance(labels, RealColumn) and len(labels):
+        text = '}, {"y": '.join(map(float.__repr__, labels.values.tolist()))
+        if "n" not in text:
+            return '[{"y": ' + text + '}]'
     return json.dumps(labels_to_json(labels))
 
 

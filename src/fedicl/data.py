@@ -256,7 +256,10 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def load_dataset(path) -> List[Example]:
+def load_dataset(path, categorised: bool = False) -> List[Example]:
+    """The examples of a JSONL file; a malformed record, or with
+    ``categorised`` one with no category, raises ``ConfigError`` naming
+    its ``<path>:<line>``."""
     examples = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -267,6 +270,10 @@ def load_dataset(path) -> List[Example]:
                 examples.append(example_from_json(json.loads(line)))
             except (KeyError, TypeError, ValueError) as exc:  # bad JSON too
                 raise ConfigError(f"{path}:{lineno}: malformed record: {exc}")
+            if categorised and examples[-1].category is None:
+                raise ConfigError(f"{path}:{lineno}: record has no category, "
+                                  f"and every example needs a category for "
+                                  f"partitioning")
     return examples
 
 

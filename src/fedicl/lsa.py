@@ -141,16 +141,76 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
     return LsaParams(w_kq=w_kq, w_pv=w_pv, rho=float(t_prompt))
 
 
-def predict_closed_form(asks, gamma_mat: np.ndarray | SpdMatrix
-                        ) -> List[np.ndarray]:
-    """Closed-form LSA predictions at the global optimum for a batch of
-    asks, one (Q,) array per ask.
+class ClosedFormStep:
+    """A batch of asks without their labels, prepared once for
+    ``predict_closed_form``, which each round then feeds one label vector
+    per ask.
 
-    An ask is ``(xs, ys, x_query, neighbours)``: a context's (n, d)
-    covariates and (n,) labels, a (Q, d) matrix of queries, and None or a
-    (Q, k) index array whose row q picks query q's examples. Query q's
-    answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over the whole
-    context or over its examples; zero examples yield 0.
+    An ask is ``(xs, x_query, neighbours)``: a context's (n, d)
+    covariates, a (Q, d) matrix of queries, and None or a (Q, k) index
+    array whose row q picks query q's examples. Each whole context keeps
+    its covariate matrix. The asks with neighbours are stacked end to end,
+    their queries and their contexts, and the neighbourhoods of each size
+    k are gathered from the stacked contexts in one (R, k, d) array,
+    beside the (R, k) indices that gather their labels the same way and
+    the rows they take among the stacked queries.
+    """
+
+    __slots__ = ("sizes", "whole", "counts", "reads", "near", "queries",
+                 "gathers")
+
+    def __init__(self, asks):
+        self.sizes, self.whole, self.reads, near = [], [], [], []
+        rows = 0
+        for i, (xs, x_query, neighbours) in enumerate(asks):
+            xq = covariate_matrix(x_query)
+            nb = None if neighbours is None else neighbour_matrix(
+                neighbours, len(xs), len(xq))
+            self.sizes.append(len(xs))
+            if len(xs) == 0 or xq.size == 0:
+                self.reads.append((xq, None))
+            elif nb is None:  # one moment for the whole context
+                self.reads.append((xq, len(self.whole)))
+                self.whole.append((i, covariate_matrix(xs)))
+            else:  # one moment per query, over its neighbourhood
+                self.reads.append((xq, slice(rows, rows + len(xq))))
+                near.append((i, covariate_matrix(xs), xq, nb, rows))
+                rows += len(xq)
+        self.counts = np.array([self.sizes[i] for i, _ in self.whole])[:, None]
+        self.near = [i for i, *_ in near]
+        self.queries, self.gathers = None, []
+        if not near:
+            return
+        self.queries = np.concatenate([xq for _, _, xq, _, _ in near])
+        # an ask's indices are shifted past the examples of the asks
+        # before it, as a round reads their labels end to end
+        starts = np.cumsum([0] + [len(xs) for _, xs, _, _, _ in near])
+        stacked = np.concatenate([xs for _, xs, _, _, _ in near])
+        by_k = {}
+        for (_, _, xq, nb, row), start in zip(near, starts):
+            index, at = by_k.setdefault(nb.shape[1], ([], []))
+            index.append(nb + start)
+            at.append(np.arange(row, row + len(xq)))
+        for index, at in by_k.values():
+            index = np.concatenate(index)
+            # ``take`` copies the same rows as ``stacked[index]``, faster;
+            # asks of one size take every row, in order
+            self.gathers.append((index, np.take(stacked, index, axis=0),
+                                 np.concatenate(at) if len(by_k) > 1
+                                 else slice(None)))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+def predict_closed_form(step: ClosedFormStep, labels,
+                        gamma_mat: np.ndarray | SpdMatrix) -> List[np.ndarray]:
+    """Closed-form LSA predictions at the global optimum for a prepared
+    batch of asks and one (n,) label vector per ask, one (Q,) array per
+    ask.
+
+    Query q's answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over
+    the whole context or over its examples; zero examples yield 0.
 
     The moments of every ask (one for a whole context, one per query for
     neighbourhoods) are stacked and share one solve. Gamma is checked to
@@ -158,36 +218,31 @@ def predict_closed_form(asks, gamma_mat: np.ndarray | SpdMatrix
     """
     gamma_mat = (gamma_mat.matrix if isinstance(gamma_mat, SpdMatrix) else
                  _check_spd(gamma_mat, "gamma"))
-    sums, counts, near, reads, rows = [], [], [], [], 0
-    for xs, ys, x_query, neighbours in asks:
-        xq = covariate_matrix(x_query)
-        ys = np.asarray(ys, dtype=float)
-        if len(xs) != len(ys):
-            raise ValueError(f"context of {len(xs)} covariates and "
-                             f"{len(ys)} labels")
-        nb = None if neighbours is None else neighbour_matrix(
-            neighbours, len(ys), len(xq))
-        if len(ys) == 0 or xq.size == 0:
-            reads.append((xq, None))
-        elif nb is None:  # one moment for the whole context
-            reads.append((xq, len(sums)))
-            sums.append(ys @ covariate_matrix(xs))
-            counts.append(len(ys))
-        else:  # (Q, d) moments from one (Q, k, d) gather
-            xs = covariate_matrix(xs)
-            near.append(np.einsum("qk,qkd->qd", ys[nb], xs[nb])
-                        / nb.shape[1])
-            reads.append((xq, slice(rows, rows + len(xq))))
-            rows += len(xq)
+    if len(labels) != len(step):
+        raise ValueError(f"{len(labels)} label vectors for {len(step)} asks")
+    ys = [np.asarray(y, dtype=float) for y in labels]
+    for n, y in zip(step.sizes, ys):
+        if n != len(y):
+            raise ValueError(f"context of {n} covariates and {len(y)} labels")
     # one stacked solve: row r of ``v`` is Gamma^-1 applied to moment r,
-    # the whole contexts' moments first and then the neighbourhoods'
-    moments = [np.array(sums) / np.array(counts)[:, None]] if sums else []
-    v = (np.linalg.solve(gamma_mat, np.concatenate(moments + near).T).T
-         if moments or near else None)
+    # the whole contexts' moments first and then the neighbourhoods', in
+    # ask order
+    moments = ([np.array([ys[i] @ xs for i, xs in step.whole]) / step.counts]
+               if step.whole else [])
+    if step.gathers:
+        near_labels = np.concatenate([ys[i] for i in step.near])
+        near = np.empty(step.queries.shape)
+        for index, xs, at in step.gathers:
+            near[at] = (np.einsum("qk,qkd->qd", near_labels[index], xs)
+                        / index.shape[1])
+        moments.append(near)
+    v = (np.linalg.solve(gamma_mat, np.concatenate(moments).T).T
+         if moments else None)
+    answers = (np.einsum("qd,qd->q", step.queries, v[len(step.whole):])
+               if step.gathers else None)
     return [np.zeros(len(xq)) if at is None else
-            xq @ v[at] if type(at) is int else
-            np.einsum("qd,qd->q", xq, v[len(sums):][at])
-            for xq, at in reads]
+            xq @ v[at] if type(at) is int else answers[at]
+            for xq, at in step.reads]
 
 
 # ---------------------------------------------------------------------------

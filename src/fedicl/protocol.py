@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -91,6 +92,27 @@ class ProtocolError(RuntimeError):
 # Steps
 # ---------------------------------------------------------------------------
 
+class Step(NamedTuple):
+    """One step's asks for a group, prepared once by the group's backend
+    (``LmBackend.prepare``), and the query count of each ask."""
+
+    prepared: object
+    query_counts: Tuple[int, ...]
+
+
+def prepare_step(group: Sequence[ClientState], asks: Sequence[Ask],
+                 name: str) -> Step:
+    """``asks``, one per client of the ``group``, prepared by the first
+    client's backend, which the others equal; a failure names that client
+    and the step ``name`` (``C_1``, ``step 1`` or ``step 2``)."""
+    try:
+        prepared = group[0].backend.prepare(asks)
+    except Exception as exc:
+        raise ProtocolError(f"{name} backend failure: {exc}",
+                            group[0].client_id) from exc
+    return Step(prepared, tuple(len(queries) for _, queries, _ in asks))
+
+
 def init_labels(covariates: Sequence[Covariate], mode: str,
                 client: Optional[ClientState] = None,
                 rng: Optional[np.random.Generator] = None) -> Dataset:
@@ -112,63 +134,59 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
     elif mode == "backend_generated":
         if client is None:
             raise ValueError("backend_generated initialization needs a client")
-        labels = _answer_in_context([client], [((), (), covariates, None)],
-                                    "C_1", None)[0]
+        step = prepare_step([client], [((), covariates, None)], "C_1")
+        labels = _answer_in_context([client], step, [()], "C_1", None)[0]
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return Dataset(covariates=covariates, labels=labels)
 
 
-def step1_relabel(group: Sequence[ClientState], c_k: Dataset,
-                  neighbours: Optional[Sequence[Optional[np.ndarray]]] = None,
+def step1_relabel(group: Sequence[ClientState], step: Step, c_k: Dataset,
                   usages: Optional[Sequence[Dict[str, int]]] = None
                   ) -> List[Labels]:
     """Each client's new labels for its covariates, via ICL on the
-    server's query set (all of it, or each covariate's neighbours in it).
-    The ``group``'s backends are equal, so one ``answer`` call, one ask per
-    client, goes to the first client's."""
-    neighbours = neighbours or [None] * len(group)
-    return _answer_in_context(group, [
-        (c_k.covariates, c_k.labels, client.original.covariates, nb)
-        for client, nb in zip(group, neighbours)], "step 1", usages)
+    server's query set C_k (all of it, or each covariate's neighbours in
+    it): ``step`` holds one ask per client, over C_k's covariates, and
+    each takes C_k's labels. The ``group``'s backends are equal, so one
+    ``answer`` call goes to the first client's."""
+    return _answer_in_context(group, step, [c_k.labels] * len(group),
+                              "step 1", usages)
 
 
-def step2_answer(group: Sequence[ClientState],
-                 contexts: Sequence[Tuple[Sequence[Covariate], Labels]],
-                 queries: Sequence[Covariate],
-                 neighbours: Optional[Sequence[Optional[np.ndarray]]] = None,
+def step2_answer(group: Sequence[ClientState], step: Step,
+                 labels: Sequence[Labels],
                  usages: Optional[Sequence[Dict[str, int]]] = None
                  ) -> List[Labels]:
-    """Answer the server queries, each client in its own context, a
-    (covariates, labels) pair (all of it, or each query's neighbours in
-    it), in one ``answer`` call to the first client's backend, which the
-    ``group``'s others equal."""
-    neighbours = neighbours or [None] * len(group)
-    return _answer_in_context(group, [
-        (covs, labels, queries, nb)
-        for (covs, labels), nb in zip(contexts, neighbours)], "step 2",
-        usages)
+    """Answer the server queries, each client in its own context (all of
+    it, or each query's neighbours in it): ``step`` holds one ask per
+    client, over its context's covariates, and ``labels`` the context's
+    labels, in one ``answer`` call to the first client's backend, which
+    the ``group``'s others equal."""
+    return _answer_in_context(group, step, labels, "step 2", usages)
 
 
-def _answer_in_context(group: Sequence[ClientState], asks: List[Ask],
-                       step: str, usages: Optional[Sequence[Dict[str, int]]]
+def _answer_in_context(group: Sequence[ClientState], step: Step,
+                       labels: Sequence[Labels], name: str,
+                       usages: Optional[Sequence[Dict[str, int]]]
                        ) -> List[Labels]:
-    """One ``answer`` call with each client's ask, for ``step`` (``C_1``,
-    ``step 1`` or ``step 2``); a failure names the client whose answers
-    are wrong, or the group's first client when the call itself fails."""
+    """One ``answer`` call with each client's ask and context labels, for
+    the step ``name`` (``C_1``, ``step 1`` or ``step 2``); a failure names
+    the client whose answers are wrong, or the group's first client when
+    the call itself fails."""
     try:
-        columns = [label_column(col)
-                   for col in group[0].backend.answer(asks, usages)]
+        columns = [label_column(col) for col in
+                   group[0].backend.answer(step.prepared, labels, usages)]
     except Exception as exc:
-        raise ProtocolError(f"{step} backend failure: {exc}",
+        raise ProtocolError(f"{name} backend failure: {exc}",
                             group[0].client_id) from exc
-    if len(columns) != len(asks):
-        raise ProtocolError(f"{step}: {len(columns)} answer columns to "
-                            f"{len(asks)} clients", group[0].client_id)
-    for client, (_, _, queries, _), answers in zip(group, asks, columns):
-        if len(answers) != len(queries):
-            raise ProtocolError(f"{step}: {len(answers)} answers to "
-                                f"{len(queries)} queries", client.client_id)
+    if len(columns) != len(step.query_counts):
+        raise ProtocolError(f"{name}: {len(columns)} answer columns to "
+                            f"{len(step.query_counts)} clients",
+                            group[0].client_id)
+    for client, count, answers in zip(group, step.query_counts, columns):
+        if len(answers) != count:
+            raise ProtocolError(f"{name}: {len(answers)} answers to "
+                                f"{count} queries", client.client_id)
     return columns
 
 
@@ -387,8 +405,9 @@ def run(config: ProtocolConfig,
     call (see ``_check_run``), and a failing backend raises
     ``ProtocolError``. Each round is charged to the ledger once, after
     its answers (see ``charge_protocol_round``). Clients whose backends
-    compare equal form a group, and each group answers each step of a
-    round in one ``answer`` call. When some client's backend waits on
+    compare equal form a group; its backend prepares each of its steps
+    once, at set-up, and the group answers each step of a round in one
+    ``answer`` call. When some client's backend waits on
     I/O, the groups answer in a pool of ``max_workers`` threads (default:
     one per group); otherwise they answer one after another in the
     caller's thread.
@@ -422,8 +441,9 @@ def run(config: ProtocolConfig,
 
     # clients whose backends are equal answer each step in one call. A
     # round changes only labels: each step's pool keeps its covariates and
-    # neighbour choice ignores labels, so one step-2 pool per client and
-    # one kNN search per step and group serve every round of this run
+    # neighbour choice ignores labels, so one step-2 pool per client, one
+    # kNN search per step and group, and one prepared step per step and
+    # group serve every round of this run
     by_backend: Dict[LmBackend, List[int]] = {}
     for i, c in enumerate(clients):
         by_backend.setdefault(c.backend, []).append(i)
@@ -432,19 +452,24 @@ def run(config: ProtocolConfig,
     for group in ([clients[i] for i in at] for at in positions):
         pools = [_step2_pool(c, config.variant, server_reference)
                  for c in group]
-        plans.append((group, pools) + _knn_neighbours(
-            group, config, queries, embedder, pools))
+        step1_nn, step2_nn = _knn_neighbours(group, config, queries,
+                                             embedder, pools)
+        step1 = (prepare_step(group, [(queries, c.original.covariates, nb)
+                                      for c, nb in zip(group, step1_nn)],
+                              "step 1") if config.relabels else None)
+        step2 = prepare_step(group, [
+            (covs, queries, nb) for (covs, _), nb in zip(pools, step2_nn)],
+            "step 2")
+        plans.append((group, [kept for _, kept in pools], step1, step2))
 
     def group_round(plan) -> List[Tuple[Labels, dict]]:
-        group, pools, step1_nn, step2_nn = plan
+        group, labels, step1, step2 = plan
         usages: List[Dict[str, int]] = [{} for _ in group]
-        contexts = pools
-        if config.relabels:
-            relabeled = step1_relabel(group, c_k, step1_nn, usages)
-            contexts = [(covs, join_labels([kept, labels]))
-                        for (covs, kept), labels in zip(pools, relabeled)]
-        return list(zip(step2_answer(group, contexts, queries, step2_nn,
-                                     usages), usages))
+        if step1 is not None:
+            relabeled = step1_relabel(group, step1, c_k, usages)
+            labels = [join_labels([kept, new])
+                      for kept, new in zip(labels, relabeled)]
+        return list(zip(step2_answer(group, step2, labels, usages), usages))
 
     # threads only pay while a backend waits: in-process ones answer here
     threaded = (max_workers != 1 and len(plans) > 1

@@ -16,8 +16,9 @@ from fedicl.backend import (LsaBackend, RemoteBackend,
 from fedicl.core import (ClientDataset, CommLedger, Example, RealLabel,
                          TextLabel)
 from fedicl.data import IdentityEmbedder, PartitionSpec, dirichlet_partition
-from fedicl.lsa import (LsaParams, build_embedding, gamma, limit_params,
-                        lsa_forward, predict_closed_form, prediction_map)
+from fedicl.lsa import (ClosedFormStep, LsaParams, build_embedding, gamma,
+                        limit_params, lsa_forward, predict_closed_form,
+                        prediction_map)
 from fedicl.protocol import (ClientState, ProtocolConfig,
                              charge_protocol_round, run)
 
@@ -164,7 +165,8 @@ def test_criterion_06_attention_forward_equals_closed_form():
             e = build_embedding(examples, xq)
             got = lsa_forward(e, base.with_rho(n))
             xs, ys = zip(*examples)
-            want = predict_closed_form([(xs, ys, [xq], None)], g)[0][0]
+            want = predict_closed_form(ClosedFormStep([(xs, [xq], None)]),
+                                       [ys], g)[0][0]
             assert got == pytest.approx(want, abs=1e-10)
             for c in (0.5, 4.0):
                 scaled = LsaParams(c * base.w_kq, base.w_pv / c, rho=float(n))
@@ -354,8 +356,8 @@ def test_criterion_12_remote_wire_contract():
     with criterion(12, desc):
         with MockLlmServer(reply="the final answer") as srv:
             backend = RemoteBackend(srv.url)
-            got = backend.answer([(["ex q"], [TextLabel("ex a")],
-                                   ["real question?"], None)])[0][0]
+            step = backend.prepare([(["ex q"], ["real question?"], None)])
+            got = backend.answer(step, [[TextLabel("ex a")]])[0][0]
             assert got == TextLabel("the final answer")
             body = srv.requests[0]
             assert body["model"] == "gpt-4o-mini"
@@ -385,10 +387,12 @@ def test_criterion_12_remote_wire_contract():
                   (200, None, {})]
         with MockLlmServer(script=script) as srv:
             backend = RemoteBackend(srv.url)
-            got = backend.answer([((), (), ["q"], None)])[0][0]
+            got = backend.answer(backend.prepare([((), ["q"], None)]),
+                                 [()])[0][0]
             assert got == TextLabel("mock answer")
             assert len(srv.requests) == 2
 
         with MockLlmServer(script=[(200, {"bad": "shape"}, {})]) as srv:
             with pytest.raises(RemoteBackendError):
-                RemoteBackend(srv.url).answer([((), (), ["q"], None)])
+                backend = RemoteBackend(srv.url)
+                backend.answer(backend.prepare([((), ["q"], None)]), [()])

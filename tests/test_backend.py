@@ -14,7 +14,7 @@ from fedicl.backend import (BACKOFF_BASE_S, RETRY_AFTER_MAX_S,
                             GenerationParams, LsaBackend, RemoteBackend,
                             RemoteBackendError, render_prompt)
 from fedicl.core import ConfigError, RealLabel, TextLabel, real_values
-from fedicl.lsa import gamma, predict_closed_form
+from fedicl.lsa import ClosedFormStep, gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
 
@@ -25,19 +25,26 @@ GOLDEN = Path(__file__).parent / "data" / "golden_open_qa_prompt.txt"
 EMPTY = ((), ())
 
 
+def answer_asks(backend, asks, usages=None):
+    """The label columns of ``asks``, each ``(covariates, labels, queries,
+    neighbours)``: prepared, then answered with their labels."""
+    step = backend.prepare([(xs, qs, nb) for xs, _, qs, nb in asks])
+    return backend.answer(step, [ys for _, ys, _, _ in asks], usages)
+
+
 def answer_one(backend, context, queries, neighbours=None, usage=None):
     """The label column of one ask, with a ``(covariates, labels)``
     context, through the batch ``answer``."""
-    return backend.answer([(*context, queries, neighbours)],
-                          None if usage is None else [usage])[0]
+    return answer_asks(backend, [(*context, queries, neighbours)],
+                       None if usage is None else [usage])[0]
 
 
 def closed_form(context, queries, g, neighbours=None):
     """``predict_closed_form`` on one ask over a ``(covariates, labels)``
     context."""
     xs, ys = context
-    return predict_closed_form([(xs, real_values(ys), queries, neighbours)],
-                               g)[0]
+    return predict_closed_form(ClosedFormStep([(xs, queries, neighbours)]),
+                               [real_values(ys)], g)[0]
 
 
 def vec_context(rng, d, n):
@@ -74,7 +81,7 @@ def test_lsa_backend_delegates_to_closed_form():
 
 
 def test_lsa_backend_empty_context_answers_zero():
-    got = LsaBackend(np.eye(2)).answer([((), (), [(1.0, 2.0)], None)])
+    got = answer_asks(LsaBackend(np.eye(2)), [((), (), [(1.0, 2.0)], None)])
     assert got == [(RealLabel(0.0),)]
 
 
@@ -162,13 +169,45 @@ def test_closed_form_batch_equals_each_ask_alone():
             (other, more, rng.integers(0, 4, size=(2, 3))),
             (shared, qs, rng.integers(0, 6, size=(5, 2))),
             (EMPTY, more, None), (other, np.empty((0, 3)), None)]
-    got = predict_closed_form([
-        (xs, real_values(ys), q, nb) for (xs, ys), q, nb in asks], g)
+    got = predict_closed_form(
+        ClosedFormStep([(xs, q, nb) for (xs, _), q, nb in asks]),
+        [real_values(ys) for (_, ys), _, _ in asks], g)
     assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0]
     for pred, (ctx, q, nb) in zip(got, asks):
         np.testing.assert_allclose(pred, closed_form(ctx, q, g, nb),
                                    rtol=0, atol=1e-12)
     assert not got[-2].any()
+
+
+def test_a_step_of_whole_contexts_and_neighbourhoods_of_several_sizes():
+    # with c = 3: a pool of two examples, smaller than c, is every query's
+    # context; the others give each query 3 neighbours, or 1
+    rng = np.random.default_rng(39)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    qs = rng.standard_normal((4, 3))
+    small, pool, other = (vec_context(rng, 3, n) for n in (2, 7, 5))
+    asks = [(pool, qs, rng.integers(0, 7, size=(4, 3))), (small, qs, None),
+            (other, qs, rng.integers(0, 5, size=(4, 1))), (pool, qs, None),
+            (other, qs, rng.integers(0, 5, size=(4, 3))), (EMPTY, qs, None)]
+    backend = LsaBackend(g)
+    step = backend.prepare([(xs, q, nb) for (xs, _), q, nb in asks])
+    labels = [ys for (_, ys), _, _ in asks]
+    got = backend.answer(step, labels)
+    for column, ((xs, ys), q, nb) in zip(got, asks):
+        xs, ys = np.asarray(xs), real_values(ys)
+        rows = [np.arange(len(ys))] * len(q) if nb is None else nb
+        # x_q^T Gamma^-1 (1/k sum y_j x_j) over each query's examples
+        want = [x @ np.linalg.solve(g, xs[r].T @ ys[r] / len(r))
+                if len(r) else 0.0 for x, r in zip(q, rows)]
+        np.testing.assert_allclose(real_values(column), want, rtol=0,
+                                   atol=1e-12)
+    # a prepared step answers any labels: again, and with others
+    assert backend.answer(step, labels) == got
+    doubled = [[RealLabel(2 * lab.value) for lab in ys] for ys in labels]
+    for twice, column in zip(backend.answer(step, doubled), got):
+        np.testing.assert_allclose(real_values(twice),
+                                   2 * real_values(column), rtol=0,
+                                   atol=1e-12)
 
 
 MALFORMED_NEIGHBOURS = {
@@ -432,9 +471,9 @@ def test_remote_backend_answers_a_batch_ask_by_ask_with_its_own_usage():
     second = qa([(f"q{i}", f"a{i}") for i in range(3)])
     usages = [{}, {}]
     with MockLlmServer(reply="a reply") as srv:
-        got = RemoteBackend(srv.url).answer(
-            [(*first, ["one", "two"], None),
-             (*second, ["three"], np.array([[2, 0]]))], usages)
+        got = answer_asks(RemoteBackend(srv.url),
+                          [(*first, ["one", "two"], None),
+                           (*second, ["three"], np.array([[2, 0]]))], usages)
         prompts = [body["messages"][0]["content"] for body in srv.requests]
         served = list(srv.usages)
     assert got == [(TextLabel("a reply"),) * 2, (TextLabel("a reply"),)]
@@ -453,15 +492,16 @@ def test_remote_backend_checks_every_ask_before_its_first_request():
     with MockLlmServer() as srv:
         backend = RemoteBackend(srv.url)
         with pytest.raises(ValueError, match="neighbours"):
-            backend.answer([(*ctx, ["x"], None),
-                            (*ctx, ["y"], np.array([[1]]))])
+            answer_asks(backend, [(*ctx, ["x"], None),
+                                  (*ctx, ["y"], np.array([[1]]))])
         with pytest.raises(TypeError, match="str"):
-            backend.answer([(*ctx, ["x"], None), (*ctx, "y", None)])
+            answer_asks(backend, [(*ctx, ["x"], None), (*ctx, "y", None)])
         with pytest.raises(ValueError, match="usage"):
-            backend.answer([(*ctx, ["x"], None), (*ctx, ["y"], None)], [{}])
+            answer_asks(backend, [(*ctx, ["x"], None), (*ctx, ["y"], None)],
+                        [{}])
         with pytest.raises(ValueError, match="shorter"):
-            backend.answer([(*ctx, ["x"], None), (("q", "r"), ctx[1], ["y"],
-                                                  None)])
+            answer_asks(backend, [(*ctx, ["x"], None),
+                                  (("q", "r"), ctx[1], ["y"], None)])
         assert srv.requests == []
 
 

@@ -295,10 +295,23 @@ def test_every_key_of_the_config_is_read_by_every_command(tmp_path,
      "config error: protocol: unknown variant: 'nope'"),
     ("protocol", {"rounds": 0},
      "config error: protocol: rounds must be >= 1"),
+    ("backend", {"kind": "remote", "endpoint": "ftp://x"},
+     "config error: endpoint must be an http or https URL with a host, "
+     "got 'ftp://x'"),
+    ("backend", {"endpoint": "ftp://x"},
+     "config error: endpoint must be an http or https URL with a host, "
+     "got 'ftp://x'"),
+    ("backend", {"kind": "remote", "endpoint": None},
+     "config error: remote backend needs backend.endpoint or "
+     "FEDICL_ENDPOINT"),
+    ("backend", {"endpoint": 5},
+     "config error: backend: endpoint must be a str, got 5"),
 ], ids=["float-max-tokens", "str-temperature", "negative-retries",
-        "unknown-kind", "unknown-variant", "zero-rounds"])
+        "unknown-kind", "unknown-variant", "zero-rounds", "ftp-endpoint",
+        "lsa-ftp-endpoint", "remote-without-endpoint", "int-endpoint"])
 def test_theory_and_partition_reject_the_run_settings_simulate_rejects(
-        tmp_path, capsys, section, value, line):
+        tmp_path, capsys, monkeypatch, section, value, line):
+    monkeypatch.delenv("FEDICL_ENDPOINT", raising=False)
     config = every_key_config(tmp_path)
     config[section].update(value)
     cfg = write_config(tmp_path, config)
@@ -934,6 +947,26 @@ def test_partition_rejects_examples_without_a_category(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "every example needs a category" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_partition_names_the_line_of_a_record_without_a_category(tmp_path,
+                                                                 capsys):
+    path = tmp_path / "mixed.jsonl"
+    lines = [{"x": [0.0], "y": 0.0, "category": "a"}, None,
+             {"x": [1.0], "y": 1.0, "category": "b"},
+             {"x": [2.0], "y": 2.0}, {"x": [3.0], "y": 3.0}]
+    path.write_text("".join("\n" if obj is None else json.dumps(obj) + "\n"
+                            for obj in lines))
+    cfg = write_config(tmp_path, {"dataset": {"path": str(path)},
+                                  "partition": {"num_clients": 2,
+                                                "alpha": 1.0}})
+    code, out = run_cli(tmp_path, "partition", cfg)
+    assert code == cli.EXIT_CONFIG
+    # the blank second line counts: the first record without one is line 4
+    assert capsys.readouterr().err == (
+        f"config error: dataset: {path}:4: record has no category, and "
+        f"every example needs a category for partitioning\n")
+    assert not out.exists()
 
 
 def partition_categories(tmp_path, categories, prior):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fedicl import lsa
-from fedicl.lsa import (LsaParams, PretrainSpec, build_embedding, gamma,
-                        limit_params, lsa_forward, predict_closed_form,
-                        prediction_map, pretrain_gd)
+from fedicl.lsa import (ClosedFormStep, LsaParams, PretrainSpec,
+                        build_embedding, gamma, limit_params, lsa_forward,
+                        predict_closed_form, prediction_map, pretrain_gd)
 
 
 def brute_force_prediction(examples, x_query, gamma_mat):
@@ -22,9 +22,9 @@ def brute_force_prediction(examples, x_query, gamma_mat):
 def closed_form(examples, xq, g):
     """predict_closed_form on one query and a list of (covariate, label)
     pairs."""
-    return float(predict_closed_form([([x for x, _ in examples],
-                                       [y for _, y in examples], [xq],
-                                       None)], g)[0][0])
+    step = ClosedFormStep([([x for x, _ in examples], [xq], None)])
+    return float(predict_closed_form(step, [[y for _, y in examples]],
+                                     g)[0][0])
 
 
 def random_prompt(rng, d, n):
@@ -196,15 +196,14 @@ def test_spd_check(mat, accepted):
 
 
 def test_closed_form_checks_a_callers_gamma():
-    xs, ys, xq = np.eye(2), np.ones(2), np.eye(2)
+    step, ys = ClosedFormStep([(np.eye(2), np.eye(2), None)]), [np.ones(2)]
     for name in ("asymmetric by 1e-4", "inf", "not positive definite"):
         with pytest.raises(ValueError):
-            predict_closed_form([(xs, ys, xq, None)],
-                                np.array(SPD_CASES[name][0]))
+            predict_closed_form(step, ys, np.array(SPD_CASES[name][0]))
     g = np.array([[2.0, 0.5], [0.5, 1.0]])
     checked = lsa.SpdMatrix(g, "gamma")
-    assert np.array_equal(predict_closed_form([(xs, ys, xq, None)], checked),
-                          predict_closed_form([(xs, ys, xq, None)], g))
+    assert np.array_equal(predict_closed_form(step, ys, checked),
+                          predict_closed_form(step, ys, g))
     with pytest.raises(ValueError):
         checked.matrix[0, 0] = 1.0
     with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from fedicl.core import ClientDataset, Dataset, Example, RealLabel, TextLabel
 from fedicl.data import IdentityEmbedder, TableEmbedder, knn_context
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
-                             _step2_pool, aggregate, init_labels, run,
-                             step1_relabel, step2_answer)
+                             _step2_pool, aggregate, init_labels,
+                             prepare_step, run, step1_relabel, step2_answer)
 
 from mock_llm import MockLlmServer
 
@@ -54,8 +54,9 @@ def test_init_backend_generated():
     qs = init_labels([(1.0,), (2.0,)], "backend_generated",
                      ClientState(1, None, backend))
     # empty context: backend answers 0 for every query
-    assert qs.labels == tuple(backend.answer([((), (), [q], None)])[0][0]
-                              for q in qs.covariates)
+    assert qs.labels == tuple(
+        backend.answer(backend.prepare([((), [q], None)]), [()])[0][0]
+        for q in qs.covariates)
     assert qs.labels == (RealLabel(0.0),) * 2
 
 
@@ -82,12 +83,28 @@ def test_init_rejects_an_empty_query_list():
 # step 1 / step 2 (closed-form oracle values)
 # ---------------------------------------------------------------------------
 
+def relabel(group, c_k):
+    """Step 1 of the ``group`` on the query set ``c_k``, each client's ask
+    over C_k's covariates prepared as ``run`` prepares it."""
+    step = prepare_step(group, [(c_k.covariates, client.original.covariates,
+                                 None) for client in group], "step 1")
+    return step1_relabel(group, step, c_k)
+
+
+def answer_queries(group, contexts, queries):
+    """Step 2 of the ``group``, each client in its ``(covariates,
+    labels)`` context."""
+    step = prepare_step(group, [(covs, queries, None) for covs, _ in contexts],
+                        "step 2")
+    return step2_answer(group, step, [labels for _, labels in contexts])
+
+
 def test_step1_hand_value():
     # C_k = {(1, 3)}, client covariate 1: y = 1 * (1/3) * (1*3) = 1
     client = ClientState(1, real_dataset(1, [[1.0]], [99.0]),
                          LsaBackend(GAMMA_1D))
     c_k = Dataset(covariates=((1.0,),), labels=(RealLabel(3.0),))
-    labels, = step1_relabel([client], c_k)
+    labels, = relabel([client], c_k)
     assert labels == (RealLabel(1.0),)
 
 
@@ -96,7 +113,7 @@ def test_step1_zero_labels_propagate():
                          LsaBackend(GAMMA_1D))
     c_k = Dataset(covariates=((1.0,), (4.0,)),
                   labels=(RealLabel(0.0), RealLabel(0.0)))
-    labels, = step1_relabel([client], c_k)
+    labels, = relabel([client], c_k)
     assert all(lab.value == 0.0 for lab in labels)
 
 
@@ -113,7 +130,7 @@ def test_step2_hand_value():
                          LsaBackend(GAMMA_1D))
     context = step2_context(client, "fedicl", [RealLabel(1.0)])
     assert [len(column) for column in context] == [2, 2]
-    answers, = step2_answer([client], [context], [(1.0,)])
+    answers, = answer_queries([client], [context], [(1.0,)])
     assert answers[0].value == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -121,7 +138,7 @@ def test_step2_free_uses_only_relabeled():
     client = ClientState(1, real_dataset(1, [[1.0]], [7.0]),
                          LsaBackend(GAMMA_1D))
     context = step2_context(client, "fedicl_free", [RealLabel(0.0)])
-    answers, = step2_answer([client], [context], [(1.0,)])
+    answers, = answer_queries([client], [context], [(1.0,)])
     assert answers == (RealLabel(0.0),)
 
 
@@ -130,9 +147,9 @@ def test_fedicl_and_free_differ_when_labels_differ():
                          LsaBackend(GAMMA_1D))
 
     def answer(variant, relabeled):
-        return step2_answer([client], [step2_context(client, variant,
-                                                     relabeled)],
-                            [(1.0,)])[0]
+        return answer_queries([client], [step2_context(client, variant,
+                                                       relabeled)],
+                              [(1.0,)])[0]
 
     assert answer("fedicl", [RealLabel(1.0)]) != answer(
         "fedicl_free", [RealLabel(1.0)])
@@ -262,7 +279,7 @@ def test_ub_variant_names_the_merged_client_by_the_first_clients_id(
             for cid, ds in zip((7, 8), clients_data)]
 
     class FailingBackend(LsaBackend):
-        def answer(self, asks, usages=None):
+        def answer(self, step, labels, usages=None):
             raise RuntimeError("boom")
 
     with pytest.raises(ProtocolError, match="step 1 backend failure: boom"
@@ -288,8 +305,10 @@ def test_lb_variant_uses_server_reference_only():
     clients = [ClientState(1, None, LsaBackend(g))]
     result = run(ProtocolConfig(rounds=2, variant="fedicl_lb"),
                  clients, [(1.0,)], server_reference=reference)
-    expected = LsaBackend(g).answer([(reference.covariates, reference.labels,
-                                      [(1.0,)], None)])[0][0]
+    backend = LsaBackend(g)
+    expected = backend.answer(
+        backend.prepare([(reference.covariates, [(1.0,)], None)]),
+        [reference.labels])[0][0]
     assert result.final.labels == (expected,)
 
 
@@ -393,15 +412,15 @@ def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
 
 class AskRecordingBackend(LsaBackend):
     """An LSA backend that notes each ask's (covariates, queries,
-    neighbours)."""
+    neighbours) as it prepares it."""
 
     def __init__(self, gamma):
         super().__init__(gamma)
         self.asks = []
 
-    def answer(self, asks, usages=None):
-        self.asks.extend((covs, queries, nb) for covs, _, queries, nb in asks)
-        return super().answer(asks, usages)
+    def prepare(self, asks):
+        self.asks.extend(asks)
+        return super().prepare(asks)
 
 
 @pytest.mark.parametrize("sizes", [(5, 5, 5), (3, 5, 8)],
@@ -420,7 +439,7 @@ def test_every_knn_ask_is_a_stable_argsort_of_its_own_pool(variant, sizes):
         backend = AskRecordingBackend(np.eye(2))
         run(ProtocolConfig(rounds=1, variant=variant, context_count=c),
             [ClientState(ds.client_id, ds, backend) for ds in data], queries)
-        # one call for step 1, then one for step 2, of one ask per client
+        # one step 1 prepared, then one step 2, of one ask per client
         step2 = backend.asks[len(backend.asks) // 2:]
         assert [len(covs) for covs, _, _ in step2] == doubled
         for covs, asked, got in backend.asks:
@@ -434,17 +453,21 @@ def test_every_knn_ask_is_a_stable_argsort_of_its_own_pool(variant, sizes):
 
 class TextAskRecordingBackend(LmBackend):
     """An in-process text backend that notes each ask's (covariates,
-    queries, neighbours) and answers every query with its own text."""
+    queries, neighbours) as it prepares it and answers every query with
+    its own text."""
 
     max_tokens = 8
 
     def __init__(self):
         self.asks = []
 
-    def answer(self, asks, usages=None):
-        self.asks.extend((covs, queries, nb) for covs, _, queries, nb in asks)
-        return [tuple(TextLabel(q) for q in queries) for _, _, queries, _
-                in asks]
+    def prepare(self, asks):
+        self.asks.extend(asks)
+        return super().prepare(asks)
+
+    def answer(self, step, labels, usages=None):
+        return [tuple(TextLabel(q) for q in queries) for _, queries, _
+                in step]
 
 
 @pytest.mark.parametrize("variant",
@@ -479,17 +502,23 @@ def test_every_text_knn_ask_is_a_stable_argsort_of_its_embedded_pool(
 
 
 class CountingBackend(LsaBackend):
-    """An LSA backend that notes each ``answer`` call: a (query count,
-    whether it has neighbours) pair per ask."""
+    """An LSA backend that notes each ``prepare`` and ``answer`` call: a
+    (query count, whether it has neighbours) pair per ask."""
 
     def __init__(self, gamma):
         super().__init__(gamma)
-        self.calls = []
+        self.prepared, self.calls = [], []
 
-    def answer(self, asks, usages=None):
-        self.calls.append([(len(queries), neighbours is not None)
-                           for _, _, queries, neighbours in asks])
-        return super().answer(asks, usages)
+    def prepare(self, asks):
+        shape = [(len(queries), neighbours is not None)
+                 for _, queries, neighbours in asks]
+        self.prepared.append(shape)
+        return shape, super().prepare(asks)
+
+    def answer(self, step, labels, usages=None):
+        shape, prepared = step
+        self.calls.append(shape)
+        return super().answer(prepared, labels, usages)
 
 
 def test_knn_run_makes_one_backend_call_per_client_step_round():
@@ -509,6 +538,29 @@ def test_knn_run_makes_one_backend_call_per_client_step_round():
     assert [c.backend.calls for c in clients] == [per_round * 4, [], []]
 
 
+@pytest.mark.parametrize("context_count", [None, 3], ids=["full", "knn"])
+def test_a_run_prepares_each_group_step_once_and_answers_it_every_round(
+        context_count):
+    rng = np.random.default_rng(64)
+    clients_data, queries, _ = unequal_regression(rng, d=2, sizes=(4, 6, 9),
+                                                  m=5)
+    ga, gb = gamma(np.eye(2), 5), gamma(np.diag([1.0, 3.0]), 4)
+    # two groups: clients 1 and 3 on equal backends, client 2 alone
+    backends = [CountingBackend(g) for g in (ga, gb, ga)]
+    run(ProtocolConfig(rounds=3, context_count=context_count),
+        [ClientState(ds.client_id, ds, backend)
+         for ds, backend in zip(clients_data, backends)], queries)
+    knn = context_count is not None
+    step1 = [[(len(clients_data[i]), knn) for i in at] for at in ([0, 2], [1])]
+    step2 = [[(5, knn)] * len(at) for at in ([0, 2], [1])]
+    # set-up prepares step 1 and then step 2, once per group; each of the
+    # three rounds answers both, in that order
+    for backend, one, two in zip(backends[:2], step1, step2):
+        assert backend.prepared == [one, two]
+        assert backend.calls == [one, two] * 3
+    assert backends[2].prepared == backends[2].calls == []
+
+
 class SoloLsaBackend(LsaBackend):
     """An LSA backend equal only to itself: its client is a group of one,
     answered through one-ask batches."""
@@ -524,9 +576,9 @@ class AskCountingBackend(LsaBackend):
         super().__init__(gamma)
         self.calls = calls
 
-    def answer(self, asks, usages=None):
-        self.calls.append((self, len(asks)))
-        return super().answer(asks, usages)
+    def answer(self, step, labels, usages=None):
+        self.calls.append((self, len(labels)))
+        return super().answer(step, labels, usages)
 
 
 def test_lsa_backends_are_equal_when_their_gammas_are():
@@ -581,10 +633,14 @@ def test_grouped_answers_equal_each_client_answered_alone(variant,
     for a, b in zip(grouped.traces, solo.traces):
         assert list(a.per_client_answers) == list(b.per_client_answers)
         for cid, answers in a.per_client_answers.items():
-            np.testing.assert_allclose(
-                core.real_values(answers),
-                core.real_values(b.per_client_answers[cid]),
-                rtol=0, atol=1e-12)
+            got = core.real_values(answers)
+            want = core.real_values(b.per_client_answers[cid])
+            if context_count is None:
+                # one solve of several right-hand sides may round each
+                # otherwise than a solve of one
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            else:  # each neighbourhood's moment and answer is its own
+                np.testing.assert_array_equal(got, want)
     assert grouped.ledger.entries == solo.ledger.entries
 
 
@@ -628,8 +684,8 @@ def test_clients_with_different_gammas_get_their_own_answers():
 
 def test_a_missing_answer_column_names_the_first_client_of_the_group():
     class ColumnShortBackend(LsaBackend):
-        def answer(self, asks, usages=None):
-            return super().answer(asks, usages)[:-1]
+        def answer(self, step, labels, usages=None):
+            return super().answer(step, labels, usages)[:-1]
 
     backend = ColumnShortBackend(GAMMA_1D)
     clients = [ClientState(cid, real_dataset(cid, [[1.0], [2.0]],
@@ -641,10 +697,28 @@ def test_a_missing_answer_column_names_the_first_client_of_the_group():
     assert exc.value.client_id == 3
 
 
+def test_a_step_the_backend_cannot_prepare_fails_at_set_up(tmp_path):
+    class UnpreparedBackend(LsaBackend):
+        def prepare(self, asks):
+            raise RuntimeError("no step")
+
+    backend = UnpreparedBackend(GAMMA_1D)
+    clients = [ClientState(cid, real_dataset(cid, [[1.0], [2.0]],
+                                             [1.0, 2.0]), backend)
+               for cid in (3, 4)]
+    with pytest.raises(ProtocolError,
+                       match="step 1 backend failure: no step") as exc:
+        run(ProtocolConfig(rounds=2), clients, [(1.0,)],
+            trace_path=tmp_path / "traces.jsonl")
+    assert exc.value.client_id == 3
+    # set-up comes before any round: no trace file is written
+    assert not (tmp_path / "traces.jsonl").exists()
+
+
 def test_a_wrong_answer_count_names_the_client_of_that_ask():
     class LastAskShortBackend(LsaBackend):
-        def answer(self, asks, usages=None):
-            columns = super().answer(asks, usages)
+        def answer(self, step, labels, usages=None):
+            columns = super().answer(step, labels, usages)
             return columns[:-1] + [columns[-1][:-1]]
 
     backend = LastAskShortBackend(GAMMA_1D)
@@ -652,7 +726,7 @@ def test_a_wrong_answer_count_names_the_client_of_that_ask():
                                              [1.0, 2.0]), backend)
                for cid in (1, 2)]
     with pytest.raises(ProtocolError, match="step 1: 1 answers to 2") as exc:
-        step1_relabel(clients, qset([RealLabel(3.0)]))
+        relabel(clients, qset([RealLabel(3.0)]))
     assert exc.value.client_id == 2
     with pytest.raises(ProtocolError, match="step 1: 1 answers to 2") as exc:
         run(ProtocolConfig(rounds=1), clients, [(1.0,)])
@@ -761,14 +835,14 @@ def test_serial_and_pooled_runs_trace_identically(monkeypatch):
 
 def test_backend_answer_count_mismatch_is_a_protocol_error():
     class ShortBackend(LsaBackend):
-        def answer(self, asks, usages=None):
-            return [col[:-1] for col in super().answer(asks, usages)]
+        def answer(self, step, labels, usages=None):
+            return [col[:-1] for col in super().answer(step, labels, usages)]
 
     client = ClientState(1, real_dataset(1, [[1.0], [2.0]], [1.0, 2.0]),
                          ShortBackend(GAMMA_1D))
     c_k = qset([RealLabel(3.0)])
     with pytest.raises(ProtocolError, match="step 1: 1 answers to 2"):
-        step1_relabel([client], c_k)
+        relabel([client], c_k)
 
 
 def test_client_permutation_leaves_aggregate_unchanged():
@@ -808,9 +882,16 @@ def test_sent_payloads_never_contain_client_data():
     calls = []
 
     class RecordingBackend(LsaBackend):
-        def answer(self, asks, usages=None):
-            calls.append(list(asks))
-            return super().answer(asks, usages)
+        """Notes each call's asks, each with the labels it was given."""
+
+        def prepare(self, asks):
+            return list(asks), super().prepare(asks)
+
+        def answer(self, step, labels, usages=None):
+            asks, prepared = step
+            calls.append([(covs, ys, queries, nb) for (covs, queries, nb), ys
+                          in zip(asks, labels)])
+            return super().answer(prepared, labels, usages)
 
     clients = [ClientState(ds.client_id, ds, RecordingBackend(g))
                for ds in clients_data]
@@ -961,7 +1042,8 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
     # step's kNN search stacks the group's pools once, in no round
     assert stacks == [len(clients) + 2 * (context_count is not None)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
-    lsa.predict_closed_form([(np.eye(2), np.ones(2), np.eye(2), None)], g)
+    lsa.predict_closed_form(lsa.ClosedFormStep([(np.eye(2), np.eye(2), None)]),
+                            [np.ones(2)], g)
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
                              "_check_spd": 1})
 
@@ -1198,8 +1280,9 @@ def test_a_backend_failure_building_c_1_is_a_protocol_error():
 class ShortBackend(LsaBackend):
     """An LSA backend that gives one answer too few to every ask."""
 
-    def answer(self, asks, usages=None):
-        return [column[:-1] for column in super().answer(asks, usages)]
+    def answer(self, step, labels, usages=None):
+        return [column[:-1] for column in super().answer(step, labels,
+                                                         usages)]
 
 
 def test_a_wrong_answer_count_for_c_1_is_a_protocol_error():

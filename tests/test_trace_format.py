@@ -71,9 +71,10 @@ class EchoBackend(LmBackend):
 
     max_tokens = 8
 
-    def answer(self, asks, usages=None):
-        return [tuple(TextLabel(f'“{q[::-1]}” \\ "{len(labels)}"')
-                      for q in queries) for _, labels, queries, _ in asks]
+    def answer(self, step, labels, usages=None):
+        return [tuple(TextLabel(f'“{q[::-1]}” \\ "{len(ys)}"')
+                      for q in queries)
+                for (_, queries, _), ys in zip(step, labels)]
 
 
 def text_traces():
