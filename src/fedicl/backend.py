@@ -220,23 +220,7 @@ class RemoteBackend(LmBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def prepare(self, asks: Sequence[Ask]
-                ) -> List[Tuple[List[str], List[str], list]]:
-        """Each ask's exemplar question texts, query texts, and each
-        query's exemplar indices (None for all); every ask is checked
-        here, before any POST."""
-        step = []
-        for covariates, queries, neighbours in asks:
-            if isinstance(queries, str):  # would be one POST per character
-                raise TypeError("queries must be a sequence, not a str")
-            rows = ([None] * len(queries) if neighbours is None else
-                    neighbour_matrix(neighbours, len(covariates),
-                                     len(queries)).tolist())
-            step.append(([covariate_text(x) for x in covariates],
-                         [covariate_text(q) for q in queries], rows))
-        return step
-
-    def answer(self, step, labels: Sequence[Sequence[Label]],
+    def answer(self, step: Sequence[Ask], labels: Sequence[Sequence[Label]],
                usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
                ) -> List[Tuple[Label, ...]]:
         if len(labels) != len(step):
@@ -244,14 +228,23 @@ class RemoteBackend(LmBackend):
                              f"asks")
         if usages is not None and len(usages) != len(step):
             raise ValueError(f"{len(usages)} usage dicts for {len(step)} asks")
-        # every ask is checked before the first POST
-        pairs = [list(zip(texts, ys, strict=True))
-                 for (texts, _, _), ys in zip(step, labels)]
+        # every ask is checked, and its texts built, before the first POST:
+        # its exemplars, and each query's text and exemplar rows (None: all)
+        asks = []
+        for (covariates, queries, neighbours), ys in zip(step, labels):
+            if isinstance(queries, str):  # would be one POST per character
+                raise TypeError("queries must be a sequence, not a str")
+            rows = ([None] * len(queries) if neighbours is None else
+                    neighbour_matrix(neighbours, len(covariates),
+                                     len(queries)).tolist())
+            asks.append((list(zip(map(covariate_text, covariates), ys,
+                                  strict=True)),
+                         list(zip(map(covariate_text, queries), rows))))
         usages = [None] * len(step) if usages is None else usages
         return [tuple(self._answer_one(
-                    ask if row is None else [ask[i] for i in row], query,
-                    usage) for query, row in zip(queries, rows))
-                for ask, (_, queries, rows), usage in zip(pairs, step, usages)]
+                    exemplars if row is None else [exemplars[i] for i in row],
+                    query, usage) for query, row in queries)
+                for (exemplars, queries), usage in zip(asks, usages)]
 
     def _answer_one(self, exemplars: List[Tuple[Covariate, Label]],
                     query: Covariate, usage: Optional[Dict[str, int]]

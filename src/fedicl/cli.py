@@ -120,13 +120,15 @@ def load_instance(config: dict, seed: int):
     ``theory`` and ``simulate`` run, from the ``dataset`` section."""
     cfg = _section(config, "dataset")
     with _parsing("dataset"):
+        if cfg.get("construction", "matched_moments") != "matched_moments":
+            raise ValueError(f"unknown construction: {cfg['construction']!r}")
         if "client_paths" in cfg:
             # pre-partitioned client files (see partition mode), query file
             query_path = _require(cfg, "query_path", "dataset")
             clients = [data.load_dataset(path) for path in cfg["client_paths"]]
             queries = [ex.covariate for ex in data.load_dataset(query_path)]
             gamma_mat = None
-        elif cfg.get("construction") == "matched_moments":
+        elif "construction" in cfg:
             # covariates {+/- v_j}, the columns of sqrt(d * Gamma), whose
             # second moment is Gamma: H_cont = I, the error halves a round
             d = _int(cfg, "d", 2)
@@ -340,7 +342,8 @@ def cmd_report(trace_paths: Sequence[str], output_dir: str) -> int:
             row = {"source": os.path.basename(path), "round": trace.round,
                    "num_queries": len(trace.aggregated)}
             if trace.theory_w is not None:
-                row["max_theory_deviation"] = _theory_deviation(trace)
+                with _parsing(path):  # text labels, or w of another size
+                    row["max_theory_deviation"] = _theory_deviation(trace)
             rows.append(row)
     fields = ["source", "round", "num_queries", "max_theory_deviation"]
     with open(os.path.join(output_dir, "report.csv"), "w", newline="") as fh:

@@ -11,7 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ClientDataset, ConfigError, Covariate, Example,
-                   check_int, example_from_json, example_to_json)
+                   check_int, example_from_json, example_to_json,
+                   stack_covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +178,19 @@ def category_entropy(dataset: ClientDataset) -> float:
 KNN_BLOCK_ELEMENTS = 16_384
 
 
-def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
-                c: int, embedder: Embedder, keys: bool = False,
-                sizes: Optional[Sequence[int]] = None):
-    """Indices into ``pool`` of each query's c nearest covariates: a (Q,
-    min(c, len(pool))) integer array, rows nearest-first, distance ties in
-    pool order (the first c of each query's stable argsort of its
-    ``norm(pool - q, axis=1)``). With ``sizes``, ``pool`` holds pools of
-    those lengths end to end, and a list holds one such array per pool, of
-    indices into that pool. With ``keys``, each array comes with a float
-    array of its shape that increases along each row and is equal exactly
-    where those distances tie. The pool and the queries are embedded once
-    each, and searched a block of queries at a time, so that a block's
-    distance matrix holds at most ``KNN_BLOCK_ELEMENTS`` elements (or one
-    query's, if that is more).
+def knn_context(pools: Sequence[Sequence[Covariate]],
+                queries: Sequence[Covariate], c: int, embedder: Embedder
+                ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For each of the ``pools``, its indices of each query's c nearest
+    covariates and their keys. The indices are a (Q, min(c, len(pool)))
+    integer array, rows nearest-first, distance ties in pool order (the
+    first c of each query's stable argsort of its ``norm(pool - q,
+    axis=1)``). The keys are a float array of its shape that increases
+    along each row and is equal exactly where those distances tie. The
+    pools are embedded end to end once, and the queries once, and searched
+    a block of queries at a time, so that a block's distance matrix holds
+    at most ``KNN_BLOCK_ELEMENTS`` elements (or one query's, if that is
+    more).
 
     A block's squared distances, less each query's ``|q|^2``, come from
     one matrix product. Each query sorts its c + 1 nearest in each pool by
@@ -198,10 +198,10 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
     by a rounding slack; any other query is searched exactly in that pool."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    pool_emb = embedder.embed_many(pool)
+    pool_emb = embedder.embed_many(stack_covariates(pools))
     query_emb = embedder.embed_many(queries)
     (n, d), q = pool_emb.shape, len(query_emb)
-    lengths = [n] if sizes is None else list(sizes)
+    lengths = [len(pool) for pool in pools]
     starts = np.cumsum([0] + lengths[:-1])
     rows = max(1, KNN_BLOCK_ELEMENTS // max(n, 1))
     pool_sq = np.einsum("ij,ij->i", pool_emb, pool_emb)
@@ -217,7 +217,7 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
             plans.append((cols, k, min(k + 1, size), nearest, key, np.sqrt(
                 pool_sq[cols].max(axis=1, initial=0))))
         for j, i in enumerate(at):
-            found[i] = (nearest[:, j], key[:, j]) if keys else nearest[:, j]
+            found[i] = (nearest[:, j], key[:, j])
     for lo in range(0, q, rows):
         block = query_emb[lo:lo + rows]
         # squared distances less |q|^2, which is constant along a row
@@ -249,7 +249,7 @@ def knn_context(pool: Sequence[Covariate], queries: Sequence[Covariate],
                 dist = np.linalg.norm(pool_emb[cols[j]] - block[i], axis=1)
                 nearest[lo + i, j] = np.argsort(dist, kind="stable")[:k]
                 key[lo + i, j] = dist[nearest[lo + i, j]]
-    return found if sizes is not None else found[0]
+    return found
 
 
 # ---------------------------------------------------------------------------

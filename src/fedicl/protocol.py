@@ -190,68 +190,64 @@ def _answer_in_context(group: Sequence[ClientState], step: Step,
     return columns
 
 
-def _step2_pool(client: ClientState, variant: str,
-                server_reference: Optional[ClientDataset]
-                ) -> Tuple[Sequence[Covariate], Labels]:
-    """Step 2's covariates for a whole run, stacked once, and the labels
-    that precede step 1's answers in its context: all of its labels for a
-    variant that does not relabel, whose context is the same every round."""
-    if variant == "fedicl_lb":
-        return server_reference.covariates, server_reference.labels
-    local = client.original
-    if variant == "fedicl_gt":
-        return local.covariates, local.labels
-    if variant == "fedicl_free":
-        return local.covariates, ()
-    # relabeling keeps the local covariates in order: D^i ++ D_k^i
-    return stack_covariates([local.covariates] * 2), local.labels
+def _prepare_group(group: Sequence[ClientState], config: ProtocolConfig,
+                   queries: Sequence[Covariate], embedder: Optional[Embedder],
+                   server_reference: Optional[ClientDataset]
+                   ) -> Tuple[List[Labels], Optional[Step], Step]:
+    """The labels each client of the ``group`` keeps, and the group's step
+    1 (None for a variant that does not relabel) and step 2, prepared once
+    for a whole run.
 
+    A client's step-2 pool has two parts: the examples it keeps, whose
+    labels are the same every round (its own; the server reference under
+    fedicl_lb; none under fedicl_free), then, when the variant relabels,
+    its covariates, which step 1 labels anew each round: D^i ++ D_k^i.
 
-def _knn_neighbours(group: Sequence[ClientState], config: ProtocolConfig,
-                    queries: Sequence[Covariate], embedder: Optional[Embedder],
-                    pools: Sequence[Tuple[Sequence[Covariate], Labels]]
-                    ) -> Tuple[list, list]:
-    """Each client's step-1 and step-2 kNN indices into its pools (the
-    queries, and its step-2 covariates, whose first ``len(kept)`` rows
-    precede step 1's answers when the variant relabels); None where the
-    whole pool is every query's context.
-
-    Every client's step-1 pool is the queries, so one search of the
-    group's local covariates, stacked, serves all of step 1: each row of a
-    search is the first c of its own stable argsort. One more search, of
-    every distinct step-2 pool at once, serves all of step 2."""
+    With a context count, every client's step-1 pool is the queries, so
+    one search of the group's covariates, stacked, serves all of step 1:
+    each row of a search is the first c of its own stable argsort. One
+    more search serves all of step 2. It searches each distinct first
+    part once (clients share fedicl_lb's reference), or the relabeled
+    part where none is kept, and skips a pool that is every query's
+    context."""
+    kept = [server_reference if config.variant == "fedicl_lb" else None
+            if config.variant == "fedicl_free" else c.original for c in group]
+    relabeled = [c.original.covariates if config.relabels else None
+                 for c in group]
+    pools = [covs if ds is None else ds.covariates if covs is None
+             else stack_covariates([ds.covariates, covs])
+             for ds, covs in zip(kept, relabeled)]
+    step1_nn, step2_nn = [None] * len(group), [None] * len(group)
     c = config.context_count
-    if c is None:
-        return [None] * len(group), [None] * len(group)
-    emb = embedder if embedder is not None else IdentityEmbedder()
-    step1 = [None] * len(group)
-    if config.relabels and c < len(queries):
-        covs = [client.original.covariates for client in group]
-        step1 = np.split(knn_context(queries, stack_covariates(covs), c, emb),
-                         np.cumsum([len(x) for x in covs[:-1]]))
-    # step 2 searches the pools that are not every query's context, and
-    # in D^i ++ D_k^i, which holds each local covariate twice, those once
-    at = [i for i, (covs, _) in enumerate(pools) if c < len(covs)]
-    searched = [group[i].original.covariates if config.relabels
-                and len(pools[i][1]) else pools[i][0] for i in at]
-    step2 = [None] * len(group)
-    if not at:
-        return step1, step2
-    # clients that share a pool (fedicl_lb's reference) share its search
-    unique = list({id(x): x for x in searched}.values())
-    found = dict(zip(map(id, unique), knn_context(
-        stack_covariates(unique), queries, c, emb, keys=True,
-        sizes=[len(x) for x in unique])))
-    for i, local in zip(at, searched):
-        nearest, key = found[id(local)]
-        if len(pools[i][0]) > len(local):
-            # lay the c nearest out in the doubled pool's stable order,
-            # where among equal distances row j comes before row N + j
-            order = np.argsort(np.hstack([key, key]), axis=1, kind="stable")
-            nearest = np.take_along_axis(np.hstack(
-                [nearest, nearest + len(local)]), order[:, :c], axis=1)
-        step2[i] = nearest
-    return step1, step2
+    if c is not None:
+        emb = embedder if embedder is not None else IdentityEmbedder()
+        if config.relabels and c < len(queries):
+            (nearest, _), = knn_context([queries], stack_covariates(
+                relabeled), c, emb)
+            step1_nn = np.split(nearest, np.cumsum(
+                [len(covs) for covs in relabeled[:-1]]))
+        at = [i for i, pool in enumerate(pools) if c < len(pool)]
+        searched = [relabeled[i] if kept[i] is None else kept[i].covariates
+                    for i in at]
+        unique = list({id(part): part for part in searched}.values())
+        found = dict(zip(map(id, unique), knn_context(unique, queries, c, emb)
+                         if unique else ()))
+        for i, part in zip(at, searched):
+            nearest, key = found[id(part)]
+            if kept[i] is not None and relabeled[i] is not None:
+                # each kept covariate j is also relabeled, at N + j, and
+                # among equal distances j comes first
+                order = np.argsort(np.hstack([key, key]), axis=1,
+                                   kind="stable")
+                nearest = np.take_along_axis(np.hstack(
+                    [nearest, nearest + len(part)]), order[:, :c], axis=1)
+            step2_nn[i] = nearest
+    step1 = (prepare_step(group, [(queries, covs, nb) for covs, nb in
+                                  zip(relabeled, step1_nn)], "step 1")
+             if config.relabels else None)
+    step2 = prepare_step(group, [(pool, queries, nb) for pool, nb in
+                                 zip(pools, step2_nn)], "step 2")
+    return [() if ds is None else ds.labels for ds in kept], step1, step2
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +311,8 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
     A backend's ``max_tokens`` is None exactly when it answers with reals,
     so ``average`` needs every cap to be None and ``fusion`` every cap set;
     text questions are charged at the cap, so they need one. A backend that
-    answers with reals reads vectors, so ``average`` reads no text
-    covariates either.
+    answers with reals reads vectors and real labels, so ``average`` reads
+    no text covariates, nor text labels where the variant reads labels.
     """
     if not clients:
         raise ConfigError("run has no clients")
@@ -362,6 +358,14 @@ def _check_run(config: ProtocolConfig, clients: Sequence[ClientState],
     if owners:
         raise ConfigError(f"the backends of an 'average' run read vectors, "
                           f"not the text covariates of {', '.join(owners)}")
+    # fedicl_free reads no labels but those that step 1 gives
+    owners = [owner for owner, ds in read if reals and len(ds)
+              and not isinstance(ds.labels, RealColumn)
+              and config.variant != "fedicl_free"]
+    if owners:
+        raise ConfigError(f"the backends of an 'average' run read real "
+                          f"labels, not the text labels of "
+                          f"{', '.join(owners)}")
 
 
 def charge_protocol_round(ledger: CommLedger, round: int,
@@ -402,7 +406,8 @@ def run(config: ProtocolConfig,
     """Execute the full protocol loop and return traces plus the ledger.
 
     A run the engine cannot make raises ``ConfigError`` before any backend
-    call (see ``_check_run``), and a failing backend raises
+    call (see ``_check_run``), as ``max_workers`` other than None or an int
+    >= 1 raises ``TypeError`` or ``ValueError``; a failing backend raises
     ``ProtocolError``. Each round is charged to the ledger once, after
     its answers (see ``charge_protocol_round``). Clients whose backends
     compare equal form a group; its backend prepares each of its steps
@@ -416,6 +421,8 @@ def run(config: ProtocolConfig,
     (if set) also on a mid-run failure, before it is re-raised.
     """
     queries = covariate_column(queries)  # every round shares this column
+    if max_workers is not None and check_int("max_workers", max_workers) < 1:
+        raise ValueError("max_workers must be >= 1 when set")
     _check_run(config, clients, queries, embedder, server_reference)
 
     if config.variant == "fedicl_ub":   # one client, with the first's id
@@ -440,27 +447,15 @@ def run(config: ProtocolConfig,
                 for c in clients]
 
     # clients whose backends are equal answer each step in one call. A
-    # round changes only labels: each step's pool keeps its covariates and
-    # neighbour choice ignores labels, so one step-2 pool per client, one
-    # kNN search per step and group, and one prepared step per step and
-    # group serve every round of this run
+    # round changes only labels, and neighbour choice ignores them, so
+    # each step of each group is searched and prepared once per run
     by_backend: Dict[LmBackend, List[int]] = {}
     for i, c in enumerate(clients):
         by_backend.setdefault(c.backend, []).append(i)
     positions = list(by_backend.values())
-    plans = []
-    for group in ([clients[i] for i in at] for at in positions):
-        pools = [_step2_pool(c, config.variant, server_reference)
-                 for c in group]
-        step1_nn, step2_nn = _knn_neighbours(group, config, queries,
-                                             embedder, pools)
-        step1 = (prepare_step(group, [(queries, c.original.covariates, nb)
-                                      for c, nb in zip(group, step1_nn)],
-                              "step 1") if config.relabels else None)
-        step2 = prepare_step(group, [
-            (covs, queries, nb) for (covs, _), nb in zip(pools, step2_nn)],
-            "step 2")
-        plans.append((group, [kept for _, kept in pools], step1, step2))
+    plans = [(group, *_prepare_group(group, config, queries, embedder,
+                                     server_reference))
+             for group in ([clients[i] for i in at] for at in positions)]
 
     def group_round(plan) -> List[Tuple[Labels, dict]]:
         group, labels, step1, step2 = plan

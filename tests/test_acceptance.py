@@ -230,7 +230,7 @@ def test_criterion_08_knn_matches_exhaustive_search():
             queries = [tuple(x) for x in
                        rng.standard_normal((int(rng.integers(1, 5)), d))]
             c = int(rng.integers(1, n + 1))
-            kept = data.knn_context(ds.covariates, queries, c, emb)
+            (kept, _), = data.knn_context([ds.covariates], queries, c, emb)
             want = set()
             for q in queries:
                 dists = sorted(

@@ -145,6 +145,13 @@ UNMODELED = "config error: the recursion does not model this run's"
 EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
                 "server": [[1.0]]}
 
+#: an instance of vector covariates with text labels
+TEXT_LABELS_CFG = {"gamma": [[3.0]], "server": [[1.0], [2.0]],
+                   "clients": [[{"x": [1.0], "answer": "one"},
+                                {"x": [2.0], "answer": "two"}]]}
+TEXT_LABELS = ("config error: the backends of an 'average' run read real "
+               "labels, not the text labels of client 1")
+
 
 @pytest.mark.parametrize("mode,config,message", [
     ("theory", {"dataset": {"gamma": NOT_SPD, "server": [[1.0, 0.0]],
@@ -219,6 +226,18 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
     ("theory", protocol_with(init_mode="random"),
      f"{UNMODELED} protocol.init_mode;"),
     ("theory", remote(), f"{UNMODELED} backend.kind;"),
+    ("theory", {"dataset": {"construction": "matched_moment"}},
+     "config error: dataset: unknown construction: 'matched_moment'"),
+    ("simulate", dict(SIM_CFG, dataset={"construction": None}),
+     "config error: dataset: unknown construction: None"),
+    # an LSA backend reads real labels, which these runs of text labels
+    # hold nowhere; the recursion checks the other runs before simulating
+    ("simulate", dict(SIM_CFG, dataset=TEXT_LABELS_CFG,
+                      protocol={"init_mode": "random"}), TEXT_LABELS),
+    ("simulate", dict(SIM_CFG, dataset=TEXT_LABELS_CFG,
+                      protocol={"context_count": 1}), TEXT_LABELS),
+    ("simulate", dict(SIM_CFG, dataset=TEXT_LABELS_CFG,
+                      protocol={"variant": "fedicl_gt"}), TEXT_LABELS),
 ], ids=["theory-gamma-not-spd", "simulate-gamma-not-spd",
         "theory-lambda-not-spd",
         "simulate-lambda-not-spd", "theory-d-0", "simulate-d-0",
@@ -234,7 +253,9 @@ EXPLICIT_CFG = {"gamma": [[3.0]], "clients": [[{"x": [1.0], "y": 1.0}]],
         "theory-aggregation", "theory-explicit-no-clients",
         "simulate-gamma-dimension",
         "partition-not-object", "negative-seed", "theory-knn", "theory-free",
-        "theory-gt", "theory-random-init", "theory-remote"])
+        "theory-gt", "theory-random-init", "theory-remote",
+        "theory-unknown-construction", "simulate-null-construction",
+        "random-init-text-labels", "knn-text-labels", "gt-text-labels"])
 def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
                                               mode, config, message):
     with MockLlmServer() as srv:
@@ -245,6 +266,14 @@ def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
     assert not (out / "theory_report.json").exists()
+
+
+def test_fedicl_free_runs_on_text_labels_it_never_reads(tmp_path):
+    cfg = write_config(tmp_path, dict(SIM_CFG, dataset=TEXT_LABELS_CFG,
+                                      protocol={"variant": "fedicl_free"}))
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_PASS
+    assert (out / "traces.jsonl").exists()
 
 
 def every_key_config(tmp_path):
@@ -1059,6 +1088,23 @@ def test_report_rejects_rounds_that_disagree_on_the_query_count(tmp_path,
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"config error: {path}: trace rounds disagree on query count\n")
+
+
+@pytest.mark.parametrize("aggregated,theory_w", [
+    ({"covariates": [[1.0, 0.0]], "labels": [{"y": 0.5}]}, [0.1, 0.2, 0.3]),
+    ({"covariates": [[1.0]], "labels": [{"answer": "four"}]}, [0.1]),
+], ids=["w-of-another-size", "text-labels"])
+def test_report_rejects_a_deviation_it_cannot_compute(tmp_path, capsys,
+                                                      aggregated, theory_w):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps({"round": 1, "per_client_answers": {},
+                                "aggregated": aggregated,
+                                "theory_w": theory_w}) + "\n")
+    code, out = run_cli(tmp_path, "report", extra=["--traces", str(path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert not (out / "report.csv").exists()
 
 
 def test_report_reads_older_trace_lines_and_rejects_an_empty_query_set(

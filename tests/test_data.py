@@ -206,21 +206,22 @@ def test_knn_matches_brute_force():
         queries = [tuple(x) for x in
                    rng.standard_normal((int(rng.integers(1, 5)), d))]
         c = int(rng.integers(1, n + 1))
-        kept = knn_context(ds.covariates, queries, c, emb)
+        (kept, _), = knn_context([ds.covariates], queries, c, emb)
         want = brute_force_knn(ds, queries, c, emb)
         assert set(kept.ravel().tolist()) == want
 
 
 def test_knn_c_saturation_returns_whole_dataset():
     ds = vec_dataset([[0.0], [1.0], [2.0]])
-    kept = knn_context(ds.covariates, [(0.5,)], 10, IdentityEmbedder())
+    (kept, _), = knn_context([ds.covariates], [(0.5,)], 10,
+                             IdentityEmbedder())
     assert sorted(kept.ravel().tolist()) == [0, 1, 2]
 
 
 def test_knn_context_zero_distance_first():
     ds = vec_dataset([[5.0], [1.0], [3.0]])
-    ctx = [ds.examples[i] for i in
-           knn_context(ds.covariates, [(3.0,)], 2, IdentityEmbedder())[0]]
+    (kept, _), = knn_context([ds.covariates], [(3.0,)], 2, IdentityEmbedder())
+    ctx = [ds.examples[i] for i in kept[0]]
     assert ctx[0].covariate == (3.0,)
 
 
@@ -230,16 +231,17 @@ def test_knn_kept_set_monotone_in_c():
     queries = [tuple(x) for x in rng.standard_normal((3, 2))]
     prev = set()
     for c in range(1, 13):
-        kept = set(knn_context(ds.covariates, queries, c,
-                               IdentityEmbedder()).ravel().tolist())
+        (nearest, _), = knn_context([ds.covariates], queries, c,
+                                    IdentityEmbedder())
+        kept = set(nearest.ravel().tolist())
         assert prev <= kept
         prev = kept
 
 
 def test_knn_distance_tie_breaks_by_index():
     ds = vec_dataset([[1.0], [-1.0], [2.0]])
-    ctx = [ds.examples[i] for i in
-           knn_context(ds.covariates, [(0.0,)], 1, IdentityEmbedder())[0]]
+    (kept, _), = knn_context([ds.covariates], [(0.0,)], 1, IdentityEmbedder())
+    ctx = [ds.examples[i] for i in kept[0]]
     assert ctx[0].covariate == (1.0,)  # same distance as (-1,), lower index
 
 
@@ -301,15 +303,11 @@ def assert_keys_order_as_distances(pool, queries, nearest, key):
                          ids=[case[0] for case in knn_cases()])
 def test_knn_context_matches_a_per_query_stable_argsort(name, pool, queries,
                                                         c):
-    got = knn_context(pool, queries, c, IdentityEmbedder())
+    (got, key), = knn_context([pool], queries, c, IdentityEmbedder())
     assert got.shape == (len(queries), min(c, len(pool)))
     assert np.array_equal(got, per_query_knn(pool, queries, c))
-    # the rows found must not depend on keeping their keys, also at the
-    # ties and exact fallbacks these cases are full of
-    nearest, key = knn_context(pool, queries, c, IdentityEmbedder(),
-                               keys=True)
-    assert np.array_equal(nearest, got)
-    assert_keys_order_as_distances(pool, queries, nearest, key)
+    # also at the ties and exact fallbacks these cases are full of
+    assert_keys_order_as_distances(pool, queries, got, key)
 
 
 @pytest.mark.parametrize("name,pool,queries,c", list(knn_cases()),
@@ -321,16 +319,12 @@ def test_one_search_of_stacked_pools_equals_a_search_of_each(name, pool,
     cuts = np.cumsum([n // 5, n // 3, n // 5])
     parts = np.split(pool, cuts)
     assert len({len(part) for part in parts}) == 3 and min(map(len, parts))
-    found = knn_context(pool, queries, c, IdentityEmbedder(), keys=True,
-                        sizes=[len(part) for part in parts])
+    found = knn_context(parts, queries, c, IdentityEmbedder())
     assert len(found) == len(parts)
     for part, (nearest, key) in zip(parts, found):
         assert nearest.shape == (len(queries), min(c, len(part)))
         assert np.array_equal(nearest, per_query_knn(part, queries, c))
         assert_keys_order_as_distances(part, queries, nearest, key)
-    assert all(np.array_equal(a, b) for a, (b, _) in zip(
-        knn_context(pool, queries, c, IdentityEmbedder(),
-                    sizes=[len(part) for part in parts]), found))
 
 
 def test_knn_context_blocks_cover_every_query():
@@ -338,14 +332,14 @@ def test_knn_context_blocks_cover_every_query():
     queries = pool[::2] + 0.01
     # a block has at most KNN_BLOCK_ELEMENTS // len(pool) queries
     assert len(queries) * len(pool) > 2 * data.KNN_BLOCK_ELEMENTS
-    got = knn_context(pool, queries, 1, IdentityEmbedder())
+    (got, _), = knn_context([pool], queries, 1, IdentityEmbedder())
     assert got[:, 0].tolist() == list(range(0, 300, 2))
 
 
 def test_knn_rejects_nonpositive_c():
     ds = vec_dataset([[1.0]])
     with pytest.raises(ValueError):
-        knn_context(ds.covariates, [(1.0,)], 0, IdentityEmbedder())
+        knn_context([ds.covariates], [(1.0,)], 0, IdentityEmbedder())
 
 
 def test_embedders():

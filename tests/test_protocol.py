@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedicl import core, lsa, protocol, theory
 from fedicl.backend import (GenerationParams, LmBackend, LsaBackend,
@@ -12,10 +13,11 @@ from fedicl.core import ClientDataset, Dataset, Example, RealLabel, TextLabel
 from fedicl.data import IdentityEmbedder, TableEmbedder, knn_context
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
-                             _step2_pool, aggregate, init_labels,
-                             prepare_step, run, step1_relabel, step2_answer)
+                             aggregate, init_labels, prepare_step, run,
+                             step1_relabel, step2_answer)
 
 from mock_llm import MockLlmServer
+from reference_engine import reference_run
 
 GAMMA_1D = np.array([[3.0]])
 
@@ -117,10 +119,38 @@ def test_step1_zero_labels_propagate():
     assert all(lab.value == 0.0 for lab in labels)
 
 
+class AskRecordingBackend(LsaBackend):
+    """An LSA backend that notes each ask's (covariates, queries,
+    neighbours) as it prepares it."""
+
+    def __init__(self, gamma):
+        super().__init__(gamma)
+        self.asks = []
+
+    def prepare(self, asks):
+        self.asks.extend(asks)
+        return super().prepare(asks)
+
+
+def prepared_asks(group, config, queries):
+    """The labels each client of the ``group`` keeps, and the asks of its
+    step 1 (none for a variant that does not relabel) and step 2, as
+    ``run`` prepares them at set-up; the group's first backend must be an
+    ``AskRecordingBackend``."""
+    asks = group[0].backend.asks
+    asks.clear()
+    kept, _, _ = protocol._prepare_group(group, config, queries, None, None)
+    return kept, asks[:-len(group)], asks[-len(group):]
+
+
 def step2_context(client, variant, relabeled):
     """The variant's step-2 context as ``run`` builds it, a (covariates,
     labels) pair, given step 1's relabeled labels."""
-    covs, kept = _step2_pool(client, variant, None)
+    recording = ClientState(client.client_id, client.original,
+                            AskRecordingBackend(client.backend.gamma))
+    (kept,), _, ((covs, _, _),) = prepared_asks(
+        [recording], ProtocolConfig(variant=variant),
+        client.original.covariates)
     return covs, core.join_labels([kept, relabeled])
 
 
@@ -394,33 +424,19 @@ def test_step2_knn_on_the_doubled_pool_equals_a_search_of_it(variant):
     cases = [(line, ((0.0,), (1.5,), (-1.0,))),
              (grid, ((0.0, 0.0), (1.0, -1.0), (0.5, 0.5), (2.0, 2.0)))]
     for local, queries in cases:
-        client = ClientState(local.client_id, local, LsaBackend(np.eye(
-            local.dim)))
-        pool, kept = _step2_pool(client, variant, None)
-        assert len(pool) == 2 * len(local) and len(kept) == len(local)
-        for c in range(1, 2 * len(pool)):   # odd and even, below and >= N
+        client = ClientState(local.client_id, local, AskRecordingBackend(
+            np.eye(local.dim)))
+        for c in range(1, 4 * len(local)):  # odd and even, below and >= N
             config = ProtocolConfig(rounds=1, variant=variant,
                                     context_count=c)
-            _, (got,) = protocol._knn_neighbours([client], config, queries,
-                                                 None, [(pool, kept)])
+            (kept,), _, ((pool, _, got),) = prepared_asks([client], config,
+                                                          queries)
+            assert len(pool) == 2 * len(local) and len(kept) == len(local)
             if c >= len(pool):
                 assert got is None
                 continue
-            want = knn_context(pool, queries, c, IdentityEmbedder())
+            (want, _), = knn_context([pool], queries, c, IdentityEmbedder())
             np.testing.assert_array_equal(got, want, err_msg=f"c={c}")
-
-
-class AskRecordingBackend(LsaBackend):
-    """An LSA backend that notes each ask's (covariates, queries,
-    neighbours) as it prepares it."""
-
-    def __init__(self, gamma):
-        super().__init__(gamma)
-        self.asks = []
-
-    def prepare(self, asks):
-        self.asks.extend(asks)
-        return super().prepare(asks)
 
 
 @pytest.mark.parametrize("sizes", [(5, 5, 5), (3, 5, 8)],
@@ -742,26 +758,25 @@ def test_one_step1_search_of_the_stacked_covariates_equals_each_clients(c):
     cases = [(rng.standard_normal((20, 2)), rng.standard_normal((7, 2))),
              (grid, rng.integers(-2, 3, size=(9, 2)).astype(float))]
     for covs, queries in cases:
+        backend = AskRecordingBackend(np.eye(2))
         group = [ClientState(cid, real_dataset(cid, part, np.zeros(len(part))),
-                             LsaBackend(np.eye(2)))
+                             backend)
                  for cid, part in enumerate(np.split(covs, [1, 5, 9]), 1)]
-        pools = [_step2_pool(client, "fedicl", None) for client in group]
-        step1, _ = protocol._knn_neighbours(
-            group, ProtocolConfig(rounds=1, context_count=c), queries, None,
-            pools)
+        _, step1, _ = prepared_asks(
+            group, ProtocolConfig(rounds=1, context_count=c), queries)
         assert len(step1) == len(group)
-        for client, got in zip(group, step1):
-            want = knn_context(queries, client.original.covariates, c,
-                               IdentityEmbedder())
+        for client, (_, _, got) in zip(group, step1):
+            (want, _), = knn_context([queries], client.original.covariates,
+                                     c, IdentityEmbedder())
             np.testing.assert_array_equal(got, want)
 
 
 def test_a_run_searches_each_distinct_step2_pool_once(monkeypatch):
     calls = []
 
-    def spy(pool, queries, c, embedder, keys=False, sizes=None):
-        calls.append((len(pool), sizes))
-        return knn_context(pool, queries, c, embedder, keys=keys, sizes=sizes)
+    def spy(pools, queries, c, embedder):
+        calls.append([len(pool) for pool in pools])
+        return knn_context(pools, queries, c, embedder)
 
     monkeypatch.setattr(protocol, "knn_context", spy)
     rng = np.random.default_rng(63)
@@ -774,14 +789,14 @@ def test_a_run_searches_each_distinct_step2_pool_once(monkeypatch):
     run(ProtocolConfig(rounds=2, context_count=3),
         [ClientState(ds.client_id, ds, LsaBackend(g)) for ds in clients_data],
         queries)
-    assert calls == [(8, None), (19, [4, 6, 9])]
+    assert calls == [[8], [4, 6, 9]]
     # fedicl_lb: its five clients share the reference, searched once
     calls.clear()
     result = run(ProtocolConfig(rounds=1, variant="fedicl_lb",
                                 context_count=3),
                  [ClientState(cid, None, LsaBackend(g)) for cid in range(1, 6)],
                  queries, server_reference=reference)
-    assert calls == [(20, [20])]
+    assert calls == [[20]]
     x, y = np.asarray(reference.covariates), core.real_values(reference.labels)
     want = []
     for q in np.asarray(queries):
@@ -790,6 +805,60 @@ def test_a_run_searches_each_distinct_step2_pool_once(monkeypatch):
     for answers in result.traces[0].per_client_answers.values():
         np.testing.assert_allclose(core.real_values(answers), want, rtol=0,
                                    atol=1e-12)
+
+
+class IoLsaBackend(LsaBackend):
+    """An LSA backend that claims to wait on I/O, so that a run answers
+    its groups, clients whose gammas are equal, in a pool of threads."""
+
+    waits_on_io = True
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(protocol.VARIANTS),
+       sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       m=st.integers(1, 6), d=st.integers(1, 3), tied=st.booleans(),
+       context_count=st.sampled_from([None, *range(1, 13)]),
+       init_mode=st.sampled_from(protocol.INIT_MODES),
+       rounds=st.integers(1, 3), max_workers=st.sampled_from([1, None]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_matches_the_reference_engine(variant, sizes, m, d, tied,
+                                          context_count, init_mode, rounds,
+                                          max_workers, seed):
+    # c runs below, at and above every pool's size: the m queries of step
+    # 1, and step 2's N_i, 2 N_i (D^i ++ D_k^i) or the reference's size
+    rng = np.random.default_rng(seed)
+
+    def covariates(n):  # small integers, whose distances tie everywhere
+        return (rng.integers(-2, 3, size=(n, d)).astype(float) if tied
+                else rng.standard_normal((n, d)))
+
+    # each client on one of two gammas: one or two groups
+    gammas = [gamma(np.diag(rng.uniform(0.5, 2.0, d)), t) for t in (3, 8)]
+    data = [(cid, covariates(n), rng.standard_normal(n),
+             gammas[rng.integers(2)]) for cid, n in enumerate(sizes, 1)]
+    queries = covariates(m)
+    reference = covariates(int(rng.integers(1, 7)))
+    reference = (reference, rng.standard_normal(len(reference)))
+    result = run(ProtocolConfig(rounds=rounds, variant=variant,
+                                context_count=context_count,
+                                init_mode=init_mode, seed=seed),
+                 [ClientState(cid, real_dataset(cid, xs, ys), IoLsaBackend(g))
+                  for cid, xs, ys, g in data], queries,
+                 server_reference=real_dataset(0, *reference),
+                 max_workers=max_workers)
+    want = reference_run(variant, data, queries, rounds, context_count,
+                         init_mode, seed, reference)
+    assert len(result.traces) == len(want)
+    for trace, (answers, labels) in zip(result.traces, want):
+        tol = 1e-12 * max(np.abs(col).max() for col in [labels,
+                                                        *answers.values()])
+        assert list(trace.per_client_answers) == list(answers)
+        for cid, column in answers.items():
+            np.testing.assert_allclose(core.real_values(
+                trace.per_client_answers[cid]), column, rtol=0, atol=tol)
+        np.testing.assert_allclose(core.real_values(trace.aggregated.labels),
+                                   labels, rtol=0, atol=tol)
 
 
 class PooledLsaBackend(SoloLsaBackend):
@@ -1031,6 +1100,7 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
         return core.stack_covariates(columns)
 
     monkeypatch.setattr(protocol, "stack_covariates", counting_stack)
+    monkeypatch.setattr("fedicl.data.stack_covariates", counting_stack)
     for rounds in (1, 3):
         stacks.append(0)
         result = run(ProtocolConfig(rounds=rounds,
@@ -1038,9 +1108,10 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
                      clients, queries, trace_path=tmp_path / "traces.jsonl")
         assert len(result.traces) == rounds
     assert built == Counter()
-    # step 2's covariates are stacked once per client and run, and each
-    # step's kNN search stacks the group's pools once, in no round
-    assert stacks == [len(clients) + 2 * (context_count is not None)] * 2
+    # step 2's covariates are stacked once per client and run, step 1's
+    # kNN search stacks the group's covariates, and each step's search
+    # stacks its pools once, in no round
+    assert stacks == [len(clients) + 3 * (context_count is not None)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
     lsa.predict_closed_form(lsa.ClosedFormStep([(np.eye(2), np.eye(2), None)]),
                             [np.ones(2)], g)
@@ -1203,6 +1274,52 @@ def test_text_covariates_in_an_average_run_are_a_config_error(variant):
             [ClientState(1, local, backend)], np.eye(2),
             server_reference=reference)
     assert backend.calls == []
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_text_labels_in_an_average_run_are_a_config_error(variant, tmp_path):
+    # an LSA backend reads real labels, where the variant reads labels:
+    # the clients' own, or the server reference of fedicl_lb
+    text = ClientDataset(1, (Example((1.0, 0.0), TextLabel("a one")),))
+    local, reference = text, text
+    if variant == "fedicl_lb":
+        local = real_dataset(1, np.eye(2), np.ones(2))
+    backend = CountingBackend(np.eye(2))
+
+    def go():
+        return run(ProtocolConfig(rounds=2, variant=variant,
+                                  init_mode="backend_generated"),
+                   [ClientState(1, local, backend)], np.eye(2),
+                   server_reference=reference,
+                   trace_path=tmp_path / "traces.jsonl")
+
+    if variant == "fedicl_free":  # reads no labels but step 1's answers
+        assert len(go().traces) == 2
+        return
+    with pytest.raises(core.ConfigError, match="not the text labels of"):
+        go()
+    assert backend.prepared == backend.calls == []
+    assert not (tmp_path / "traces.jsonl").exists()
+
+
+@pytest.mark.parametrize("max_workers,error", [
+    (0, ValueError), (-3, ValueError), (2.5, TypeError), ("x", TypeError),
+    (True, TypeError)])
+def test_max_workers_is_checked_before_any_backend_call(max_workers, error):
+    lsa_backend = CountingBackend(np.eye(2))
+    with pytest.raises(error, match="max_workers"):
+        run(ProtocolConfig(rounds=2, init_mode="backend_generated"),
+            [ClientState(1, real_dataset(1, np.eye(2), np.ones(2)),
+                         lsa_backend)], np.eye(2), max_workers=max_workers)
+    assert lsa_backend.prepared == lsa_backend.calls == []
+    # a backend_generated C_1 is the first POST a remote run makes
+    with MockLlmServer() as srv:
+        with pytest.raises(error, match="max_workers"):
+            run(ProtocolConfig(rounds=2, aggregation="fusion",
+                               init_mode="backend_generated"),
+                text_clients(srv.url, (2, 3)), TEXT_QUERIES,
+                max_workers=max_workers)
+        assert srv.requests == []
 
 
 def test_the_counting_backend_records_the_calls_of_an_accepted_run():
