@@ -50,6 +50,6 @@ print(f"  optimal attention layer : {lsa_forward(e, opt.with_rho(5)):+.5f}")
 xs, ys = zip(*examples)
 # one ask (context covariates, queries, no neighbours), prepared once and
 # answered with its labels
-step = ClosedFormStep([(xs, [xq], None)])
-closed_form = predict_closed_form(step, [ys], g)[0][0]
+step = ClosedFormStep([(xs, [xq], None)], g)
+closed_form = predict_closed_form(step, [ys])[0][0]
 print(f"  closed-form expression  : {closed_form:+.5f}")

@@ -133,14 +133,17 @@ class LsaBackend(LmBackend):
 
     def prepare(self, asks: Sequence[Ask]) -> ClosedFormStep:
         # text covariates raise TypeError on the way to numbers
-        return ClosedFormStep(asks)
+        return ClosedFormStep(asks, self._gamma)
 
     def answer(self, step: ClosedFormStep, labels: Sequence[Sequence[Label]],
                usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
                ) -> List[RealColumn]:
+        if step.gamma is not self.gamma and not np.array_equal(
+                step.gamma, self.gamma):  # the step has folded its gamma in
+            raise ValueError("the step was prepared under another gamma")
         # text labels raise TypeError on the way to numbers
         return [RealColumn.wrap(pred) for pred in predict_closed_form(
-            step, [real_values(ys) for ys in labels], self._gamma)]
+            step, [real_values(ys) for ys in labels])]
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def knn_context(pools: Sequence[Sequence[Covariate]],
     by a rounding slack; any other query is searched exactly in that pool."""
     if c < 1:
         raise ValueError("c must be >= 1")
+    if not pools:
+        return []
     pool_emb = embedder.embed_many(stack_covariates(pools))
     query_emb = embedder.embed_many(queries)
     (n, d), q = pool_emb.shape, len(query_emb)

@@ -12,11 +12,13 @@ squared-loss risk over sampled linear-regression prompts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import Covariate, covariate_matrix, neighbour_matrix
+from .data import KNN_BLOCK_ELEMENTS
 
 
 def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -38,14 +40,13 @@ def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 class SpdMatrix:
     """A read-only copy of a matrix, checked finite, square, symmetric and
-    positive definite once, when it is made: ``predict_closed_form`` takes
-    it without checking it again."""
+    positive definite once, when it is made: ``ClosedFormStep`` takes it
+    without checking it again."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, mat, name: str = "matrix"):
-        mat = np.array(mat, dtype=float)
-        _check_spd(mat, name)
+        mat = _check_spd(np.array(mat, dtype=float), name)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -142,107 +143,107 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
 
 
 class ClosedFormStep:
-    """A batch of asks without their labels, prepared once for
-    ``predict_closed_form``, which each round then feeds one label vector
-    per ask.
+    """A batch of asks without their labels, folded once with the Gamma
+    they are answered under (``gamma``, checked SPD unless it is an
+    ``SpdMatrix``) for ``predict_closed_form``, which each round then
+    feeds one label vector per ask.
 
     An ask is ``(xs, x_query, neighbours)``: a context's (n, d)
     covariates, a (Q, d) matrix of queries, and None or a (Q, k) index
-    array whose row q picks query q's examples. Each whole context keeps
-    its covariate matrix. The asks with neighbours are stacked end to end,
-    their queries and their contexts, and the neighbourhoods of each size
-    k are gathered from the stacked contexts in one (R, k, d) array,
-    beside the (R, k) indices that gather their labels the same way and
-    the rows they take among the stacked queries.
+    array whose row q picks query q's examples. The step keeps Gamma^-1,
+    each whole context's covariates beside the queries (the asks that
+    share a query matrix, by identity, answer in one product) and, for
+    the neighbourhoods of each size k, the (R, k) weights
+    W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k over the stacked queries,
+    beside the (R, k) indices that gather their labels.
     """
 
-    __slots__ = ("sizes", "whole", "counts", "reads", "near", "queries",
-                 "gathers")
+    __slots__ = ("gamma", "inverse", "sizes", "whole", "counts", "blocks",
+                 "near", "gathers", "reads", "total")
 
-    def __init__(self, asks):
-        self.sizes, self.whole, self.reads, near = [], [], [], []
-        rows = 0
+    def __init__(self, asks, gamma: np.ndarray | SpdMatrix):
+        self.gamma = (gamma if isinstance(gamma, SpdMatrix) else
+                      SpdMatrix(gamma, "gamma")).matrix
+        # solving for a step's 1000s of columns takes some 18 times as long
+        self.inverse = np.linalg.inv(self.gamma)
+        self.sizes, lengths, whole, by_size = [], [], {}, {}
         for i, (xs, x_query, neighbours) in enumerate(asks):
             xq = covariate_matrix(x_query)
             nb = None if neighbours is None else neighbour_matrix(
                 neighbours, len(xs), len(xq))
             self.sizes.append(len(xs))
+            lengths.append(len(xq))
             if len(xs) == 0 or xq.size == 0:
-                self.reads.append((xq, None))
-            elif nb is None:  # one moment for the whole context
-                self.reads.append((xq, len(self.whole)))
-                self.whole.append((i, covariate_matrix(xs)))
-            else:  # one moment per query, over its neighbourhood
-                self.reads.append((xq, slice(rows, rows + len(xq))))
-                near.append((i, covariate_matrix(xs), xq, nb, rows))
-                rows += len(xq)
-        self.counts = np.array([self.sizes[i] for i, _ in self.whole])[:, None]
-        self.near = [i for i, *_ in near]
-        self.queries, self.gathers = None, []
-        if not near:
-            return
-        self.queries = np.concatenate([xq for _, _, xq, _, _ in near])
-        # an ask's indices are shifted past the examples of the asks
-        # before it, as a round reads their labels end to end
-        starts = np.cumsum([0] + [len(xs) for _, xs, _, _, _ in near])
-        stacked = np.concatenate([xs for _, xs, _, _, _ in near])
-        by_k = {}
-        for (_, _, xq, nb, row), start in zip(near, starts):
-            index, at = by_k.setdefault(nb.shape[1], ([], []))
-            index.append(nb + start)
-            at.append(np.arange(row, row + len(xq)))
-        for index, at in by_k.values():
-            index = np.concatenate(index)
-            # ``take`` copies the same rows as ``stacked[index]``, faster;
-            # asks of one size take every row, in order
-            self.gathers.append((index, np.take(stacked, index, axis=0),
-                                 np.concatenate(at) if len(by_k) > 1
-                                 else slice(None)))
+                continue
+            if nb is None:  # the entry holds x_query, so its id stays
+                whole.setdefault(id(x_query), (x_query, xq.T, []))[2].append(
+                    (i, covariate_matrix(xs)))
+                continue
+            by_size.setdefault(nb.shape[1], []).append(
+                (i, xq @ self.inverse, covariate_matrix(xs), nb))
+        # a round's answers, end to end: the whole contexts' by query
+        # matrix, the neighbourhoods' by size, then the zeros of the rest
+        groups = [m for *_, m in whole.values()] + list(by_size.values())
+        order = [m[0] for members in groups for m in members]
+        order += sorted(set(range(len(lengths))) - set(order))
+        at = dict(zip(order, accumulate([0] + [lengths[i] for i in order])))
+        self.reads = [slice(at[i], at[i] + n) for i, n in enumerate(lengths)]
+        self.total = sum(lengths)
+        rows = [slice(at[g[0][0]], self.reads[g[-1][0]].stop) for g in groups]
+        self.whole = [m for members in groups[:len(whole)] for m in members]
+        self.counts = np.array([len(xs) for _, xs in self.whole])[:, None]
+        ends = list(accumulate(len(g) for g in groups[:len(whole)]))
+        self.blocks = [(queries, slice(end - len(members), end), out)
+                       for (_, queries, members), end, out
+                       in zip(whole.values(), ends, rows)]
+        # a round reads these asks' labels end to end, so an ask's label
+        # indices are shifted past the examples of the asks before it
+        self.near = [m[0] for members in groups[len(whole):] for m in members]
+        shifts = accumulate([0] + [self.sizes[i] for i in self.near])
+        self.gathers = []
+        for (k, members), out in zip(by_size.items(), rows[len(whole):]):
+            weights = []
+            for _, p, xs, nb in members:
+                # products of a block of queries at a time with the context,
+                # as in a search: one product of all the asks would be as
+                # large as theirs together, and costs more
+                n = max(1, KNN_BLOCK_ELEMENTS // len(xs))
+                for lo in range(0, len(p), n):
+                    block = nb[lo:lo + n]
+                    weights.append((p[lo:lo + n] @ xs.T)[np.arange(
+                        len(block))[:, None], block])
+            self.gathers.append((np.concatenate([nb + next(shifts) for *_, nb
+                                                 in members]),
+                                 np.concatenate(weights) / k, out))
 
-    def __len__(self) -> int:
-        return len(self.sizes)
 
-
-def predict_closed_form(step: ClosedFormStep, labels,
-                        gamma_mat: np.ndarray | SpdMatrix) -> List[np.ndarray]:
-    """Closed-form LSA predictions at the global optimum for a prepared
-    batch of asks and one (n,) label vector per ask, one (Q,) array per
-    ask.
+def predict_closed_form(step: ClosedFormStep, labels) -> List[np.ndarray]:
+    """Closed-form LSA predictions at the global optimum, under the step's
+    Gamma, for a prepared batch of asks and one (n,) label vector per ask:
+    one (Q,) array per ask.
 
     Query q's answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over
-    the whole context or over its examples; zero examples yield 0.
-
-    The moments of every ask (one for a whole context, one per query for
-    neighbourhoods) are stacked and share one solve. Gamma is checked to
-    be SPD unless it is an ``SpdMatrix``.
+    the whole context, or sum_j W[q, j] y[nb(q, j)] over its k examples;
+    zero examples yield 0. No Gamma is solved for: it is folded in.
     """
-    gamma_mat = (gamma_mat.matrix if isinstance(gamma_mat, SpdMatrix) else
-                 _check_spd(gamma_mat, "gamma"))
-    if len(labels) != len(step):
-        raise ValueError(f"{len(labels)} label vectors for {len(step)} asks")
+    if len(labels) != len(step.sizes):
+        raise ValueError(f"{len(labels)} label vectors for {len(step.sizes)} "
+                         f"asks")
     ys = [np.asarray(y, dtype=float) for y in labels]
     for n, y in zip(step.sizes, ys):
         if n != len(y):
             raise ValueError(f"context of {n} covariates and {len(y)} labels")
-    # one stacked solve: row r of ``v`` is Gamma^-1 applied to moment r,
-    # the whole contexts' moments first and then the neighbourhoods', in
-    # ask order
-    moments = ([np.array([ys[i] @ xs for i, xs in step.whole]) / step.counts]
-               if step.whole else [])
+    out = np.zeros(step.total)
+    if step.whole:
+        moments = (np.array([ys[i] @ xs for i, xs in step.whole])
+                   / step.counts) @ step.inverse
+        for queries, asks, at in step.blocks:
+            out[at] = (moments[asks] @ queries).ravel()
     if step.gathers:
-        near_labels = np.concatenate([ys[i] for i in step.near])
-        near = np.empty(step.queries.shape)
-        for index, xs, at in step.gathers:
-            near[at] = (np.einsum("qk,qkd->qd", near_labels[index], xs)
-                        / index.shape[1])
-        moments.append(near)
-    v = (np.linalg.solve(gamma_mat, np.concatenate(moments).T).T
-         if moments else None)
-    answers = (np.einsum("qd,qd->q", step.queries, v[len(step.whole):])
-               if step.gathers else None)
-    return [np.zeros(len(xq)) if at is None else
-            xq @ v[at] if type(at) is int else answers[at]
-            for xq, at in step.reads]
+        near = np.concatenate([ys[i] for i in step.near])
+        for index, weights, at in step.gathers:
+            out[at] = np.einsum("qk,qk->q", weights, near[index])
+    return [out[at] for at in step.reads]
 
 
 # ---------------------------------------------------------------------------

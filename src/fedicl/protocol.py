@@ -24,10 +24,11 @@ from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
 import numpy as np
 
 from .backend import Ask, LmBackend
-from .core import (ClientDataset, CommLedger, ConfigError, Covariate,
-                   Dataset, Label, Labels, RealColumn, RoundTrace, TextLabel,
-                   check_int, concat, covariate_column, join_labels,
-                   label_column, real_values, save_traces, stack_covariates)
+from .core import (UNITS, ClientDataset, CommLedger, ConfigError, Covariate,
+                   Dataset, Label, LedgerEntry, Labels, RealColumn,
+                   RoundTrace, TextLabel, check_int, concat, covariate_column,
+                   join_labels, label_column, real_values, save_traces,
+                   stack_covariates)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -230,8 +231,8 @@ def _prepare_group(group: Sequence[ClientState], config: ProtocolConfig,
         searched = [relabeled[i] if kept[i] is None else kept[i].covariates
                     for i in at]
         unique = list({id(part): part for part in searched}.values())
-        found = dict(zip(map(id, unique), knn_context(unique, queries, c, emb)
-                         if unique else ()))
+        found = dict(zip(map(id, unique), knn_context(unique, queries, c,
+                                                      emb)))
         for i, part in zip(at, searched):
             nearest, key = found[id(part)]
             if kept[i] is not None and relabeled[i] is not None:
@@ -383,10 +384,17 @@ def charge_protocol_round(ledger: CommLedger, round: int,
     ``usages`` dict: prompt tokens as uplink, completion tokens as
     downlink (LSA reports nothing).
     """
+    if unit not in UNITS:
+        raise ValueError(f"unknown unit: {unit!r}")
+    rows = []
     for cid, question_units, answer_units in payloads:
         sent = question_units + answer_units if round == 1 else answer_units
-        ledger.record(round, "downlink", cid, num_queries * sent, unit)
-        ledger.record(round, "uplink", cid, num_queries * answer_units, unit)
+        down, up = num_queries * sent, num_queries * answer_units
+        if down < 0 or up < 0:
+            raise ValueError(f"negative payload: {down if down < 0 else up}")
+        rows += ((round, "downlink", cid, int(down), unit),
+                 (round, "uplink", cid, int(up), unit))
+    ledger.entries.extend(map(LedgerEntry._make, rows))
     for (cid, _, _), usage in zip(payloads, usages, strict=True):
         for direction, key in (("uplink", "prompt_tokens"),
                                ("downlink", "completion_tokens")):

@@ -165,8 +165,8 @@ def test_criterion_06_attention_forward_equals_closed_form():
             e = build_embedding(examples, xq)
             got = lsa_forward(e, base.with_rho(n))
             xs, ys = zip(*examples)
-            want = predict_closed_form(ClosedFormStep([(xs, [xq], None)]),
-                                       [ys], g)[0][0]
+            want = predict_closed_form(ClosedFormStep([(xs, [xq], None)], g),
+                                       [ys])[0][0]
             assert got == pytest.approx(want, abs=1e-10)
             for c in (0.5, 4.0):
                 scaled = LsaParams(c * base.w_kq, base.w_pv / c, rho=float(n))

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import fedicl
+from fedicl import lsa
 from fedicl.backend import (BACKOFF_BASE_S, RETRY_AFTER_MAX_S,
                             GenerationParams, LsaBackend, RemoteBackend,
                             RemoteBackendError, render_prompt)
-from fedicl.core import ConfigError, RealLabel, TextLabel, real_values
+from fedicl.core import (ConfigError, RealColumn, RealLabel, TextLabel,
+                         real_values)
 from fedicl.lsa import ClosedFormStep, gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
@@ -43,8 +45,8 @@ def closed_form(context, queries, g, neighbours=None):
     """``predict_closed_form`` on one ask over a ``(covariates, labels)``
     context."""
     xs, ys = context
-    return predict_closed_form(ClosedFormStep([(xs, queries, neighbours)]),
-                               [real_values(ys)], g)[0]
+    return predict_closed_form(ClosedFormStep([(xs, queries, neighbours)], g),
+                               [real_values(ys)])[0]
 
 
 def vec_context(rng, d, n):
@@ -170,8 +172,8 @@ def test_closed_form_batch_equals_each_ask_alone():
             (shared, qs, rng.integers(0, 6, size=(5, 2))),
             (EMPTY, more, None), (other, np.empty((0, 3)), None)]
     got = predict_closed_form(
-        ClosedFormStep([(xs, q, nb) for (xs, _), q, nb in asks]),
-        [real_values(ys) for (_, ys), _, _ in asks], g)
+        ClosedFormStep([(xs, q, nb) for (xs, _), q, nb in asks], g),
+        [real_values(ys) for (_, ys), _, _ in asks])
     assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0]
     for pred, (ctx, q, nb) in zip(got, asks):
         np.testing.assert_allclose(pred, closed_form(ctx, q, g, nb),
@@ -208,6 +210,90 @@ def test_a_step_of_whole_contexts_and_neighbourhoods_of_several_sizes():
         np.testing.assert_allclose(real_values(twice),
                                    2 * real_values(column), rtol=0,
                                    atol=1e-12)
+
+
+def arrays_of(value):
+    """Every numpy array that ``value`` holds, through its slots, lists,
+    tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(type(value), "__slots__"):
+        value = [getattr(value, name) for name in type(value).__slots__]
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [a for v in value for a in arrays_of(v)]
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_a_prepared_step_answers_with_no_solve(monkeypatch, k):
+    # the protocol's two steps: step 1 asks each client's covariates in
+    # the context of the queries, step 2 the queries in each client's
+    # context; with k, in each query's k examples
+    rng = np.random.default_rng(41)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    backend = LsaBackend(g)
+    queries = rng.standard_normal((6, 3))
+    covs = [rng.standard_normal((n, 3)) for n in (5, 8)]
+
+    def nb(n_context, n_queries):
+        return (None if k is None else
+                rng.integers(0, n_context, size=(n_queries, k)))
+
+    query_labels = rng.standard_normal(len(queries))
+    steps = [([(queries, xs, nb(len(queries), len(xs))) for xs in covs],
+              [query_labels] * len(covs)),
+             ([(xs, queries, nb(len(xs), len(queries))) for xs in covs],
+              [rng.standard_normal(len(xs)) for xs in covs])]
+    solves = []
+    solve = np.linalg.solve
+    for asks, labels in steps:
+        step = backend.prepare(asks)
+        # no covariate axis per neighbour: every array is a matrix at most
+        assert max(a.ndim for a in arrays_of(step)) <= 2
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
+        got = backend.answer(step, [RealColumn(ys) for ys in labels])
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for column, (xs, q, rows), ys in zip(got, asks, labels):
+            rows = [np.arange(len(xs))] * len(q) if rows is None else rows
+            want = [x @ np.linalg.solve(g, xs[r].T @ ys[r] / len(r))
+                    for x, r in zip(q, rows)]
+            np.testing.assert_allclose(real_values(column), want, rtol=0,
+                                       atol=1e-12)
+    assert solves == []
+
+
+@pytest.mark.parametrize("block", [1, 11, 10 ** 6])
+def test_neighbourhood_weights_are_folded_a_block_of_queries_at_a_time(
+        monkeypatch, block):
+    # a block of queries takes block // n rows of products, at least one
+    monkeypatch.setattr(lsa, "KNN_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(43)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    pool, qs = vec_context(rng, 3, 5), rng.standard_normal((7, 3))
+    nb = rng.integers(0, 5, size=(7, 2))
+    got = answer_one(LsaBackend(g), pool, qs, nb)
+    for label, q, row in zip(got, qs, nb):
+        want = closed_form(take(pool, row), [q], g)[0]
+        assert abs(label.value - want) <= 1e-12
+
+
+def test_a_step_answers_only_under_the_gamma_it_was_prepared_with():
+    rng = np.random.default_rng(42)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    xs, ys = vec_context(rng, 3, 5)
+    qs = rng.standard_normal((4, 3))
+    step = LsaBackend(g).prepare([(xs, qs, None),
+                                  (xs, qs, rng.integers(0, 5, size=(4, 2)))])
+    want = LsaBackend(g).answer(step, [ys, ys])
+    # an equal backend answers alike; -0.0 and 0.0 are one gamma
+    signed = np.where(g == 0.0, -0.0, g)
+    assert np.signbit(signed).any()
+    assert LsaBackend(signed).answer(step, [ys, ys]) == want
+    for other in (2.0 * g, np.diag([1.0, 0.5, 2.0])):
+        with pytest.raises(ValueError, match="gamma"):
+            LsaBackend(other).answer(step, [ys, ys])
 
 
 MALFORMED_NEIGHBOURS = {

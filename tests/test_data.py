@@ -342,6 +342,12 @@ def test_knn_rejects_nonpositive_c():
         knn_context([ds.covariates], [(1.0,)], 0, IdentityEmbedder())
 
 
+def test_knn_context_of_no_pools_is_no_pairs():
+    assert knn_context([], [(1.0,), (2.0,)], 3, IdentityEmbedder()) == []
+    with pytest.raises(ValueError):
+        knn_context([], [(1.0,)], 0, IdentityEmbedder())
+
+
 def test_embedders():
     ident = IdentityEmbedder()
     assert np.array_equal(ident.embed((1.0, 2.0)), [1.0, 2.0])

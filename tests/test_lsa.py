@@ -22,9 +22,8 @@ def brute_force_prediction(examples, x_query, gamma_mat):
 def closed_form(examples, xq, g):
     """predict_closed_form on one query and a list of (covariate, label)
     pairs."""
-    step = ClosedFormStep([([x for x, _ in examples], [xq], None)])
-    return float(predict_closed_form(step, [[y for _, y in examples]],
-                                     g)[0][0])
+    step = ClosedFormStep([([x for x, _ in examples], [xq], None)], g)
+    return float(predict_closed_form(step, [[y for _, y in examples]])[0][0])
 
 
 def random_prompt(rng, d, n):
@@ -196,14 +195,15 @@ def test_spd_check(mat, accepted):
 
 
 def test_closed_form_checks_a_callers_gamma():
-    step, ys = ClosedFormStep([(np.eye(2), np.eye(2), None)]), [np.ones(2)]
+    asks, ys = [(np.eye(2), np.eye(2), None)], [np.ones(2)]
     for name in ("asymmetric by 1e-4", "inf", "not positive definite"):
         with pytest.raises(ValueError):
-            predict_closed_form(step, ys, np.array(SPD_CASES[name][0]))
+            ClosedFormStep(asks, np.array(SPD_CASES[name][0]))
     g = np.array([[2.0, 0.5], [0.5, 1.0]])
     checked = lsa.SpdMatrix(g, "gamma")
-    assert np.array_equal(predict_closed_form(step, ys, checked),
-                          predict_closed_form(step, ys, g))
+    assert np.array_equal(
+        predict_closed_form(ClosedFormStep(asks, checked), ys),
+        predict_closed_form(ClosedFormStep(asks, g), ys))
     with pytest.raises(ValueError):
         checked.matrix[0, 0] = 1.0
     with pytest.raises(ValueError):

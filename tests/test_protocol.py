@@ -13,8 +13,8 @@ from fedicl.core import ClientDataset, Dataset, Example, RealLabel, TextLabel
 from fedicl.data import IdentityEmbedder, TableEmbedder, knn_context
 from fedicl.lsa import gamma
 from fedicl.protocol import (ClientState, ProtocolConfig, ProtocolError,
-                             aggregate, init_labels, prepare_step, run,
-                             step1_relabel, step2_answer)
+                             aggregate, charge_protocol_round, init_labels,
+                             prepare_step, run, step1_relabel, step2_answer)
 
 from mock_llm import MockLlmServer
 from reference_engine import reference_run
@@ -1113,10 +1113,30 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
     # stacks its pools once, in no round
     assert stacks == [len(clients) + 3 * (context_count is not None)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
-    lsa.predict_closed_form(lsa.ClosedFormStep([(np.eye(2), np.eye(2), None)]),
-                            [np.ones(2)], g)
+    lsa.predict_closed_form(
+        lsa.ClosedFormStep([(np.eye(2), np.eye(2), None)], g), [np.ones(2)])
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
                              "_check_spd": 1})
+
+
+def test_a_round_is_charged_as_record_would_charge_it_or_not_at_all():
+    ledger = core.CommLedger()
+    charge_protocol_round(ledger, 1, [(1, 4, 2), (2, 4, 2)], 3, "bits",
+                          [{}, {"prompt_tokens": 5}])
+    want = core.CommLedger()
+    for row in ((1, "downlink", 1, 18, "bits"), (1, "uplink", 1, 6, "bits"),
+                (1, "downlink", 2, 18, "bits"), (1, "uplink", 2, 6, "bits"),
+                (1, "uplink", 2, 5, "observed_tokens")):
+        want.record(*row)
+    assert ledger.entries == want.entries
+    assert {type(e) for e in ledger.entries} == {core.LedgerEntry}
+    # a negative payload or an unknown unit charges no row of the round
+    for payloads, unit in (([(1, 4, 2), (2, 4, -1)], "bits"),
+                           ([(1, -7, 2)], "bits"), ([(1, 4, 2)], "bytes")):
+        with pytest.raises(ValueError, match="negative|unit"):
+            charge_protocol_round(ledger, 1, payloads, 3, unit,
+                                  [{}] * len(payloads))
+        assert ledger.entries == want.entries
 
 
 # ---------------------------------------------------------------------------
