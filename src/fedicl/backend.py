@@ -188,8 +188,8 @@ class RemoteBackend(LmBackend):
     ``{endpoint}/v1/chat/completions``; the answer is the first completion's
     content. A prompt holds every exemplar of the context it is given, in
     order. Transient failures retry with exponential backoff, honoring a
-    valid Retry-After. Each response's reported token usage is added into
-    the caller's ``usage`` dict.
+    valid Retry-After. A response's token counts, ints >= 0 or missing (0),
+    are added into the caller's ``usage`` dict; others are malformed.
 
     The endpoint must be an http or https URL with a host, else
     ``ConfigError``. The route is settled when the backend is built (see
@@ -264,13 +264,17 @@ class RemoteBackend(LmBackend):
         try:
             payload = json.loads(data)
             content = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            reported = payload.get("usage")   # none counts 0
+            counts = {key: 0 if reported is None else reported.get(key, 0)
+                      for key in ("prompt_tokens", "completion_tokens")}
+            if not all(type(n) is int and n >= 0 for n in counts.values()):
+                raise ValueError(f"token counts are not ints >= 0: {counts}")
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise RemoteBackendError(
                 f"malformed response body: {exc}: {_text(data)[:200]!r}")
         if usage is not None:
-            reported = payload.get("usage") or {}
-            for key in ("prompt_tokens", "completion_tokens"):
-                usage[key] = usage.get(key, 0) + int(reported.get(key, 0))
+            for key, n in counts.items():
+                usage[key] = usage.get(key, 0) + n
         # hard cap per answer, matching the accounting scheme
         tokens = str(content).split(" ")
         if len(tokens) > p.max_tokens:

@@ -310,11 +310,12 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
 
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     dataset_path = _require(_section(config, "dataset"), "path", "dataset")
+    with _parsing("partition"):   # the settings before the data
+        spec = data.PartitionSpec(**{"seed": seed,
+                                     **_section(config, "partition")})
     with _parsing("dataset"):
         examples = data.load_dataset(dataset_path, categorised=True)
     with _parsing("partition"):
-        spec = data.PartitionSpec(**{"seed": seed,
-                                     **_section(config, "partition")})
         clients, manifest = data.dirichlet_partition(examples, spec)
     os.makedirs(output_dir, exist_ok=True)
     for ds in clients:

@@ -17,8 +17,8 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral
-from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -476,24 +476,25 @@ class LedgerEntry(NamedTuple):
 
 @dataclass
 class CommLedger:
-    """Append-only accounting of transmitted payload sizes.
-
-    Mutation must be serialized through a single owner (the protocol engine);
-    reads are safe anywhere.
-    """
+    """Append-only accounting of transmitted payload sizes, written only
+    by ``record``. Mutation must be serialized through a single owner (the
+    protocol engine); reads are safe anywhere."""
 
     entries: List[LedgerEntry] = field(default_factory=list)
 
-    def record(self, round: int, direction: str, client_id: int,
-               payload_units: int, unit: str) -> None:
-        if payload_units < 0:
-            raise ValueError(f"negative payload: {payload_units}")
-        if direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction: {direction!r}")
-        if unit not in UNITS:
-            raise ValueError(f"unknown unit: {unit!r}")
-        self.entries.append(LedgerEntry(round, direction, client_id,
-                                        int(payload_units), unit))
+    def record(self, rows: Iterable[tuple]) -> None:
+        """Append ``rows`` of (round, direction, client_id, payload_units,
+        unit), all of them or, when one is bad, none: a payload is an int
+        >= 0, a direction is in ``DIRECTIONS`` and a unit in ``UNITS``."""
+        entries = [LedgerEntry._make(row) for row in rows]
+        for e in entries:
+            if check_int("payload_units", e.payload_units) < 0:
+                raise ValueError(f"negative payload: {e.payload_units}")
+            if e.direction not in DIRECTIONS:
+                raise ValueError(f"unknown direction: {e.direction!r}")
+            if e.unit not in UNITS:
+                raise ValueError(f"unknown unit: {e.unit!r}")
+        self.entries.extend(entries)
 
     def total(self, unit: str) -> int:
         """Sum of the payload_units recorded in ``unit`` (0 if none)."""

@@ -80,11 +80,11 @@ class PartitionSpec:
         object.__setattr__(self, "prior", prior)
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if prior is not None and (any(p < 0 for p in prior)
+        if prior is not None and (any(not 0 <= p < np.inf for p in prior)
                                   or abs(sum(prior) - 1.0) > 1e-12):
             raise ValueError("prior must be a probability vector")
 

@@ -24,11 +24,10 @@ from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
 import numpy as np
 
 from .backend import Ask, LmBackend
-from .core import (UNITS, ClientDataset, CommLedger, ConfigError, Covariate,
-                   Dataset, Label, LedgerEntry, Labels, RealColumn,
-                   RoundTrace, TextLabel, check_int, concat, covariate_column,
-                   join_labels, label_column, real_values, save_traces,
-                   stack_covariates)
+from .core import (ClientDataset, CommLedger, ConfigError, Covariate,
+                   Dataset, Label, Labels, RealColumn, RoundTrace, TextLabel,
+                   check_int, concat, covariate_column, join_labels,
+                   label_column, real_values, save_traces, stack_covariates)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -382,25 +381,20 @@ def charge_protocol_round(ledger: CommLedger, round: int,
     later rounds. Uplink per client: M answers. Then, as unit
     ``observed_tokens``, what each client's backend reported in its
     ``usages`` dict: prompt tokens as uplink, completion tokens as
-    downlink (LSA reports nothing).
+    downlink (LSA reports nothing). The rows go to ``ledger.record`` in
+    one call, so a bad row charges none of the round.
     """
-    if unit not in UNITS:
-        raise ValueError(f"unknown unit: {unit!r}")
     rows = []
     for cid, question_units, answer_units in payloads:
         sent = question_units + answer_units if round == 1 else answer_units
-        down, up = num_queries * sent, num_queries * answer_units
-        if down < 0 or up < 0:
-            raise ValueError(f"negative payload: {down if down < 0 else up}")
-        rows += ((round, "downlink", cid, int(down), unit),
-                 (round, "uplink", cid, int(up), unit))
-    ledger.entries.extend(map(LedgerEntry._make, rows))
-    for (cid, _, _), usage in zip(payloads, usages, strict=True):
-        for direction, key in (("uplink", "prompt_tokens"),
-                               ("downlink", "completion_tokens")):
-            if key in usage:
-                ledger.record(round, direction, cid, usage[key],
-                              "observed_tokens")
+        rows += ((round, "downlink", cid, num_queries * sent, unit),
+                 (round, "uplink", cid, num_queries * answer_units, unit))
+    observed = [(round, direction, cid, usage[key], "observed_tokens")
+                for (cid, _, _), usage in zip(payloads, usages, strict=True)
+                for direction, key in (("uplink", "prompt_tokens"),
+                                       ("downlink", "completion_tokens"))
+                if key in usage]
+    ledger.record(rows + observed)
 
 
 def run(config: ProtocolConfig,

@@ -534,6 +534,33 @@ def test_remote_backend_malformed_body_raises():
             answer_one(backend, EMPTY, ["q"])[0]
 
 
+@pytest.mark.parametrize("usage", [
+    {"prompt_tokens": -5}, {"prompt_tokens": 1.9}, {"prompt_tokens": True},
+    {"completion_tokens": "12"}, {"completion_tokens": None}, [3], [], 7, 0],
+    ids=["negative", "float", "bool", "str", "null-count", "list",
+         "empty-list", "int", "zero"])
+def test_remote_backend_rejects_a_reported_usage_that_is_not_counts(usage):
+    body = {"choices": [{"message": {"content": "a"}}], "usage": usage}
+    with MockLlmServer(script=[(200, body, {})]) as srv:
+        backend = RemoteBackend(srv.url)
+        with pytest.raises(RemoteBackendError, match="malformed"):
+            answer_one(backend, EMPTY, ["q"], usage={})
+        assert len(srv.requests) == 1
+
+
+def test_remote_backend_counts_a_missing_usage_as_zero():
+    usage = {}
+    choices = [{"message": {"content": "a"}}]
+    script = [(200, {"choices": choices}, {}),
+              (200, {"choices": choices, "usage": None}, {}),
+              (200, {"choices": choices, "usage": {"prompt_tokens": 4}}, {})]
+    with MockLlmServer(script=script) as srv:
+        backend = RemoteBackend(srv.url)
+        for _ in script:
+            answer_one(backend, EMPTY, ["q"], usage=usage)
+    assert usage == {"prompt_tokens": 4, "completion_tokens": 0}
+
+
 def test_remote_backend_adds_observed_usage_into_the_given_dict():
     usage = {}
     context = qa([("ex q", "ex a")])

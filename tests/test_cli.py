@@ -215,6 +215,14 @@ TEXT_LABELS = ("config error: the backends of an 'average' run read real "
         protocol={"variant": "fedicl_free"}), "differ in dimension"),
     ("partition", {"partition": 1, "dataset": {"path": __file__}},
      "partition must be a JSON object"),
+    # json reads Infinity and NaN; the settings are checked before the data
+    ("partition", {"partition": {"num_clients": 2, "alpha": float("inf")},
+                   "dataset": {"path": __file__}},
+     "config error: partition: alpha must be positive and finite"),
+    ("partition", {"partition": {"num_clients": 2, "alpha": 1.0,
+                                 "prior": [float("nan"), 1.0]},
+                   "dataset": {"path": __file__}},
+     "config error: partition: prior must be a probability vector"),
     ("simulate", dict(SIM_CFG, dataset=EXPLICIT_CFG,
                       protocol={"seed": -1}), "seed must be >= 0"),
     # simulate runs these unverified; theory has no verdict to give
@@ -252,7 +260,8 @@ TEXT_LABELS = ("config error: the backends of an 'average' run read real "
         "theory-not-object", "theory-moved-key", "simulate-theory-key",
         "theory-aggregation", "theory-explicit-no-clients",
         "simulate-gamma-dimension",
-        "partition-not-object", "negative-seed", "theory-knn", "theory-free",
+        "partition-not-object", "partition-infinite-alpha",
+        "partition-nan-prior", "negative-seed", "theory-knn", "theory-free",
         "theory-gt", "theory-random-init", "theory-remote",
         "theory-unknown-construction", "simulate-null-construction",
         "random-init-text-labels", "knn-text-labels", "gt-text-labels"])
@@ -809,6 +818,26 @@ def test_simulate_backend_failure_exits_3(tmp_path):
         code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == cli.EXIT_BACKEND
     assert (out / "traces.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("count", [-5, 1.5, True, "12"],
+                         ids=["negative", "float", "bool", "str"])
+def test_simulate_exits_3_on_a_reply_whose_token_count_is_bad(
+        tmp_path, capsys, count):
+    bad = {"choices": [{"message": {"content": "the Moon"}}],
+           "usage": {"prompt_tokens": count, "completion_tokens": 2}}
+    with MockLlmServer(script=[(200, bad, {})]) as srv:
+        cfg = write_config(tmp_path, {
+            "dataset": write_files(tmp_path, TEXT_CLIENTS, TEXT_QUERIES),
+            "backend": {"kind": "remote", "endpoint": srv.url}})
+        code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == cli.EXIT_BACKEND
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("backend error: client 1: step 1 backend "
+                               "failure: malformed response body: token "
+                               "counts are not ints >= 0")
+    assert not (out / "ledger.csv").exists()
 
 
 def text_run(tmp_path, url, **protocol_cfg):

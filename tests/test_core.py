@@ -14,22 +14,22 @@ from fedicl.protocol import charge_protocol_round
 
 def test_ledger_single_append():
     ledger = CommLedger()
-    ledger.record(1, "downlink", 1, 100, "tokens")
+    ledger.record([(1, "downlink", 1, 100, "tokens")])
     assert ledger.total("tokens") == 100
 
 
 def test_ledger_additivity():
     ledger = CommLedger()
-    ledger.record(1, "downlink", 1, 100, "tokens")
-    ledger.record(1, "uplink", 1, 50, "tokens")
+    ledger.record([(1, "downlink", 1, 100, "tokens")])
+    ledger.record([(1, "uplink", 1, 50, "tokens")])
     assert ledger.total("tokens") == 150
 
 
 def test_ledger_totals_grouped_by_unit():
     ledger = CommLedger()
-    ledger.record(1, "downlink", 1, 3, "tokens")
-    ledger.record(1, "downlink", 1, 4, "tokens")
-    ledger.record(2, "uplink", 2, 128, "bits")
+    ledger.record([(1, "downlink", 1, 3, "tokens")])
+    ledger.record([(1, "downlink", 1, 4, "tokens")])
+    ledger.record([(2, "uplink", 2, 128, "bits")])
     assert ledger.total("tokens") == 7
     assert ledger.total("bits") == 128
 
@@ -41,7 +41,25 @@ def test_ledger_empty_total_zero():
 
 def test_ledger_rejects_negative_payload():
     with pytest.raises(ValueError):
-        CommLedger().record(1, "downlink", 1, -1, "tokens")
+        CommLedger().record([(1, "downlink", 1, -1, "tokens")])
+
+
+@pytest.mark.parametrize("bad,error", [
+    ((2, "uplink", 1, -1, "bits"), "negative payload: -1"),
+    ((2, "sideways", 1, 5, "bits"), "unknown direction: 'sideways'"),
+    ((2, "uplink", 1, 5, "bytes"), "unknown unit: 'bytes'"),
+    ((2, "uplink", 1, 1.5, "bits"), "payload_units must be an int"),
+    ((2, "uplink", 1, True, "bits"), "payload_units must be an int")],
+    ids=["negative", "direction", "unit", "float", "bool"])
+def test_ledger_appends_every_row_or_none(bad, error):
+    ledger = CommLedger()
+    ledger.record([(1, "downlink", 1, 100, "tokens")])
+    good = (2, "downlink", 1, 7, "bits")
+    with pytest.raises((TypeError, ValueError), match=error):
+        ledger.record(iter([good, bad, good]))
+    assert ledger.entries == [(1, "downlink", 1, 100, "tokens")]
+    ledger.record(iter([good, good]))
+    assert ledger.total("bits") == 14
 
 
 @given(st.lists(st.tuples(st.integers(1, 9), st.sampled_from(core.DIRECTIONS),
@@ -51,11 +69,11 @@ def test_ledger_rejects_negative_payload():
 def test_ledger_total_invariant_under_reordering(entries, rnd):
     a, b = CommLedger(), CommLedger()
     for e in entries:
-        a.record(*e)
+        a.record([e])
     shuffled = list(entries)
     rnd.shuffle(shuffled)
     for e in shuffled:
-        b.record(*e)
+        b.record([e])
     assert ([a.total(unit) for unit in core.UNITS]
             == [b.total(unit) for unit in core.UNITS])
 
@@ -234,7 +252,7 @@ def test_round_trace_reads_the_older_aggregated_round_key(tmp_path):
 
 def test_ledger_csv_export(tmp_path):
     ledger = CommLedger()
-    ledger.record(1, "downlink", 2, 10, "bits")
+    ledger.record([(1, "downlink", 2, 10, "bits")])
     path = tmp_path / "ledger.csv"
     ledger.export_csv(path)
     lines = path.read_text().strip().splitlines()

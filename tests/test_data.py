@@ -155,6 +155,12 @@ def test_partition_spec_validation():
         PartitionSpec(num_clients=1, alpha=1.0, prior=(1.0,), seed=-3)
     with pytest.raises(ValueError, match="alpha must be positive"):
         PartitionSpec(num_clients=1, alpha=float("nan"))
+    for alpha in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="alpha must be positive and "
+                           "finite"):
+            PartitionSpec(num_clients=1, alpha=alpha)
+    with pytest.raises(ValueError, match="prior must be"):
+        PartitionSpec(num_clients=1, alpha=1.0, prior=(float("nan"), 1.0))
 
 
 @pytest.mark.parametrize("field,value,message", [

@@ -1124,10 +1124,9 @@ def test_a_round_is_charged_as_record_would_charge_it_or_not_at_all():
     charge_protocol_round(ledger, 1, [(1, 4, 2), (2, 4, 2)], 3, "bits",
                           [{}, {"prompt_tokens": 5}])
     want = core.CommLedger()
-    for row in ((1, "downlink", 1, 18, "bits"), (1, "uplink", 1, 6, "bits"),
-                (1, "downlink", 2, 18, "bits"), (1, "uplink", 2, 6, "bits"),
-                (1, "uplink", 2, 5, "observed_tokens")):
-        want.record(*row)
+    want.record([(1, "downlink", 1, 18, "bits"), (1, "uplink", 1, 6, "bits"),
+                 (1, "downlink", 2, 18, "bits"), (1, "uplink", 2, 6, "bits"),
+                 (1, "uplink", 2, 5, "observed_tokens")])
     assert ledger.entries == want.entries
     assert {type(e) for e in ledger.entries} == {core.LedgerEntry}
     # a negative payload or an unknown unit charges no row of the round
@@ -1137,6 +1136,15 @@ def test_a_round_is_charged_as_record_would_charge_it_or_not_at_all():
             charge_protocol_round(ledger, 1, payloads, 3, unit,
                                   [{}] * len(payloads))
         assert ledger.entries == want.entries
+
+
+def test_a_round_with_a_bad_observed_row_charges_no_row():
+    # the nominal rows come first and are good; the observed row is not
+    ledger = core.CommLedger()
+    with pytest.raises(ValueError, match="negative payload: -1"):
+        charge_protocol_round(ledger, 1, [(1, 4, 2)], 3, "bits",
+                              [{"prompt_tokens": -1}])
+    assert ledger.entries == []
 
 
 # ---------------------------------------------------------------------------
@@ -1201,6 +1209,22 @@ def test_text_run_charges_each_client_at_its_backend_cap(caps):
         row for cid, cap in enumerate(caps, 1)
         for row in ((cid, "downlink", 2 * cap), (cid, "uplink", cap))]
     assert result.ledger.total("tokens") == 3 * sum(caps)
+
+
+@pytest.mark.parametrize("count", [-5, 1.5, True, "12"],
+                         ids=["negative", "float", "bool", "str"])
+def test_a_bad_reported_token_count_fails_the_run_naming_the_client(count):
+    # client 1 answers its 2 + 3 prompts; client 2's first reply is bad
+    bad = {"choices": [{"message": {"content": "a reply"}}],
+           "usage": {"prompt_tokens": count, "completion_tokens": 2}}
+    with MockLlmServer(script=[(200, None, {})] * 5 + [(200, bad, {})]
+                       ) as srv:
+        with pytest.raises(ProtocolError, match="malformed response body: "
+                           "token counts") as err:
+            run(ProtocolConfig(rounds=2, aggregation="fusion"),
+                text_clients(srv.url, (2, 4)), TEXT_QUERIES, max_workers=1)
+        assert len(srv.requests) == 6
+    assert err.value.client_id == 2
 
 
 def test_text_run_with_a_backend_without_a_cap_fails_before_any_request():
