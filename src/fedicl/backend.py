@@ -19,14 +19,13 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (ConfigError, Covariate, Label, Labels, RealColumn,
-                   TextLabel, check_int, covariate_text, neighbour_matrix,
-                   real_values)
+                   TextLabel, check_int, check_number, covariate_text,
+                   neighbour_matrix, real_values)
 from .lsa import ClosedFormStep, SpdMatrix, predict_closed_form
 
 
@@ -41,12 +40,9 @@ class GenerationParams:
     def __post_init__(self):
         for name in ("max_tokens", "timeout_ms", "max_retries"):
             check_int(name, getattr(self, name))
-        if (isinstance(self.temperature, bool)
-                or not isinstance(self.temperature, Real)):
-            raise TypeError(f"temperature must be a number, got "
-                            f"{self.temperature!r}")
         # an int from a config file is sent as the float it stands for
-        object.__setattr__(self, "temperature", float(self.temperature))
+        object.__setattr__(self, "temperature", float(
+            check_number("temperature", self.temperature)))
         if not isinstance(self.model_name, str):
             raise TypeError(f"model_name must be a str, got "
                             f"{self.model_name!r}")

@@ -146,9 +146,10 @@ def load_instance(config: dict, seed: int):
                        for rows in _require(cfg, "clients", "dataset")]
             queries = _require(cfg, "server", "dataset")
         else:
-            return synthesize_instance(cfg, seed)
-        clients = [core.ClientDataset(cid, tuple(examples))
-                   for cid, examples in enumerate(clients, start=1)]
+            clients, queries, gamma_mat = synthesize_instance(cfg, seed)
+        clients = [ds if isinstance(ds, core.ClientDataset) else
+                   core.ClientDataset(cid, tuple(ds))
+                   for cid, ds in enumerate(clients, start=1)]
         if any(gamma_mat is not None and ds.dim != len(gamma_mat)
                for ds in clients):
             raise ValueError("gamma and the covariates differ in dimension")

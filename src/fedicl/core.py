@@ -16,7 +16,7 @@ import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -34,6 +34,13 @@ def check_int(name: str, value):
     """``value`` if it is an integer and not a bool, else ``TypeError``."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def check_number(name: str, value):
+    """``value`` if it is a real number and not a bool, else ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
     return value
 
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (ClientDataset, ConfigError, Covariate, Example,
-                   check_int, example_from_json, example_to_json,
+                   check_int, check_number, example_from_json, example_to_json,
                    stack_covariates)
 
 
@@ -74,9 +73,9 @@ class PartitionSpec:
     def __post_init__(self):
         check_int("num_clients", self.num_clients)
         check_int("seed", self.seed)
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
-            raise TypeError(f"alpha must be a number, got {self.alpha!r}")
-        prior = self.prior and tuple(float(p) for p in self.prior)
+        check_number("alpha", self.alpha)
+        prior = self.prior and tuple(float(check_number(f"prior[{i}]", p))
+                                     for i, p in enumerate(self.prior))
         object.__setattr__(self, "prior", prior)
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")

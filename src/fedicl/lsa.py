@@ -150,58 +150,41 @@ class ClosedFormStep:
 
     An ask is ``(xs, x_query, neighbours)``: a context's (n, d)
     covariates, a (Q, d) matrix of queries, and None or a (Q, k) index
-    array whose row q picks query q's examples. The step keeps Gamma^-1,
-    each whole context's covariates beside the queries (the asks that
-    share a query matrix, by identity, answer in one product) and, for
-    the neighbourhoods of each size k, the (R, k) weights
-    W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k over the stacked queries,
-    beside the (R, k) indices that gather their labels.
+    array whose row q picks query q's examples. The step keeps Gamma^-1;
+    each distinct whole context once, by identity, as X / n; each whole
+    ask's query matrix beside the context it reads; and, for the
+    neighbourhoods of each size k, the (R, k) weights
+    W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k over their stacked queries,
+    beside the (R, k) indices that gather their labels and each ask's
+    rows among the R.
     """
 
-    __slots__ = ("gamma", "inverse", "sizes", "whole", "counts", "blocks",
-                 "near", "gathers", "reads", "total")
+    __slots__ = ("gamma", "inverse", "sizes", "lengths", "whole", "gathers")
 
     def __init__(self, asks, gamma: np.ndarray | SpdMatrix):
         self.gamma = (gamma if isinstance(gamma, SpdMatrix) else
                       SpdMatrix(gamma, "gamma")).matrix
         # solving for a step's 1000s of columns takes some 18 times as long
         self.inverse = np.linalg.inv(self.gamma)
-        self.sizes, lengths, whole, by_size = [], [], {}, {}
+        self.sizes, self.lengths, self.whole = [], [], []
+        contexts, by_size = {}, {}
         for i, (xs, x_query, neighbours) in enumerate(asks):
             xq = covariate_matrix(x_query)
             nb = None if neighbours is None else neighbour_matrix(
                 neighbours, len(xs), len(xq))
             self.sizes.append(len(xs))
-            lengths.append(len(xq))
+            self.lengths.append(len(xq))
             if len(xs) == 0 or xq.size == 0:
                 continue
-            if nb is None:  # the entry holds x_query, so its id stays
-                whole.setdefault(id(x_query), (x_query, xq.T, []))[2].append(
-                    (i, covariate_matrix(xs)))
+            if nb is None:  # X / n, so that a moment is one product
+                if id(xs) not in contexts:  # the entry holds xs: its id stays
+                    contexts[id(xs)] = xs, covariate_matrix(xs) / len(xs)
+                self.whole.append((i, contexts[id(xs)][1], xq))
                 continue
             by_size.setdefault(nb.shape[1], []).append(
                 (i, xq @ self.inverse, covariate_matrix(xs), nb))
-        # a round's answers, end to end: the whole contexts' by query
-        # matrix, the neighbourhoods' by size, then the zeros of the rest
-        groups = [m for *_, m in whole.values()] + list(by_size.values())
-        order = [m[0] for members in groups for m in members]
-        order += sorted(set(range(len(lengths))) - set(order))
-        at = dict(zip(order, accumulate([0] + [lengths[i] for i in order])))
-        self.reads = [slice(at[i], at[i] + n) for i, n in enumerate(lengths)]
-        self.total = sum(lengths)
-        rows = [slice(at[g[0][0]], self.reads[g[-1][0]].stop) for g in groups]
-        self.whole = [m for members in groups[:len(whole)] for m in members]
-        self.counts = np.array([len(xs) for _, xs in self.whole])[:, None]
-        ends = list(accumulate(len(g) for g in groups[:len(whole)]))
-        self.blocks = [(queries, slice(end - len(members), end), out)
-                       for (_, queries, members), end, out
-                       in zip(whole.values(), ends, rows)]
-        # a round reads these asks' labels end to end, so an ask's label
-        # indices are shifted past the examples of the asks before it
-        self.near = [m[0] for members in groups[len(whole):] for m in members]
-        shifts = accumulate([0] + [self.sizes[i] for i in self.near])
         self.gathers = []
-        for (k, members), out in zip(by_size.items(), rows[len(whole):]):
+        for k, members in by_size.items():
             weights = []
             for _, p, xs, nb in members:
                 # products of a block of queries at a time with the context,
@@ -212,9 +195,15 @@ class ClosedFormStep:
                     block = nb[lo:lo + n]
                     weights.append((p[lo:lo + n] @ xs.T)[np.arange(
                         len(block))[:, None], block])
-            self.gathers.append((np.concatenate([nb + next(shifts) for *_, nb
-                                                 in members]),
-                                 np.concatenate(weights) / k, out))
+            # a round reads these asks' labels end to end, so an ask's label
+            # indices are shifted past the examples of the asks before it
+            shifts = accumulate([0] + [len(xs) for _, _, xs, _ in members])
+            ends = accumulate(len(p) for _, p, _, _ in members)
+            self.gathers.append((
+                np.concatenate([nb + next(shifts) for *_, nb in members]),
+                np.concatenate(weights) / k,
+                [(i, slice(end - len(p), end))
+                 for (i, p, _, _), end in zip(members, ends)]))
 
 
 def predict_closed_form(step: ClosedFormStep, labels) -> List[np.ndarray]:
@@ -224,7 +213,9 @@ def predict_closed_form(step: ClosedFormStep, labels) -> List[np.ndarray]:
 
     Query q's answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over
     the whole context, or sum_j W[q, j] y[nb(q, j)] over its k examples;
-    zero examples yield 0. No Gamma is solved for: it is folded in.
+    zero examples yield 0. Asks that share a context and a label vector,
+    by identity, share one moment; all moments are folded with Gamma^-1
+    in one product, and no Gamma is solved for.
     """
     if len(labels) != len(step.sizes):
         raise ValueError(f"{len(labels)} label vectors for {len(step.sizes)} "
@@ -233,17 +224,20 @@ def predict_closed_form(step: ClosedFormStep, labels) -> List[np.ndarray]:
     for n, y in zip(step.sizes, ys):
         if n != len(y):
             raise ValueError(f"context of {n} covariates and {len(y)} labels")
-    out = np.zeros(step.total)
-    if step.whole:
-        moments = (np.array([ys[i] @ xs for i, xs in step.whole])
-                   / step.counts) @ step.inverse
-        for queries, asks, at in step.blocks:
-            out[at] = (moments[asks] @ queries).ravel()
-    if step.gathers:
-        near = np.concatenate([ys[i] for i in step.near])
-        for index, weights, at in step.gathers:
-            out[at] = np.einsum("qk,qk->q", weights, near[index])
-    return [out[at] for at in step.reads]
+    answers = [None] * len(ys)
+    if step.whole:  # ndarray.dot: a small product dispatches faster than @
+        pairs = {(id(xs), id(ys[i])): (xs, ys[i]) for i, xs, _ in step.whole}
+        folded = dict(zip(pairs, np.array(
+            [y.dot(xs) for xs, y in pairs.values()]) @ step.inverse))
+        for i, xs, xq in step.whole:
+            answers[i] = xq.dot(folded[id(xs), id(ys[i])])
+    for index, weights, parts in step.gathers:
+        near = np.concatenate([ys[i] for i, _ in parts])
+        answered = np.einsum("qk,qk->q", weights, near[index])
+        for i, rows in parts:
+            answers[i] = answered[rows]
+    return [np.zeros(n) if answer is None else answer
+            for answer, n in zip(answers, step.lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fedicl.backend import (BACKOFF_BASE_S, RETRY_AFTER_MAX_S,
                             GenerationParams, LsaBackend, RemoteBackend,
                             RemoteBackendError, render_prompt)
 from fedicl.core import (ConfigError, RealColumn, RealLabel, TextLabel,
-                         real_values)
+                         label_column, real_values)
 from fedicl.lsa import ClosedFormStep, gamma, predict_closed_form
 
 from mock_llm import MockLlmServer
@@ -161,24 +161,58 @@ def test_lsa_backend_neighbours_match_per_query_contexts():
 
 def test_closed_form_batch_equals_each_ask_alone():
     # every kind of ask in one batch: a context shared by two query sets,
-    # a query set shared by two contexts, neighbours, no examples and no
-    # queries
+    # a query set shared by two contexts, neighbours, no examples, no
+    # queries, and one context's covariates under a second label vector;
+    # each context's labels are one column, so its asks pass one array
     rng = np.random.default_rng(37)
     g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
-    shared, other = vec_context(rng, 3, 6), vec_context(rng, 3, 4)
+    shared, other = ((xs, label_column(ys)) for xs, ys in
+                     (vec_context(rng, 3, 6), vec_context(rng, 3, 4)))
     qs, more = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
     asks = [(shared, qs, None), (shared, more, None), (other, qs, None),
             (other, more, rng.integers(0, 4, size=(2, 3))),
             (shared, qs, rng.integers(0, 6, size=(5, 2))),
             (EMPTY, more, None), (other, np.empty((0, 3)), None)]
+    relabeled = (shared[0], RealColumn(rng.standard_normal(6)))
+    asks += [(relabeled, more, None), (relabeled, qs, None)]
     got = predict_closed_form(
         ClosedFormStep([(xs, q, nb) for (xs, _), q, nb in asks], g),
         [real_values(ys) for (_, ys), _, _ in asks])
-    assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0]
+    assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0, 2, 5]
     for pred, (ctx, q, nb) in zip(got, asks):
         np.testing.assert_allclose(pred, closed_form(ctx, q, g, nb),
                                    rtol=0, atol=1e-12)
-    assert not got[-2].any()
+    assert not got[5].any()
+    assert not np.allclose(got[-1], got[0])  # the labels differ
+
+
+def test_a_context_and_label_vector_that_asks_share_give_one_moment():
+    # step 1 at full context: every client's ask reads the queries and
+    # their one label column, so a round computes one moment y^T X / n
+    # and folds it with Gamma^-1 in one product of one row
+    rng = np.random.default_rng(41)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    queries, c_k = rng.standard_normal((6, 3)), RealColumn(
+        rng.standard_normal(6))
+    clients = [rng.standard_normal((n, 3)) for n in (4, 5, 7)]
+    backend = LsaBackend(g)
+    step = backend.prepare([(queries, xs, None) for xs in clients])
+    products = []
+
+    class Recorded(np.ndarray):
+        """Gamma^-1, which records the operand shapes of each product."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            products.append([np.shape(x) for x in inputs])
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    step.inverse = step.inverse.view(Recorded)
+    got = backend.answer(step, [c_k] * len(clients))
+    assert products == [[(1, 3), (3, 3)]]
+    for column, xs in zip(got, clients):
+        np.testing.assert_allclose(column.values,
+                                   closed_form((queries, c_k), xs, g),
+                                   rtol=0, atol=1e-12)
 
 
 def test_a_step_of_whole_contexts_and_neighbourhoods_of_several_sizes():

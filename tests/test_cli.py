@@ -213,6 +213,9 @@ TEXT_LABELS = ("config error: the backends of an 'average' run read real "
         "gamma": np.eye(3).tolist(), "server": [[1.0, 0.0]],
         "clients": [[{"x": [1.0, 0.0], "y": 1.0}]]},
         protocol={"variant": "fedicl_free"}), "differ in dimension"),
+    ("simulate", dict(SIM_CFG, dataset={"d": 2, "lambda": np.eye(3).tolist()},
+                      protocol={"context_count": 2}),
+     "config error: dataset: gamma and the covariates differ in dimension"),
     ("partition", {"partition": 1, "dataset": {"path": __file__}},
      "partition must be a JSON object"),
     # json reads Infinity and NaN; the settings are checked before the data
@@ -259,7 +262,7 @@ TEXT_LABELS = ("config error: the backends of an 'average' run read real "
         "str-temperature", "int-model-name", "theory-nan-label",
         "theory-not-object", "theory-moved-key", "simulate-theory-key",
         "theory-aggregation", "theory-explicit-no-clients",
-        "simulate-gamma-dimension",
+        "simulate-gamma-dimension", "simulate-synthetic-gamma-dimension",
         "partition-not-object", "partition-infinite-alpha",
         "partition-nan-prior", "negative-seed", "theory-knn", "theory-free",
         "theory-gt", "theory-random-init", "theory-remote",

@@ -171,7 +171,9 @@ def test_partition_spec_validation():
     ("seed", True, "seed must be an int"),
     ("alpha", "1.0", "alpha must be a number"),
     ("alpha", True, "alpha must be a number"),
-    ("alpha", None, "alpha must be a number")])
+    ("alpha", None, "alpha must be a number"),
+    ("prior", (True, False), r"prior\[0\] must be a number, got True"),
+    ("prior", ("0.5", "0.5"), r"prior\[0\] must be a number, got '0.5'")])
 def test_partition_spec_rejects_a_setting_of_the_wrong_type(field, value,
                                                             message):
     with pytest.raises(TypeError, match=message):
