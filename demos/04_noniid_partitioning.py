@@ -3,7 +3,9 @@
 Each client draws a category-proportion vector q ~ Dir(alpha * prior) and
 receives that mix of the corpus without replacement. Small alpha makes
 clients specialize in one category; large alpha approaches a uniform split.
-The effect is quantified with the per-client category entropy.
+The effect is quantified with the per-client category entropy. Each
+client's share comes back as its records, in corpus order: client i of the
+list has id i + 1.
 
 Run:  python3 demos/04_noniid_partitioning.py
 """
@@ -26,16 +28,16 @@ for alpha in (0.01, 0.5, 100.0):
     clients, manifest = dirichlet_partition(
         corpus, PartitionSpec(num_clients=4, alpha=alpha, prior=prior,
                               seed=11))
-    assert sum(len(c.examples) for c in clients) == len(corpus)
+    assert sum(map(len, clients)) == len(corpus)
     print(f"alpha = {alpha}")
-    for c in clients:
+    for cid, records in enumerate(clients, start=1):
         counts = {cat: 0 for cat in categories}
-        for ex in c.examples:
+        for ex in records:
             counts[ex.category] += 1
         mix = "  ".join(f"{cat[:4]}={counts[cat]:3d}" for cat in categories)
-        print(f"  client {c.client_id}: {mix}   "
-              f"entropy={category_entropy(c):.3f} nats")
-    ents = [category_entropy(c) for c in clients]
+        print(f"  client {cid}: {mix}   "
+              f"entropy={category_entropy(records):.3f} nats")
+    ents = [category_entropy(records) for records in clients]
     print(f"  mean entropy {np.mean(ents):.3f} "
           f"(uniform would be {np.log(4):.3f})\n")
 

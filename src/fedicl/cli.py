@@ -319,9 +319,9 @@ def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
     with _parsing("partition"):
         clients, manifest = data.dirichlet_partition(examples, spec)
     os.makedirs(output_dir, exist_ok=True)
-    for ds in clients:
-        data.save_dataset(ds.examples,
-                          os.path.join(output_dir, f"client_{ds.client_id}.jsonl"))
+    for cid, records in enumerate(clients, start=1):
+        data.save_dataset(records,
+                          os.path.join(output_dir, f"client_{cid}.jsonl"))
     with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
         json.dump({str(k): v for k, v in sorted(manifest.items())}, fh,
                   indent=2, sort_keys=True)

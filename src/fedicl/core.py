@@ -264,40 +264,36 @@ class Example:
 
 class Dataset:
     """Examples as columns: ``covariates`` (see ``covariate_column``), and
-    beside them ``labels`` (see ``label_column``) and ``categories`` (an
-    optional str each).
+    beside them ``labels`` (see ``label_column``). A record's category
+    stays on its ``Example``: partitioning reads it there, and no engine
+    code uses one.
 
     Built from ``Example`` records or from the columns. Immutable;
     ``with_labels`` shares the checked covariates instead of checking them
     again.
     """
 
-    __slots__ = ("covariates", "labels", "categories")
+    __slots__ = ("covariates", "labels")
     _EXTRA: Tuple[str, ...] = ()   # a subclass's own fields
 
     def __init__(self, examples: Sequence[Example] = (), *, covariates=None,
-                 labels: Optional[Sequence[Label]] = None,
-                 categories: Optional[Sequence[Optional[str]]] = None):
+                 labels: Optional[Sequence[Label]] = None):
         if covariates is None and labels is None:
             examples = tuple(examples)
             covariates = [ex.covariate for ex in examples]
             labels = [ex.label for ex in examples]
-            categories = [ex.category for ex in examples]
         elif examples or covariates is None or labels is None:
             raise TypeError("give examples, or covariates and labels")
         labels = label_column(labels)
         object.__setattr__(self, "covariates", covariate_column(covariates))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "categories", (None,) * len(labels)
-                           if categories is None else tuple(categories))
         self._validate()
 
     def _validate(self) -> None:
         n = len(self.covariates)
-        if len(self.labels) != n or len(self.categories) != n:
-            raise ValueError(f"{type(self).__name__} has {n} covariates, "
-                             f"{len(self.labels)} labels and "
-                             f"{len(self.categories)} categories")
+        if len(self.labels) != n:
+            raise ValueError(f"{type(self).__name__} has {n} covariates and "
+                             f"{len(self.labels)} labels")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -314,7 +310,7 @@ class Dataset:
                 and np.array_equal(a, b))
         return bool(same) and all(
             getattr(self, f) == getattr(other, f)
-            for f in ("labels", "categories") + self._EXTRA)
+            for f in ("labels",) + self._EXTRA)
 
     def __repr__(self) -> str:
         extra = "".join(f"{f}={getattr(self, f)!r}, " for f in self._EXTRA)
@@ -331,8 +327,7 @@ class Dataset:
     def examples(self) -> Tuple[Example, ...]:
         covs = (self.covariates if isinstance(self.covariates, tuple) else
                 [tuple(row) for row in self.covariates.tolist()])
-        return tuple(Example(x, y, c) for x, y, c in
-                     zip(covs, self.labels, self.categories))
+        return tuple(map(Example, covs, self.labels))
 
     def with_labels(self, labels: Sequence[Label]) -> "Dataset":
         """The same covariates (shared, not copied) with new labels."""
@@ -360,8 +355,7 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
                          f"{sorted(map(str, dims))}")
     return Dataset(
         covariates=stack_covariates([ds.covariates for ds in parts]),
-        labels=join_labels([ds.labels for ds in parts]),
-        categories=tuple(chain.from_iterable(ds.categories for ds in parts)))
+        labels=join_labels([ds.labels for ds in parts]))
 
 
 class ClientDataset(Dataset):

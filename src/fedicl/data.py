@@ -9,9 +9,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ClientDataset, ConfigError, Covariate, Example,
-                   check_int, check_number, example_from_json, example_to_json,
-                   stack_covariates)
+from .core import (ConfigError, Covariate, Example, check_int, check_number,
+                   example_from_json, example_to_json, stack_covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +100,16 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
-                        ) -> Tuple[List[ClientDataset], Dict[int, int]]:
+                        ) -> Tuple[List[Tuple[Example, ...]], Dict[int, int]]:
     """Split examples across clients with category mix q ~ Dir(alpha * prior),
     over the sorted categories of the examples.
 
     Per client, a proportion vector is sampled once and converted to integer
     per-category counts by largest-remainder rounding; draws are without
     replacement, falling back to the globally most-available category when a
-    requested one is exhausted. Returns the client datasets and a manifest
-    mapping example index -> client id (ids are 1-based).
+    requested one is exhausted. Returns each client's records, in corpus
+    order, and a manifest mapping example index -> client id: client i of
+    the list has id i + 1.
     """
     if any(ex.category is None for ex in dataset):
         raise ValueError("every example needs a category for partitioning")
@@ -137,33 +137,28 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
     positive = alpha_vec > 0
 
     manifest: Dict[int, int] = {}
-    clients: List[ClientDataset] = []
-    available = np.array([len(p) for p in pools])
+    clients: List[Tuple[Example, ...]] = []
     for ci in range(spec.num_clients):
         q = np.zeros(len(categories))
         q[positive] = rng.dirichlet(alpha_vec[positive])
         want = _largest_remainder(q, int(client_sizes[ci]))
         picked: List[int] = []
         for cat, count in enumerate(want):
-            take = min(int(count), int(available[cat]))
-            for _ in range(take):
+            for _ in range(min(int(count), len(pools[cat]))):
                 picked.append(pools[cat].pop())
-            available[cat] -= take
-        # the client sizes sum to the dataset's length: no pool runs dry
+        # the client sizes sum to the dataset's length: no pool runs dry;
+        # ties go to the first of the fullest pools
         while len(picked) < client_sizes[ci]:
-            cat = int(np.argmax(available))
-            picked.append(pools[cat].pop())
-            available[cat] -= 1
-        examples = tuple(dataset[i] for i in sorted(picked))
-        clients.append(ClientDataset(client_id=ci + 1, examples=examples))
+            picked.append(max(pools, key=len).pop())
+        clients.append(tuple(dataset[i] for i in sorted(picked)))
         for i in picked:
             manifest[i] = ci + 1
     return clients, manifest
 
 
-def category_entropy(dataset: ClientDataset) -> float:
-    """Shannon entropy (nats) of the client's empirical category mix."""
-    counts = Counter(cat or "" for cat in dataset.categories)
+def category_entropy(records: Sequence[Example]) -> float:
+    """Shannon entropy (nats) of the records' empirical category mix."""
+    counts = Counter(ex.category or "" for ex in records)
     p = np.array(list(counts.values()), dtype=float)
     p /= p.sum()
     return float(-(p * np.log(p)).sum())

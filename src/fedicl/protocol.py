@@ -433,8 +433,7 @@ def run(config: ProtocolConfig,
         clients = [ClientState(client_id=cid, backend=clients[0].backend,
                                original=ClientDataset(
                                    cid, covariates=merged.covariates,
-                                   labels=merged.labels,
-                                   categories=merged.categories))]
+                                   labels=merged.labels))]
 
     rng = np.random.default_rng(config.seed)
     c_k = init_labels(queries, config.init_mode, clients[0], rng)

@@ -147,7 +147,7 @@ def test_derived_datasets_share_the_checked_covariates():
                            Example((2.0,), RealLabel(2.0), category="b")))
     relabeled = ds.with_labels([RealLabel(5.0), RealLabel(6.0)])
     assert relabeled.covariates is ds.covariates
-    assert (relabeled.client_id, relabeled.categories) == (3, ("a", "b"))
+    assert relabeled.client_id == 3
     assert core.real_values(relabeled.labels).tolist() == [5.0, 6.0]
     with pytest.raises(ValueError):
         ds.with_labels([RealLabel(5.0)])
@@ -155,7 +155,10 @@ def test_derived_datasets_share_the_checked_covariates():
     assert type(both) is core.Dataset
     assert both.covariates.tolist() == [[1.0], [2.0], [1.0], [2.0]]
     assert both.labels == tuple(ds.labels) + tuple(relabeled.labels)
-    assert both.categories == ("a", "b", "a", "b")
+    # the records' categories stay on the records
+    assert both.examples == tuple(Example(x, y) for x, y in (
+        ((1.0,), RealLabel(1.0)), ((2.0,), RealLabel(2.0)),
+        ((1.0,), RealLabel(5.0)), ((2.0,), RealLabel(6.0))))
     with pytest.raises(ValueError):
         both.covariates[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -166,7 +169,10 @@ def test_dataset_examples_derive_from_the_columns():
     records = (Example((1.0, 2.0), RealLabel(0.5), category="algebra"),
                Example((3.0, 4.0), RealLabel(-1.0)))
     ds = ClientDataset(1, records)
-    assert ds.examples == records
+    # covariates and labels: a record's category is not a column
+    assert ds.examples == tuple(Example(ex.covariate, ex.label)
+                                for ex in records)
+    assert not hasattr(ds, "categories")
     assert ClientDataset(1, ds.examples) == ds
     assert ds != ClientDataset(2, records)
 

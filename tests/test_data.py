@@ -51,13 +51,14 @@ def test_partition_conserves_examples():
     clients, manifest = dirichlet_partition(
         corpus, PartitionSpec(num_clients=5, alpha=1.0,
                               prior=uniform_prior(4), seed=3))
-    assert sum(len(c.examples) for c in clients) == len(corpus)
+    assert sum(map(len, clients)) == len(corpus)
     assert sorted(manifest) == list(range(len(corpus)))
     assert set(manifest.values()) <= set(range(1, 6))
-    # every example lands with exactly the client the manifest names
-    for ci, client in enumerate(clients, start=1):
+    # client i of the list has id i + 1, and holds exactly the records the
+    # manifest gives that id, in corpus order
+    for ci, records in enumerate(clients, start=1):
         got = sorted(i for i, cid in manifest.items() if cid == ci)
-        assert tuple(corpus[i] for i in got) == client.examples
+        assert records == tuple(corpus[i] for i in got)
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,7 +70,7 @@ def test_partition_conservation_property(n, l, alpha, seed):
     clients, manifest = dirichlet_partition(
         corpus, PartitionSpec(num_clients=l, alpha=alpha,
                               prior=uniform_prior(len(present)), seed=seed))
-    assert sum(len(c.examples) for c in clients) == n
+    assert sum(map(len, clients)) == n
     assert sorted(manifest) == list(range(n))
 
 
@@ -90,11 +91,11 @@ def test_partition_high_alpha_near_uniform_mix():
     clients, _ = dirichlet_partition(
         corpus, PartitionSpec(num_clients=4, alpha=1e6,
                               prior=uniform_prior(4), seed=5))
-    for client in clients:
+    for records in clients:
         counts = {}
-        for ex in client.examples:
+        for ex in records:
             counts[ex.category] = counts.get(ex.category, 0) + 1
-        shares = np.array(list(counts.values())) / len(client.examples)
+        shares = np.array(list(counts.values())) / len(records)
         assert shares.max() < 0.45  # uniform would be 0.25 per category
 
 
@@ -109,9 +110,9 @@ def test_partition_low_alpha_concentrates():
             corpus, PartitionSpec(num_clients=8, alpha=0.001,
                                   prior=uniform_prior(4), seed=seed))
         counts = {}
-        for ex in clients[0].examples:
+        for ex in clients[0]:
             counts[ex.category] = counts.get(ex.category, 0) + 1
-        top = max(counts.values()) / len(clients[0].examples)
+        top = max(counts.values()) / len(clients[0])
         skewed += top >= 0.8
     assert skewed >= 95
 
@@ -187,17 +188,20 @@ def test_partition_spec_without_a_prior_is_uniform_over_the_categories():
         num_clients=3, alpha=0.5, seed=8))
     want_clients, want = dirichlet_partition(corpus, PartitionSpec(
         num_clients=3, alpha=0.5, prior=uniform_prior(3), seed=8))
-    assert manifest == want
-    assert [c.examples for c in clients] == [c.examples for c in want_clients]
+    assert (clients, manifest) == (want_clients, want)
 
 
 def test_category_entropy_values():
-    uniform = ClientDataset(1, (
-        Example((1.0,), RealLabel(0.0), category="a"),
-        Example((2.0,), RealLabel(0.0), category="b")))
+    uniform = (Example((1.0,), RealLabel(0.0), category="a"),
+               Example((2.0,), RealLabel(0.0), category="b"))
     assert category_entropy(uniform) == pytest.approx(np.log(2))
-    single = ClientDataset(1, (Example((1.0,), RealLabel(0.0), category="a"),))
+    single = (Example((1.0,), RealLabel(0.0), category="a"),)
     assert category_entropy(single) == 0.0
+    # a record without a category counts as the category ""
+    mixed = single + (Example((2.0,), RealLabel(0.0)),
+                      Example((3.0,), RealLabel(0.0), category=""))
+    assert category_entropy(mixed) == pytest.approx(
+        -(np.log(1 / 3) / 3 + 2 / 3 * np.log(2 / 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +392,7 @@ def test_dataset_jsonl_round_trip(tmp_path):
 
 def test_client_dataset_examples_round_trip_through_jsonl(tmp_path):
     vec = ClientDataset(1, covariates=[[1.0, 2.0], [0.25, -3.0]],
-                        labels=(RealLabel(0.5), RealLabel(-1.5)),
-                        categories=("algebra", None))
+                        labels=(RealLabel(0.5), RealLabel(-1.5)))
     text = ClientDataset(2, (Example("q one", TextLabel("a one")),
                              Example("q two", TextLabel("B"), category="x")))
     for ds in (vec, text):
@@ -397,6 +400,8 @@ def test_client_dataset_examples_round_trip_through_jsonl(tmp_path):
         save_dataset(ds.examples, path)
         assert load_dataset(path) == list(ds.examples)
         assert ClientDataset(ds.client_id, load_dataset(path)) == ds
+    # a dataset is covariates and labels: the category stayed on its record
+    assert "category" not in (tmp_path / "client_2.jsonl").read_text()
 
 
 def test_load_dataset_empty_file(tmp_path):
