@@ -73,10 +73,15 @@ def _int(cfg: dict, key: str, default: int) -> int:
     return core.check_int(key, cfg.get(key, default))
 
 
-def _require(cfg: dict, key: str, where: str):
+def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"missing {where}.{key}")
+        raise ConfigError(f"missing dataset.{key}")
     return cfg[key]
+
+
+def _list(cfg: dict, key: str) -> list:
+    """The ``dataset`` setting ``key``, which must be a JSON array."""
+    return core.check_list(key, _require(cfg, key))
 
 
 @contextlib.contextmanager
@@ -124,8 +129,9 @@ def load_instance(config: dict, seed: int):
             raise ValueError(f"unknown construction: {cfg['construction']!r}")
         if "client_paths" in cfg:
             # pre-partitioned client files (see partition mode), query file
-            query_path = _require(cfg, "query_path", "dataset")
-            clients = [data.load_dataset(path) for path in cfg["client_paths"]]
+            query_path = _require(cfg, "query_path")
+            clients = [data.load_dataset(path)
+                       for path in _list(cfg, "client_paths")]
             queries = [ex.covariate for ex in data.load_dataset(query_path)]
             gamma_mat = None
         elif "construction" in cfg:
@@ -140,11 +146,11 @@ def load_instance(config: dict, seed: int):
                         for i, v in enumerate(queries, start=1)]]
         elif {"gamma", "clients", "server"} & set(cfg):
             # an instance spelled out verbatim
-            gamma_mat = lsa._check_spd(_require(cfg, "gamma", "dataset"),
-                                       "gamma")
-            clients = [[core.example_from_json(r) for r in rows]
-                       for rows in _require(cfg, "clients", "dataset")]
-            queries = _require(cfg, "server", "dataset")
+            gamma_mat = lsa._check_spd(_require(cfg, "gamma"), "gamma")
+            clients = [[core.example_from_json(r) for r in
+                        core.check_list(f"clients[{i}]", rows)]
+                       for i, rows in enumerate(_list(cfg, "clients"))]
+            queries = _list(cfg, "server")
         else:
             clients, queries, gamma_mat = synthesize_instance(cfg, seed)
         clients = [ds if isinstance(ds, core.ClientDataset) else
@@ -310,7 +316,7 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
 
 
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
-    dataset_path = _require(_section(config, "dataset"), "path", "dataset")
+    dataset_path = _require(_section(config, "dataset"), "path")
     with _parsing("partition"):   # the settings before the data
         spec = data.PartitionSpec(**{"seed": seed,
                                      **_section(config, "partition")})

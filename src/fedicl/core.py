@@ -44,6 +44,13 @@ def check_number(name: str, value):
     return value
 
 
+def check_list(name: str, value):
+    """``value`` if it is a list or a tuple, else ``TypeError``."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def as_covariate(values) -> Covariate:
     """One covariate, checked as ``covariate_column`` checks a row: a str
     passes through untouched, a vector becomes a tuple of finite floats."""

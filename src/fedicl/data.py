@@ -9,8 +9,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConfigError, Covariate, Example, check_int, check_number,
-                   example_from_json, example_to_json, stack_covariates)
+from .core import (ConfigError, Covariate, Example, check_int, check_list,
+                   check_number, example_from_json, example_to_json,
+                   stack_covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +74,9 @@ class PartitionSpec:
         check_int("num_clients", self.num_clients)
         check_int("seed", self.seed)
         check_number("alpha", self.alpha)
-        prior = self.prior and tuple(float(check_number(f"prior[{i}]", p))
-                                     for i, p in enumerate(self.prior))
+        prior = None if self.prior is None else tuple(
+            float(check_number(f"prior[{i}]", p))
+            for i, p in enumerate(check_list("prior", self.prior)))
         object.__setattr__(self, "prior", prior)
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
@@ -123,10 +125,8 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
                          f"{len(categories)} categories")
 
     rng = np.random.default_rng(spec.seed)
-    cat_index = {c: i for i, c in enumerate(categories)}
-    pools: List[List[int]] = [[] for _ in categories]
-    for idx, ex in enumerate(dataset):
-        pools[cat_index[ex.category]].append(idx)
+    pools = [[i for i, ex in enumerate(dataset) if ex.category == cat]
+             for cat in categories]
     for pool in pools:
         rng.shuffle(pool)
 
@@ -142,17 +142,14 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
         q = np.zeros(len(categories))
         q[positive] = rng.dirichlet(alpha_vec[positive])
         want = _largest_remainder(q, int(client_sizes[ci]))
-        picked: List[int] = []
-        for cat, count in enumerate(want):
-            for _ in range(min(int(count), len(pools[cat]))):
-                picked.append(pools[cat].pop())
+        picked = [pool.pop() for pool, count in zip(pools, want)
+                  for _ in range(min(count, len(pool)))]
         # the client sizes sum to the dataset's length: no pool runs dry;
         # ties go to the first of the fullest pools
         while len(picked) < client_sizes[ci]:
             picked.append(max(pools, key=len).pop())
         clients.append(tuple(dataset[i] for i in sorted(picked)))
-        for i in picked:
-            manifest[i] = ci + 1
+        manifest.update(dict.fromkeys(picked, ci + 1))
     return clients, manifest
 
 

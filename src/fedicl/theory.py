@@ -57,10 +57,11 @@ def compute_contraction(client_datasets: Sequence[ClientDataset],
 
 def fixed_point(h_cont: np.ndarray,
                 w_limit: np.ndarray) -> Optional[np.ndarray]:
-    """w* = (2I - H_cont)^-1 w_limit, or None if 2I - H_cont is singular."""
+    """w* = (2I - H_cont)^-1 w_limit, or None if 2I - H_cont is singular
+    by its condition number (its determinant can underflow at cond 1)."""
     w_limit = np.asarray(w_limit, dtype=float).ravel()
     a = 2.0 * np.eye(len(h_cont)) - np.asarray(h_cont, dtype=float)
-    if abs(np.linalg.det(a)) < 1e-300 or np.linalg.cond(a) > 1e14:
+    if np.linalg.cond(a) > 1e14:
         return None
     return np.linalg.solve(a, w_limit)
 

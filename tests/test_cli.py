@@ -226,6 +226,31 @@ TEXT_LABELS = ("config error: the backends of an 'average' run read real "
                                  "prior": [float("nan"), 1.0]},
                    "dataset": {"path": __file__}},
      "config error: partition: prior must be a probability vector"),
+    # a list-valued setting must be a JSON array, not a number, a string
+    # or an object (whose keys would be read as its entries)
+    ("partition", {"partition": {"num_clients": 2, "alpha": 1.0,
+                                 "prior": 5}, "dataset": {"path": __file__}},
+     "config error: partition: prior must be a list, got 5"),
+    ("partition", {"partition": {"num_clients": 2, "alpha": 1.0,
+                                 "prior": {"a": 0.5, "b": 0.5}},
+                   "dataset": {"path": __file__}},
+     "config error: partition: prior must be a list, got {'a': 0.5"),
+    ("partition", {"partition": {"num_clients": 2, "alpha": 1.0,
+                                 "prior": "ab"}, "dataset": {"path": __file__}},
+     "config error: partition: prior must be a list, got 'ab'"),
+    ("simulate", dict(remote(), dataset={"client_paths": "c1.jsonl",
+                                         "query_path": __file__}),
+     "config error: dataset: client_paths must be a list, got 'c1.jsonl'"),
+    ("simulate", dict(remote(), dataset={"client_paths": {__file__: 1},
+                                         "query_path": __file__}),
+     "config error: dataset: client_paths must be a list, got {"),
+    ("simulate", dict(remote(), dataset=dict(EXPLICIT_CFG,
+                                             server={"a": [1.0]})),
+     "config error: dataset: server must be a list, got {'a': [1.0]}"),
+    ("theory", {"dataset": dict(EXPLICIT_CFG, clients="ab")},
+     "config error: dataset: clients must be a list, got 'ab'"),
+    ("theory", {"dataset": dict(EXPLICIT_CFG, clients=["ab"])},
+     "config error: dataset: clients[0] must be a list, got 'ab'"),
     ("simulate", dict(SIM_CFG, dataset=EXPLICIT_CFG,
                       protocol={"seed": -1}), "seed must be >= 0"),
     # simulate runs these unverified; theory has no verdict to give
@@ -264,7 +289,9 @@ TEXT_LABELS = ("config error: the backends of an 'average' run read real "
         "theory-aggregation", "theory-explicit-no-clients",
         "simulate-gamma-dimension", "simulate-synthetic-gamma-dimension",
         "partition-not-object", "partition-infinite-alpha",
-        "partition-nan-prior", "negative-seed", "theory-knn", "theory-free",
+        "partition-nan-prior", "int-prior", "object-prior", "str-prior",
+        "str-client-paths", "object-client-paths", "object-server",
+        "str-clients", "str-client-rows", "negative-seed", "theory-knn", "theory-free",
         "theory-gt", "theory-random-init", "theory-remote",
         "theory-unknown-construction", "simulate-null-construction",
         "random-init-text-labels", "knn-text-labels", "gt-text-labels"])
@@ -984,6 +1011,34 @@ def test_partition_outputs_and_manifest(tmp_path):
         loaded.extend(data.load_dataset(out / f"client_{cid}.jsonl"))
     assert sorted(loaded, key=lambda e: e.covariate) == sorted(
         examples, key=lambda e: e.covariate)
+
+
+def test_partition_files_hold_the_corpus_lines_the_manifest_gives(tmp_path):
+    # two records of "a" among 38 of "b": at alpha 0.001 a client's mix is
+    # one category, and a client drawn to "a" finds two, so the shortfall
+    # loop fills it from "b"
+    corpus = [Example((float(i), i / 7), RealLabel(i / 3),
+                      category="a" if i in (5, 17) else "b")
+              for i in range(40)]
+    path = tmp_path / "corpus.jsonl"
+    data.save_dataset(corpus, path)
+    cfg = write_config(tmp_path, {"dataset": {"path": str(path)},
+                                  "partition": {"num_clients": 4,
+                                                "alpha": 0.001, "seed": 1}})
+    code, out = run_cli(tmp_path, "partition", cfg)
+    assert code == cli.EXIT_PASS
+    lines = path.read_bytes().splitlines(keepends=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(map(int, manifest)) == list(range(len(lines)))
+    assert set(manifest.values()) == {1, 2, 3, 4}
+    for cid in (1, 2, 3, 4):
+        want = b"".join(line for i, line in enumerate(lines)
+                        if manifest[str(i)] == cid)
+        assert (out / f"client_{cid}.jsonl").read_bytes() == want
+    mixed = [cid for cid in (1, 2, 3, 4) if len({
+        ex.category for ex in data.load_dataset(out / f"client_{cid}.jsonl")
+    }) == 2]
+    assert mixed   # the shortfall loop ran
 
 
 def test_partition_deterministic_across_runs(tmp_path):

@@ -174,7 +174,11 @@ def test_partition_spec_validation():
     ("alpha", True, "alpha must be a number"),
     ("alpha", None, "alpha must be a number"),
     ("prior", (True, False), r"prior\[0\] must be a number, got True"),
-    ("prior", ("0.5", "0.5"), r"prior\[0\] must be a number, got '0.5'")])
+    ("prior", ("0.5", "0.5"), r"prior\[0\] must be a number, got '0.5'"),
+    # a list-valued setting is a JSON array: a list or a tuple
+    ("prior", 5, "prior must be a list, got 5"),
+    ("prior", {"a": 0.5, "b": 0.5}, "prior must be a list, got {'a'"),
+    ("prior", "ab", "prior must be a list, got 'ab'")])
 def test_partition_spec_rejects_a_setting_of_the_wrong_type(field, value,
                                                             message):
     with pytest.raises(TypeError, match=message):

@@ -155,6 +155,18 @@ def test_fixed_point_singular_rejected():
     assert fixed_point(2 * np.eye(2), np.ones(2)) is None
 
 
+def test_fixed_point_of_a_well_conditioned_matrix_with_a_tiny_determinant():
+    # 2I - H = 0.1 I at d = 320: det 1e-320, a subnormal, but cond 1
+    d = 320
+    h, w_lim = 1.9 * np.eye(d), np.linspace(-1.0, 1.0, d)
+    assert abs(np.linalg.det(2 * np.eye(d) - h)) < 1e-300
+    assert np.allclose(fixed_point(h, w_lim), 10.0 * w_lim, rtol=1e-12)
+    # so the recursion, which contracts by 0.95 a step, is called contractive
+    report = verify_contraction(iterate_recursion(state_from(h, w_lim), 5))
+    assert report.contractive and report.passed
+    assert report.bound == pytest.approx(0.95)
+
+
 # ---------------------------------------------------------------------------
 # recursion
 # ---------------------------------------------------------------------------
