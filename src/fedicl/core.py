@@ -338,16 +338,11 @@ class Dataset:
 
     def with_labels(self, labels: Sequence[Label]) -> "Dataset":
         """The same covariates (shared, not copied) with new labels."""
-        labels = label_column(labels)
-        if len(labels) != len(self.covariates):
-            raise ValueError(f"{type(self).__name__} has "
-                             f"{len(self.covariates)} examples, not "
-                             f"{len(labels)}")
-        # only the labels are new, and their count is checked
         new = object.__new__(type(self))
         for name in Dataset.__slots__ + self._EXTRA:
             object.__setattr__(new, name, getattr(self, name))
-        object.__setattr__(new, "labels", labels)
+        object.__setattr__(new, "labels", label_column(labels))
+        new._validate()   # only the labels are new: their count
         return new
 
 

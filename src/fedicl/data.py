@@ -10,8 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ConfigError, Covariate, Example, check_int, check_list,
-                   check_number, example_from_json, example_to_json,
-                   stack_covariates)
+                   check_number, covariate_column, example_from_json,
+                   example_to_json, stack_covariates)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
     replacement, falling back to the globally most-available category when a
     requested one is exhausted. Returns each client's records, in corpus
     order, and a manifest mapping example index -> client id: client i of
-    the list has id i + 1.
+    the list has id i + 1. The covariates are text or vectors of one d.
     """
     if any(ex.category is None for ex in dataset):
         raise ValueError("every example needs a category for partitioning")
@@ -123,6 +123,7 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
     if len(categories) != len(prior):
         raise ValueError(f"prior has {len(prior)} entries but there are "
                          f"{len(categories)} categories")
+    covariate_column([ex.covariate for ex in dataset])  # of one kind and d
 
     rng = np.random.default_rng(spec.seed)
     pools = [[i for i, ex in enumerate(dataset) if ex.category == cat]
@@ -142,8 +143,10 @@ def dirichlet_partition(dataset: Sequence[Example], spec: PartitionSpec
         q = np.zeros(len(categories))
         q[positive] = rng.dirichlet(alpha_vec[positive])
         want = _largest_remainder(q, int(client_sizes[ci]))
-        picked = [pool.pop() for pool, count in zip(pools, want)
-                  for _ in range(min(count, len(pool)))]
+        picked: List[int] = []
+        for pool, count in zip(pools, want):
+            for _ in range(min(count, len(pool))):
+                picked.append(pool.pop())
         # the client sizes sum to the dataset's length: no pool runs dry;
         # ties go to the first of the fullest pools
         while len(picked) < client_sizes[ci]:

@@ -138,6 +138,15 @@ def test_partition_requires_categories():
             num_clients=1, alpha=1.0, prior=(1.0,)))
 
 
+@pytest.mark.parametrize("covariate", ["a question", (1.0, 2.0)])
+def test_partition_rejects_covariates_of_two_kinds_or_dimensions(covariate):
+    # one record per client: the two kinds would never share a client
+    corpus = [Example((1.0,), RealLabel(0.0), category="a"),
+              Example(covariate, RealLabel(0.0), category="b")]
+    with pytest.raises(ValueError, match="inconsistent covariate dimensions"):
+        dirichlet_partition(corpus, PartitionSpec(num_clients=2, alpha=1e6))
+
+
 def test_partition_more_clients_than_examples_errors():
     corpus = [Example((1.0,), RealLabel(0.0), category="algebra")]
     with pytest.raises(ValueError, match="clients"):
