@@ -261,6 +261,9 @@ def real_values(labels: Sequence[Label]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Example:
+    """One record of a JSONL file. Its ``category`` stays here, on the
+    records that partitioning reads and writes; no engine code uses one."""
+
     covariate: Covariate
     label: Label
     category: Optional[str] = None
@@ -271,9 +274,7 @@ class Example:
 
 class Dataset:
     """Examples as columns: ``covariates`` (see ``covariate_column``), and
-    beside them ``labels`` (see ``label_column``). A record's category
-    stays on its ``Example``: partitioning reads it there, and no engine
-    code uses one.
+    beside them ``labels`` (see ``label_column``), and nothing else.
 
     Built from ``Example`` records or from the columns. Immutable;
     ``with_labels`` shares the checked covariates instead of checking them
@@ -342,7 +343,7 @@ class Dataset:
         for name in Dataset.__slots__ + self._EXTRA:
             object.__setattr__(new, name, getattr(self, name))
         object.__setattr__(new, "labels", label_column(labels))
-        new._validate()   # only the labels are new: their count
+        new._validate()   # only the labels are new: check their count
         return new
 
 
