@@ -49,7 +49,7 @@ print(f"  learned attention layer : {lsa_forward(e, result.params.with_rho(5)):+
 print(f"  optimal attention layer : {lsa_forward(e, opt.with_rho(5)):+.5f}")
 xs, ys = zip(*examples)
 # one ask (context covariates, queries, no neighbours), prepared once and
-# answered with its labels
+# answered with its context's labels, one answer per query
 step = ClosedFormStep([(xs, [xq], None)], g)
-closed_form = predict_closed_form(step, [ys])[0][0]
+closed_form = predict_closed_form(step, ys)[0]
 print(f"  closed-form expression  : {closed_form:+.5f}")

@@ -23,9 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConfigError, Covariate, Label, Labels, RealColumn,
-                   TextLabel, check_int, check_number, covariate_text,
-                   neighbour_matrix, real_values)
+from .core import (ConfigError, Covariate, Label, Labels, TextLabel,
+                   check_int, check_number, covariate_text, neighbour_matrix)
 from .lsa import ClosedFormStep, SpdMatrix, predict_closed_form
 
 
@@ -77,6 +76,11 @@ class LmBackend:
     ``usages``, when given, holds one dict (or None) per ask: a backend
     that observes token usage adds the ``prompt_tokens`` and
     ``completion_tokens`` of an ask's answers into its dict.
+    A ``label_linear`` backend answers with reals linear in the context
+    labels and observes no usage: its prepared step is that linear map,
+    and its ``answer`` takes one float vector that holds each distinct
+    context's labels once, as ``core.context_starts`` lays them out, and
+    returns one: every ask's answers end to end, in ask order.
     Backends that compare equal answer alike, so one call may carry the
     asks of every client whose backends are equal; a backend equals only
     itself unless its class says otherwise.
@@ -88,6 +92,7 @@ class LmBackend:
 
     max_tokens: Optional[int] = None
     waits_on_io = False
+    label_linear = False
 
     def prepare(self, asks: Sequence[Ask]):
         """The prepared step of ``asks``: here, the asks themselves."""
@@ -105,10 +110,13 @@ class LmBackend:
 class LsaBackend(LmBackend):
     """Closed-form LSA predictor at the pretrained global optimum.
 
-    Pure function of (context, queries). Gamma must be SPD; the backend
-    keeps a read-only copy of it, checked once when the backend is built.
-    Two LSA backends of one class are equal when their gammas are.
+    Pure function of (context, queries), and label-linear: a prepared
+    step is a ``ClosedFormStep``. Gamma must be SPD; the backend keeps a
+    read-only copy of it, checked once when the backend is built. Two LSA
+    backends of one class are equal when their gammas are.
     """
+
+    label_linear = True
 
     def __init__(self, gamma: np.ndarray):
         self._gamma = SpdMatrix(gamma, "gamma")
@@ -131,15 +139,14 @@ class LsaBackend(LmBackend):
         # text covariates raise TypeError on the way to numbers
         return ClosedFormStep(asks, self._gamma)
 
-    def answer(self, step: ClosedFormStep, labels: Sequence[Sequence[Label]],
+    def answer(self, step: ClosedFormStep, labels,
                usages: Optional[Sequence[Optional[Dict[str, int]]]] = None
-               ) -> List[RealColumn]:
+               ) -> np.ndarray:
         if step.gamma is not self.gamma and not np.array_equal(
                 step.gamma, self.gamma):  # the step has folded its gamma in
             raise ValueError("the step was prepared under another gamma")
         # text labels raise TypeError on the way to numbers
-        return [RealColumn.wrap(pred) for pred in predict_closed_form(
-            step, [real_values(ys) for ys in labels])]
+        return predict_closed_form(step, labels)
 
 
 # ---------------------------------------------------------------------------

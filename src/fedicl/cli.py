@@ -84,6 +84,24 @@ def _list(cfg: dict, key: str) -> list:
     return core.check_list(key, _require(cfg, key))
 
 
+def _matrix(cfg: dict, key: str) -> np.ndarray:
+    """The ``dataset`` setting ``key``: a JSON array of arrays of numbers."""
+    value = _require(cfg, key)
+    try:
+        return np.array(core.check_list(key, value), dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a matrix of numbers, got "
+                         f"{value!r}") from None
+
+
+def _path(key: str, value) -> str:
+    """``value``, the file that the ``dataset`` setting ``key`` names, if
+    it is a str: ``open`` takes an int (or a bool) for a file descriptor."""
+    if not isinstance(value, str):
+        raise ConfigError(f"dataset.{key} must be a path, got {value!r}")
+    return value
+
+
 @contextlib.contextmanager
 def _parsing(where: str):
     """Report a value the block rejects, or a file it cannot read, as a
@@ -107,7 +125,7 @@ def synthesize_instance(cfg: dict, seed: int):
     if min(num_clients, m) < 1:
         raise ValueError("num_clients and num_queries must be >= 1")
     t_prompt = _int(cfg, "t_prompt", 10)
-    lam = np.array(cfg["lambda"]) if "lambda" in cfg else np.eye(d)
+    lam = _matrix(cfg, "lambda") if "lambda" in cfg else np.eye(d)
     rng = _substream(seed, "instance")
     gamma_mat = lsa.gamma(lam, t_prompt)
     w_true = rng.standard_normal(d)
@@ -129,16 +147,16 @@ def load_instance(config: dict, seed: int):
             raise ValueError(f"unknown construction: {cfg['construction']!r}")
         if "client_paths" in cfg:
             # pre-partitioned client files (see partition mode), query file
-            query_path = _require(cfg, "query_path")
-            clients = [data.load_dataset(path)
-                       for path in _list(cfg, "client_paths")]
+            query_path = _path("query_path", _require(cfg, "query_path"))
+            clients = [data.load_dataset(_path(f"client_paths[{i}]", path))
+                       for i, path in enumerate(_list(cfg, "client_paths"))]
             queries = [ex.covariate for ex in data.load_dataset(query_path)]
             gamma_mat = None
         elif "construction" in cfg:
             # covariates {+/- v_j}, the columns of sqrt(d * Gamma), whose
             # second moment is Gamma: H_cont = I, the error halves a round
             d = _int(cfg, "d", 2)
-            gamma_mat = lsa.gamma(np.array(cfg["lambda"]) if "lambda" in cfg
+            gamma_mat = lsa.gamma(_matrix(cfg, "lambda") if "lambda" in cfg
                                   else np.eye(d), _int(cfg, "t_prompt", 2))
             root = np.linalg.cholesky(gamma_mat * d)
             queries = [s * root[:, j] for j in range(d) for s in (1.0, -1.0)]
@@ -146,7 +164,7 @@ def load_instance(config: dict, seed: int):
                         for i, v in enumerate(queries, start=1)]]
         elif {"gamma", "clients", "server"} & set(cfg):
             # an instance spelled out verbatim
-            gamma_mat = lsa._check_spd(_require(cfg, "gamma"), "gamma")
+            gamma_mat = lsa._check_spd(_matrix(cfg, "gamma"), "gamma")
             clients = [[core.example_from_json(r) for r in
                         core.check_list(f"clients[{i}]", rows)]
                        for i, rows in enumerate(_list(cfg, "clients"))]
@@ -316,7 +334,8 @@ def cmd_simulate(config: dict, output_dir: str, seed: int,
 
 
 def cmd_partition(config: dict, output_dir: str, seed: int) -> int:
-    dataset_path = _require(_section(config, "dataset"), "path")
+    dataset_path = _path("path", _require(_section(config, "dataset"),
+                                          "path"))
     with _parsing("partition"):   # the settings before the data
         spec = data.PartitionSpec(**{"seed": seed,
                                      **_section(config, "partition")})

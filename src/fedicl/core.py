@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 
 def check_int(name: str, value):
     """``value`` if it is an integer and not a bool, else ``TypeError``."""
+    if type(value) is int:   # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"{name} must be an int, got {value!r}")
     return value
@@ -93,6 +95,18 @@ def stack_covariates(columns) -> Union[np.ndarray, Tuple[Covariate, ...]]:
     stacked = np.concatenate(columns)
     stacked.flags.writeable = False
     return stacked
+
+
+def context_starts(contexts) -> Tuple[List[int], int]:
+    """Where each of ``contexts`` starts in a label vector that holds each
+    distinct one (by identity) once, in the order first given, and the
+    vector's length: the layout a label-linear step reads."""
+    seen, starts, size = {}, [], 0
+    for xs in contexts:   # contexts holds each xs: its id stays its own
+        if id(xs) not in seen:
+            seen[id(xs)], size = size, size + len(xs)
+        starts.append(seen[id(xs)])
+    return starts, size
 
 
 def covariate_matrix(covariates) -> np.ndarray:
@@ -187,6 +201,15 @@ class RealColumn(SequenceABC):
         column = object.__new__(cls)
         object.__setattr__(column, "values", values)
         return column
+
+    @classmethod
+    def rows(cls, matrix: np.ndarray) -> List["RealColumn"]:
+        """A column over each row of ``matrix``, a new read-only 2-d float
+        array that nothing else holds: none is copied or checked."""
+        columns = [object.__new__(cls) for _ in range(len(matrix))]
+        for column, row in zip(columns, matrix):
+            object.__setattr__(column, "values", row)
+        return columns
 
     def __setattr__(self, name, value):
         raise AttributeError("RealColumn is immutable")
@@ -490,14 +513,18 @@ class CommLedger:
         """Append ``rows`` of (round, direction, client_id, payload_units,
         unit), all of them or, when one is bad, none: a payload is an int
         >= 0, a direction is in ``DIRECTIONS`` and a unit in ``UNITS``."""
-        entries = [LedgerEntry._make(row) for row in rows]
+        # what LedgerEntry._make builds, at half its cost a row
+        entries = [tuple.__new__(LedgerEntry, row) for row in rows]
         for e in entries:
-            if check_int("payload_units", e.payload_units) < 0:
-                raise ValueError(f"negative payload: {e.payload_units}")
-            if e.direction not in DIRECTIONS:
-                raise ValueError(f"unknown direction: {e.direction!r}")
-            if e.unit not in UNITS:
-                raise ValueError(f"unknown unit: {e.unit!r}")
+            if len(e) != len(LedgerEntry._fields):
+                raise TypeError(f"Expected 5 arguments, got {len(e)}")
+            _, direction, _, units, unit = e
+            if check_int("payload_units", units) < 0:
+                raise ValueError(f"negative payload: {units}")
+            if direction not in DIRECTIONS:
+                raise ValueError(f"unknown direction: {direction!r}")
+            if unit not in UNITS:
+                raise ValueError(f"unknown unit: {unit!r}")
         self.entries.extend(entries)
 
     def total(self, unit: str) -> int:

@@ -12,12 +12,12 @@ squared-loss risk over sampled linear-regression prompts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Covariate, covariate_matrix, neighbour_matrix
+from .core import (Covariate, context_starts, covariate_matrix,
+                   neighbour_matrix)
 from .data import KNN_BLOCK_ELEMENTS
 
 
@@ -40,15 +40,26 @@ def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 class SpdMatrix:
     """A read-only copy of a matrix, checked finite, square, symmetric and
-    positive definite once, when it is made: ``ClosedFormStep`` takes it
-    without checking it again."""
+    positive definite once, when it is made, and its inverse, computed
+    once, when first read: ``ClosedFormStep`` takes both as they are."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_inverse")
 
     def __init__(self, mat, name: str = "matrix"):
         mat = _check_spd(np.array(mat, dtype=float), name)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_inverse", None)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        if self._inverse is None:   # a backend that never prepares skips it
+            # solving for a step's 1000s of columns takes some 18 times as
+            # long
+            inverse = np.linalg.inv(self.matrix)
+            inverse.flags.writeable = False
+            object.__setattr__(self, "_inverse", inverse)
+        return self._inverse
 
     def __setattr__(self, name, value):
         raise AttributeError("SpdMatrix is immutable")
@@ -145,48 +156,81 @@ def limit_params(lam: np.ndarray, t_prompt: int) -> LsaParams:
 class ClosedFormStep:
     """A batch of asks without their labels, folded once with the Gamma
     they are answered under (``gamma``, checked SPD unless it is an
-    ``SpdMatrix``) for ``predict_closed_form``, which each round then
-    feeds one label vector per ask.
+    ``SpdMatrix``): a linear map from one label vector to one answer
+    vector, which ``predict_closed_form`` applies each round.
 
     An ask is ``(xs, x_query, neighbours)``: a context's (n, d)
     covariates, a (Q, d) matrix of queries, and None or a (Q, k) index
-    array whose row q picks query q's examples. The step keeps Gamma^-1;
-    each distinct whole context once, by identity, as X / n; each whole
-    ask's query matrix beside the context it reads; and, for the
-    neighbourhoods of each size k, the (R, k) weights
-    W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k over their stacked queries,
-    beside the (R, k) indices that gather their labels and each ask's
-    rows among the R.
+    array whose row q picks query q's examples. The label vector holds
+    each distinct context's labels once, as ``core.context_starts`` lays
+    them out (``size`` labels); the answer vector holds each ask's answers
+    end to end, in ask order (``lengths``).
+
+    The step keeps Gamma^-1; the distinct whole contexts' X end to end,
+    each padded with zero rows to the longest, with each one's 1 / n and,
+    unless the label vector is their labels in order, the label indices
+    they read; for the contexts that one list of query matrices reads,
+    those queries stacked and transposed; and, for the neighbourhoods of
+    each size k, the (R, k) weights W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k
+    over their stacked queries, beside the (R, k) label indices. Each
+    product keeps the answer slots it fills.
     """
 
-    __slots__ = ("gamma", "inverse", "sizes", "lengths", "whole", "gathers")
+    __slots__ = ("gamma", "inverse", "size", "lengths", "contexts", "take",
+                 "scale", "blocks", "gathers")
 
     def __init__(self, asks, gamma: np.ndarray | SpdMatrix):
-        self.gamma = (gamma if isinstance(gamma, SpdMatrix) else
-                      SpdMatrix(gamma, "gamma")).matrix
-        # solving for a step's 1000s of columns takes some 18 times as long
-        self.inverse = np.linalg.inv(self.gamma)
-        self.sizes, self.lengths, self.whole = [], [], []
-        contexts, by_size = {}, {}
-        for i, (xs, x_query, neighbours) in enumerate(asks):
+        gamma = (gamma if isinstance(gamma, SpdMatrix) else
+                 SpdMatrix(gamma, "gamma"))
+        self.gamma, self.inverse = gamma.matrix, gamma.inverse
+        asks = list(asks)
+        starts, self.size = context_starts([xs for xs, _, _ in asks])
+        self.lengths, whole, by_size, end = [], {}, {}, 0
+        for (xs, x_query, neighbours), start in zip(asks, starts):
             xq = covariate_matrix(x_query)
             nb = None if neighbours is None else neighbour_matrix(
                 neighbours, len(xs), len(xq))
-            self.sizes.append(len(xs))
             self.lengths.append(len(xq))
+            slots, end = (end, end + len(xq)), end + len(xq)
             if len(xs) == 0 or xq.size == 0:
                 continue
-            if nb is None:  # X / n, so that a moment is one product
-                if id(xs) not in contexts:  # the entry holds xs: its id stays
-                    contexts[id(xs)] = xs, covariate_matrix(xs) / len(xs)
-                self.whole.append((i, contexts[id(xs)][1], xq))
-                continue
-            by_size.setdefault(nb.shape[1], []).append(
-                (i, xq @ self.inverse, covariate_matrix(xs), nb))
+            if nb is None:   # asks holds x_query: its id stays its own
+                whole.setdefault(start, (xs, []))[1].append(
+                    (id(x_query), xq, slots))
+            else:
+                by_size.setdefault(nb.shape[1], []).append(
+                    (xq @ self.inverse, covariate_matrix(xs), nb, start,
+                     slots))
+        contexts = list(whole.values())
+        mats = [covariate_matrix(xs) for xs, _ in contexts]
+        sizes = [len(x) for x in mats]
+        n, self.take = max(sizes, default=0), None
+        if sizes and (len(set(sizes)) > 1
+                      or list(whole) != list(range(0, self.size, n))):
+            # padding rows are zero, and read their context's first label
+            inside = np.arange(n) < np.array(sizes)[:, None]
+            self.take = np.array(list(whole))[:, None] + np.where(
+                inside, np.arange(n), 0)
+            mats = [np.vstack([x, np.zeros((n - len(x), x.shape[1]))])
+                    for x in mats]
+        self.contexts = (_end_to_end(mats) if mats else
+                         np.empty((0, len(self.gamma))))
+        self.scale = 1.0 / np.array(sizes, dtype=float)[:, None]
+        # the contexts that one list of query matrices reads answer in one
+        # product: step 1's one context, which every client's covariates
+        # read, and step 2's, which the queries read
+        blocks = {}
+        for j, (_, reads) in enumerate(contexts):
+            blocks.setdefault(tuple(key for key, _, _ in reads), []).append(j)
+        self.blocks = [
+            (rows if len(rows) < len(contexts) else slice(None),
+             np.concatenate([xq for _, xq, _ in contexts[rows[0]][1]]).T,
+             _slots([slots for j in rows for *_, slots in contexts[j][1]]))
+            for rows in blocks.values()]
         self.gathers = []
         for k, members in by_size.items():
             weights = []
-            for _, p, xs, nb in members:
+            for p, xs, nb, _, _ in members:
                 # products of a block of queries at a time with the context,
                 # as in a search: one product of all the asks would be as
                 # large as theirs together, and costs more
@@ -195,49 +239,70 @@ class ClosedFormStep:
                     block = nb[lo:lo + n]
                     weights.append((p[lo:lo + n] @ xs.T)[np.arange(
                         len(block))[:, None], block])
-            # a round reads these asks' labels end to end, so an ask's label
-            # indices are shifted past the examples of the asks before it
-            shifts = accumulate([0] + [len(xs) for _, _, xs, _ in members])
-            ends = accumulate(len(p) for _, p, _, _ in members)
             self.gathers.append((
-                np.concatenate([nb + next(shifts) for *_, nb in members]),
+                np.concatenate([nb + start for *_, nb, start, _ in members]),
                 np.concatenate(weights) / k,
-                [(i, slice(end - len(p), end))
-                 for (i, p, _, _), end in zip(members, ends)]))
+                _slots([slots for *_, slots in members])))
 
 
-def predict_closed_form(step: ClosedFormStep, labels) -> List[np.ndarray]:
+def _end_to_end(mats: List[np.ndarray]) -> np.ndarray:
+    """(n, d) ``mats`` end to end: their base, not a copy, when they are
+    its rows in order (as ``protocol.run`` passes its pools)."""
+    base = mats[0].base
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and sum(map(len, mats)) == len(base) and all(
+                m.base is base and m.flags.c_contiguous
+                and m.shape[1:] == base.shape[1:] for m in mats)):
+        return np.concatenate(mats)
+    at = [m.__array_interface__["data"][0] for m in [base, *mats]]
+    if at[0] == at[1] and all(b - a == m.nbytes for a, b, m in
+                              zip(at[1:], at[2:], mats)):
+        return base
+    return np.concatenate(mats)
+
+
+def _slots(ranges: List[Tuple[int, int]]):
+    """The answer slots of (lo, hi) ``ranges``: a slice when each range
+    starts where the one before it ends."""
+    if all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])):
+        return slice(ranges[0][0], ranges[-1][1])
+    return np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+
+
+def predict_closed_form(step: ClosedFormStep, labels) -> np.ndarray:
     """Closed-form LSA predictions at the global optimum, under the step's
-    Gamma, for a prepared batch of asks and one (n,) label vector per ask:
-    one (Q,) array per ask.
+    Gamma, for a prepared batch of asks and its one label vector (see
+    ``ClosedFormStep``): the asks' answers end to end.
 
     Query q's answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over
     the whole context, or sum_j W[q, j] y[nb(q, j)] over its k examples;
-    zero examples yield 0. Asks that share a context and a label vector,
-    by identity, share one moment; all moments are folded with Gamma^-1
-    in one product, and no Gamma is solved for.
+    zero examples yield 0. Each whole context's moment comes once, from
+    one batched product; all moments are folded with Gamma^-1 in one
+    product, and no Gamma is solved for.
     """
-    if len(labels) != len(step.sizes):
-        raise ValueError(f"{len(labels)} label vectors for {len(step.sizes)} "
-                         f"asks")
-    ys = [np.asarray(y, dtype=float) for y in labels]
-    for n, y in zip(step.sizes, ys):
-        if n != len(y):
-            raise ValueError(f"context of {n} covariates and {len(y)} labels")
-    answers = [None] * len(ys)
-    if step.whole:  # ndarray.dot: a small product dispatches faster than @
-        pairs = {(id(xs), id(ys[i])): (xs, ys[i]) for i, xs, _ in step.whole}
-        folded = dict(zip(pairs, np.array(
-            [y.dot(xs) for xs, y in pairs.values()]) @ step.inverse))
-        for i, xs, xq in step.whole:
-            answers[i] = xq.dot(folded[id(xs), id(ys[i])])
-    for index, weights, parts in step.gathers:
-        near = np.concatenate([ys[i] for i, _ in parts])
-        answered = np.einsum("qk,qk->q", weights, near[index])
-        for i, rows in parts:
-            answers[i] = answered[rows]
-    return [np.zeros(n) if answer is None else answer
-            for answer, n in zip(answers, step.lengths)]
+    y = np.asarray(labels, dtype=float)
+    if y.shape != (step.size,):
+        raise ValueError(f"contexts of {step.size} covariates and labels of "
+                         f"shape {y.shape}")
+    parts = []
+    if step.blocks:
+        ys = y.reshape(len(step.scale), -1) if step.take is None else y[
+            step.take]
+        # y / n first: each term of y X / n then rounds close to (X / n) y
+        folded = np.matmul((ys * step.scale)[:, None], step.contexts.reshape(
+            *ys.shape, -1))[:, 0] @ step.inverse
+        parts += [(slots, (folded[rows] @ queries).ravel())
+                  for rows, queries, slots in step.blocks]
+    parts += [(slots, np.einsum("qk,qk->q", weights, y[index]))
+              for index, weights, slots in step.gathers]
+    total = sum(step.lengths)
+    if len(parts) == 1 and isinstance(parts[0][0], slice) and (
+            parts[0][0] == slice(0, total)):
+        return parts[0][1]   # one product answers every ask, in order
+    answers = np.zeros(total)
+    for slots, values in parts:
+        answers[slots] = values
+    return answers
 
 
 # ---------------------------------------------------------------------------

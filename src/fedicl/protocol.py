@@ -26,8 +26,9 @@ import numpy as np
 from .backend import Ask, LmBackend
 from .core import (ClientDataset, CommLedger, ConfigError, Covariate,
                    Dataset, Label, Labels, RealColumn, RoundTrace, TextLabel,
-                   check_int, concat, covariate_column, join_labels,
-                   label_column, real_values, save_traces, stack_covariates)
+                   check_int, concat, context_starts, covariate_column,
+                   join_labels, label_column, real_values, save_traces,
+                   stack_covariates)
 from .data import Embedder, IdentityEmbedder, knn_context
 
 VARIANTS = ("fedicl", "fedicl_free", "fedicl_gt", "fedicl_ub", "fedicl_lb")
@@ -94,10 +95,18 @@ class ProtocolError(RuntimeError):
 
 class Step(NamedTuple):
     """One step's asks for a group, prepared once by the group's backend
-    (``LmBackend.prepare``), and the query count of each ask."""
+    (``LmBackend.prepare``), the query count of each ask and, for a
+    label-linear backend, where each ask's context starts in the label
+    vector it answers on and that vector's length (see
+    ``core.context_starts``), else None."""
 
     prepared: object
     query_counts: Tuple[int, ...]
+    contexts: Optional[Tuple[List[int], int]]
+
+    @property
+    def linear(self) -> bool:
+        return self.contexts is not None
 
 
 def prepare_step(group: Sequence[ClientState], asks: Sequence[Ask],
@@ -110,7 +119,9 @@ def prepare_step(group: Sequence[ClientState], asks: Sequence[Ask],
     except Exception as exc:
         raise ProtocolError(f"{name} backend failure: {exc}",
                             group[0].client_id) from exc
-    return Step(prepared, tuple(len(queries) for _, queries, _ in asks))
+    return Step(prepared, tuple(len(queries) for _, queries, _ in asks),
+                context_starts([covs for covs, _, _ in asks])
+                if group[0].backend.label_linear else None)
 
 
 def init_labels(covariates: Sequence[Covariate], mode: str,
@@ -135,50 +146,63 @@ def init_labels(covariates: Sequence[Covariate], mode: str,
         if client is None:
             raise ValueError("backend_generated initialization needs a client")
         step = prepare_step([client], [((), covariates, None)], "C_1")
-        labels = _answer_in_context([client], step, [()], "C_1", None)[0]
+        labels = _answer_in_context([client], step, np.empty(0) if
+                                    step.linear else [()], "C_1", None)
+        labels = RealColumn(labels) if step.linear else labels[0]
     else:
         raise ValueError(f"unknown init mode: {mode!r}")
     return Dataset(covariates=covariates, labels=labels)
 
 
 def step1_relabel(group: Sequence[ClientState], step: Step, c_k: Dataset,
-                  usages: Optional[Sequence[Dict[str, int]]] = None
-                  ) -> List[Labels]:
+                  usages: Optional[Sequence[Dict[str, int]]] = None):
     """Each client's new labels for its covariates, via ICL on the
     server's query set C_k (all of it, or each covariate's neighbours in
     it): ``step`` holds one ask per client, over C_k's covariates, and
     each takes C_k's labels. The ``group``'s backends are equal, so one
-    ``answer`` call goes to the first client's."""
-    return _answer_in_context(group, step, [c_k.labels] * len(group),
-                              "step 1", usages)
+    ``answer`` call goes to the first client's: a label-linear one reads
+    C_k's labels once and gives every client's labels end to end, in one
+    vector; another gives one label column per client."""
+    labels = (real_values(c_k.labels) if step.linear else
+              [c_k.labels] * len(group))
+    return _answer_in_context(group, step, labels, "step 1", usages)
 
 
-def step2_answer(group: Sequence[ClientState], step: Step,
-                 labels: Sequence[Labels],
-                 usages: Optional[Sequence[Dict[str, int]]] = None
-                 ) -> List[Labels]:
+def step2_answer(group: Sequence[ClientState], step: Step, labels,
+                 usages: Optional[Sequence[Dict[str, int]]] = None):
     """Answer the server queries, each client in its own context (all of
     it, or each query's neighbours in it): ``step`` holds one ask per
-    client, over its context's covariates, and ``labels`` the context's
+    client, over its context's covariates, and ``labels`` the contexts'
     labels, in one ``answer`` call to the first client's backend, which
-    the ``group``'s others equal."""
-    return _answer_in_context(group, step, labels, "step 2", usages)
+    the ``group``'s others equal. A label-linear backend takes them as
+    one vector and gives a (clients, M) array; another takes and gives
+    one label column per client."""
+    answers = _answer_in_context(group, step, labels, "step 2", usages)
+    return answers.reshape(len(group), -1) if step.linear else answers
 
 
-def _answer_in_context(group: Sequence[ClientState], step: Step,
-                       labels: Sequence[Labels], name: str,
-                       usages: Optional[Sequence[Dict[str, int]]]
-                       ) -> List[Labels]:
-    """One ``answer`` call with each client's ask and context labels, for
-    the step ``name`` (``C_1``, ``step 1`` or ``step 2``); a failure names
-    the client whose answers are wrong, or the group's first client when
-    the call itself fails."""
+def _answer_in_context(group: Sequence[ClientState], step: Step, labels,
+                       name: str,
+                       usages: Optional[Sequence[Dict[str, int]]]):
+    """One ``answer`` call with the ``step``'s asks and their context
+    labels, for the step ``name`` (``C_1``, ``step 1`` or ``step 2``): a
+    label-linear backend's answer vector, or another's label columns. A
+    failure names the client whose answers are wrong, or the group's
+    first client when the call itself fails or a label-linear backend
+    gives a wrong number of answers."""
     try:
-        columns = [label_column(col) for col in
-                   group[0].backend.answer(step.prepared, labels, usages)]
+        answers = group[0].backend.answer(step.prepared, labels, usages)
+        columns = (np.asarray(answers, dtype=float) if step.linear else
+                   [label_column(col) for col in answers])
     except Exception as exc:
         raise ProtocolError(f"{name} backend failure: {exc}",
                             group[0].client_id) from exc
+    if step.linear:
+        if columns.shape != (sum(step.query_counts),):
+            raise ProtocolError(f"{name}: answers of shape {columns.shape} "
+                                f"to {sum(step.query_counts)} queries",
+                                group[0].client_id)
+        return columns
     if len(columns) != len(step.query_counts):
         raise ProtocolError(f"{name}: {len(columns)} answer columns to "
                             f"{len(step.query_counts)} clients",
@@ -209,14 +233,25 @@ def _prepare_group(group: Sequence[ClientState], config: ProtocolConfig,
     more search serves all of step 2. It searches each distinct first
     part once (clients share fedicl_lb's reference), or the relabeled
     part where none is kept, and skips a pool that is every query's
-    context."""
+    context. One stable argsort of the stacked search keys then merges
+    the kept and relabeled parts of every client that has both."""
     kept = [server_reference if config.variant == "fedicl_lb" else None
             if config.variant == "fedicl_free" else c.original for c in group]
     relabeled = [c.original.covariates if config.relabels else None
                  for c in group]
-    pools = [covs if ds is None else ds.covariates if covs is None
-             else stack_covariates([ds.covariates, covs])
-             for ds, covs in zip(kept, relabeled)]
+    pools = [covs if ds is None else ds.covariates for ds, covs in
+             zip(kept, relabeled)]
+    if config.relabels and config.variant != "fedicl_free":
+        # every client's D^i ++ D_k^i, its covariates twice, as row views
+        # of one stack
+        ends = np.cumsum([2 * len(covs) for covs in relabeled]).tolist()
+        joined = stack_covariates([covs for covs in relabeled
+                                   for _ in (0, 1)])
+        pools = [joined[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    if config.variant == "fedicl_gt":
+        # a label-linear step reads each distinct context's labels once,
+        # and two clients may share covariates but not labels
+        pools = [p.view() if isinstance(p, np.ndarray) else p for p in pools]
     step1_nn, step2_nn = [None] * len(group), [None] * len(group)
     c = config.context_count
     if c is not None:
@@ -232,16 +267,25 @@ def _prepare_group(group: Sequence[ClientState], config: ProtocolConfig,
         unique = list({id(part): part for part in searched}.values())
         found = dict(zip(map(id, unique), knn_context(unique, queries, c,
                                                       emb)))
-        for i, part in zip(at, searched):
-            nearest, key = found[id(part)]
-            if kept[i] is not None and relabeled[i] is not None:
-                # each kept covariate j is also relabeled, at N + j, and
-                # among equal distances j comes first
-                order = np.argsort(np.hstack([key, key]), axis=1,
-                                   kind="stable")
-                nearest = np.take_along_axis(np.hstack(
-                    [nearest, nearest + len(part)]), order[:, :c], axis=1)
+        hits = {i: found[id(part)] + (len(part),)
+                for i, part in zip(at, searched)}
+        for i, (nearest, _, _) in hits.items():
             step2_nn[i] = nearest
+        # each kept covariate j is also relabeled, at N + j, and among equal
+        # distances j comes first: the queries of every client whose search
+        # has one width are merged in one go
+        both = [i for i in hits if relabeled[i] is not None
+                and kept[i] is not None]
+        for width in {hits[i][0].shape[1] for i in both}:
+            these = [i for i in both if hits[i][0].shape[1] == width]
+            nearest, key = (np.concatenate([hits[i][j] for i in these])
+                            for j in (0, 1))
+            shift = np.repeat([hits[i][2] for i in these], len(queries))
+            order = np.argsort(np.hstack([key, key]), axis=1, kind="stable")
+            merged = np.take_along_axis(np.hstack(
+                [nearest, nearest + shift[:, None]]), order[:, :c], axis=1)
+            for i, nb in zip(these, np.split(merged, len(these))):
+                step2_nn[i] = nb
     step1 = (prepare_step(group, [(queries, covs, nb) for covs, nb in
                                   zip(relabeled, step1_nn)], "step 1")
              if config.relabels else None)
@@ -254,30 +298,39 @@ def _prepare_group(group: Sequence[ClientState], config: ProtocolConfig,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def aggregate(per_client: Dict[int, Sequence[Label]], strategy: str,
-              previous: Dataset) -> Dataset:
+def aggregate(per_client: Union[Dict[int, Sequence[Label]], np.ndarray],
+              strategy: str, previous: Dataset) -> Dataset:
     """Combine per-client answers into the next query set C_{k+1}:
     ``average`` takes the mean of real answers, ``fusion`` the most frequent
     text answer, a tie going to the answer seen first.
 
-    Clients are consumed in ascending id order regardless of completion
-    order, so aggregation is deterministic.
+    ``per_client`` maps each client id to its answers or, for ``average``,
+    is the (L, M) array of them, a row a client. Clients are consumed in
+    ascending id order (an array's rows are in that order) regardless of
+    completion order, so aggregation is deterministic.
     """
     m = len(previous)
-    client_ids = sorted(per_client)
-    for cid in client_ids:
-        if len(per_client[cid]) != m:
-            raise ValueError(f"client {cid} answered "
-                             f"{len(per_client[cid])} of {m} queries")
+    if isinstance(per_client, np.ndarray):
+        if strategy != "average" or per_client.shape[1:] != (m,):
+            raise ValueError(f"cannot {strategy} an array of answers of "
+                             f"shape {per_client.shape} to {m} queries")
+        rows = per_client
+    else:
+        client_ids = sorted(per_client)
+        columns = [per_client[cid] for cid in client_ids]
+        for cid, column in zip(client_ids, columns):
+            if len(column) != m:
+                raise ValueError(f"client {cid} answered {len(column)} of "
+                                 f"{m} queries")
+        if strategy == "average":
+            rows = np.array([real_values(column) for column in columns])
     if strategy == "average":
         # (M, L), so each query's mean runs along a contiguous row, as
-        # np.mean of that query's L answers does
-        answers = np.ascontiguousarray(np.array(
-            [real_values(per_client[cid]) for cid in client_ids]).T)
-        return previous.with_labels(RealColumn.wrap(answers.mean(axis=1)))
+        # np.mean of that query's L answers does: their sum, over L
+        return previous.with_labels(RealColumn.wrap(np.add.reduce(
+            np.ascontiguousarray(rows.T), axis=1) / len(rows)))
     if strategy != "fusion":
         raise ValueError(f"unknown aggregation: {strategy!r}")
-    columns = [per_client[cid] for cid in client_ids]
     if not all(isinstance(a, TextLabel) for col in columns for a in col):
         raise TypeError("fusion aggregation needs text labels")
     # most_common lists equal counts in first-seen order: lowest id first
@@ -435,8 +488,9 @@ def run(config: ProtocolConfig,
                                    cid, covariates=merged.covariates,
                                    labels=merged.labels))]
 
-    rng = np.random.default_rng(config.seed)
-    c_k = init_labels(queries, config.init_mode, clients[0], rng)
+    c_k = init_labels(queries, config.init_mode, clients[0],
+                      np.random.default_rng(config.seed)
+                      if config.init_mode == "random" else None)
     ledger = CommLedger()
     # one payload row per client: backends that answer with reals (every
     # cap agrees, by ``_check_run``) send 64 bits a real, vector questions
@@ -454,18 +508,39 @@ def run(config: ProtocolConfig,
     for i, c in enumerate(clients):
         by_backend.setdefault(c.backend, []).append(i)
     positions = list(by_backend.values())
-    plans = [(group, *_prepare_group(group, config, queries, embedder,
-                                     server_reference))
-             for group in ([clients[i] for i in at] for at in positions)]
 
-    def group_round(plan) -> List[Tuple[Labels, dict]]:
+    def plan(group):
+        kept, step1, step2 = _prepare_group(group, config, queries, embedder,
+                                            server_reference)
+        if not step2.linear:
+            return group, kept, step1, step2
+        # one label vector with the kept labels in place, and the slots
+        # after them, which step 1 fills each round
+        (starts, size), slots = step2.contexts, []
+        vector = np.zeros(size)
+        for start, ys, c in zip(starts, kept, group):
+            vector[start:start + len(ys)] = real_values(ys)
+            slots.append(start + len(ys) + np.arange(
+                len(c.original) if config.relabels else 0))
+        return group, (vector, np.concatenate(slots)), step1, step2
+
+    plans = [plan([clients[i] for i in at]) for at in positions]
+
+    def group_round(plan):
+        """The group's answers and usages: a label-linear group's are one
+        (clients, M) array, and None."""
         group, labels, step1, step2 = plan
-        usages: List[Dict[str, int]] = [{} for _ in group]
+        if step2.linear:   # step 1 writes the slots after the kept labels
+            labels, slots = labels
+            if step1 is not None:
+                labels[slots] = step1_relabel(group, step1, c_k)
+            return step2_answer(group, step2, labels), None
+        usages = [{} for _ in group]
         if step1 is not None:
             relabeled = step1_relabel(group, step1, c_k, usages)
             labels = [join_labels([kept, new])
                       for kept, new in zip(labels, relabeled)]
-        return list(zip(step2_answer(group, step2, labels, usages), usages))
+        return step2_answer(group, step2, labels, usages), usages
 
     # threads only pay while a backend waits: in-process ones answer here
     threaded = (max_workers != 1 and len(plans) > 1
@@ -473,18 +548,33 @@ def run(config: ProtocolConfig,
     executor = (ThreadPoolExecutor(max_workers=max_workers or len(plans))
                 if threaded else None)
     map_groups = executor.map if executor is not None else map
+    # real answers go into one read-only (L, M) array a round, a row a
+    # client, which the average reads with its rows in ascending id order
+    reals = config.aggregation == "average"
+    ids = [c.client_id for c in clients]
+    by_id = np.argsort(ids, kind="stable")
     traces: List[RoundTrace] = []
     try:
         for k in range(1, config.effective_rounds + 1):
-            answered = [None] * len(clients)
-            for at, results in zip(positions, map_groups(group_round, plans)):
-                for i, result in zip(at, results):
-                    answered[i] = result
-            answers, usages = zip(*answered)
+            answers, usages = [None] * len(clients), [{}] * len(clients)
+            rows = np.empty((len(clients), len(queries))) if reals else None
+            for at, (got, used) in zip(positions, map_groups(group_round,
+                                                             plans)):
+                if used is None:   # a label-linear group's (clients, M)
+                    rows[at] = got
+                    continue
+                for i, column, usage in zip(at, got, used):
+                    answers[i], usages[i] = column, usage
+                if reals:
+                    rows[at] = [real_values(column) for column in got]
+            if reals:
+                rows.setflags(write=False)
+                answers = RealColumn.rows(rows)
             charge_protocol_round(ledger, k, payloads, len(queries), unit,
                                   usages)
-            per_client = dict(zip((c.client_id for c in clients), answers))
-            c_next = aggregate(per_client, config.aggregation, c_k)
+            per_client = dict(zip(ids, answers))
+            c_next = aggregate(rows[by_id] if reals else per_client,
+                               config.aggregation, c_k)
             theory_w = None
             if theory_w_trace is not None and k < len(theory_w_trace):
                 theory_w = tuple(float(v) for v in theory_w_trace[k])

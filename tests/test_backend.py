@@ -31,7 +31,32 @@ def answer_asks(backend, asks, usages=None):
     """The label columns of ``asks``, each ``(covariates, labels, queries,
     neighbours)``: prepared, then answered with their labels."""
     step = backend.prepare([(xs, qs, nb) for xs, _, qs, nb in asks])
-    return backend.answer(step, [ys for _, ys, _, _ in asks], usages)
+    return answer_step(backend, step, [(xs, ys) for xs, ys, _, _ in asks],
+                       [len(qs) for _, _, qs, _ in asks], usages)
+
+
+def answer_step(backend, step, contexts, lengths, usages=None):
+    """The label columns of a prepared ``step``, one per ask, whose asks'
+    ``(covariates, labels)`` contexts are ``contexts`` and query counts
+    ``lengths``. A label-linear backend reads each distinct context's
+    labels once, in one vector, and answers with one vector, split here
+    into the asks' columns."""
+    if not backend.label_linear:
+        return backend.answer(step, [ys for _, ys in contexts], usages)
+    got = backend.answer(step, label_vector(contexts), usages)
+    return [RealColumn(part) for part in
+            np.split(got, np.cumsum(lengths)[:-1].astype(int))]
+
+
+def label_vector(contexts):
+    """The labels of the distinct covariates objects of ``contexts``,
+    ``(covariates, labels)`` pairs, end to end: the values of real labels,
+    and any other label as it is."""
+    distinct = {}
+    for xs, ys in contexts:
+        distinct.setdefault(id(xs), ys)
+    return [lab.value if isinstance(lab, RealLabel) else lab
+            for ys in distinct.values() for lab in ys]
 
 
 def answer_one(backend, context, queries, neighbours=None, usage=None):
@@ -46,7 +71,7 @@ def closed_form(context, queries, g, neighbours=None):
     context."""
     xs, ys = context
     return predict_closed_form(ClosedFormStep([(xs, queries, neighbours)], g),
-                               [real_values(ys)])[0]
+                               real_values(ys))
 
 
 def vec_context(rng, d, n):
@@ -173,11 +198,13 @@ def test_closed_form_batch_equals_each_ask_alone():
             (other, more, rng.integers(0, 4, size=(2, 3))),
             (shared, qs, rng.integers(0, 6, size=(5, 2))),
             (EMPTY, more, None), (other, np.empty((0, 3)), None)]
-    relabeled = (shared[0], RealColumn(rng.standard_normal(6)))
+    # equal covariates in another array are another context
+    relabeled = (shared[0].copy(), RealColumn(rng.standard_normal(6)))
     asks += [(relabeled, more, None), (relabeled, qs, None)]
-    got = predict_closed_form(
+    lengths = [len(q) for _, q, _ in asks]
+    got = np.split(predict_closed_form(
         ClosedFormStep([(xs, q, nb) for (xs, _), q, nb in asks], g),
-        [real_values(ys) for (_, ys), _, _ in asks])
+        label_vector([ctx for ctx, _, _ in asks])), np.cumsum(lengths)[:-1])
     assert [len(p) for p in got] == [5, 2, 5, 2, 5, 2, 0, 2, 5]
     for pred, (ctx, q, nb) in zip(got, asks):
         np.testing.assert_allclose(pred, closed_form(ctx, q, g, nb),
@@ -207,10 +234,10 @@ def test_a_context_and_label_vector_that_asks_share_give_one_moment():
             return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
     step.inverse = step.inverse.view(Recorded)
-    got = backend.answer(step, [c_k] * len(clients))
+    got = backend.answer(step, c_k.values)
     assert products == [[(1, 3), (3, 3)]]
-    for column, xs in zip(got, clients):
-        np.testing.assert_allclose(column.values,
+    for column, xs in zip(np.split(got, np.cumsum([4, 5])), clients):
+        np.testing.assert_allclose(column,
                                    closed_form((queries, c_k), xs, g),
                                    rtol=0, atol=1e-12)
 
@@ -227,8 +254,9 @@ def test_a_step_of_whole_contexts_and_neighbourhoods_of_several_sizes():
             (other, qs, rng.integers(0, 5, size=(4, 3))), (EMPTY, qs, None)]
     backend = LsaBackend(g)
     step = backend.prepare([(xs, q, nb) for (xs, _), q, nb in asks])
-    labels = [ys for (_, ys), _, _ in asks]
-    got = backend.answer(step, labels)
+    contexts = [ctx for ctx, _, _ in asks]
+    lengths = [len(q) for _, q, _ in asks]
+    got = answer_step(backend, step, contexts, lengths)
     for column, ((xs, ys), q, nb) in zip(got, asks):
         xs, ys = np.asarray(xs), real_values(ys)
         rows = [np.arange(len(ys))] * len(q) if nb is None else nb
@@ -238,9 +266,11 @@ def test_a_step_of_whole_contexts_and_neighbourhoods_of_several_sizes():
         np.testing.assert_allclose(real_values(column), want, rtol=0,
                                    atol=1e-12)
     # a prepared step answers any labels: again, and with others
-    assert backend.answer(step, labels) == got
-    doubled = [[RealLabel(2 * lab.value) for lab in ys] for ys in labels]
-    for twice, column in zip(backend.answer(step, doubled), got):
+    assert answer_step(backend, step, contexts, lengths) == got
+    doubled = [(xs, [RealLabel(2 * lab.value) for lab in ys])
+               for xs, ys in contexts]
+    for twice, column in zip(answer_step(backend, step, doubled, lengths),
+                             got):
         np.testing.assert_allclose(real_values(twice),
                                    2 * real_values(column), rtol=0,
                                    atol=1e-12)
@@ -287,7 +317,9 @@ def test_a_prepared_step_answers_with_no_solve(monkeypatch, k):
         # no covariate axis per neighbour: every array is a matrix at most
         assert max(a.ndim for a in arrays_of(step)) <= 2
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
-        got = backend.answer(step, [RealColumn(ys) for ys in labels])
+        got = answer_step(backend, step, [
+            (xs, RealColumn(ys)) for (xs, _, _), ys in zip(asks, labels)],
+            [len(q) for _, q, _ in asks])
         monkeypatch.setattr(np.linalg, "solve", solve)
         for column, (xs, q, rows), ys in zip(got, asks, labels):
             rows = [np.arange(len(xs))] * len(q) if rows is None else rows
@@ -320,14 +352,16 @@ def test_a_step_answers_only_under_the_gamma_it_was_prepared_with():
     qs = rng.standard_normal((4, 3))
     step = LsaBackend(g).prepare([(xs, qs, None),
                                   (xs, qs, rng.integers(0, 5, size=(4, 2)))])
-    want = LsaBackend(g).answer(step, [ys, ys])
+    # both asks read the one context xs: its labels, once
+    ys = real_values(ys)
+    want = LsaBackend(g).answer(step, ys)
     # an equal backend answers alike; -0.0 and 0.0 are one gamma
     signed = np.where(g == 0.0, -0.0, g)
     assert np.signbit(signed).any()
-    assert LsaBackend(signed).answer(step, [ys, ys]) == want
+    assert np.array_equal(LsaBackend(signed).answer(step, ys), want)
     for other in (2.0 * g, np.diag([1.0, 0.5, 2.0])):
         with pytest.raises(ValueError, match="gamma"):
-            LsaBackend(other).answer(step, [ys, ys])
+            LsaBackend(other).answer(step, ys)
 
 
 MALFORMED_NEIGHBOURS = {

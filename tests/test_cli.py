@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -305,6 +306,55 @@ def test_a_config_the_program_rejects_exits_2(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
     assert not (out / "traces.jsonl").exists()
     assert not (out / "theory_report.json").exists()
+
+
+@pytest.mark.parametrize("mode,dataset,setting", [
+    # open() takes an int, or a bool, for a file descriptor: True is the
+    # caller's stdout, which a with block would close, and 0 its stdin
+    ("simulate", {"client_paths": [__file__], "query_path": True},
+     "dataset.query_path must be a path, got True"),
+    ("theory", {"client_paths": [__file__], "query_path": 0},
+     "dataset.query_path must be a path, got 0"),
+    ("simulate", {"client_paths": [1], "query_path": __file__},
+     "dataset.client_paths[0] must be a path, got 1"),
+    ("partition", {"path": 3}, "dataset.path must be a path, got 3"),
+], ids=["true-query-path", "zero-query-path", "int-client-path",
+        "int-partition-path"])
+def test_a_path_that_is_not_a_str_exits_2_and_opens_no_descriptor(
+        tmp_path, capsys, mode, dataset, setting):
+    config = {"dataset": dataset}
+    if mode == "partition":
+        config["partition"] = {"num_clients": 2, "alpha": 1.0}
+    code, out = run_cli(tmp_path, mode, write_config(tmp_path, config))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and setting in err
+    # the process's own stdin and stdout are still open, and usable
+    for fd in (0, 1):
+        os.fstat(fd)
+    print("stdout still writes", flush=True)
+    assert capsys.readouterr().out == "stdout still writes\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "theory"])
+@pytest.mark.parametrize("dataset,setting", [
+    (dict(EXPLICIT_CFG, gamma={"a": 1.0}), "gamma"),
+    (dict(EXPLICIT_CFG, gamma="3"), "gamma"),
+    ({"d": 1, "lambda": {"a": 1.0}}, "lambda"),
+    ({"d": 1, "lambda": "1"}, "lambda"),
+    ({"construction": "matched_moments", "d": 1, "lambda": {"a": 1.0}},
+     "lambda"),
+], ids=["object-gamma", "str-gamma", "object-lambda", "str-lambda",
+        "matched-object-lambda"])
+def test_a_matrix_setting_that_is_not_one_exits_2_naming_it(
+        tmp_path, capsys, mode, dataset, setting):
+    code, out = run_cli(tmp_path, mode, write_config(tmp_path, {
+        "dataset": dataset}))
+    assert code == cli.EXIT_CONFIG
+    assert (f"config error: dataset: {setting} must be a matrix of numbers, "
+            f"got {dataset[setting]!r}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fedicl_free_runs_on_text_labels_it_never_reads(tmp_path):

@@ -23,7 +23,7 @@ def closed_form(examples, xq, g):
     """predict_closed_form on one query and a list of (covariate, label)
     pairs."""
     step = ClosedFormStep([([x for x, _ in examples], [xq], None)], g)
-    return float(predict_closed_form(step, [[y for _, y in examples]])[0][0])
+    return float(predict_closed_form(step, [y for _, y in examples])[0])
 
 
 def random_prompt(rng, d, n):
@@ -195,7 +195,7 @@ def test_spd_check(mat, accepted):
 
 
 def test_closed_form_checks_a_callers_gamma():
-    asks, ys = [(np.eye(2), np.eye(2), None)], [np.ones(2)]
+    asks, ys = [(np.eye(2), np.eye(2), None)], np.ones(2)
     for name in ("asymmetric by 1e-4", "inf", "not positive definite"):
         with pytest.raises(ValueError):
             ClosedFormStep(asks, np.array(SPD_CASES[name][0]))

@@ -56,8 +56,8 @@ def test_init_backend_generated():
     qs = init_labels([(1.0,), (2.0,)], "backend_generated",
                      ClientState(1, None, backend))
     # empty context: backend answers 0 for every query
-    assert qs.labels == tuple(
-        backend.answer(backend.prepare([((), [q], None)]), [()])[0][0]
+    assert qs.labels == tuple(RealLabel(float(
+        backend.answer(backend.prepare([((), [q], None)]), np.empty(0))[0]))
         for q in qs.covariates)
     assert qs.labels == (RealLabel(0.0),) * 2
 
@@ -87,18 +87,34 @@ def test_init_rejects_an_empty_query_list():
 
 def relabel(group, c_k):
     """Step 1 of the ``group`` on the query set ``c_k``, each client's ask
-    over C_k's covariates prepared as ``run`` prepares it."""
+    over C_k's covariates prepared as ``run`` prepares it: one label
+    column per client."""
     step = prepare_step(group, [(c_k.covariates, client.original.covariates,
                                  None) for client in group], "step 1")
-    return step1_relabel(group, step, c_k)
+    got = step1_relabel(group, step, c_k)
+    if not step.linear:
+        return got
+    # a label-linear backend gives every client's labels end to end
+    return [core.RealColumn(part) for part in
+            np.split(got, np.cumsum(step.query_counts)[:-1])]
 
 
 def answer_queries(group, contexts, queries):
     """Step 2 of the ``group``, each client in its ``(covariates,
-    labels)`` context."""
+    labels)`` context: one label column per client."""
     step = prepare_step(group, [(covs, queries, None) for covs, _ in contexts],
                         "step 2")
-    return step2_answer(group, step, [labels for _, labels in contexts])
+    if not step.linear:
+        return step2_answer(group, step, [labels for _, labels in contexts])
+    # a label-linear backend reads each distinct context's labels once, in
+    # one vector, and gives a (clients, M) array
+    starts, size = step.contexts
+    labels = np.zeros(size)
+    for start, (_, ys) in zip(starts, contexts):
+        labels[start:start + len(ys)] = core.real_values(ys)
+    got = step2_answer(group, step, labels)
+    assert got.shape == (len(group), len(queries))
+    return [core.RealColumn(row) for row in got]
 
 
 def test_step1_hand_value():
@@ -277,6 +293,29 @@ def test_gt_variant_runs_single_round():
     assert len(result.traces) == 1
 
 
+@pytest.mark.parametrize("variant", ["fedicl_gt", "fedicl_free"])
+def test_clients_that_share_covariates_but_not_labels_answer_each_alone(
+        variant):
+    # with_labels shares the covariates: one object is two clients'
+    # contexts, which a label-linear step would read as one
+    rng = np.random.default_rng(24)
+    (first, *_), queries, g = random_regression(rng, d=2, l=1, n=4, m=3)
+    second = first.with_labels(core.RealColumn(rng.standard_normal(4)))
+    assert second.covariates is first.covariates
+    config = ProtocolConfig(rounds=2, variant=variant)
+    grouped, solo = (run(config, [ClientState(cid, ds, backend(g)) for cid, ds
+                                  in ((1, first), (2, second))], queries)
+                     for backend in (LsaBackend, SoloLsaBackend))
+    for a, b in zip(grouped.traces, solo.traces):
+        for cid in (1, 2):
+            np.testing.assert_allclose(
+                a.per_client_answers[cid].values,
+                b.per_client_answers[cid].values, rtol=0, atol=1e-12)
+    if variant == "fedicl_gt":   # the clients keep labels of their own
+        assert not np.allclose(grouped.traces[0].per_client_answers[1].values,
+                               grouped.traces[0].per_client_answers[2].values)
+
+
 def test_single_client_average_is_identity():
     rng = np.random.default_rng(23)
     clients_data, queries, g = random_regression(rng, d=2, l=1, n=3, m=4)
@@ -338,8 +377,8 @@ def test_lb_variant_uses_server_reference_only():
     backend = LsaBackend(g)
     expected = backend.answer(
         backend.prepare([(reference.covariates, [(1.0,)], None)]),
-        [reference.labels])[0][0]
-    assert result.final.labels == (expected,)
+        core.real_values(reference.labels))[0]
+    assert result.final.labels == (RealLabel(float(expected)),)
 
 
 def unequal_regression(rng, d, sizes, m, t_prompt=7):
@@ -593,8 +632,24 @@ class AskCountingBackend(LsaBackend):
         self.calls = calls
 
     def answer(self, step, labels, usages=None):
-        self.calls.append((self, len(labels)))
+        self.calls.append((self, len(step.lengths)))
         return super().answer(step, labels, usages)
+
+
+class AskLsaBackend(LmBackend):
+    """The LSA closed form behind the ask-based ``answer`` of a backend
+    that is not label-linear: one label column per ask, with the answers
+    of its own one-ask step."""
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+
+    def prepare(self, asks):
+        return [lsa.ClosedFormStep([ask], self.gamma) for ask in asks]
+
+    def answer(self, step, labels, usages=None):
+        return [core.RealColumn(lsa.predict_closed_form(
+            one, core.real_values(ys))) for one, ys in zip(step, labels)]
 
 
 def test_lsa_backends_are_equal_when_their_gammas_are():
@@ -660,6 +715,30 @@ def test_grouped_answers_equal_each_client_answered_alone(variant,
     assert grouped.ledger.entries == solo.ledger.entries
 
 
+@pytest.mark.parametrize("context_count", [None, 2], ids=["full", "knn"])
+def test_a_run_that_mixes_label_linear_and_ask_based_groups(context_count):
+    # client 2 answers through the ask-based answer: its group's answers
+    # are label columns, the others' one array
+    rng = np.random.default_rng(72)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(3, 4, 5),
+                                                  m=4)
+    config = ProtocolConfig(rounds=3, context_count=context_count)
+    mixed = run(config, [ClientState(ds.client_id, ds, backend) for ds,
+                         backend in zip(clients_data, [
+                             LsaBackend(g), AskLsaBackend(g), LsaBackend(g)])],
+                queries)
+    alone = run(config, [ClientState(ds.client_id, ds, LsaBackend(g))
+                         for ds in clients_data], queries)
+    for a, b in zip(mixed.traces, alone.traces):
+        assert list(a.per_client_answers) == [1, 2, 3]
+        for cid, column in a.per_client_answers.items():
+            assert isinstance(column, core.RealColumn)
+            np.testing.assert_allclose(
+                column.values, b.per_client_answers[cid].values, rtol=0,
+                atol=1e-12)
+    assert mixed.ledger.entries == alone.ledger.entries
+
+
 def test_clients_with_different_gammas_get_their_own_answers():
     rng = np.random.default_rng(61)
     clients_data, queries, _ = unequal_regression(rng, d=2, sizes=(3, 4, 5),
@@ -699,7 +778,7 @@ def test_clients_with_different_gammas_get_their_own_answers():
 
 
 def test_a_missing_answer_column_names_the_first_client_of_the_group():
-    class ColumnShortBackend(LsaBackend):
+    class ColumnShortBackend(AskLsaBackend):
         def answer(self, step, labels, usages=None):
             return super().answer(step, labels, usages)[:-1]
 
@@ -711,6 +790,55 @@ def test_a_missing_answer_column_names_the_first_client_of_the_group():
                        match="step 1: 1 answer columns to 2 clients") as exc:
         run(ProtocolConfig(rounds=1), clients, [(1.0,)])
     assert exc.value.client_id == 3
+
+
+def test_a_wrong_answer_count_of_a_label_linear_backend_names_the_group():
+    class ShortLinearBackend(LsaBackend):
+        def answer(self, step, labels, usages=None):
+            return super().answer(step, labels, usages)[:-1]
+
+    backend = ShortLinearBackend(GAMMA_1D)
+    clients = [ClientState(cid, real_dataset(cid, [[1.0], [2.0]],
+                                             [1.0, 2.0]), backend)
+               for cid in (3, 4)]
+    # one answer vector for the group: its first client is named
+    with pytest.raises(ProtocolError, match=r"step 1: answers of shape "
+                       r"\(3,\) to 4 queries") as exc:
+        run(ProtocolConfig(rounds=1), clients, [(1.0,)])
+    assert exc.value.client_id == 3
+
+
+@pytest.mark.parametrize("context_count", [None, 2], ids=["full", "knn"])
+@pytest.mark.parametrize("groups", ["one group", "two groups", "mixed"])
+def test_a_label_linear_runs_answers_are_read_only_and_share_no_memory(
+        context_count, groups):
+    # a label-linear group's answers are one array, and a round's one more,
+    # whose rows are the clients' columns: no column, aggregate or array
+    # they view may be written, and no two of them, of one round or of
+    # two, overlap; "mixed" adds a group that answers with label columns
+    rng = np.random.default_rng(71)
+    clients_data, queries, g = unequal_regression(rng, d=2, sizes=(3, 4, 5),
+                                                  m=4)
+    backends = {"one group": [LsaBackend(g)] * 3,
+                "two groups": [LsaBackend(g), LsaBackend(2 * g),
+                               LsaBackend(g)],
+                "mixed": [LsaBackend(g), AskLsaBackend(g), LsaBackend(g)]}
+    result = run(ProtocolConfig(rounds=3, context_count=context_count),
+                 [ClientState(ds.client_id, ds, backend) for ds, backend
+                  in zip(clients_data, backends[groups])], queries)
+    arrays = [column.values for trace in result.traces for column in
+              [*trace.per_client_answers.values(), trace.aggregated.labels]]
+    assert len(arrays) == 3 * 4
+    for values in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+        view = values
+        while view is not None:
+            assert not view.flags.writeable
+            view = view.base
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_a_step_the_backend_cannot_prepare_fails_at_set_up(tmp_path):
@@ -732,7 +860,7 @@ def test_a_step_the_backend_cannot_prepare_fails_at_set_up(tmp_path):
 
 
 def test_a_wrong_answer_count_names_the_client_of_that_ask():
-    class LastAskShortBackend(LsaBackend):
+    class LastAskShortBackend(AskLsaBackend):
         def answer(self, step, labels, usages=None):
             columns = super().answer(step, labels, usages)
             return columns[:-1] + [columns[-1][:-1]]
@@ -903,7 +1031,7 @@ def test_serial_and_pooled_runs_trace_identically(monkeypatch):
 
 
 def test_backend_answer_count_mismatch_is_a_protocol_error():
-    class ShortBackend(LsaBackend):
+    class ShortBackend(AskLsaBackend):
         def answer(self, step, labels, usages=None):
             return [col[:-1] for col in super().answer(step, labels, usages)]
 
@@ -957,9 +1085,12 @@ def test_sent_payloads_never_contain_client_data():
             return list(asks), super().prepare(asks)
 
         def answer(self, step, labels, usages=None):
+            # one label vector: each distinct context's labels once
             asks, prepared = step
-            calls.append([(covs, ys, queries, nb) for (covs, queries, nb), ys
-                          in zip(asks, labels)])
+            starts, _ = core.context_starts([covs for covs, _, _ in asks])
+            calls.append([(covs, core.RealColumn(labels[s:s + len(covs)]),
+                           queries, nb)
+                          for (covs, queries, nb), s in zip(asks, starts)])
             return super().answer(prepared, labels, usages)
 
     clients = [ClientState(ds.client_id, ds, RecordingBackend(g))
@@ -1108,13 +1239,13 @@ def test_vector_run_builds_no_example_after_setup(monkeypatch, tmp_path,
                      clients, queries, trace_path=tmp_path / "traces.jsonl")
         assert len(result.traces) == rounds
     assert built == Counter()
-    # step 2's covariates are stacked once per client and run, step 1's
-    # kNN search stacks the group's covariates, and each step's search
-    # stacks its pools once, in no round
-    assert stacks == [len(clients) + 3 * (context_count is not None)] * 2
+    # step 2's pools are stacked once per run, in one call for the group,
+    # step 1's kNN search stacks the group's covariates, and each step's
+    # search stacks its pools once, in no round
+    assert stacks == [1 + 3 * (context_count is not None)] * 2
     Example((1.0,), RealLabel(0.0))  # the counters do count
     lsa.predict_closed_form(
-        lsa.ClosedFormStep([(np.eye(2), np.eye(2), None)], g), [np.ones(2)])
+        lsa.ClosedFormStep([(np.eye(2), np.eye(2), None)], g), np.ones(2))
     assert built == Counter({"Example": 1, "as_covariate": 1, "RealLabel": 1,
                              "_check_spd": 1})
 
@@ -1438,8 +1569,9 @@ def test_a_backend_failure_building_c_1_is_a_protocol_error():
     assert exc.value.client_id == 2
 
 
-class ShortBackend(LsaBackend):
-    """An LSA backend that gives one answer too few to every ask."""
+class ShortBackend(AskLsaBackend):
+    """An ask-based LSA backend that gives one answer too few to every
+    ask."""
 
     def answer(self, step, labels, usages=None):
         return [column[:-1] for column in super().answer(step, labels,
