@@ -213,6 +213,29 @@ def test_closed_form_batch_equals_each_ask_alone():
     assert not np.allclose(got[-1], got[0])  # the labels differ
 
 
+@pytest.mark.parametrize("rows", [
+    [(0, 3), (3, 6), (6, 9)],    # the array's rows in order: no copy
+    [(3, 6), (0, 3), (6, 9)],    # out of order
+    [(0, 3), (2, 5), (5, 9)],    # overlapping
+    [(0, 3), (3, 6)],            # not all of the array
+], ids=["in-order", "out-of-order", "overlapping", "partial"])
+def test_contexts_that_view_one_array_answer_as_each_ask_alone(rows):
+    rng = np.random.default_rng(38)
+    g = gamma(np.diag([1.0, 0.5, 2.0]), 4)
+    stacked = rng.standard_normal((9, 3))
+    stacked.flags.writeable = False
+    qs = rng.standard_normal((4, 3))
+    contexts = [(stacked[lo:hi], RealColumn(rng.standard_normal(hi - lo)))
+                for lo, hi in rows]
+    step = ClosedFormStep([(xs, qs, None) for xs, _ in contexts], g)
+    assert (step.contexts is stacked) == (rows == [(0, 3), (3, 6), (6, 9)])
+    got = predict_closed_form(step, label_vector(contexts)).reshape(
+        len(rows), -1)
+    for pred, ctx in zip(got, contexts):
+        np.testing.assert_allclose(pred, closed_form(ctx, qs, g), rtol=0,
+                                   atol=1e-12)
+
+
 def test_a_context_and_label_vector_that_asks_share_give_one_moment():
     # step 1 at full context: every client's ask reads the queries and
     # their one label column, so a round computes one moment y^T X / n
