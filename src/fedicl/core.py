@@ -32,9 +32,8 @@ class ConfigError(ValueError):
 
 def check_int(name: str, value):
     """``value`` if it is an integer and not a bool, else ``TypeError``."""
-    if type(value) is int:   # the common case, without the ABC check
-        return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # int first: an ABC's isinstance is some six times as slow
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
         raise TypeError(f"{name} must be an int, got {value!r}")
     return value
 
@@ -513,18 +512,14 @@ class CommLedger:
         """Append ``rows`` of (round, direction, client_id, payload_units,
         unit), all of them or, when one is bad, none: a payload is an int
         >= 0, a direction is in ``DIRECTIONS`` and a unit in ``UNITS``."""
-        # what LedgerEntry._make builds, at half its cost a row
-        entries = [tuple.__new__(LedgerEntry, row) for row in rows]
+        entries = [LedgerEntry._make(row) for row in rows]
         for e in entries:
-            if len(e) != len(LedgerEntry._fields):
-                raise TypeError(f"Expected 5 arguments, got {len(e)}")
-            _, direction, _, units, unit = e
-            if check_int("payload_units", units) < 0:
-                raise ValueError(f"negative payload: {units}")
-            if direction not in DIRECTIONS:
-                raise ValueError(f"unknown direction: {direction!r}")
-            if unit not in UNITS:
-                raise ValueError(f"unknown unit: {unit!r}")
+            if check_int("payload_units", e.payload_units) < 0:
+                raise ValueError(f"negative payload: {e.payload_units}")
+            if e.direction not in DIRECTIONS:
+                raise ValueError(f"unknown direction: {e.direction!r}")
+            if e.unit not in UNITS:
+                raise ValueError(f"unknown unit: {e.unit!r}")
         self.entries.extend(entries)
 
     def total(self, unit: str) -> int:

@@ -40,26 +40,15 @@ def _check_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 class SpdMatrix:
     """A read-only copy of a matrix, checked finite, square, symmetric and
-    positive definite once, when it is made, and its inverse, computed
-    once, when first read: ``ClosedFormStep`` takes both as they are."""
+    positive definite once, when it is made: ``ClosedFormStep`` takes it
+    without checking it again."""
 
-    __slots__ = ("matrix", "_inverse")
+    __slots__ = ("matrix",)
 
     def __init__(self, mat, name: str = "matrix"):
         mat = _check_spd(np.array(mat, dtype=float), name)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_inverse", None)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        if self._inverse is None:   # a backend that never prepares skips it
-            # solving for a step's 1000s of columns takes some 18 times as
-            # long
-            inverse = np.linalg.inv(self.matrix)
-            inverse.flags.writeable = False
-            object.__setattr__(self, "_inverse", inverse)
-        return self._inverse
 
     def __setattr__(self, name, value):
         raise AttributeError("SpdMatrix is immutable")
@@ -166,23 +155,23 @@ class ClosedFormStep:
     them out (``size`` labels); the answer vector holds each ask's answers
     end to end, in ask order (``lengths``).
 
-    The step keeps Gamma^-1; the distinct whole contexts' X end to end,
-    each padded with zero rows to the longest, with each one's 1 / n and,
-    unless the label vector is their labels in order, the label indices
-    they read; for the contexts that one list of query matrices reads,
-    those queries stacked and transposed; and, for the neighbourhoods of
-    each size k, the (R, k) weights W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k
-    over their stacked queries, beside the (R, k) label indices. Each
-    product keeps the answer slots it fills.
+    The step keeps Gamma^-1; each distinct whole context's label range,
+    its X (not copied) and its 1 / n; for the contexts that one list of
+    query matrices reads, those queries stacked and transposed; and, for
+    the neighbourhoods of each size k, the (R, k) weights
+    W[q, j] = x_q^T Gamma^-1 x_nb(q, j) / k over their stacked queries,
+    beside the (R, k) label indices. Each product keeps the answer slots
+    it fills.
     """
 
-    __slots__ = ("gamma", "inverse", "size", "lengths", "contexts", "take",
-                 "scale", "blocks", "gathers")
+    __slots__ = ("gamma", "inverse", "size", "lengths", "contexts", "blocks",
+                 "gathers")
 
     def __init__(self, asks, gamma: np.ndarray | SpdMatrix):
-        gamma = (gamma if isinstance(gamma, SpdMatrix) else
-                 SpdMatrix(gamma, "gamma"))
-        self.gamma, self.inverse = gamma.matrix, gamma.inverse
+        self.gamma = (gamma if isinstance(gamma, SpdMatrix) else
+                      SpdMatrix(gamma, "gamma")).matrix
+        # solving for a step's 1000s of columns takes some 18 times as long
+        self.inverse = np.linalg.inv(self.gamma)
         asks = list(asks)
         starts, self.size = context_starts([xs for xs, _, _ in asks])
         self.lengths, whole, by_size, end = [], {}, {}, 0
@@ -202,20 +191,8 @@ class ClosedFormStep:
                     (xq @ self.inverse, covariate_matrix(xs), nb, start,
                      slots))
         contexts = list(whole.values())
-        mats = [covariate_matrix(xs) for xs, _ in contexts]
-        sizes = [len(x) for x in mats]
-        n, self.take = max(sizes, default=0), None
-        if sizes and (len(set(sizes)) > 1
-                      or list(whole) != list(range(0, self.size, n))):
-            # padding rows are zero, and read their context's first label
-            inside = np.arange(n) < np.array(sizes)[:, None]
-            self.take = np.array(list(whole))[:, None] + np.where(
-                inside, np.arange(n), 0)
-            mats = [np.vstack([x, np.zeros((n - len(x), x.shape[1]))])
-                    for x in mats]
-        self.contexts = (_end_to_end(mats) if mats else
-                         np.empty((0, len(self.gamma))))
-        self.scale = 1.0 / np.array(sizes, dtype=float)[:, None]
+        self.contexts = [(slice(start, start + len(xs)), covariate_matrix(xs),
+                          1.0 / len(xs)) for start, (xs, _) in whole.items()]
         # the contexts that one list of query matrices reads answer in one
         # product: step 1's one context, which every client's covariates
         # read, and step 2's, which the queries read
@@ -223,8 +200,7 @@ class ClosedFormStep:
         for j, (_, reads) in enumerate(contexts):
             blocks.setdefault(tuple(key for key, _, _ in reads), []).append(j)
         self.blocks = [
-            (rows if len(rows) < len(contexts) else slice(None),
-             np.concatenate([xq for _, xq, _ in contexts[rows[0]][1]]).T,
+            (rows, np.concatenate([xq for _, xq, _ in contexts[rows[0]][1]]).T,
              _slots([slots for j in rows for *_, slots in contexts[j][1]]))
             for rows in blocks.values()]
         self.gathers = []
@@ -245,22 +221,6 @@ class ClosedFormStep:
                 _slots([slots for *_, slots in members])))
 
 
-def _end_to_end(mats: List[np.ndarray]) -> np.ndarray:
-    """(n, d) ``mats`` end to end: their base, not a copy, when they are
-    its rows in order (as ``protocol.run`` passes its pools)."""
-    base = mats[0].base
-    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous
-            and sum(map(len, mats)) == len(base) and all(
-                m.base is base and m.flags.c_contiguous
-                and m.shape[1:] == base.shape[1:] for m in mats)):
-        return np.concatenate(mats)
-    at = [m.__array_interface__["data"][0] for m in [base, *mats]]
-    if at[0] == at[1] and all(b - a == m.nbytes for a, b, m in
-                              zip(at[1:], at[2:], mats)):
-        return base
-    return np.concatenate(mats)
-
-
 def _slots(ranges: List[Tuple[int, int]]):
     """The answer slots of (lo, hi) ``ranges``: a slice when each range
     starts where the one before it ends."""
@@ -277,31 +237,22 @@ def predict_closed_form(step: ClosedFormStep, labels) -> np.ndarray:
     Query q's answer is y_hat = x_q^T Gamma^-1 (1/n sum_i y_i x_i) over
     the whole context, or sum_j W[q, j] y[nb(q, j)] over its k examples;
     zero examples yield 0. Each whole context's moment comes once, from
-    one batched product; all moments are folded with Gamma^-1 in one
+    one product with its X; all moments are folded with Gamma^-1 in one
     product, and no Gamma is solved for.
     """
     y = np.asarray(labels, dtype=float)
     if y.shape != (step.size,):
         raise ValueError(f"contexts of {step.size} covariates and labels of "
                          f"shape {y.shape}")
-    parts = []
+    answers = np.zeros(sum(step.lengths))
     if step.blocks:
-        ys = y.reshape(len(step.scale), -1) if step.take is None else y[
-            step.take]
         # y / n first: each term of y X / n then rounds close to (X / n) y
-        folded = np.matmul((ys * step.scale)[:, None], step.contexts.reshape(
-            *ys.shape, -1))[:, 0] @ step.inverse
-        parts += [(slots, (folded[rows] @ queries).ravel())
-                  for rows, queries, slots in step.blocks]
-    parts += [(slots, np.einsum("qk,qk->q", weights, y[index]))
-              for index, weights, slots in step.gathers]
-    total = sum(step.lengths)
-    if len(parts) == 1 and isinstance(parts[0][0], slice) and (
-            parts[0][0] == slice(0, total)):
-        return parts[0][1]   # one product answers every ask, in order
-    answers = np.zeros(total)
-    for slots, values in parts:
-        answers[slots] = values
+        folded = np.array([(y[labels] * scale).dot(x) for labels, x, scale
+                           in step.contexts]) @ step.inverse
+        for rows, queries, slots in step.blocks:
+            answers[slots] = (folded[rows] @ queries).ravel()
+    for index, weights, slots in step.gathers:
+        answers[slots] = np.einsum("qk,qk->q", weights, y[index])
     return answers
 
 

@@ -248,10 +248,15 @@ def _prepare_group(group: Sequence[ClientState], config: ProtocolConfig,
         joined = stack_covariates([covs for covs in relabeled
                                    for _ in (0, 1)])
         pools = [joined[lo:hi] for lo, hi in zip([0] + ends, ends)]
-    if config.variant == "fedicl_gt":
-        # a label-linear step reads each distinct context's labels once,
-        # and two clients may share covariates but not labels
-        pools = [p.view() if isinstance(p, np.ndarray) else p for p in pools]
+    # a label-linear step reads each distinct pool's labels once: a client
+    # whose pool is an earlier one's, but whose kept labels are not, reads
+    # a view of it (vector covariates are arrays)
+    firsts = {}
+    for i, (pool, ds) in enumerate(zip(pools, kept)):
+        labels = None if ds is None else ds.labels
+        if (firsts.setdefault(id(pool), labels) is not labels
+                and isinstance(pool, np.ndarray)):
+            pools[i] = pool.view()
     step1_nn, step2_nn = [None] * len(group), [None] * len(group)
     c = config.context_count
     if c is not None:

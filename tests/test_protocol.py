@@ -316,6 +316,21 @@ def test_clients_that_share_covariates_but_not_labels_answer_each_alone(
                                grouped.traces[0].per_client_answers[2].values)
 
 
+def test_clients_share_a_label_range_only_when_they_keep_one_labels():
+    # a label-linear step reads one range of labels per pool object:
+    # clients that keep one dataset read one range, and a client whose
+    # kept labels are others' reads its own, under any variant
+    rng = np.random.default_rng(25)
+    (first, *_), queries, g = random_regression(rng, d=2, l=1, n=4, m=3)
+    other = first.with_labels(core.RealColumn(rng.standard_normal(4)))
+    group = [ClientState(cid, ds, LsaBackend(g))
+             for cid, ds in ((1, first), (2, first), (3, other))]
+    _, _, step2 = protocol._prepare_group(
+        group, ProtocolConfig(variant="fedicl_gt"), queries, None, None)
+    starts, size = step2.contexts
+    assert starts[0] == starts[1] != starts[2] and size == 8
+
+
 def test_single_client_average_is_identity():
     rng = np.random.default_rng(23)
     clients_data, queries, g = random_regression(rng, d=2, l=1, n=3, m=4)
